@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import FullRecord, ScenarioConfig, get_model
+from .benchmarks import FullRecord, ScenarioConfig
 from .evaluator import SampleBatch
 
 
@@ -97,13 +97,6 @@ class TrajectoryDataset:
         cols.update(self.revealed)
         return SampleBatch.from_columns(cols)
 
-    def visible_columns(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"t": self.time}
-        out.update(self.states)
-        out.update(self.derivs)
-        out.update(self.revealed)
-        return out
-
 
 def make_dataset(record: FullRecord, scen: ScenarioConfig) -> TrajectoryDataset:
     """Noisy training view of a simulation record.
@@ -128,12 +121,6 @@ def make_dataset(record: FullRecord, scen: ScenarioConfig) -> TrajectoryDataset:
         full=record,
         metadata={"model": record.model_id, "scenario": record.scenario,
                   "seed": scen.seed})
-
-
-def dataset_from_simulation(model_id: str, scen: ScenarioConfig) -> TrajectoryDataset:
-    from .benchmarks import simulate
-
-    return make_dataset(simulate(get_model(model_id), scen), scen)
 
 
 # ---------------------------------------------------------------------------

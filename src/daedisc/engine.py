@@ -96,12 +96,6 @@ class VariableLibrary:
             raise ValueError(f"{entry.name} already admitted")
         self.entries.append(entry)
 
-    def kind_of(self, name: str) -> str | None:
-        for e in self.entries:
-            if e.name == name:
-                return e.kind
-        return None
-
 
 def check_trigger(history: Sequence[float], window: int, epsilon: float,
                   gamma: float) -> Decision:

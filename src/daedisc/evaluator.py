@@ -6,9 +6,12 @@ respect to each parameter slot.  Domain violations (log of a non-positive
 argument, near-zero divisors, any non-finite intermediate) poison the whole
 evaluation: the result carries a fault record instead of numbers.
 
-Gradients are produced per sample, not pre-reduced, so callers can apply any
-loss weighting they like.  All inputs are immutable and evaluation is pure;
-batches can be sharded across workers and the results concatenated.
+Each skeleton is compiled once into a postorder tape, which runs parameter
+rows (R, k) broadcast against the (n,) columns: a fitter advances R restarts
+in one walk.  Gradients are produced per sample, not pre-reduced, so callers
+can apply any loss weighting they like.  All inputs are immutable and
+evaluation is pure; batches can be sharded across workers and the results
+concatenated.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsl import Bin, Call, Const, Expr, Neg, Param, Pow, Skeleton, Var, variables_in
+from .dsl import FUNCTIONS, Bin, Call, Const, Expr, Neg, Param, Pow, Skeleton, Var
 
 DIV_GUARD = 1e-12
 
@@ -28,7 +31,7 @@ class MissingColumn(KeyError):
 
 
 class DomainFault(RuntimeError):
-    """Raised by gradient_check when the evaluation domain is violated."""
+    """Raised when the evaluation domain is violated (evaluate_rows, gradient_check)."""
 
     def __init__(self, info: "FaultInfo"):
         super().__init__(f"domain fault at sample {info.sample_index}: {info.reason}")
@@ -95,130 +98,174 @@ class EvalResult:
         return self.domain_fault is not None
 
 
-class _Fault(Exception):
-    def __init__(self, sample_index: int, reason: str):
-        self.info = FaultInfo(sample_index=sample_index, reason=reason)
-
-
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
-
-
-def _check_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
+def _check(bad, reason: str, shape: tuple[int, int]) -> None:
     if bad.any():
-        raise _Fault(_first_bad(bad), f"non-finite {what}")
+        # the first sample at which any parameter row is bad
+        index = int(np.argmax(np.broadcast_to(bad, shape).any(axis=0)))
+        raise DomainFault(FaultInfo(sample_index=index, reason=reason))
 
 
-def _forward(node: Expr, batch: SampleBatch, params: np.ndarray, n: int,
-             values: dict[int, np.ndarray]) -> np.ndarray:
-    if isinstance(node, Const):
-        out = np.full(n, node.value)
-    elif isinstance(node, Param):
-        out = np.full(n, params[node.index])
-    elif isinstance(node, Var):
-        out = batch.column(node.name)
-    elif isinstance(node, Neg):
-        out = -_forward(node.child, batch, params, n, values)
-    elif isinstance(node, Bin):
-        left = _forward(node.left, batch, params, n, values)
-        right = _forward(node.right, batch, params, n, values)
-        if node.op == "+":
-            out = left + right
-        elif node.op == "-":
-            out = left - right
-        elif node.op == "*":
-            out = left * right
+def _check_finite(values, shape: tuple[int, int]) -> None:
+    if not np.isfinite(values).all():
+        _check(~np.isfinite(values), "non-finite value", shape)
+
+
+def _guard(op: str, x, y, e, shape: tuple[int, int]) -> None:
+    """Domain guards, and finiteness of the operands through which a
+    non-finite value could vanish; every other operation keeps it."""
+    if op == "/":
+        _check(np.abs(y) < DIV_GUARD, "division by near-zero denominator", shape)
+        _check_finite(y, shape)
+    elif op == "^" and e <= 0:
+        if e < 0:
+            _check(np.abs(x) < DIV_GUARD, "negative power of near-zero base", shape)
+        _check_finite(x, shape)
+    elif op == "log":
+        _check(np.less_equal(x, 0.0), "log of non-positive argument", shape)
+    elif op == "sqrt":
+        _check(np.less(x, 0.0), "sqrt of negative argument", shape)
+    elif op in ("exp", "tanh"):
+        _check_finite(x, shape)
+
+
+# op -> value from the operands x, y (y is x for unary ops) and the exponent e;
+# powers go through an array because ndarray ** scalar takes NumPy's fast
+# paths (square, reciprocal, ...), whose bits can differ from scalar pow
+_VALUE = {
+    "neg": lambda x, y, e: -x,
+    "+": lambda x, y, e: x + y,
+    "-": lambda x, y, e: x - y,
+    "*": lambda x, y, e: x * y,
+    "/": lambda x, y, e: x / y,
+    "^": lambda x, y, e: np.asarray(x) ** float(e),
+    **{f: (lambda x, y, e, ufunc=getattr(np, f): ufunc(x)) for f in FUNCTIONS},
+}
+
+# op -> (adjoint of x, adjoint of y or None) from the adjoint g of the value v
+_ADJOINTS = {
+    "neg": lambda g, x, y, v, e: (-g, None),
+    "+": lambda g, x, y, v, e: (g, g),
+    "-": lambda g, x, y, v, e: (g, -g),
+    "*": lambda g, x, y, v, e: (g * y, g * x),
+    "/": lambda g, x, y, v, e: (g / y, -g * x / (y * y)),
+    "^": lambda g, x, y, v, e: (g * e * np.asarray(x) ** float(e - 1) if e else None, None),
+    "sin": lambda g, x, y, v, e: (g * np.cos(x), None),
+    "cos": lambda g, x, y, v, e: (g * -np.sin(x), None),
+    "tan": lambda g, x, y, v, e: (g * (1.0 + v * v), None),
+    "exp": lambda g, x, y, v, e: (g * v, None),
+    "log": lambda g, x, y, v, e: (g * (1.0 / x), None),
+    "sqrt": lambda g, x, y, v, e: (g * (0.5 / v), None),
+    "tanh": lambda g, x, y, v, e: (g * (1.0 - v * v), None),
+    "abs": lambda g, x, y, v, e: (g * np.sign(x), None),  # subgradient 0 at the kink
+}
+
+
+def _emit(node: Expr, prog: list, variables: list) -> int:
+    """Append node's subtree to prog in postorder and return its slot.
+
+    An instruction is ``(op, a, b, arg, live)``: operand slots (``b`` is ``a``
+    for unary ops), the constant, parameter slot, variable position or
+    exponent, and whether the subtree holds a parameter."""
+    a = b = arg = None
+    match node:
+        case Const(value):
+            op, arg = "const", float(value)
+        case Param(index):
+            op, arg = "param", index
+        case Var(name):
+            if name not in variables:
+                variables.append(name)
+            op, arg = "var", variables.index(name)
+        case Bin(op, left, right):
+            a, b = _emit(left, prog, variables), _emit(right, prog, variables)
+        case Neg(child):
+            op, a = "neg", _emit(child, prog, variables)
+        case Pow(base, arg):
+            op, a = "^", _emit(base, prog, variables)
+        case Call(op, child):
+            a = _emit(child, prog, variables)
+        case _:
+            raise TypeError(f"not an expression node: {node!r}")
+    b = a if b is None else b
+    live = op == "param" or (a is not None and (prog[a][4] or prog[b][4]))
+    prog.append((op, a, b, arg, live))
+    return len(prog) - 1
+
+
+def _tape(skeleton: Skeleton) -> tuple[list[str], list[list[tuple]]]:
+    """(variables, one postorder program per target), compiled on first use
+    and cached on the skeleton instance."""
+    tape = skeleton.__dict__.get("_tape")
+    if tape is None:
+        variables: list[str] = []
+        programs = [[] for _ in skeleton.expressions]
+        for expr, prog in zip(skeleton.expressions, programs):
+            _emit(expr, prog, variables)
+        tape = (variables, programs)
+        object.__setattr__(skeleton, "_tape", tape)  # Skeleton is frozen
+    return tape
+
+
+def evaluate_rows(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
+                  exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k).
+
+    Raises DomainFault if any row faults.  Checking finiteness at the outputs,
+    the gradients and where ``_guard`` does decides faulted-or-not as a check
+    at every node would; ``exact`` adds that per-node check, so the fault
+    names the first offending node as ``evaluate`` reports it.
+    """
+    if params.ndim != 2 or params.shape[1] != skeleton.n_params:
+        raise ValueError(f"expected rows of {skeleton.n_params} parameters, got {params.shape}")
+    variables, programs = _tape(skeleton)
+    cols = [batch.column(name) for name in variables]
+    rows, k = params.shape
+    shape = (rows, batch.n_samples)
+    pcols = [params[:, j:j + 1] for j in range(k)]
+    outputs = np.empty((rows, len(programs), batch.n_samples))
+    gradients = np.zeros(outputs.shape + (k,))
+    with np.errstate(all="ignore"):  # non-finite results become faults
+        for t, prog in enumerate(programs):
+            vals = []
+            for op, a, b, arg, _ in prog:
+                if op == "param":
+                    vals.append(pcols[arg])
+                elif op == "var":
+                    vals.append(cols[arg])
+                elif op == "const":
+                    vals.append(arg)
+                else:
+                    _guard(op, vals[a], vals[b], arg, shape)
+                    vals.append(_VALUE[op](vals[a], vals[b], arg))
+                if exact:
+                    _check_finite(vals[-1], shape)
+            outputs[:, t] = vals[-1]
+            _check_finite(outputs[:, t], shape)
+            grad = gradients[:, t]
+            _sweep(prog, vals, grad)
+            if not np.isfinite(grad).all():
+                _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
+    return outputs, gradients
+
+
+def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
+    """Add per-sample parameter adjoints into grad (R, n, k), zero-filled."""
+    adj = {len(prog) - 1: 1.0}
+    leaves = []
+    for i in range(len(prog) - 1, -1, -1):
+        op, a, b, arg, live = prog[i]
+        g = adj.get(i)
+        if g is None or not live:
+            continue
+        if op == "param":
+            leaves.append((arg, g))
         else:
-            small = np.abs(right) < DIV_GUARD
-            if small.any():
-                raise _Fault(_first_bad(small), "division by near-zero denominator")
-            out = left / right
-    elif isinstance(node, Pow):
-        base = _forward(node.base, batch, params, n, values)
-        if node.exponent < 0:
-            small = np.abs(base) < DIV_GUARD
-            if small.any():
-                raise _Fault(_first_bad(small), "negative power of near-zero base")
-        out = base ** float(node.exponent)
-    elif isinstance(node, Call):
-        arg = _forward(node.arg, batch, params, n, values)
-        if node.func == "log":
-            bad = arg <= 0.0
-            if bad.any():
-                raise _Fault(_first_bad(bad), "log of non-positive argument")
-            out = np.log(arg)
-        elif node.func == "sqrt":
-            bad = arg < 0.0
-            if bad.any():
-                raise _Fault(_first_bad(bad), "sqrt of negative argument")
-            out = np.sqrt(arg)
-        else:
-            out = getattr(np, node.func if node.func != "abs" else "abs")(arg)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    _check_finite(out, "value")
-    values[id(node)] = out
-    return out
-
-
-def _backward(node: Expr, adj: np.ndarray, values: dict[int, np.ndarray],
-              grad: np.ndarray) -> None:
-    """Propagate per-sample adjoints; accumulate into grad (n_params, n_samples)."""
-    if isinstance(node, Const) or isinstance(node, Var):
-        return
-    if isinstance(node, Param):
-        grad[node.index] += adj
-        return
-    if isinstance(node, Neg):
-        _backward(node.child, -adj, values, grad)
-        return
-    if isinstance(node, Bin):
-        left_v = values[id(node.left)]
-        right_v = values[id(node.right)]
-        if node.op == "+":
-            _backward(node.left, adj, values, grad)
-            _backward(node.right, adj, values, grad)
-        elif node.op == "-":
-            _backward(node.left, adj, values, grad)
-            _backward(node.right, -adj, values, grad)
-        elif node.op == "*":
-            _backward(node.left, adj * right_v, values, grad)
-            _backward(node.right, adj * left_v, values, grad)
-        else:
-            _backward(node.left, adj / right_v, values, grad)
-            _backward(node.right, -adj * left_v / (right_v * right_v), values, grad)
-        return
-    if isinstance(node, Pow):
-        base_v = values[id(node.base)]
-        e = node.exponent
-        if e == 0:
-            return
-        _backward(node.base, adj * e * base_v ** float(e - 1), values, grad)
-        return
-    if isinstance(node, Call):
-        arg_v = values[id(node.arg)]
-        out_v = values[id(node)]
-        f = node.func
-        if f == "sin":
-            d = np.cos(arg_v)
-        elif f == "cos":
-            d = -np.sin(arg_v)
-        elif f == "tan":
-            d = 1.0 + out_v * out_v
-        elif f == "exp":
-            d = out_v
-        elif f == "log":
-            d = 1.0 / arg_v
-        elif f == "sqrt":
-            d = 0.5 / out_v
-        elif f == "tanh":
-            d = 1.0 - out_v * out_v
-        else:  # abs; subgradient 0 at the kink
-            d = np.sign(arg_v)
-        _backward(node.arg, adj * d, values, grad)
-        return
-    raise TypeError(f"not an expression node: {node!r}")
+            adj[a], gb = _ADJOINTS[op](g, vals[a], vals[b], vals[i], arg)
+            if gb is not None:
+                adj[b] = gb
+    # the sweep meets parameter leaves right to left; add them left to right
+    for j, g in reversed(leaves):
+        grad[..., j] += g
 
 
 def evaluate(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> EvalResult:
@@ -226,29 +273,14 @@ def evaluate(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) ->
     p = np.asarray(params, dtype=np.float64)
     if p.shape != (skeleton.n_params,):
         raise ValueError(f"expected {skeleton.n_params} parameters, got shape {p.shape}")
-    for name in variables_in(skeleton):
-        if name not in batch.columns:
-            raise MissingColumn(name)
-    n = batch.n_samples
-    n_t = len(skeleton.expressions)
-    outputs = np.empty((n_t, n))
-    gradients = np.zeros((n_t, n, skeleton.n_params))
-    ones = np.ones(n)
     try:
-        with np.errstate(all="ignore"):  # non-finite results become faults below
-            for t, expr in enumerate(skeleton.expressions):
-                values: dict[int, np.ndarray] = {}
-                outputs[t] = _forward(expr, batch, p, n, values)
-                if skeleton.n_params:
-                    g = np.zeros((skeleton.n_params, n))
-                    _backward(expr, ones, values, g)
-                    bad = ~np.isfinite(g)
-                    if bad.any():
-                        raise _Fault(int(np.argmax(bad.any(axis=0))), "non-finite gradient")
-                    gradients[t] = g.T
-    except _Fault as fault:
+        try:
+            outputs, gradients = evaluate_rows(skeleton, p[None, :], batch)
+        except DomainFault:  # walk again checking every node, to name the first fault
+            outputs, gradients = evaluate_rows(skeleton, p[None, :], batch, exact=True)
+    except DomainFault as fault:
         return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
-    return EvalResult(outputs=outputs, gradients=gradients)
+    return EvalResult(outputs=outputs[0], gradients=gradients[0])
 
 
 def gradient_check(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> float:

@@ -3,8 +3,9 @@
 Each accepted skeleton is fitted by Adam with a cosine-annealed learning rate
 against its target columns; the loss is the mean squared residual over
 samples and targets, and the score is the negated loss.  Several restarts
-from random initial points hedge against non-convex landscapes; the best
-(lowest-loss) restart wins.  A domain fault anywhere during fitting poisons
+from random initial points hedge against non-convex landscapes; they advance
+in lockstep, one parameter row each on the skeleton's compiled tape, and the
+best (lowest-loss) restart wins.  A domain fault anywhere during fitting poisons
 the whole candidate: it keeps its metadata but gets the sentinel worst score
 and is never used as an in-context example.
 
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import Skeleton, serialize
-from .evaluator import MissingColumn, SampleBatch, evaluate
+from .evaluator import DomainFault, SampleBatch, evaluate, evaluate_rows
 
 SENTINEL_SCORE = -1.0e9
 
@@ -38,7 +39,6 @@ class FitConfig:
     init_low: float = -1.0
     init_high: float = 1.0
     seed: int = 0
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -64,7 +64,6 @@ class ScoredSkeleton:
     params: np.ndarray
     score: float
     restart_losses: tuple[float, ...] = ()
-    loss_trace: tuple[float, ...] | None = None
     requirements: tuple[Requirement, ...] = ()
 
     @property
@@ -88,25 +87,24 @@ def score_of(loss: float) -> float:
     return -loss
 
 
-def _loss_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
-                   targets: np.ndarray):
-    res = evaluate(skeleton, params, batch)
-    if res.faulted:
-        return None, None
-    residual = res.outputs - targets
-    loss = float(np.mean(residual * residual))
-    scale = 2.0 / residual.size
-    grad = scale * np.einsum("ts,tsk->k", residual, res.gradients)
-    return loss, grad
+def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
+                     targets: np.ndarray):
+    """Per-restart losses and loss gradients (R, k) for parameter rows (R, k).
 
-
-def _final_loss(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
-                targets: np.ndarray) -> float | None:
-    res = evaluate(skeleton, params, batch)
-    if res.faulted:
+    None if any restart faults or has a non-finite loss.
+    """
+    try:
+        outputs, gradients = evaluate_rows(skeleton, params, batch)
+    except DomainFault:
         return None
-    residual = res.outputs - targets
-    return float(np.mean(residual * residual))
+    residual = outputs - targets
+    squared = residual * residual
+    # per restart, the same pairwise sum as np.mean over its contiguous block
+    losses = (np.add.reduce(squared.reshape(len(squared), -1), axis=1) / targets.size).tolist()
+    if not all(math.isfinite(loss) for loss in losses):
+        return None
+    scale = 2.0 / targets.size
+    return losses, scale * np.einsum("rts,rtsk->rk", residual, gradients)
 
 
 def _poisoned(skeleton: Skeleton, requirements) -> ScoredSkeleton:
@@ -126,52 +124,44 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
     """
     if len(target_columns) != len(skeleton.target_names):
         raise ValueError("one target column per skeleton target required")
-    try:
-        targets = np.stack([batch.column(c) for c in target_columns])
-    except MissingColumn:
-        raise
+    targets = np.stack([batch.column(c) for c in target_columns])
     if skeleton.n_params == 0:
-        loss = _final_loss(skeleton, np.zeros(0), batch, targets)
-        if loss is None:
+        res = evaluate(skeleton, (), batch)
+        if res.faulted:
             return _poisoned(skeleton, requirements)
+        residual = res.outputs - targets
+        loss = float(np.mean(residual * residual))
         params = np.zeros(0)
         params.setflags(write=False)
         return ScoredSkeleton(skeleton=skeleton, params=params, score=score_of(loss),
                               restart_losses=(loss,), requirements=tuple(requirements))
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_params: np.ndarray | None = None
-    best_loss = math.inf
-    best_trace: tuple[float, ...] | None = None
-    restart_losses: list[float] = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(cfg.init_low, cfg.init_high, skeleton.n_params)
-        m = np.zeros_like(p)
-        v = np.zeros_like(p)
-        trace: list[float] = []
-        for t in range(cfg.steps):
-            loss, grad = _loss_and_grad(skeleton, p, batch, targets)
-            if loss is None or not math.isfinite(loss):
-                return _poisoned(skeleton, requirements)
-            if cfg.record_trace:
-                trace.append(loss)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
-            v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
-            p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        loss = _final_loss(skeleton, p, batch, targets)
-        if loss is None or not math.isfinite(loss):
+    # all restarts advance in lockstep, one parameter row each
+    p = np.stack([np.random.default_rng(seed).uniform(cfg.init_low, cfg.init_high,
+                                                      skeleton.n_params)
+                  for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)])
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t in range(cfg.steps):
+        step = _losses_and_grad(skeleton, p, batch, targets)
+        if step is None:
             return _poisoned(skeleton, requirements)
-        restart_losses.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_params = p
-            best_trace = tuple(trace) if cfg.record_trace else None
+        grad = step[1]
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+        m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
+        v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
+        p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    final = _losses_and_grad(skeleton, p, batch, targets)
+    if final is None:
+        return _poisoned(skeleton, requirements)
+    restart_losses = final[0]
+    best = restart_losses.index(min(restart_losses))
+    best_params = p[best].copy()
     best_params.setflags(write=False)
-    return ScoredSkeleton(skeleton=skeleton, params=best_params, score=score_of(best_loss),
-                          restart_losses=tuple(restart_losses), loss_trace=best_trace,
+    return ScoredSkeleton(skeleton=skeleton, params=best_params,
+                          score=score_of(restart_losses[best]),
+                          restart_losses=tuple(restart_losses),
                           requirements=tuple(requirements))
 
 

@@ -180,17 +180,6 @@ class SindyModel:
     degenerate: tuple[bool, ...]
     ridge_fallback: bool
 
-    @property
-    def active_mask(self) -> np.ndarray:
-        return self.coefficients != 0.0
-
-    def referenced_variables(self) -> set[str]:
-        out: set[str] = set()
-        for j, term in enumerate(self.terms):
-            if np.any(self.coefficients[:, j] != 0.0):
-                out.update(var for var, _ in term.powers)
-        return out
-
     def predict(self, columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         n = len(next(iter(columns.values())))
         theta = np.column_stack([t.evaluate(columns, n) for t in self.terms])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from daedisc.dsl import SymbolScope, parse
 from daedisc.evaluator import (
     DomainFault,
+    FaultInfo,
     MissingColumn,
     SampleBatch,
     concat_batches,
@@ -198,3 +199,27 @@ def test_gradient_property_random_skeletons():
         assert err < 1e-5, f"gradient mismatch {err} for {text} params {params}"
         checked += 1
     assert checked == 60
+
+
+# --- fault semantics: the first offending node names the fault --------------
+
+@pytest.mark.parametrize("text", [
+    "1/exp(x)",               # non-finite divisor vanishes in the quotient
+    "tanh(exp(x))",           # tanh saturates a non-finite argument
+    "p0*exp(-exp(x))",        # exp of -inf vanishes
+    "exp(x)^0 + p0",          # zeroth power of a non-finite base
+    "p0*(exp(x))^(-1)",       # negative power of a non-finite base
+    "log(exp(x) - exp(x))",   # inf - inf is reported before the log guard
+])
+def test_vanishing_non_finite_value_faults(text):
+    sk = parse(f"dx/dt = {text}", SCOPE, ["x"], kind="de")
+    res = evaluate(sk, [1.0] * sk.n_params, _batch(x=[1.0, 1000.0, 2.0]))
+    assert res.domain_fault == FaultInfo(sample_index=1, reason="non-finite value")
+    assert res.outputs is None and res.gradients is None
+
+
+def test_zero_denominator_fault_names_first_sample():
+    sk = parse("dx/dt = p0/(x - x)", SCOPE, ["x"], kind="de")
+    res = evaluate(sk, [1.0], _batch(x=[1.0, 1000.0, 2.0]))
+    assert res.domain_fault == FaultInfo(sample_index=0,
+                                         reason="division by near-zero denominator")

@@ -124,3 +124,53 @@ def test_swing_structure_fit_reproduces_derivatives():
     scale = np.max(np.abs(true_domega))
     mape_like = np.mean(np.abs(pred - true_domega)) / scale * 100.0
     assert mape_like < 1.0
+
+
+# --- bitwise parity with the per-restart fitter ------------------------------
+# float.hex values recorded from the fitter that ran one restart at a time
+
+def _parity_batch():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.5, 2.0, 40)
+    delta = rng.uniform(0.1, 1.2, 40)
+    return SampleBatch.from_columns({
+        "x": x, "delta": delta, "dx_dt": 1.3 * x - 0.2 * np.sin(delta),
+        "ddelta_dt": 0.7 * x * delta - 0.4})
+
+
+def _hex(scored):
+    return ([float(v).hex() for v in scored.params],
+            [loss.hex() for loss in scored.restart_losses])
+
+
+def test_golden_two_targets():
+    scope = SymbolScope(states=("x", "delta"))
+    sk = parse("dx/dt = p0*x + p1*sin(delta)\nddelta/dt = p2*x*delta + p3", scope,
+               ["x", "delta"], kind="de")
+    scored = fit_and_score(sk, _parity_batch(), ["dx_dt", "ddelta_dt"],
+                           FitConfig(steps=300, restarts=3, seed=11))
+    assert _hex(scored) == (
+        ["0x1.4cccbd8683b09p+0", "-0x1.99989525998bcp-3",
+         "0x1.66667f5defeafp-1", "-0x1.9999c5ec9e9d3p-2"],
+        ["0x1.28cc9d27a5939p-42", "0x1.72b4b4acd5801p-21", "0x1.fbc071b31f97ap-7"])
+
+
+def test_golden_repeated_parameter():
+    # p0 appears twice, so its per-sample adjoints are summed in tree order
+    sk = parse("dx/dt = (x - p0)*p1 + p0*x", SCOPE, ["x"], kind="de")
+    scored = fit_and_score(sk, _parity_batch(), ["dx_dt"],
+                           FitConfig(steps=300, restarts=3, seed=4))
+    assert _hex(scored) == (
+        ["0x1.3267d3521ce73p+0", "0x1.852e241a0b016p-4"],
+        ["0x1.1059877eaca70p-9", "0x1.10598784e3468p-9", "0x1.105cbc26b7e9bp-9"])
+
+
+def test_fault_in_a_later_restart_poisons():
+    # seed 4 starts p0 at 0.81, 0.95 and -0.83; only the third reaches log(<=0)
+    x = np.linspace(0.5, 2.0, 20)
+    batch = SampleBatch.from_columns({"x": x, "dx_dt": np.log(2.0 + x)})
+    sk = parse("dx/dt = log(p0 + x)", SCOPE, ["x"], kind="de")
+    assert not fit_and_score(sk, batch, ["dx_dt"], FitConfig(steps=50, restarts=2, seed=4)).poisoned
+    scored = fit_and_score(sk, batch, ["dx_dt"], FitConfig(steps=50, restarts=3, seed=4))
+    assert scored.poisoned
+    assert scored.score == SENTINEL_SCORE
