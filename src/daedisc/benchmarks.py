@@ -179,6 +179,7 @@ class BenchmarkModel:
     # inputs): what a prior-rich regression baseline is given; terminal
     # voltage magnitude/angle stay catalog-only extension material
     core_variable_names: tuple[str, ...] = ()
+    catalog: tuple[CatalogEntry, ...]
 
     def __init__(self, params: dict[str, float], default_inputs: dict[str, float]):
         self.params = dict(params)
@@ -188,10 +189,6 @@ class BenchmarkModel:
         raise NotImplementedError
 
     def rhs(self, x, u: Mapping[str, float], x_shift: float = 0.0) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def catalog(self) -> tuple[CatalogEntry, ...]:
         raise NotImplementedError
 
     def catalog_entry(self, requested: str) -> CatalogEntry | None:
@@ -221,6 +218,12 @@ class Swing2(BenchmarkModel):
     algebraic_names = ("i_d", "i_q", "P_e")
     input_names = ("P_m",)
     core_variable_names = ("i_d", "i_q", "P_e", "P_m")
+    catalog = (
+        CatalogEntry("i_d", "pu", "d-axis stator current", "algebraic", ("id",)),
+        CatalogEntry("i_q", "pu", "q-axis stator current", "algebraic", ("iq",)),
+        CatalogEntry("P_e", "pu", "electrical air-gap power", "algebraic", ("pe", "p_e")),
+        CatalogEntry("P_m", "pu", "mechanical power input", "input", ("pm", "p_m")),
+    )
 
     def __init__(self):
         # inertia keeps the swing mode slow enough that central differences at
@@ -248,15 +251,6 @@ class Swing2(BenchmarkModel):
         d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
         return np.array([d_delta, d_omega])
 
-    @property
-    def catalog(self):
-        return (
-            CatalogEntry("i_d", "pu", "d-axis stator current", "algebraic", ("id",)),
-            CatalogEntry("i_q", "pu", "q-axis stator current", "algebraic", ("iq",)),
-            CatalogEntry("P_e", "pu", "electrical air-gap power", "algebraic", ("pe", "p_e")),
-            CatalogEntry("P_m", "pu", "mechanical power input", "input", ("pm", "p_m")),
-        )
-
 
 class OneAxis3(BenchmarkModel):
     """Flux-decay model: swing dynamics plus T'_d0 de_q'/dt = -e_q' - (x_d - x_d') i_d + v_f."""
@@ -266,6 +260,15 @@ class OneAxis3(BenchmarkModel):
     algebraic_names = ("i_d", "i_q", "P_e", "V_g", "theta_g")
     input_names = ("P_m", "v_f")
     core_variable_names = ("i_d", "i_q", "P_e", "P_m", "v_f")
+    catalog = (
+        CatalogEntry("i_d", "pu", "d-axis stator current", "algebraic", ("id",)),
+        CatalogEntry("i_q", "pu", "q-axis stator current", "algebraic", ("iq",)),
+        CatalogEntry("P_e", "pu", "electrical air-gap power", "algebraic", ("pe", "p_e")),
+        CatalogEntry("V_g", "pu", "terminal voltage magnitude", "algebraic", ("vg", "v_g")),
+        CatalogEntry("theta_g", "rad", "terminal voltage angle", "algebraic", ("theta",)),
+        CatalogEntry("P_m", "pu", "mechanical power input", "input", ("pm", "p_m")),
+        CatalogEntry("v_f", "pu", "excitation (field) voltage input", "input", ("vf", "efd")),
+    )
 
     def __init__(self):
         super().__init__(
@@ -297,18 +300,6 @@ class OneAxis3(BenchmarkModel):
         d_e_q_t = (-e_q_t - (p["x_d"] - p["x_d_t"]) * alg["i_d"] + u["v_f"]) / p["t_d0_t"]
         return np.array([d_delta, d_omega, d_e_q_t])
 
-    @property
-    def catalog(self):
-        return (
-            CatalogEntry("i_d", "pu", "d-axis stator current", "algebraic", ("id",)),
-            CatalogEntry("i_q", "pu", "q-axis stator current", "algebraic", ("iq",)),
-            CatalogEntry("P_e", "pu", "electrical air-gap power", "algebraic", ("pe", "p_e")),
-            CatalogEntry("V_g", "pu", "terminal voltage magnitude", "algebraic", ("vg", "v_g")),
-            CatalogEntry("theta_g", "rad", "terminal voltage angle", "algebraic", ("theta",)),
-            CatalogEntry("P_m", "pu", "mechanical power input", "input", ("pm", "p_m")),
-            CatalogEntry("v_f", "pu", "excitation (field) voltage input", "input", ("vf", "efd")),
-        )
-
 
 class Type1Order5(BenchmarkModel):
     """Fifth-order machine: field winding plus two q-axis rotor circuits.
@@ -323,6 +314,7 @@ class Type1Order5(BenchmarkModel):
     algebraic_names = ("i_d", "i_q", "P_e", "V_g", "theta_g")
     input_names = ("P_m", "v_f")
     core_variable_names = ("i_d", "i_q", "P_e", "P_m", "v_f")
+    catalog = OneAxis3.catalog
 
     def __init__(self):
         super().__init__(
@@ -356,10 +348,6 @@ class Type1Order5(BenchmarkModel):
         d_e_d_t = (-e_d_t + (p["x_q"] - p["x_q_t"]) * alg["i_q"]) / p["t_q0_t"]
         d_e_d_st = (-e_d_st + e_d_t + (p["x_q_t"] - p["x_q_st"]) * alg["i_q"]) / p["t_q0_st"]
         return np.array([d_delta, d_omega, d_e_q_t, d_e_d_t, d_e_d_st])
-
-    @property
-    def catalog(self):
-        return OneAxis3().catalog
 
 
 _MODELS: dict[str, Callable[[], BenchmarkModel]] = {

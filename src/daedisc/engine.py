@@ -39,9 +39,8 @@ from .gateway import (
     BackendUnavailable,
     GenerationRequest,
     GeneratorBackend,
-    ae_contract,
     build_prompt,
-    de_contract,
+    contract,
     generate,
 )
 
@@ -123,8 +122,6 @@ class LoopState:
     window: int = 3
     epsilon: float = 0.01
     gamma: float = 0.01
-    library: VariableLibrary | None = None
-    archive: Archive | None = None
 
     @property
     def iteration(self) -> int:
@@ -274,10 +271,6 @@ class DiscoveryEngine:
         return SymbolScope(states=tuple(self.dataset.state_names),
                            variables=library.names())
 
-    def _contract(self, kind: str, library: VariableLibrary):
-        builder = de_contract if kind == "de" else ae_contract
-        return builder(tuple(self.dataset.state_names), tuple(library.entries))
-
     def _check_wallclock(self) -> None:
         limit = self.config.max_seconds
         if limit is not None and time.monotonic() - self._start_time > limit:
@@ -298,8 +291,7 @@ class DiscoveryEngine:
             derived_fit_config(cfg.fit, loop_index, 0, 0))
         archive = Archive.seeded(cfg.islands, seed_scored)
         state = LoopState(kind=kind, history=[archive.best_score()],
-                          window=cfg.window, epsilon=cfg.epsilon, gamma=cfg.gamma,
-                          library=library, archive=archive)
+                          window=cfg.window, epsilon=cfg.epsilon, gamma=cfg.gamma)
         history = state.history
         self._log(loop=kind, iteration=0, event="seed",
                   best_score=history[0], best_skeleton=seed_scored.canonical,
@@ -329,7 +321,9 @@ class DiscoveryEngine:
                               reason=str(exc))
                     logger.info("%s loop: %s", kind, exc)
             island_id, examples = archive.sample_examples(cfg.sampler, self._rng)
-            prompt = build_prompt(self._contract(kind, library), examples, targets)
+            prompt = build_prompt(
+                contract(kind, tuple(self.dataset.state_names), tuple(library.entries)),
+                examples, targets)
             request = GenerationRequest(
                 prompt=prompt, n_b=cfg.n_b, temperature=cfg.temperature,
                 timeout=cfg.generator.timeout, max_tokens=cfg.generator.max_tokens)

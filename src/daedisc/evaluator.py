@@ -4,7 +4,9 @@ Evaluates every target expression of a skeleton over a column batch and
 returns per-sample outputs together with the exact partial derivatives with
 respect to each parameter slot.  Domain violations (log of a non-positive
 argument, near-zero divisors, any non-finite intermediate) poison the whole
-evaluation: the result carries a fault record instead of numbers.
+evaluation: the result carries a fault record instead of numbers.  Callers
+that need values only, such as trajectory replay, skip the gradients and
+their finiteness check.
 
 Each skeleton is compiled once into a postorder tape, which runs parameter
 rows (R, k) broadcast against the (n,) columns: a fitter advances R restarts
@@ -207,13 +209,16 @@ def _tape(skeleton: Skeleton) -> tuple[list[str], list[list[tuple]]]:
 
 
 def evaluate_rows(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
-                  exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                  exact: bool = False,
+                  gradients: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k).
 
     Raises DomainFault if any row faults.  Checking finiteness at the outputs,
     the gradients and where ``_guard`` does decides faulted-or-not as a check
     at every node would; ``exact`` adds that per-node check, so the fault
-    names the first offending node as ``evaluate`` reports it.
+    names the first offending node as ``evaluate`` reports it.  With
+    ``gradients=False`` the reverse sweep and its finiteness check are
+    skipped and None stands for the gradients: only the values can fault.
     """
     if params.ndim != 2 or params.shape[1] != skeleton.n_params:
         raise ValueError(f"expected rows of {skeleton.n_params} parameters, got {params.shape}")
@@ -223,7 +228,7 @@ def evaluate_rows(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
     shape = (rows, batch.n_samples)
     pcols = [params[:, j:j + 1] for j in range(k)]
     outputs = np.empty((rows, len(programs), batch.n_samples))
-    gradients = np.zeros(outputs.shape + (k,))
+    grads = np.zeros(outputs.shape + (k,)) if gradients else None
     with np.errstate(all="ignore"):  # non-finite results become faults
         for t, prog in enumerate(programs):
             vals = []
@@ -241,11 +246,12 @@ def evaluate_rows(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                     _check_finite(vals[-1], shape)
             outputs[:, t] = vals[-1]
             _check_finite(outputs[:, t], shape)
-            grad = gradients[:, t]
-            _sweep(prog, vals, grad)
-            if not np.isfinite(grad).all():
-                _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
-    return outputs, gradients
+            if gradients:
+                grad = grads[:, t]
+                _sweep(prog, vals, grad)
+                if not np.isfinite(grad).all():
+                    _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
+    return outputs, grads
 
 
 def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
@@ -268,19 +274,25 @@ def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
         grad[..., j] += g
 
 
-def evaluate(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> EvalResult:
-    """Evaluate all targets; exact per-sample parameter gradients alongside."""
+def evaluate(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch,
+             gradients: bool = True) -> EvalResult:
+    """Evaluate all targets; exact per-sample parameter gradients alongside.
+
+    ``gradients=False`` evaluates values only: the result's gradients are
+    None, and a non-finite gradient behind finite values is no fault.
+    """
     p = np.asarray(params, dtype=np.float64)
     if p.shape != (skeleton.n_params,):
         raise ValueError(f"expected {skeleton.n_params} parameters, got shape {p.shape}")
     try:
         try:
-            outputs, gradients = evaluate_rows(skeleton, p[None, :], batch)
+            outputs, grads = evaluate_rows(skeleton, p[None, :], batch, gradients=gradients)
         except DomainFault:  # walk again checking every node, to name the first fault
-            outputs, gradients = evaluate_rows(skeleton, p[None, :], batch, exact=True)
+            outputs, grads = evaluate_rows(skeleton, p[None, :], batch, exact=True,
+                                           gradients=gradients)
     except DomainFault as fault:
         return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
-    return EvalResult(outputs=outputs[0], gradients=gradients[0])
+    return EvalResult(outputs=outputs[0], gradients=None if grads is None else grads[0])
 
 
 def gradient_check(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> float:

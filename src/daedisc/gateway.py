@@ -100,30 +100,28 @@ def render_library(entries: Sequence) -> str:
     return "\n".join(lines)
 
 
-def de_contract(state_names: Sequence[str], entries: Sequence) -> PromptContract:
-    role = ("You model power-system component dynamics. Propose the structure of "
-            "the state differential equations that generated the measured data.")
+# kind -> (role sentence, what the completion calls its lines)
+_CONTRACTS = {
+    "de": ("You model power-system component dynamics. Propose the structure of "
+           "the state differential equations that generated the measured data.",
+           "equations"),
+    "ae": ("You model power-system algebraic constraints. Propose explicit "
+           "algebraic relations expressing each target variable from states "
+           "and admitted variables.",
+           "relations"),
+}
+
+
+def contract(kind: str, state_names: Sequence[str], entries: Sequence) -> PromptContract:
+    """The task contract of the differential ("de") or algebraic ("ae") loop."""
+    role, lines = _CONTRACTS[kind]
     library = (f"States (always available): {', '.join(state_names)}\n"
                f"Admitted variables:\n{render_library(entries)}")
     requirement_rules = (
-        "If the equations need signals that are not admitted yet, declare them in a "
+        f"If the {lines} need signals that are not admitted yet, declare them in a "
         'fenced block tagged "requirements" holding a JSON array of '
         '{"name": ..., "justification": ...} objects.')
-    return PromptContract(kind="de", role=role, completion_rules=_GRAMMAR_RULES,
-                          library_text=library, requirement_rules=requirement_rules)
-
-
-def ae_contract(state_names: Sequence[str], entries: Sequence) -> PromptContract:
-    role = ("You model power-system algebraic constraints. Propose explicit "
-            "algebraic relations expressing each target variable from states "
-            "and admitted variables.")
-    library = (f"States (always available): {', '.join(state_names)}\n"
-               f"Admitted variables:\n{render_library(entries)}")
-    requirement_rules = (
-        "If the relations need signals that are not admitted yet, declare them in a "
-        'fenced block tagged "requirements" holding a JSON array of '
-        '{"name": ..., "justification": ...} objects.')
-    return PromptContract(kind="ae", role=role, completion_rules=_GRAMMAR_RULES,
+    return PromptContract(kind=kind, role=role, completion_rules=_GRAMMAR_RULES,
                           library_text=library, requirement_rules=requirement_rules)
 
 

@@ -11,15 +11,20 @@ penalty and are flagged.
 ``simulate_identified`` replays any identified model (a sparse-regression
 model or a fitted skeleton) through the same RK4 integrator that produced
 the benchmark data.  Exogenous inputs and recorded algebraic signals are fed
-from the test record by linear interpolation; a discovered algebraic model
-can substitute its own predictions instead.  An unstable identified model
-yields a divergence flag and the finite prefix, never a crash.
+from the test record by linear interpolation, computed once for every signal
+at every RK4 stage time; a discovered algebraic model can substitute its own
+predictions instead.  Each stage evaluates the models on one sample:
+sparse-regression models as library times coefficients, skeletons value-only
+(no parameter gradients, so a non-finite gradient is no fault).  An unstable
+identified model yields a divergence flag and the finite prefix, never a
+crash.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -28,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .benchmarks import FullRecord, rk4_step
+from .dataset import deriv_name
 from .dsl import Skeleton, SymbolScope, parse, variables_in
 from .evaluator import SampleBatch, evaluate
 
@@ -309,50 +315,20 @@ class ReplayResult:
     n_valid: int  # samples with finite values
 
 
-def _deriv_to_state(name: str) -> str:
-    if name.startswith("d") and name.endswith("_dt"):
-        return name[1:-3]
-    return name
-
-
-def _model_interface(model, state_names):
-    """Returns (needed signal names, derivative function f(x_dict, sig_dict))."""
+def _predict(model, values: Mapping[str, float], targets: Sequence[str]) -> np.ndarray:
+    """One sample's outputs of ``model`` in ``targets`` order (for a skeleton,
+    its own target order); NaN when an input is non-finite or it faults."""
+    if not all(math.isfinite(v) for v in values.values()):
+        return np.full(len(targets), np.nan)
+    columns = {name: np.array([v]) for name, v in values.items()}
     if isinstance(model, SindyModel):
-        order = {_deriv_to_state(t): j for j, t in enumerate(model.target_names)}
-        missing = [s for s in state_names if s not in order]
-        if missing:
-            raise ValueError(f"model does not define derivatives for {missing}")
-        # every library feature: inactive terms still get evaluated by predict
-        needed = sorted(set(model.feature_names) - set(state_names))
-
-        def f(x: dict, sig: dict) -> np.ndarray:
-            values = {**x, **sig}
-            if not all(np.isfinite(v) for v in values.values()):
-                return np.full(len(state_names), np.nan)
-            columns = {k: np.array([v]) for k, v in values.items()}
-            pred = model.predict(columns)
-            return np.array([pred[model.target_names[order[s]]][0]
-                             for s in state_names])
-
-        return needed, f
-    if isinstance(model, SkeletonModel):
-        if tuple(model.skeleton.target_names) != tuple(state_names):
-            raise ValueError("skeleton targets do not match the record's states")
-        needed = sorted(variables_in(model.skeleton) - set(state_names))
-
-        def f(x: dict, sig: dict) -> np.ndarray:
-            values = {**x, **sig}
-            if not all(np.isfinite(v) for v in values.values()):
-                return np.full(len(state_names), np.nan)
-            columns = {k: np.array([float(v)]) for k, v in values.items()}
-            batch = SampleBatch.from_columns(columns)
-            res = evaluate(model.skeleton, model.params, batch)
-            if res.faulted:
-                return np.full(len(state_names), np.nan)
-            return res.outputs[:, 0]
-
-        return needed, f
-    raise TypeError(f"cannot replay {type(model).__name__}")
+        pred = model.predict(columns)
+        return np.array([pred[name][0] for name in targets])
+    res = evaluate(model.skeleton, model.params, SampleBatch.from_columns(columns),
+                   gradients=False)
+    if res.faulted:
+        return np.full(len(targets), np.nan)
+    return res.outputs[:, 0]
 
 
 def simulate_identified(model, record: FullRecord, x0: Mapping[str, float] | None = None,
@@ -369,37 +345,43 @@ def simulate_identified(model, record: FullRecord, x0: Mapping[str, float] | Non
     if mode == "ae_model" and ae_model is None:
         raise ValueError("mode='ae_model' needs an ae_model")
     state_names = list(record.state_names)
-    needed, f = _model_interface(model, state_names)
+    if isinstance(model, SindyModel):
+        targets = [deriv_name(s) for s in state_names]
+        missing = [s for s, t in zip(state_names, targets) if t not in model.target_names]
+        if missing:
+            raise ValueError(f"model does not define derivatives for {missing}")
+        # every library feature: inactive terms still get evaluated by predict
+        inputs = set(model.feature_names)
+    elif isinstance(model, SkeletonModel):
+        if tuple(model.skeleton.target_names) != tuple(state_names):
+            raise ValueError("skeleton targets do not match the record's states")
+        targets = state_names
+        inputs = variables_in(model.skeleton)
+    else:
+        raise TypeError(f"cannot replay {type(model).__name__}")
     ae_targets: tuple[str, ...] = ()
-    ae_needed: list[str] = []
     if mode == "ae_model":
         ae_targets = tuple(ae_model.skeleton.target_names)
-        ae_needed = sorted(variables_in(ae_model.skeleton) - set(state_names))
-    for name in set(needed) | set(ae_needed):
+        inputs = inputs | variables_in(ae_model.skeleton)
+    signals = sorted(inputs - set(state_names))
+    for name in signals:
         if name not in record.columns:
             raise ValueError(f"record has no column {name!r} required for replay")
-    time_grid = record.time
 
-    def signals_at(t: float, x: dict) -> dict:
-        sig = {name: float(np.interp(t, time_grid, record.columns[name]))
-               for name in set(needed) | set(ae_needed)}
-        if mode == "ae_model":
-            values = {k: float(v) for k, v in {**x, **sig}.items()
-                      if k not in ae_targets}
-            if not all(np.isfinite(v) for v in values.values()):
-                for name in ae_targets:
-                    sig[name] = float("nan")
-                return sig
-            columns = {k: np.array([v]) for k, v in values.items()}
-            res = evaluate(ae_model.skeleton, ae_model.params,
-                           SampleBatch.from_columns(columns))
-            if res.faulted:
-                for name in ae_targets:
-                    sig[name] = float("nan")
-            else:
-                for j, name in enumerate(ae_targets):
-                    sig[name] = float(res.outputs[j, 0])
-        return sig
+    # every signal at every RK4 stage time, formed exactly as rk4_step forms them
+    time_grid = record.time
+    start, dt = time_grid[:-1], np.diff(time_grid)
+    stage_times = np.stack([start, start + dt / 2.0, start + dt], axis=1)
+    recorded = {name: np.interp(stage_times, time_grid, record.columns[name])
+                for name in signals}
+
+    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+        values = dict(zip(state_names, state))
+        values.update(at_stage[t])
+        if ae_targets:
+            ae_inputs = {k: v for k, v in values.items() if k not in ae_targets}
+            values.update(zip(ae_targets, _predict(ae_model, ae_inputs, ae_targets)))
+        return _predict(model, values, targets)
 
     if x0 is None:
         x = np.array([record.columns[s][0] for s in state_names])
@@ -410,14 +392,12 @@ def simulate_identified(model, record: FullRecord, x0: Mapping[str, float] | Non
     out[0] = x
     diverged = False
     n_valid = 1
-
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        x_dict = {s: state[i] for i, s in enumerate(state_names)}
-        return f(x_dict, signals_at(t, x_dict))
-
     with np.errstate(all="ignore"):
         for i in range(n - 1):
-            x = rk4_step(rhs, float(time_grid[i]), x, float(time_grid[i + 1] - time_grid[i]))
+            # this step's signals, keyed by the stage times rk4_step passes to rhs
+            at_stage = {stage_times[i, j]: {name: recorded[name][i, j] for name in signals}
+                        for j in range(3)}
+            x = rk4_step(rhs, float(start[i]), x, float(dt[i]))
             if not np.all(np.isfinite(x)):
                 diverged = True
                 break

@@ -223,3 +223,18 @@ def test_zero_denominator_fault_names_first_sample():
     res = evaluate(sk, [1.0], _batch(x=[1.0, 1000.0, 2.0]))
     assert res.domain_fault == FaultInfo(sample_index=0,
                                          reason="division by near-zero denominator")
+
+
+def test_value_only_skips_the_gradient_check():
+    # d sqrt(p0*x)/dp0 = x/(2 sqrt(p0*x)) is 0/0 at x = 0; the value is 0
+    sk = parse("dx/dt = sqrt(p0*x)", SCOPE, ["x"], kind="de")
+    batch = _batch(x=[0.0])
+    assert evaluate(sk, [1.0], batch).domain_fault == FaultInfo(
+        sample_index=0, reason="non-finite gradient")
+    res = evaluate(sk, [1.0], batch, gradients=False)
+    assert not res.faulted and res.gradients is None
+    np.testing.assert_array_equal(res.outputs, [[0.0]])
+    # value faults stay faults
+    sk = parse("dx/dt = log(x)", SCOPE, ["x"], kind="de")
+    assert evaluate(sk, [], _batch(x=[1.0, -1.0]), gradients=False).domain_fault == FaultInfo(
+        sample_index=1, reason="log of non-positive argument")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daedisc import gateway
 from daedisc.dsl import SymbolScope, parse
 from daedisc.engine import LibraryEntry
 from daedisc.fitting import ScoredSkeleton
@@ -13,7 +14,6 @@ from daedisc.gateway import (
     HttpBackend,
     MockBackend,
     build_prompt,
-    de_contract,
     generate,
     parse_completion,
 )
@@ -32,7 +32,7 @@ ENTRIES = (LibraryEntry("P_e", "pu", "electrical power", "algebraic"),)
 
 
 def test_prompt_without_examples_has_contract_and_stub():
-    contract = de_contract(("delta", "omega"), ())
+    contract = gateway.contract("de", ("delta", "omega"), ())
     prompt = build_prompt(contract, [], ["delta", "omega"])
     assert "ddelta/dt = " in prompt
     assert "domega/dt = " in prompt
@@ -41,7 +41,7 @@ def test_prompt_without_examples_has_contract_and_stub():
 
 
 def test_prompt_examples_in_given_order_with_scores():
-    contract = de_contract(("delta", "omega"), ENTRIES)
+    contract = gateway.contract("de", ("delta", "omega"), ENTRIES)
     worse = scored("ddelta/dt = p0", -2.0)
     better = scored("ddelta/dt = p0*omega", -1.0)
     prompt = build_prompt(contract, [worse, better], ["delta"])
@@ -51,10 +51,23 @@ def test_prompt_examples_in_given_order_with_scores():
 
 
 def test_prompt_deterministic():
-    contract = de_contract(("delta", "omega"), ENTRIES)
+    contract = gateway.contract("de", ("delta", "omega"), ENTRIES)
     examples = [scored("ddelta/dt = p0", -2.0)]
     assert build_prompt(contract, examples, ["delta"]) == build_prompt(
         contract, examples, ["delta"])
+
+
+def test_ae_contract_role_and_requirement_text():
+    ae = gateway.contract("ae", ("delta", "omega"), ENTRIES)
+    assert ae.kind == "ae"
+    assert ae.role == (
+        "You model power-system algebraic constraints. Propose explicit algebraic "
+        "relations expressing each target variable from states and admitted variables.")
+    assert ae.requirement_rules.startswith(
+        "If the relations need signals that are not admitted yet, declare them")
+    prompt = build_prompt(ae, [], ["P_e"])
+    assert prompt.startswith(ae.role)
+    assert prompt.endswith("```equations\nP_e = \n```")
 
 
 def test_parse_completion_both_blocks():

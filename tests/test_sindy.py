@@ -224,3 +224,26 @@ def test_replay_with_ae_substitution():
     # recorded mode interpolates P_e between samples: O(dt^2) forcing error
     replay2 = simulate_identified(de, record, mode="recorded")
     assert np.max(np.abs(replay2.states["delta"] - record.columns["delta"])) < 5e-3
+
+
+def test_replay_ignores_a_non_finite_gradient():
+    # at equilibrium until the kick: omega is exactly 1 at the first sample, so
+    # d sqrt(p5*(omega - 1)^2)/dp5 is 0/0 there while the value is 0
+    model = get_model("swing2")
+    scen = ScenarioConfig(total_time=2.0, dt=0.01, noise_sigma=0.0, disturbance=Disturbance(
+        kind="state_kick", start=1.0, magnitude=1.0, offsets=(("omega", 0.003),)))
+    record = simulate(model, scen)
+    assert record.columns["omega"][0] == 1.0
+    p = model.params
+    text = "ddelta/dt = p0*(omega - 1)\ndomega/dt = (p1 - p2*sin(delta) - p3*(omega - 1))/p4"
+    true_params = [p["omega_b"], model.default_inputs["P_m"],
+                   p["e_prime"] * p["v_bus"] / p["x_total"], p["damping"],
+                   2.0 * p["inertia"]]
+    base = simulate_identified(SkeletonModel.from_text(
+        text, true_params, record.state_names, record.state_names), record)
+    padded = simulate_identified(SkeletonModel.from_text(
+        text + " + sqrt(p5*(omega - 1)^2)", true_params + [0.0],
+        record.state_names, record.state_names), record)
+    assert not padded.diverged and padded.n_valid == record.n_samples
+    for name in record.state_names:
+        assert np.array_equal(padded.states[name], base.states[name])
