@@ -372,20 +372,22 @@ def get_model(model_id: str) -> BenchmarkModel:
 # Equilibrium and integration
 
 
-def solve_equilibrium(model: BenchmarkModel, inputs: Mapping[str, float],
-                      x_shift: float = 0.0, max_iterations: int = 100,
-                      tolerance: float = 1e-12) -> np.ndarray:
+EQUILIBRIUM_MAX_ITERATIONS = 100
+EQUILIBRIUM_TOLERANCE = 1e-12
+
+
+def solve_equilibrium(model: BenchmarkModel, inputs: Mapping[str, float]) -> np.ndarray:
     """Damped Newton on rhs(x) = 0 with a numerical Jacobian."""
     guess = {"delta": 0.4, "omega": 1.0, "e_q_t": 1.0, "e_d_t": 0.2, "e_d_st": 0.2}
     x = np.array([guess[name] for name in model.state_names])
     n = x.size
 
     def residual(state):
-        return model.rhs(state, inputs, x_shift)
+        return model.rhs(state, inputs)
 
     f = residual(x)
-    for _ in range(max_iterations):
-        if np.max(np.abs(f)) < tolerance:
+    for _ in range(EQUILIBRIUM_MAX_ITERATIONS):
+        if np.max(np.abs(f)) < EQUILIBRIUM_TOLERANCE:
             return x
         jac = np.empty((n, n))
         for j in range(n):
@@ -410,10 +412,10 @@ def solve_equilibrium(model: BenchmarkModel, inputs: Mapping[str, float],
         else:
             raise EquilibriumNotFound(
                 f"Newton stalled for {model.model_id} at residual {norm0:.3e}")
-    if np.max(np.abs(f)) < tolerance:
+    if np.max(np.abs(f)) < EQUILIBRIUM_TOLERANCE:
         return x
     raise EquilibriumNotFound(
-        f"no equilibrium for {model.model_id} after {max_iterations} iterations")
+        f"no equilibrium for {model.model_id} after {EQUILIBRIUM_MAX_ITERATIONS} iterations")
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,

@@ -66,10 +66,6 @@ class TrajectoryDataset:
     def n_samples(self) -> int:
         return int(self.time.shape[0])
 
-    @property
-    def dt(self) -> float:
-        return float(self.time[1] - self.time[0])
-
     def revealed_names(self) -> tuple[str, ...]:
         return tuple(self.revealed)
 

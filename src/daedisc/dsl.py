@@ -145,7 +145,6 @@ class SymbolScope:
 
     states: tuple[str, ...]
     variables: tuple[str, ...] = ()
-    functions: tuple[str, ...] = FUNCTIONS
 
     def __post_init__(self):
         names = list(self.states) + list(self.variables)
@@ -170,7 +169,6 @@ class Skeleton:
     target_names: tuple[str, ...]
     expressions: tuple[Expr, ...]
     n_params: int
-    source: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +319,7 @@ class _LineParser:
                              self.lineno, tok.column)
 
     def parse_call(self, name: str, column: int) -> Expr:
-        if name not in self.scope.functions:
+        if name not in FUNCTIONS:
             raise UnknownIdentifier(name, self.lineno, column)
         self.expect_op("(")
         if self.cur.kind == "OP" and self.cur.text == ")":
@@ -444,7 +442,7 @@ def _validate_expr(expr: Expr, scope: SymbolScope | None) -> None:
 
 
 def make_skeleton(kind: str, target_names: Sequence[str], expressions: Sequence[Expr],
-                  scope: SymbolScope | None = None, source: str = "") -> Skeleton:
+                  scope: SymbolScope | None = None) -> Skeleton:
     """Build a canonical skeleton from expression trees.
 
     Canonicalization re-indexes parameter slots into a contiguous 0..n_p-1
@@ -461,7 +459,7 @@ def make_skeleton(kind: str, target_names: Sequence[str], expressions: Sequence[
     param_map = {old: new for new, old in enumerate(indices)}
     canon = tuple(_rewrite(e, param_map) for e in expressions)
     return Skeleton(kind=kind, target_names=tuple(target_names),
-                    expressions=canon, n_params=len(indices), source=source)
+                    expressions=canon, n_params=len(indices))
 
 
 def parse(text: str, scope: SymbolScope, target_names: Sequence[str],
@@ -489,17 +487,7 @@ def parse(text: str, scope: SymbolScope, target_names: Sequence[str],
         if name not in parsed:
             raise MissingTarget(name)
     exprs = [parsed[name] for name in wanted]
-    return make_skeleton(kind, wanted, exprs, scope=None, source=text)
-
-
-def compiles(text: str, scope: SymbolScope, target_names: Sequence[str],
-             kind: str = "de") -> bool:
-    """Boolean form of the accept/reject gate."""
-    try:
-        parse(text, scope, target_names, kind)
-        return True
-    except ParseError:
-        return False
+    return make_skeleton(kind, wanted, exprs)
 
 
 # ---------------------------------------------------------------------------

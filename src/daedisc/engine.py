@@ -15,8 +15,9 @@ reveal the matching dataset columns; once the best score stays above
 ``-gamma`` for ``window`` consecutive iterations the loop terminates.
 
 Runs are deterministic given the configuration seed and a scripted mock
-generator: sampling uses one engine-owned generator and every candidate fit
-receives a derived seed.
+generator: sampling uses one engine-owned generator, re-derived from the seed
+at the start of every ``fit()`` together with an empty run log, and every
+candidate fit receives a derived seed.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class LibraryEntry:
 class VariableLibrary:
     """The evolving set of admitted algebraic/input variables for one loop."""
 
-    kind: str  # "de" | "ae"
     entries: list[LibraryEntry] = field(default_factory=list)
 
     def names(self) -> tuple[str, ...]:
@@ -115,22 +115,6 @@ def check_trigger(history: Sequence[float], window: int, epsilon: float,
     return Decision.CONTINUE
 
 
-@dataclass
-class LoopState:
-    kind: str
-    history: list[float]
-    window: int = 3
-    epsilon: float = 0.01
-    gamma: float = 0.01
-
-    @property
-    def iteration(self) -> int:
-        return len(self.history) - 1
-
-    def check(self) -> Decision:
-        return check_trigger(self.history, self.window, self.epsilon, self.gamma)
-
-
 def extend_variables(archive: Archive, library: VariableLibrary,
                      dataset: TrajectoryDataset, model: BenchmarkModel,
                      top_k: int, excluded: Sequence[str] = ()) -> tuple[list[str], list[str]]:
@@ -142,36 +126,29 @@ def extend_variables(archive: Archive, library: VariableLibrary,
     admitted instead so the loop always makes progress; with no catalog
     variables left CatalogExhausted is raised.
     """
-    excluded_set = set(excluded) | set(dataset.state_names)
     requested: list[str] = []
     for cand in archive.top(top_k):
         for req in cand.requirements:
             if req.name not in requested:
                 requested.append(req.name)
-    added: list[str] = []
+    matched = []
     ignored: list[str] = []
     for name in requested:
         entry = model.catalog_entry(name)
         if entry is None:
             ignored.append(name)
             logger.info("requirement %r not in the signal catalog; ignored", name)
-            continue
-        if entry.name in library or entry.name in excluded_set:
-            continue
+        else:
+            matched.append(entry)
+    taken = set(library.names()) | set(excluded) | set(dataset.state_names)
+    admitted = ([e for e in dict.fromkeys(matched) if e.name not in taken]
+                or [e for e in model.catalog if e.name not in taken][:1])
+    if not admitted:
+        raise CatalogExhausted("no catalog variables left to admit")
+    for entry in admitted:
         library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
         dataset.reveal([entry.name])
-        added.append(entry.name)
-    if not added:
-        for entry in model.catalog:
-            if entry.name in library or entry.name in excluded_set:
-                continue
-            library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
-            dataset.reveal([entry.name])
-            added.append(entry.name)
-            break
-        else:
-            raise CatalogExhausted("no catalog variables left to admit")
-    return added, ignored
+    return [entry.name for entry in admitted], ignored
 
 
 def derive_ae_targets(de_best: ScoredSkeleton, library: VariableLibrary) -> tuple[str, ...]:
@@ -199,6 +176,8 @@ class DiscoveryEngine:
 
     Estimator-style surface: configure once, call ``fit()``, read the fitted
     attributes (``de_result_``, ``ae_result_``, ``library_``, ``run_log_``).
+    Every ``fit()`` starts from the seed, so calling it again with the same
+    generator script gives the same attributes.
     """
 
     def __init__(self, dataset: TrajectoryDataset, backend: GeneratorBackend,
@@ -207,9 +186,7 @@ class DiscoveryEngine:
         self.backend = backend
         self.config = config or RunConfig()
         self.model: BenchmarkModel = get_model(dataset.metadata["model"])
-        self.run_log_: list[dict] = []
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence([self.config.seed & 0x7FFFFFFF, 101]))
+        self._reset()
         self._start_time: float | None = None
 
     # estimator-style introspection
@@ -227,6 +204,7 @@ class DiscoveryEngine:
     def fit(self) -> "DiscoveryEngine":
         """Run both loops; algebraic loop is skipped with a report when the
         best differential system references no algebraic variables."""
+        self._reset()
         self._start_time = time.monotonic()
         de = self.run_de_loop()
         self.de_result_ = de
@@ -244,7 +222,7 @@ class DiscoveryEngine:
     def run_de_loop(self) -> LoopResult:
         if self._start_time is None:
             self._start_time = time.monotonic()
-        library = VariableLibrary(kind="de")
+        library = VariableLibrary()
         targets = tuple(self.dataset.state_names)
         labels = [deriv_name(s) for s in targets]
         return self._run_loop(
@@ -259,13 +237,18 @@ class DiscoveryEngine:
                 "best differential system references no algebraic variables "
                 f"(referenced: {sorted(variables_in(de.best.skeleton)) or 'states only'})")
         library = VariableLibrary(
-            kind="ae", entries=[e for e in de.library.entries if e.name not in targets])
+            entries=[e for e in de.library.entries if e.name not in targets])
         return self._run_loop(
             kind="ae", loop_index=1, targets=targets, labels=list(targets),
             library=library, max_iterations=self.config.ae_max_iterations,
             excluded_targets=targets)
 
     # ---------------------------------------------------------------- shared
+
+    def _reset(self) -> None:
+        self.run_log_: list[dict] = []
+        self._rng = np.random.default_rng(
+            np.random.SeedSequence([self.config.seed & 0x7FFFFFFF, 101]))
 
     def _scope(self, library: VariableLibrary) -> SymbolScope:
         return SymbolScope(states=tuple(self.dataset.state_names),
@@ -290,9 +273,7 @@ class DiscoveryEngine:
             seed_skeleton, batch, labels,
             derived_fit_config(cfg.fit, loop_index, 0, 0))
         archive = Archive.seeded(cfg.islands, seed_scored)
-        state = LoopState(kind=kind, history=[archive.best_score()],
-                          window=cfg.window, epsilon=cfg.epsilon, gamma=cfg.gamma)
-        history = state.history
+        history = [archive.best_score()]
         self._log(loop=kind, iteration=0, event="seed",
                   best_score=history[0], best_skeleton=seed_scored.canonical,
                   added_variables=[], library=list(library.names()))
@@ -300,7 +281,7 @@ class DiscoveryEngine:
         terminated = False
         for t in range(1, max_iterations + 1):
             self._check_wallclock()
-            decision = state.check()
+            decision = check_trigger(history, cfg.window, cfg.epsilon, cfg.gamma)
             if decision is Decision.TERMINATE:
                 terminated = True
                 self._log(loop=kind, iteration=t - 1, event="terminate",

@@ -12,8 +12,7 @@ Each skeleton is compiled once into a postorder tape, which runs parameter
 rows (R, k) broadcast against the (n,) columns: a fitter advances R restarts
 in one walk.  Gradients are produced per sample, not pre-reduced, so callers
 can apply any loss weighting they like.  All inputs are immutable and
-evaluation is pure; batches can be sharded across workers and the results
-concatenated.
+evaluation is pure.
 """
 
 from __future__ import annotations
@@ -78,13 +77,6 @@ class SampleBatch:
             return self.columns[name]
         except KeyError:
             raise MissingColumn(name) from None
-
-
-def concat_batches(a: SampleBatch, b: SampleBatch) -> SampleBatch:
-    if set(a.columns) != set(b.columns):
-        raise ValueError("batches must share the same columns")
-    return SampleBatch.from_columns(
-        {name: np.concatenate([a.columns[name], b.columns[name]]) for name in a.columns})
 
 
 @dataclass(frozen=True)

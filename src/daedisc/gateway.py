@@ -52,7 +52,6 @@ class BackendUnavailable(RuntimeError):
 class PromptContract:
     kind: str  # "de" | "ae"
     role: str
-    completion_rules: str
     library_text: str
     requirement_rules: str
 
@@ -121,8 +120,8 @@ def contract(kind: str, state_names: Sequence[str], entries: Sequence) -> Prompt
         f"If the {lines} need signals that are not admitted yet, declare them in a "
         'fenced block tagged "requirements" holding a JSON array of '
         '{"name": ..., "justification": ...} objects.')
-    return PromptContract(kind=kind, role=role, completion_rules=_GRAMMAR_RULES,
-                          library_text=library, requirement_rules=requirement_rules)
+    return PromptContract(kind=kind, role=role, library_text=library,
+                          requirement_rules=requirement_rules)
 
 
 def _stub_lines(kind: str, target_names: Sequence[str]) -> str:
@@ -138,7 +137,7 @@ def build_prompt(contract: PromptContract, examples: Sequence[ScoredSkeleton],
         contract.role,
         "",
         "Completion rules:",
-        contract.completion_rules,
+        _GRAMMAR_RULES,
         "",
         contract.library_text,
         "",
@@ -280,25 +279,34 @@ class HttpBackend:
         return [t for t in texts if isinstance(t, str)]
 
 
+GENERATE_ATTEMPTS = 3
+GENERATE_BACKOFF_S = 0.5
+
+
 def generate(request: GenerationRequest, backend: GeneratorBackend,
-             attempts: int = 3, backoff: float = 0.5,
              sleep: Callable[[float], None] = time.sleep) -> list[Completion]:
-    """Up to n_b parsed completions; retries transport failures with backoff."""
+    """Up to n_b parsed completions.
+
+    A transport failure or an empty answer is retried up to
+    ``GENERATE_ATTEMPTS`` times in all, sleeping ``GENERATE_BACKOFF_S``
+    doubled per attempt in between; a permanent failure is not retried.
+    ``sleep`` is the clock seam tests replace.
+    """
     last_error: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(GENERATE_ATTEMPTS):
         try:
             texts = backend.complete(request)
         except BackendUnavailable as exc:
             last_error = exc
             if exc.permanent:
                 break
-            if attempt + 1 < attempts:
-                sleep(backoff * (2.0 ** attempt))
+            if attempt + 1 < GENERATE_ATTEMPTS:
+                sleep(GENERATE_BACKOFF_S * (2.0 ** attempt))
             continue
         completions = [parse_completion(t) for t in texts[: request.n_b]]
         if completions:
             return completions
         last_error = BackendUnavailable("backend returned zero completions")
-        if attempt + 1 < attempts:
-            sleep(backoff * (2.0 ** attempt))
+        if attempt + 1 < GENERATE_ATTEMPTS:
+            sleep(GENERATE_BACKOFF_S * (2.0 ** attempt))
     raise BackendUnavailable(str(last_error) if last_error else "no completions")

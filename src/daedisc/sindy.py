@@ -48,7 +48,6 @@ class LibraryConfig:
     variant: str  # "accurate" | "overcomplete" | "missing"
     degree: int
     excluded: tuple[str, ...] = ()
-    include_constant: bool = True
 
     def __post_init__(self):
         if self.variant not in ("accurate", "overcomplete", "missing"):
@@ -102,9 +101,7 @@ def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
     """Deterministic term order: constant, linear terms in declared order,
     then (degree 2) products x_a*x_b with a <= b."""
     active = [n for n in names if n not in cfg.excluded]
-    terms: list[Term] = []
-    if cfg.include_constant:
-        terms.append(Term("1", ()))
+    terms = [Term("1", ())]
     for n in active:
         terms.append(Term(n, ((n, 1),)))
     if cfg.degree >= 2:
@@ -324,17 +321,17 @@ def _predict(model, values: Mapping[str, float], targets: Sequence[str]) -> np.n
     if isinstance(model, SindyModel):
         pred = model.predict(columns)
         return np.array([pred[name][0] for name in targets])
-    res = evaluate(model.skeleton, model.params, SampleBatch.from_columns(columns),
-                   gradients=False)
+    # every value was checked finite above, which is all from_columns would check
+    res = evaluate(model.skeleton, model.params, SampleBatch(columns, 1), gradients=False)
     if res.faulted:
         return np.full(len(targets), np.nan)
     return res.outputs[:, 0]
 
 
-def simulate_identified(model, record: FullRecord, x0: Mapping[str, float] | None = None,
-                        mode: str = "recorded",
+def simulate_identified(model, record: FullRecord, mode: str = "recorded",
                         ae_model: SkeletonModel | None = None) -> ReplayResult:
-    """RK4 replay of an identified model over a test record's time grid.
+    """RK4 replay of an identified model over a test record's time grid,
+    starting from the record's first state row.
 
     mode="recorded": algebraic/input signals interpolated from the record.
     mode="ae_model": algebraic signals predicted by ``ae_model`` from the
@@ -383,10 +380,7 @@ def simulate_identified(model, record: FullRecord, x0: Mapping[str, float] | Non
             values.update(zip(ae_targets, _predict(ae_model, ae_inputs, ae_targets)))
         return _predict(model, values, targets)
 
-    if x0 is None:
-        x = np.array([record.columns[s][0] for s in state_names])
-    else:
-        x = np.array([float(x0[s]) for s in state_names])
+    x = np.array([record.columns[s][0] for s in state_names])
     n = len(time_grid)
     out = np.full((n, len(state_names)), np.nan)
     out[0] = x

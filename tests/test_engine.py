@@ -86,16 +86,6 @@ def test_trigger_short_history_continues():
     assert check_trigger([-1.5, -1.5, -1.5], 3, 0.01, 0.01) is Decision.CONTINUE
 
 
-def test_loop_state_check_delegates():
-    from daedisc.engine import LoopState
-
-    state = LoopState(kind="de", history=[-1.5, -1.5, -1.5, -1.5])
-    assert state.iteration == 3
-    assert state.check() is Decision.EXTEND
-    state.history.append(-0.001)
-    assert state.check() is Decision.CONTINUE
-
-
 def _reference_trigger(history, window, epsilon, gamma):
     # independent literal restatement of the rule, kept deliberately naive
     n = len(history)
@@ -139,7 +129,7 @@ def test_extend_variables_admits_catalog_matches():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary(kind="de")
+    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["i_d", "i_q", "P_e", "stator_flux"],
         scope, ["delta", "omega"]))
@@ -153,7 +143,7 @@ def test_extend_variables_fallback_in_catalog_order():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary(kind="de")
+    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, [], scope, ["delta", "omega"]))
     added, ignored = extend_variables(archive, library, ds, model, top_k=3)
@@ -165,7 +155,7 @@ def test_extend_variables_catalog_exhausted():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary(kind="de")
+    library = VariableLibrary()
     for entry in model.catalog:
         library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
     archive = Archive.seeded(1, scored_with_reqs(
@@ -178,12 +168,41 @@ def test_extend_variables_respects_aliases_and_exclusions():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary(kind="de")
+    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["pe", "Pm"], scope, ["delta", "omega"]))
     added, _ = extend_variables(archive, library, ds, model, top_k=3,
                                 excluded=("P_m",))
     assert added == ["P_e"]  # alias resolved; excluded input skipped
+
+
+def test_extend_variables_admits_an_aliased_duplicate_once():
+    ds = swing_dataset(total_time=2.0)
+    model = get_model("swing2")
+    scope = SymbolScope(states=("delta", "omega"))
+    library = VariableLibrary()
+    archive = Archive.seeded(1, scored_with_reqs(
+        "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["pe", "P_e"], scope, ["delta", "omega"]))
+    added, ignored = extend_variables(archive, library, ds, model, top_k=3)
+    assert added == ["P_e"]
+    assert ignored == []
+    assert library.names() == ("P_e",)
+
+
+def test_extend_variables_falls_back_when_every_request_is_admitted():
+    ds = swing_dataset(total_time=2.0)
+    model = get_model("swing2")
+    scope = SymbolScope(states=("delta", "omega"))
+    library = VariableLibrary()
+    for name in ("i_d", "P_e"):
+        entry = model.catalog_entry(name)
+        library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
+    archive = Archive.seeded(1, scored_with_reqs(
+        "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["P_e", "i_d"], scope, ["delta", "omega"]))
+    added, ignored = extend_variables(archive, library, ds, model, top_k=3)
+    assert added == ["i_q"]  # first catalog entry not yet admitted
+    assert ignored == []
+    assert ds.revealed_names() == ("i_q",)
 
 
 # ------------------------------------------------------------------ full loops
@@ -292,6 +311,24 @@ def test_run_is_deterministic():
     assert logs[0] == logs[1]
 
 
+def test_fit_is_repeatable_on_the_same_engine():
+    batches = [
+        [fenced(DISTRACTORS[0], requirements=[{"name": "P_e"}])],
+        [fenced(DISTRACTORS[1])],
+        [fenced(DISTRACTORS[1])],
+        [fenced(TRUE_SWING_PE)],
+        [fenced(TRUE_AE)],
+    ]
+    engine = engine_with_script(batches, window=2)
+    runs = []
+    for _ in range(2):
+        engine.backend = MockBackend(batches)
+        engine.fit()
+        runs.append((json.dumps(engine.run_log_, sort_keys=True),
+                     json.dumps(engine.result_dict(), sort_keys=True)))
+    assert runs[0] == runs[1]
+
+
 def test_best_score_history_monotone():
     batches = [
         [fenced(DISTRACTORS[0])],
@@ -324,7 +361,7 @@ def test_ae_targets_exclude_exogenous_inputs():
     params = np.zeros(sk.n_params)
     params.setflags(write=False)
     best = ScoredSkeleton(skeleton=sk, params=params, score=-0.001)
-    library = VariableLibrary(kind="de", entries=[
+    library = VariableLibrary(entries=[
         LibraryEntry("i_d", "pu", "", "algebraic"),
         LibraryEntry("i_q", "pu", "", "algebraic"),
         LibraryEntry("P_e", "pu", "", "algebraic"),

@@ -8,7 +8,6 @@ from daedisc.evaluator import (
     FaultInfo,
     MissingColumn,
     SampleBatch,
-    concat_batches,
     evaluate,
     gradient_check,
 )
@@ -105,7 +104,7 @@ def test_batch_linearity():
     sk = parse("dx/dt = p0*sin(x) + p1*x^2", SCOPE, ["x"], kind="de")
     a = _batch(x=[0.5, 1.0])
     b = _batch(x=[1.5, 2.0, 2.5])
-    both = concat_batches(a, b)
+    both = _batch(x=[0.5, 1.0, 1.5, 2.0, 2.5])
     ra, rb, rc = (evaluate(sk, [1.1, -0.3], batch) for batch in (a, b, both))
     np.testing.assert_array_equal(np.concatenate([ra.outputs, rb.outputs], axis=1), rc.outputs)
     np.testing.assert_array_equal(
