@@ -24,7 +24,6 @@ from .dataset import TrajectoryDataset, export_dataset, import_dataset, make_dat
 from .dsl import ParseError, Skeleton, SymbolScope, code_length, parse, serialize
 from .engine import (
     DiscoveryEngine,
-    LibraryEntry,
     VariableLibrary,
     check_trigger,
     extend_variables,

@@ -287,4 +287,4 @@ def make_linear_seed(scope: SymbolScope, target_names, kind: str) -> Skeleton:
         slot += 1
         node = bias if node is None else Bin("+", node, bias)
         exprs.append(node)
-    return make_skeleton(kind, list(target_names), exprs, scope=scope)
+    return make_skeleton(kind, list(target_names), exprs)

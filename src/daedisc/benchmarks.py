@@ -13,7 +13,10 @@ for discovery runs, replacing a full network simulation at desk scale:
 All models expose an explicit algebraic map (stator currents i_d/i_q,
 electrical power P_e, and for the higher-order machines the terminal voltage
 magnitude/angle), plus a signal catalog describing every algebraic and input
-signal that a discovery run may request.
+signal that a discovery run may request.  The machines share their equations
+where their physics does: all three use one swing equation, and the two
+higher-order machines one stator algebra and one field-winding equation (the
+one-axis machine is the fifth-order stator with no q-axis rotor voltage).
 
 Conventions (resistances neglected, machine dq frame, per unit):
     v_q = e_q' - x_d' i_d                 v_d = e_d'' + x_q'' i_q
@@ -168,6 +171,34 @@ class FullRecord:
 # Models
 
 
+def _swing(p, omega, p_m, p_e):
+    """d(delta)/dt = omega_b (omega - 1), 2H d(omega)/dt = P_m - P_e - D (omega - 1)."""
+    d_delta = p["omega_b"] * (omega - 1.0)
+    d_omega = (p_m - p_e - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
+    return d_delta, d_omega
+
+
+def _stator(p, delta, e_q, e_d, x_q, x_shift):
+    """Stator currents, air-gap power and terminal voltage for internal
+    voltages e_q (behind x_d') and e_d (behind x_q) on the series reactance
+    x_e + x_shift."""
+    x_e = p["x_e"] + x_shift
+    angle = delta - p["theta_bus"]
+    i_d = (e_q - p["v_bus"] * np.cos(angle)) / (p["x_d_t"] + x_e)
+    i_q = (p["v_bus"] * np.sin(angle) - e_d) / (x_q + x_e)
+    v_d = e_d + x_q * i_q
+    v_q = e_q - p["x_d_t"] * i_d
+    p_e = v_d * i_d + v_q * i_q
+    v_g = np.sqrt(v_d * v_d + v_q * v_q)
+    theta_g = delta - np.arctan2(v_d, v_q)
+    return {"i_d": i_d, "i_q": i_q, "P_e": p_e, "V_g": v_g, "theta_g": theta_g}
+
+
+def _field(p, e_q, i_d, v_f):
+    """T'_d0 de_q'/dt = -e_q' - (x_d - x_d') i_d + v_f."""
+    return (-e_q - (p["x_d"] - p["x_d_t"]) * i_d + v_f) / p["t_d0_t"]
+
+
 class BenchmarkModel:
     """Shared structure: subclasses provide equations and the signal catalog."""
 
@@ -244,12 +275,8 @@ class Swing2(BenchmarkModel):
         return {"i_d": i_d, "i_q": i_q, "P_e": p_e}
 
     def rhs(self, x, u, x_shift=0.0):
-        delta, omega = x[0], x[1]
-        p = self.params
         alg = self.algebra(x, u, x_shift)
-        d_delta = p["omega_b"] * (omega - 1.0)
-        d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
-        return np.array([d_delta, d_omega])
+        return np.array(_swing(self.params, x[1], u["P_m"], alg["P_e"]))
 
 
 class OneAxis3(BenchmarkModel):
@@ -278,27 +305,14 @@ class OneAxis3(BenchmarkModel):
             default_inputs={"P_m": 0.8, "v_f": 2.1})
 
     def algebra(self, x, u, x_shift=0.0):
-        delta, e_q_t = x[0], x[2]
-        p = self.params
-        x_e = p["x_e"] + x_shift
-        angle = delta - p["theta_bus"]
-        i_d = (e_q_t - p["v_bus"] * np.cos(angle)) / (p["x_d_t"] + x_e)
-        i_q = p["v_bus"] * np.sin(angle) / (p["x_q"] + x_e)
-        v_d = p["x_q"] * i_q
-        v_q = e_q_t - p["x_d_t"] * i_d
-        p_e = v_d * i_d + v_q * i_q
-        v_g = np.sqrt(v_d * v_d + v_q * v_q)
-        theta_g = delta - np.arctan2(v_d, v_q)
-        return {"i_d": i_d, "i_q": i_q, "P_e": p_e, "V_g": v_g, "theta_g": theta_g}
+        # no q-axis rotor circuit: zero internal d-axis voltage behind x_q
+        return _stator(self.params, x[0], x[2], 0.0, self.params["x_q"], x_shift)
 
     def rhs(self, x, u, x_shift=0.0):
-        delta, omega, e_q_t = x[0], x[1], x[2]
         p = self.params
         alg = self.algebra(x, u, x_shift)
-        d_delta = p["omega_b"] * (omega - 1.0)
-        d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
-        d_e_q_t = (-e_q_t - (p["x_d"] - p["x_d_t"]) * alg["i_d"] + u["v_f"]) / p["t_d0_t"]
-        return np.array([d_delta, d_omega, d_e_q_t])
+        return np.array([*_swing(p, x[1], u["P_m"], alg["P_e"]),
+                         _field(p, x[2], alg["i_d"], u["v_f"])])
 
 
 class Type1Order5(BenchmarkModel):
@@ -311,9 +325,9 @@ class Type1Order5(BenchmarkModel):
 
     model_id = "type1order5"
     state_names = ("delta", "omega", "e_q_t", "e_d_t", "e_d_st")
-    algebraic_names = ("i_d", "i_q", "P_e", "V_g", "theta_g")
-    input_names = ("P_m", "v_f")
-    core_variable_names = ("i_d", "i_q", "P_e", "P_m", "v_f")
+    algebraic_names = OneAxis3.algebraic_names
+    input_names = OneAxis3.input_names
+    core_variable_names = OneAxis3.core_variable_names
     catalog = OneAxis3.catalog
 
     def __init__(self):
@@ -325,26 +339,14 @@ class Type1Order5(BenchmarkModel):
             default_inputs={"P_m": 0.8, "v_f": 2.1})
 
     def algebra(self, x, u, x_shift=0.0):
-        delta, e_q_t, e_d_st = x[0], x[2], x[4]
-        p = self.params
-        x_e = p["x_e"] + x_shift
-        angle = delta - p["theta_bus"]
-        i_d = (e_q_t - p["v_bus"] * np.cos(angle)) / (p["x_d_t"] + x_e)
-        i_q = (p["v_bus"] * np.sin(angle) - e_d_st) / (p["x_q_st"] + x_e)
-        v_d = e_d_st + p["x_q_st"] * i_q
-        v_q = e_q_t - p["x_d_t"] * i_d
-        p_e = v_d * i_d + v_q * i_q
-        v_g = np.sqrt(v_d * v_d + v_q * v_q)
-        theta_g = delta - np.arctan2(v_d, v_q)
-        return {"i_d": i_d, "i_q": i_q, "P_e": p_e, "V_g": v_g, "theta_g": theta_g}
+        return _stator(self.params, x[0], x[2], x[4], self.params["x_q_st"], x_shift)
 
     def rhs(self, x, u, x_shift=0.0):
-        delta, omega, e_q_t, e_d_t, e_d_st = x
+        _, omega, e_q_t, e_d_t, e_d_st = x
         p = self.params
         alg = self.algebra(x, u, x_shift)
-        d_delta = p["omega_b"] * (omega - 1.0)
-        d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
-        d_e_q_t = (-e_q_t - (p["x_d"] - p["x_d_t"]) * alg["i_d"] + u["v_f"]) / p["t_d0_t"]
+        d_delta, d_omega = _swing(p, omega, u["P_m"], alg["P_e"])
+        d_e_q_t = _field(p, e_q_t, alg["i_d"], u["v_f"])
         d_e_d_t = (-e_d_t + (p["x_q"] - p["x_q_t"]) * alg["i_q"]) / p["t_q0_t"]
         d_e_d_st = (-e_d_st + e_d_t + (p["x_q_t"] - p["x_q_st"]) * alg["i_q"]) / p["t_q0_st"]
         return np.array([d_delta, d_omega, d_e_q_t, d_e_d_t, d_e_d_st])
@@ -418,12 +420,14 @@ def solve_equilibrium(model: BenchmarkModel, inputs: Mapping[str, float]) -> np.
         f"no equilibrium for {model.model_id} after {EQUILIBRIUM_MAX_ITERATIONS} iterations")
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(t, x)
-    k2 = f(t + dt / 2.0, x + dt * k1 / 2.0)
-    k3 = f(t + dt / 2.0, x + dt * k2 / 2.0)
-    k4 = f(t + dt, x + dt * k3)
+def rk4_step(f: Callable[[np.ndarray, object], np.ndarray], x: np.ndarray, dt: float,
+             start, middle, end) -> np.ndarray:
+    """One classic RK4 step of ``f(x, u)``; the caller supplies ``u`` at the
+    step's start, midpoint (shared by the two middle stages) and end."""
+    k1 = f(x, start)
+    k2 = f(x + dt * k1 / 2.0, middle)
+    k3 = f(x + dt * k2 / 2.0, middle)
+    k4 = f(x + dt * k3, end)
     return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
@@ -443,7 +447,7 @@ def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
             return dist.magnitude
         return 0.0
 
-    def f(t: float, state: np.ndarray) -> np.ndarray:
+    def f(state: np.ndarray, t: float) -> np.ndarray:
         return model.rhs(state, inputs_at(t), shift_at(t))
 
     if scen.initial_state is not None:
@@ -485,7 +489,7 @@ def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
         for name in model.input_names:
             input_rows[name][i] = u[name]
         if i < n_steps:
-            x = rk4_step(f, t, x, scen.dt)
+            x = rk4_step(f, x, scen.dt, t, t + scen.dt / 2.0, t + scen.dt)
     columns: dict[str, np.ndarray] = {
         name: states[:, j] for j, name in enumerate(model.state_names)}
     columns.update(alg_rows)

@@ -422,39 +422,20 @@ def _rewrite(expr: Expr, param_map: Mapping[int, int]) -> Expr:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _validate_expr(expr: Expr, scope: SymbolScope | None) -> None:
-    for node in walk(expr):
-        if isinstance(node, Const):
-            if not math.isfinite(node.value):
-                raise DslSyntaxError("constant is not finite")
-        elif isinstance(node, Param):
-            if node.index < 0:
-                raise DslSyntaxError(f"negative parameter slot {node.index}")
-        elif isinstance(node, Var):
-            if scope is not None and not scope.resolves(node.name):
-                raise UnknownIdentifier(node.name)
-        elif isinstance(node, Pow):
-            if abs(node.exponent) > MAX_EXPONENT:
-                raise DslSyntaxError(f"exponent {node.exponent} outside allowed range")
-        elif isinstance(node, Call):
-            if node.func not in FUNCTIONS:
-                raise UnknownIdentifier(node.func)
-
-
-def make_skeleton(kind: str, target_names: Sequence[str], expressions: Sequence[Expr],
-                  scope: SymbolScope | None = None) -> Skeleton:
+def make_skeleton(kind: str, target_names: Sequence[str],
+                  expressions: Sequence[Expr]) -> Skeleton:
     """Build a canonical skeleton from expression trees.
 
     Canonicalization re-indexes parameter slots into a contiguous 0..n_p-1
     range (ordered by original index) and folds negated constants, so that
-    structurally equal systems serialize identically.
+    structurally equal systems serialize identically.  The trees are taken
+    as valid: ``parse`` is the one gate that checks literals, slots, names,
+    exponents and functions.
     """
     if kind not in ("de", "ae"):
         raise ValueError(f"kind must be 'de' or 'ae', got {kind!r}")
     if len(target_names) != len(expressions):
         raise ValueError("one expression per target required")
-    for expr in expressions:
-        _validate_expr(expr, scope)
     indices = param_indices(expressions)
     param_map = {old: new for new, old in enumerate(indices)}
     canon = tuple(_rewrite(e, param_map) for e in expressions)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .archive import Archive, make_linear_seed
-from .benchmarks import BenchmarkModel, get_model
+from .benchmarks import BenchmarkModel, CatalogEntry, get_model
 from .config import RunConfig
 from .dataset import TrajectoryDataset, deriv_name
 from .dsl import ParseError, SymbolScope, parse, variables_in
@@ -70,19 +70,11 @@ class Decision(Enum):
     TERMINATE = "terminate"
 
 
-@dataclass(frozen=True)
-class LibraryEntry:
-    name: str
-    unit: str
-    description: str
-    kind: str  # "algebraic" | "input"
-
-
 @dataclass
 class VariableLibrary:
     """The evolving set of admitted algebraic/input variables for one loop."""
 
-    entries: list[LibraryEntry] = field(default_factory=list)
+    entries: list[CatalogEntry] = field(default_factory=list)
 
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
@@ -90,7 +82,7 @@ class VariableLibrary:
     def __contains__(self, name: str) -> bool:
         return any(e.name == name for e in self.entries)
 
-    def add(self, entry: LibraryEntry) -> None:
+    def add(self, entry: CatalogEntry) -> None:
         if entry.name in self:
             raise ValueError(f"{entry.name} already admitted")
         self.entries.append(entry)
@@ -146,7 +138,7 @@ def extend_variables(archive: Archive, library: VariableLibrary,
     if not admitted:
         raise CatalogExhausted("no catalog variables left to admit")
     for entry in admitted:
-        library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
+        library.add(entry)
         dataset.reveal([entry.name])
     return [entry.name for entry in admitted], ignored
 
@@ -205,7 +197,6 @@ class DiscoveryEngine:
         """Run both loops; algebraic loop is skipped with a report when the
         best differential system references no algebraic variables."""
         self._reset()
-        self._start_time = time.monotonic()
         de = self.run_de_loop()
         self.de_result_ = de
         self.library_ = de.library
@@ -220,8 +211,7 @@ class DiscoveryEngine:
         return self
 
     def run_de_loop(self) -> LoopResult:
-        if self._start_time is None:
-            self._start_time = time.monotonic()
+        self._start_time = time.monotonic()
         library = VariableLibrary()
         targets = tuple(self.dataset.state_names)
         labels = [deriv_name(s) for s in targets]

@@ -12,8 +12,9 @@ penalty and are flagged.
 model or a fitted skeleton) through the same RK4 integrator that produced
 the benchmark data.  Exogenous inputs and recorded algebraic signals are fed
 from the test record by linear interpolation, computed once for every signal
-at every RK4 stage time; a discovered algebraic model can substitute its own
-predictions instead.  Each stage evaluates the models on one sample:
+at every RK4 stage time, and ``rk4_step`` hands each stage its recorded
+signals; a discovered algebraic model can substitute its own predictions
+instead.  Each stage evaluates the models on one sample:
 sparse-regression models as library times coefficients, skeletons value-only
 (no parameter gradients, so a non-finite gradient is no fault).  An unstable
 identified model yields a divergence flag and the finite prefix, never a
@@ -46,32 +47,31 @@ RIDGE = 1e-8
 @dataclass(frozen=True)
 class LibraryConfig:
     variant: str  # "accurate" | "overcomplete" | "missing"
-    degree: int
     excluded: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.variant not in ("accurate", "overcomplete", "missing"):
             raise ValueError(f"unknown library variant {self.variant!r}")
-        if self.variant == "accurate" and (self.degree != 1 or self.excluded):
-            raise ValueError("accurate variant: degree 1, nothing excluded")
-        if self.variant == "overcomplete" and self.degree != 2:
-            raise ValueError("overcomplete variant: degree 2")
+        if self.variant == "accurate" and self.excluded:
+            raise ValueError("accurate variant: nothing excluded")
         if self.variant == "missing" and not self.excluded:
             raise ValueError("missing variant needs excluded variables")
-        if self.degree not in (1, 2):
-            raise ValueError("degree must be 1 or 2")
+
+    @property
+    def degree(self) -> int:
+        return 2 if self.variant == "overcomplete" else 1
 
     @classmethod
     def accurate(cls) -> "LibraryConfig":
-        return cls(variant="accurate", degree=1)
+        return cls(variant="accurate")
 
     @classmethod
     def overcomplete(cls) -> "LibraryConfig":
-        return cls(variant="overcomplete", degree=2)
+        return cls(variant="overcomplete")
 
     @classmethod
     def missing(cls, excluded: Sequence[str]) -> "LibraryConfig":
-        return cls(variant="missing", degree=1, excluded=tuple(excluded))
+        return cls(variant="missing", excluded=tuple(excluded))
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,16 @@ def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
     return tuple(terms)
 
 
+def _theta(terms: Sequence[Term], columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Library matrix: one column per term, one row per sample."""
+    n = len(next(iter(columns.values())))
+    return np.column_stack([t.evaluate(columns, n) for t in terms])
+
+
 def build_library(cfg: LibraryConfig, names: Sequence[str],
                   columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple[Term, ...]]:
     terms = library_terms(cfg, names)
-    n = len(next(iter(columns.values())))
-    theta = np.column_stack([t.evaluate(columns, n) for t in terms])
-    return theta, terms
+    return _theta(terms, columns), terms
 
 
 def _solve_ls(theta_active: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -184,9 +188,9 @@ class SindyModel:
     ridge_fallback: bool
 
     def predict(self, columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        n = len(next(iter(columns.values())))
-        theta = np.column_stack([t.evaluate(columns, n) for t in self.terms])
-        values = theta @ self.coefficients.T
+        # the product's bits depend on the number of terms and the operand
+        # layout: every term, and the coefficients' own transpose
+        values = _theta(self.terms, columns) @ self.coefficients.T
         return {name: values[:, j] for j, name in enumerate(self.target_names)}
 
     def to_json(self) -> dict:
@@ -365,16 +369,17 @@ def simulate_identified(model, record: FullRecord, mode: str = "recorded",
         if name not in record.columns:
             raise ValueError(f"record has no column {name!r} required for replay")
 
-    # every signal at every RK4 stage time, formed exactly as rk4_step forms them
+    # every signal at every RK4 stage time: (steps, 3 stages, signals)
     time_grid = record.time
     start, dt = time_grid[:-1], np.diff(time_grid)
     stage_times = np.stack([start, start + dt / 2.0, start + dt], axis=1)
-    recorded = {name: np.interp(stage_times, time_grid, record.columns[name])
-                for name in signals}
+    recorded = np.empty(stage_times.shape + (len(signals),))
+    for k, name in enumerate(signals):
+        recorded[:, :, k] = np.interp(stage_times, time_grid, record.columns[name])
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+    def rhs(state: np.ndarray, signal_values: np.ndarray) -> np.ndarray:
         values = dict(zip(state_names, state))
-        values.update(at_stage[t])
+        values.update(zip(signals, signal_values))
         if ae_targets:
             ae_inputs = {k: v for k, v in values.items() if k not in ae_targets}
             values.update(zip(ae_targets, _predict(ae_model, ae_inputs, ae_targets)))
@@ -388,10 +393,7 @@ def simulate_identified(model, record: FullRecord, mode: str = "recorded",
     n_valid = 1
     with np.errstate(all="ignore"):
         for i in range(n - 1):
-            # this step's signals, keyed by the stage times rk4_step passes to rhs
-            at_stage = {stage_times[i, j]: {name: recorded[name][i, j] for name in signals}
-                        for j in range(3)}
-            x = rk4_step(rhs, float(start[i]), x, float(dt[i]))
+            x = rk4_step(rhs, x, float(dt[i]), *recorded[i])
             if not np.all(np.isfinite(x)):
                 diverged = True
                 break

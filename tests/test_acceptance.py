@@ -8,10 +8,8 @@ see the README for how they map onto the exposed configuration surface.
 import itertools
 import json
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from daedisc.archive import Archive, SamplerConfig, cluster_key
@@ -25,7 +23,7 @@ from daedisc.benchmarks import (
 from daedisc.cli import main as cli_main
 from daedisc.config import RunConfig
 from daedisc.dataset import central_difference, make_dataset
-from daedisc.dsl import ParseError, SymbolScope, parse, serialize
+from daedisc.dsl import ParseError, SymbolScope, parse
 from daedisc.engine import Decision, DiscoveryEngine, check_trigger
 from daedisc.evaluator import DomainFault, SampleBatch, gradient_check
 from daedisc.fitting import FitConfig, ScoredSkeleton, cosine_lr, fit_and_score

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from daedisc.archive import (
     Archive,
@@ -7,7 +6,7 @@ from daedisc.archive import (
     cluster_key,
     make_linear_seed,
 )
-from daedisc.dsl import SymbolScope, code_length, parse, serialize
+from daedisc.dsl import SymbolScope, parse, serialize
 from daedisc.fitting import SENTINEL_SCORE, ScoredSkeleton
 
 SCOPE = SymbolScope(states=("delta", "omega"))

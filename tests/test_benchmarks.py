@@ -9,7 +9,6 @@ from daedisc.benchmarks import (
     UnknownModel,
     get_model,
     model_ids,
-    rk4_step,
     simulate,
     solve_equilibrium,
 )
@@ -144,3 +143,112 @@ def test_catalog_alias_resolution():
     assert model.catalog_entry("pe").name == "P_e"
     assert model.catalog_entry("THETA").name == "theta_g"
     assert model.catalog_entry("stator_flux") is None
+
+
+# ------------------------------------------------ machine-equation oracles
+# Each machine's algebra and rhs written out in full, one class per machine,
+# so the shared swing/stator/field helpers stay pinned bit for bit.
+
+
+class _RefSwing2:
+    def __init__(self, params):
+        self.params = params
+
+    def algebra(self, x, u, x_shift=0.0):
+        delta = x[0]
+        p = self.params
+        x_eq = p["x_total"] + x_shift
+        angle = delta - p["theta_bus"]
+        i_q = p["v_bus"] * np.sin(angle) / x_eq
+        i_d = (p["e_prime"] - p["v_bus"] * np.cos(angle)) / x_eq
+        p_e = p["e_prime"] * i_q
+        return {"i_d": i_d, "i_q": i_q, "P_e": p_e}
+
+    def rhs(self, x, u, x_shift=0.0):
+        delta, omega = x[0], x[1]
+        p = self.params
+        alg = self.algebra(x, u, x_shift)
+        d_delta = p["omega_b"] * (omega - 1.0)
+        d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
+        return np.array([d_delta, d_omega])
+
+
+class _RefOneAxis3:
+    def __init__(self, params):
+        self.params = params
+
+    def algebra(self, x, u, x_shift=0.0):
+        delta, e_q_t = x[0], x[2]
+        p = self.params
+        x_e = p["x_e"] + x_shift
+        angle = delta - p["theta_bus"]
+        i_d = (e_q_t - p["v_bus"] * np.cos(angle)) / (p["x_d_t"] + x_e)
+        i_q = p["v_bus"] * np.sin(angle) / (p["x_q"] + x_e)
+        v_d = p["x_q"] * i_q
+        v_q = e_q_t - p["x_d_t"] * i_d
+        p_e = v_d * i_d + v_q * i_q
+        v_g = np.sqrt(v_d * v_d + v_q * v_q)
+        theta_g = delta - np.arctan2(v_d, v_q)
+        return {"i_d": i_d, "i_q": i_q, "P_e": p_e, "V_g": v_g, "theta_g": theta_g}
+
+    def rhs(self, x, u, x_shift=0.0):
+        delta, omega, e_q_t = x[0], x[1], x[2]
+        p = self.params
+        alg = self.algebra(x, u, x_shift)
+        d_delta = p["omega_b"] * (omega - 1.0)
+        d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
+        d_e_q_t = (-e_q_t - (p["x_d"] - p["x_d_t"]) * alg["i_d"] + u["v_f"]) / p["t_d0_t"]
+        return np.array([d_delta, d_omega, d_e_q_t])
+
+
+class _RefType1Order5:
+    def __init__(self, params):
+        self.params = params
+
+    def algebra(self, x, u, x_shift=0.0):
+        delta, e_q_t, e_d_st = x[0], x[2], x[4]
+        p = self.params
+        x_e = p["x_e"] + x_shift
+        angle = delta - p["theta_bus"]
+        i_d = (e_q_t - p["v_bus"] * np.cos(angle)) / (p["x_d_t"] + x_e)
+        i_q = (p["v_bus"] * np.sin(angle) - e_d_st) / (p["x_q_st"] + x_e)
+        v_d = e_d_st + p["x_q_st"] * i_q
+        v_q = e_q_t - p["x_d_t"] * i_d
+        p_e = v_d * i_d + v_q * i_q
+        v_g = np.sqrt(v_d * v_d + v_q * v_q)
+        theta_g = delta - np.arctan2(v_d, v_q)
+        return {"i_d": i_d, "i_q": i_q, "P_e": p_e, "V_g": v_g, "theta_g": theta_g}
+
+    def rhs(self, x, u, x_shift=0.0):
+        delta, omega, e_q_t, e_d_t, e_d_st = x
+        p = self.params
+        alg = self.algebra(x, u, x_shift)
+        d_delta = p["omega_b"] * (omega - 1.0)
+        d_omega = (u["P_m"] - alg["P_e"] - p["damping"] * (omega - 1.0)) / (2.0 * p["inertia"])
+        d_e_q_t = (-e_q_t - (p["x_d"] - p["x_d_t"]) * alg["i_d"] + u["v_f"]) / p["t_d0_t"]
+        d_e_d_t = (-e_d_t + (p["x_q"] - p["x_q_t"]) * alg["i_q"]) / p["t_q0_t"]
+        d_e_d_st = (-e_d_st + e_d_t + (p["x_q_t"] - p["x_q_st"]) * alg["i_q"]) / p["t_q0_st"]
+        return np.array([d_delta, d_omega, d_e_q_t, d_e_d_t, d_e_d_st])
+
+
+_ORACLES = {"swing2": _RefSwing2, "oneaxis3": _RefOneAxis3, "type1order5": _RefType1Order5}
+# sampling box per state and input: wide swings, off-equilibrium fluxes
+_STATE_RANGE = {"delta": (-3.0, 3.0), "omega": (0.95, 1.05), "e_q_t": (0.5, 1.5),
+                "e_d_t": (-0.6, 0.6), "e_d_st": (-0.6, 0.6)}
+_INPUT_RANGE = {"P_m": (0.0, 1.5), "v_f": (1.0, 3.0)}
+
+
+@pytest.mark.parametrize("model_id", ALL_MODELS)
+def test_machine_equations_match_the_written_out_oracle(model_id):
+    model = get_model(model_id)
+    oracle = _ORACLES[model_id](model.params)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x = np.array([rng.uniform(*_STATE_RANGE[s]) for s in model.state_names])
+        u = {name: rng.uniform(*_INPUT_RANGE[name]) for name in model.input_names}
+        x_shift = rng.uniform(0.05, 0.5)
+        got, want = model.algebra(x, u, x_shift), oracle.algebra(x, u, x_shift)
+        assert list(got) == list(want) == list(model.algebraic_names)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(model.rhs(x, u, x_shift), oracle.rhs(x, u, x_shift))

@@ -1,7 +1,5 @@
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 

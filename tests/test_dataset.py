@@ -4,7 +4,6 @@ import pytest
 from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, simulate
 from daedisc.dataset import (
     SchemaMismatch,
-    TrajectoryDataset,
     UnknownSignal,
     central_difference,
     export_dataset,

@@ -11,7 +11,6 @@ from daedisc.dsl import (
     MissingTarget,
     Neg,
     Param,
-    ParseError,
     Pow,
     SymbolScope,
     UnknownIdentifier,
@@ -171,7 +170,7 @@ def _exprs(depth):
 @given(expr=_exprs(4))
 def test_roundtrip_random_asts(expr):
     scope = SymbolScope(states=_NAMES)
-    sk = make_skeleton("de", ["delta"], [expr], scope=scope)
+    sk = make_skeleton("de", ["delta"], [expr])
     text = serialize(sk)
     again = parse(text, scope, ["delta"], kind="de")
     assert again.expressions == sk.expressions

@@ -1,12 +1,14 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from daedisc import engine as engine_module
 from daedisc.archive import Archive
-from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, simulate
-from daedisc.config import GeneratorConfig, RunConfig
+from daedisc.benchmarks import CatalogEntry, Disturbance, ScenarioConfig, get_model, simulate
+from daedisc.config import RunConfig
 from daedisc.dataset import make_dataset
 from daedisc.dsl import SymbolScope, parse, variables_in
 from daedisc.engine import (
@@ -15,13 +17,12 @@ from daedisc.engine import (
     Decision,
     DiscoveryEngine,
     GenerationExhausted,
-    LibraryEntry,
     VariableLibrary,
     check_trigger,
     derive_ae_targets,
     extend_variables,
 )
-from daedisc.fitting import FitConfig, Requirement, ScoredSkeleton
+from daedisc.fitting import Requirement, ScoredSkeleton
 from daedisc.gateway import MockBackend
 
 KICK = Disturbance(kind="state_kick", magnitude=1.0,
@@ -157,7 +158,7 @@ def test_extend_variables_catalog_exhausted():
     scope = SymbolScope(states=("delta", "omega"))
     library = VariableLibrary()
     for entry in model.catalog:
-        library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
+        library.add(entry)
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, [], scope, ["delta", "omega"]))
     with pytest.raises(CatalogExhausted):
@@ -196,7 +197,7 @@ def test_extend_variables_falls_back_when_every_request_is_admitted():
     library = VariableLibrary()
     for name in ("i_d", "P_e"):
         entry = model.catalog_entry(name)
-        library.add(LibraryEntry(entry.name, entry.unit, entry.description, entry.kind))
+        library.add(entry)
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["P_e", "i_d"], scope, ["delta", "omega"]))
     added, ignored = extend_variables(archive, library, ds, model, top_k=3)
@@ -362,11 +363,11 @@ def test_ae_targets_exclude_exogenous_inputs():
     params.setflags(write=False)
     best = ScoredSkeleton(skeleton=sk, params=params, score=-0.001)
     library = VariableLibrary(entries=[
-        LibraryEntry("i_d", "pu", "", "algebraic"),
-        LibraryEntry("i_q", "pu", "", "algebraic"),
-        LibraryEntry("P_e", "pu", "", "algebraic"),
-        LibraryEntry("P_m", "pu", "", "input"),
-        LibraryEntry("v_f", "pu", "", "input"),
+        CatalogEntry("i_d", "pu", "", "algebraic"),
+        CatalogEntry("i_q", "pu", "", "algebraic"),
+        CatalogEntry("P_e", "pu", "", "algebraic"),
+        CatalogEntry("P_m", "pu", "", "input"),
+        CatalogEntry("v_f", "pu", "", "input"),
     ])
     assert derive_ae_targets(best, library) == ("i_d", "i_q", "P_e")
     # states-only system: nothing to target
@@ -380,6 +381,18 @@ def test_wallclock_budget_exceeded():
     engine = engine_with_script([[fenced(TRUE_SWING)]], max_seconds=0.0)
     with pytest.raises(BudgetExceeded):
         engine.run_de_loop()
+
+
+def test_wallclock_budget_restarts_with_each_run(monkeypatch):
+    # a run_de_loop() after fit() gets its own max_seconds, not fit()'s leftover
+    clock = [100.0]
+    monkeypatch.setattr(engine_module, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    engine = engine_with_script([[fenced(TRUE_SWING)]], max_seconds=2.0,
+                                de_max_iterations=1, ae_max_iterations=0)
+    engine.fit()
+    clock[0] += 2.1
+    engine.backend = MockBackend([[fenced(TRUE_SWING)]])
+    engine.run_de_loop()
 
 
 def test_estimator_params_roundtrip():

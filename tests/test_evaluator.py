@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from daedisc.dsl import SymbolScope, parse
 from daedisc.evaluator import (

@@ -1,14 +1,11 @@
-import math
 
 import numpy as np
-import pytest
 
 from daedisc.dsl import SymbolScope, parse
 from daedisc.evaluator import SampleBatch
 from daedisc.fitting import (
     SENTINEL_SCORE,
     FitConfig,
-    ScoredSkeleton,
     cosine_lr,
     derived_fit_config,
     fit_and_score,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daedisc import gateway
+from daedisc.benchmarks import CatalogEntry
 from daedisc.dsl import SymbolScope, parse
-from daedisc.engine import LibraryEntry
 from daedisc.fitting import ScoredSkeleton
 from daedisc.gateway import (
     BackendUnavailable,
@@ -28,7 +28,7 @@ def scored(text, score):
     return ScoredSkeleton(skeleton=sk, params=params, score=score)
 
 
-ENTRIES = (LibraryEntry("P_e", "pu", "electrical power", "algebraic"),)
+ENTRIES = (CatalogEntry("P_e", "pu", "electrical power", "algebraic"),)
 
 
 def test_prompt_without_examples_has_contract_and_stub():

@@ -5,7 +5,6 @@ from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, simulate
 from daedisc.sindy import (
     LibraryConfig,
     SindyBaseline,
-    SindyModel,
     SkeletonModel,
     build_library,
     library_terms,
@@ -31,9 +30,9 @@ def test_library_missing_variant():
     terms = library_terms(LibraryConfig.missing(["omega"]), ["delta", "omega"])
     assert [t.name for t in terms] == ["1", "delta"]
     with pytest.raises(ValueError):
-        LibraryConfig(variant="missing", degree=1)
+        LibraryConfig(variant="missing")
     with pytest.raises(ValueError):
-        LibraryConfig(variant="accurate", degree=2)
+        LibraryConfig(variant="accurate", excluded=("omega",))
 
 
 def test_stlsq_recovers_linear_decay():
