@@ -34,7 +34,6 @@ from .dsl import (
     code_length,
     make_skeleton,
     parse,
-    serialize,
 )
 from .fitting import Requirement, ScoredSkeleton, SENTINEL_SCORE
 

@@ -135,7 +135,7 @@ def discover(config_path: str, data_dir: str, out_dir: str):
 @click.option("--threshold", default=0.05, show_default=True)
 @click.option("--iters", default=10, show_default=True)
 @click.option("--exclude", "excluded", multiple=True,
-              help="variables removed under missing priors "
+              help="variables removed, only with --variant missing "
                    "(default: the model's algebraic signals)")
 @_guard
 def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
@@ -203,17 +203,14 @@ def evaluate_cmd(model_path: str, data_dir: str, out_path: str, use_ae: bool):
     dataset = import_dataset(Path(data_dir) / "test")
     record = dataset.full
     model, ae_model = _load_any_model(Path(model_path), dataset)
-    mode = "recorded"
-    if use_ae:
-        if ae_model is None:
-            raise ValueError("--use-ae: the model file has no algebraic part")
-        mode = "ae_model"
-    replay = simulate_identified(model, record, mode=mode, ae_model=ae_model)
+    if use_ae and ae_model is None:
+        raise ValueError("--use-ae: the model file has no algebraic part")
+    replay = simulate_identified(model, record, ae_model if use_ae else None)
     truth = {name: record.columns[name] for name in record.state_names}
     report = build_report(truth, replay.states, replay.n_valid, replay.diverged,
                           metadata={"model_file": str(model_path),
                                     "benchmark": record.model_id,
-                                    "replay_mode": mode})
+                                    "replay_mode": "ae_model" if use_ae else "recorded"})
     Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True))
     logger.info("aggregate MAPE %.4f%%, R2 %.4f, diverged=%s",
                 report["aggregate"]["mape_pct"], report["aggregate"]["r2"],

@@ -15,7 +15,7 @@ Schema (all keys optional unless noted):
       "de_max_iterations": 50,
       "ae_max_iterations": 50,
       "max_seconds": null,               // wall-clock guard, null = off
-      "fit": {"steps": 2000, "learning_rate": 0.05, "restarts": 3, ...},
+      "fit": {"steps": 2000, "learning_rate": 0.05, "restarts": 3, "seed": 0},
       "sampler": {"tau_cluster": 0.2, "tau_length": 0.2, "examples_per_prompt": 2},
       "generator": {
         "kind": "mock" | "http",
@@ -64,7 +64,6 @@ class GeneratorConfig:
     api_key_env: str = "OPENAI_API_KEY"
     timeout: float = 60.0
     max_tokens: int = 1024
-    system_prompt: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("mock", "http"):
@@ -81,8 +80,8 @@ class GeneratorConfig:
                 script = Path(base_dir) / script
             return MockBackend.from_script(script)
         return HttpBackend(base_url=self.base_url, model=self.model,
-                           api_key_env=self.api_key_env,
-                           system_prompt=self.system_prompt)
+                           api_key_env=self.api_key_env, timeout=self.timeout,
+                           max_tokens=self.max_tokens)
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,8 @@ class RunConfig:
             raise ValueError("islands must be >= 1")
         if self.n_b < 1:
             raise ValueError("n_b must be >= 1")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
         if self.epsilon <= 0 or self.gamma <= 0:
             raise ValueError("epsilon and gamma must be positive")
         if self.gamma > self.epsilon:

@@ -54,8 +54,8 @@ class TrajectoryDataset:
     time: np.ndarray
     states: dict[str, np.ndarray]
     derivs: dict[str, np.ndarray]
+    full: FullRecord
     revealed: dict[str, np.ndarray] = field(default_factory=dict)
-    full: FullRecord | None = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -70,14 +70,10 @@ class TrajectoryDataset:
         return tuple(self.revealed)
 
     def revealable_names(self) -> tuple[str, ...]:
-        if self.full is None:
-            return ()
         return tuple(n for n in self.full.columns if n not in self.full.state_names)
 
     def reveal(self, names) -> None:
         """Copy catalog columns from the hidden record into the visible view."""
-        if self.full is None:
-            raise UnknownSignal("dataset has no hidden record to reveal from")
         allowed = set(self.revealable_names())
         for name in names:
             if name not in allowed:
@@ -157,10 +153,8 @@ def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
                + [dataset.revealed[n] for n in dataset.revealed])
     _write_csv(prefix.with_suffix(".csv"), header, columns)
     full = dataset.full
-    if full is not None:
-        full_header = ["t"] + list(full.columns)
-        full_columns = [full.time] + [full.columns[n] for n in full.columns]
-        _write_csv(Path(str(prefix) + ".full.csv"), full_header, full_columns)
+    _write_csv(Path(str(prefix) + ".full.csv"), ["t"] + list(full.columns),
+               [full.time] + [full.columns[n] for n in full.columns])
     meta = {
         "format": "daedisc-dataset",
         "version": 1,
@@ -169,8 +163,8 @@ def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
         "seed": dataset.metadata.get("seed"),
         "states": states,
         "revealed": list(dataset.revealed),
-        "full_columns": list(full.columns) if full is not None else None,
-        "full_states": list(full.state_names) if full is not None else None,
+        "full_columns": list(full.columns),
+        "full_states": list(full.state_names),
     }
     prefix.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
@@ -189,18 +183,18 @@ def import_dataset(prefix: str | Path) -> TrajectoryDataset:
     if header != expected:
         raise SchemaMismatch(
             f"column order mismatch: expected {expected}, found {header}")
-    full = None
+    if meta.get("full_columns") is None or meta.get("full_states") is None:
+        raise SchemaMismatch("sidecar does not describe the full record")
     full_path = Path(str(prefix) + ".full.csv")
-    if meta.get("full_columns") is not None:
-        if not full_path.exists():
-            raise SchemaMismatch(f"missing full record {full_path}")
-        full_header, full_data = _read_csv(full_path)
-        if full_header != ["t"] + meta["full_columns"]:
-            raise SchemaMismatch("full record columns do not match sidecar")
-        full = FullRecord(
-            model_id=meta["model"], time=full_data["t"],
-            columns={n: full_data[n] for n in meta["full_columns"]},
-            state_names=tuple(meta["full_states"]), scenario=meta["scenario"])
+    if not full_path.exists():
+        raise SchemaMismatch(f"missing full record {full_path}")
+    full_header, full_data = _read_csv(full_path)
+    if full_header != ["t"] + meta["full_columns"]:
+        raise SchemaMismatch("full record columns do not match sidecar")
+    full = FullRecord(
+        model_id=meta["model"], time=full_data["t"],
+        columns={n: full_data[n] for n in meta["full_columns"]},
+        state_names=tuple(meta["full_states"]), scenario=meta["scenario"])
     return TrajectoryDataset(
         time=data["t"],
         states={s: data[s] for s in states},

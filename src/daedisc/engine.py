@@ -179,7 +179,6 @@ class DiscoveryEngine:
         self.config = config or RunConfig()
         self.model: BenchmarkModel = get_model(dataset.metadata["model"])
         self._reset()
-        self._start_time: float | None = None
 
     # estimator-style introspection
     def get_params(self, deep: bool = True) -> dict:
@@ -195,13 +194,14 @@ class DiscoveryEngine:
 
     def fit(self) -> "DiscoveryEngine":
         """Run both loops; algebraic loop is skipped with a report when the
-        best differential system references no algebraic variables."""
+        best differential system references no algebraic variables.  The
+        ``max_seconds`` budget spans both loops."""
         self._reset()
         de = self.run_de_loop()
         self.de_result_ = de
         self.library_ = de.library
         try:
-            self.ae_result_ = self.run_ae_loop(de)
+            self.ae_result_ = self._run_ae_loop(de)
             self.ae_skip_reason_ = None
         except NoAlgebraicTargets as exc:
             self.ae_result_ = None
@@ -211,16 +211,17 @@ class DiscoveryEngine:
         return self
 
     def run_de_loop(self) -> LoopResult:
+        """The differential loop alone, with its own ``max_seconds`` budget."""
         self._start_time = time.monotonic()
-        library = VariableLibrary()
-        targets = tuple(self.dataset.state_names)
-        labels = [deriv_name(s) for s in targets]
-        return self._run_loop(
-            kind="de", loop_index=0, targets=targets, labels=labels, library=library,
-            max_iterations=self.config.de_max_iterations,
-            excluded_targets=())
+        return self._run_loop("de", tuple(self.dataset.state_names), VariableLibrary())
 
     def run_ae_loop(self, de: LoopResult) -> LoopResult:
+        """The algebraic loop alone, on the result of a differential loop, with
+        its own ``max_seconds`` budget."""
+        self._start_time = time.monotonic()
+        return self._run_ae_loop(de)
+
+    def _run_ae_loop(self, de: LoopResult) -> LoopResult:
         targets = derive_ae_targets(de.best, de.library)
         if not targets:
             raise NoAlgebraicTargets(
@@ -228,10 +229,7 @@ class DiscoveryEngine:
                 f"(referenced: {sorted(variables_in(de.best.skeleton)) or 'states only'})")
         library = VariableLibrary(
             entries=[e for e in de.library.entries if e.name not in targets])
-        return self._run_loop(
-            kind="ae", loop_index=1, targets=targets, labels=list(targets),
-            library=library, max_iterations=self.config.ae_max_iterations,
-            excluded_targets=targets)
+        return self._run_loop("ae", targets, library)
 
     # ---------------------------------------------------------------- shared
 
@@ -253,9 +251,17 @@ class DiscoveryEngine:
         self.run_log_.append(record)
         logger.debug("run log: %s", record)
 
-    def _run_loop(self, kind: str, loop_index: int, targets, labels, library,
-                  max_iterations: int, excluded_targets) -> LoopResult:
+    def _run_loop(self, kind: str, targets: tuple[str, ...],
+                  library: VariableLibrary) -> LoopResult:
+        """The differential loop fits state derivatives; the algebraic loop fits
+        its targets' own columns and never admits them as variables."""
         cfg = self.config
+        if kind == "de":
+            loop_index, labels, excluded_targets = 0, [deriv_name(s) for s in targets], ()
+            max_iterations = cfg.de_max_iterations
+        else:
+            loop_index, labels, excluded_targets = 1, list(targets), targets
+            max_iterations = cfg.ae_max_iterations
         scope = self._scope(library)
         batch = self.dataset.to_batch()
         seed_skeleton = make_linear_seed(scope, targets, kind)
@@ -295,9 +301,8 @@ class DiscoveryEngine:
             prompt = build_prompt(
                 contract(kind, tuple(self.dataset.state_names), tuple(library.entries)),
                 examples, targets)
-            request = GenerationRequest(
-                prompt=prompt, n_b=cfg.n_b, temperature=cfg.temperature,
-                timeout=cfg.generator.timeout, max_tokens=cfg.generator.max_tokens)
+            request = GenerationRequest(prompt=prompt, n_b=cfg.n_b,
+                                        temperature=cfg.temperature)
             try:
                 completions = generate(request, self.backend)
                 generated_any = True

@@ -26,18 +26,20 @@ from .dsl import Skeleton, serialize
 from .evaluator import DomainFault, SampleBatch, evaluate, evaluate_rows
 
 SENTINEL_SCORE = -1.0e9
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+# restarts start uniformly in [INIT_LOW, INIT_HIGH) per parameter
+INIT_LOW = -1.0
+INIT_HIGH = 1.0
 
 
 @dataclass(frozen=True)
 class FitConfig:
     steps: int = 2000
     learning_rate: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     restarts: int = 3
-    init_low: float = -1.0
-    init_high: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -137,8 +139,7 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
                               restart_losses=(loss,), requirements=tuple(requirements))
 
     # all restarts advance in lockstep, one parameter row each
-    p = np.stack([np.random.default_rng(seed).uniform(cfg.init_low, cfg.init_high,
-                                                      skeleton.n_params)
+    p = np.stack([np.random.default_rng(seed).uniform(INIT_LOW, INIT_HIGH, skeleton.n_params)
                   for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)])
     m = np.zeros_like(p)
     v = np.zeros_like(p)
@@ -147,11 +148,11 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
         if step is None:
             return _poisoned(skeleton, requirements)
         grad = step[1]
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
-        v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
-        p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1 ** (t + 1))
+        v_hat = v / (1.0 - BETA2 ** (t + 1))
+        p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     final = _losses_and_grad(skeleton, p, batch, targets)
     if final is None:
         return _poisoned(skeleton, requirements)

@@ -61,8 +61,6 @@ class GenerationRequest:
     prompt: str
     n_b: int = 4
     temperature: float = 1.2
-    timeout: float = 60.0
-    max_tokens: int = 1024
 
     def __post_init__(self):
         if self.n_b < 1:
@@ -242,26 +240,22 @@ class HttpBackend:
     """Chat-completions client: OpenAI wire format against any base URL."""
 
     def __init__(self, base_url: str, model: str,
-                 api_key_env: str = "OPENAI_API_KEY",
-                 system_prompt: str | None = None,
-                 session: requests.Session | None = None):
+                 api_key_env: str = "OPENAI_API_KEY", timeout: float = 60.0,
+                 max_tokens: int = 1024, session: requests.Session | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
-        self.system_prompt = system_prompt
+        self.timeout = timeout
+        self.max_tokens = max_tokens
         self._session = session or requests.Session()
 
     def complete(self, request: GenerationRequest) -> list[str]:
-        messages = []
-        if self.system_prompt:
-            messages.append({"role": "system", "content": self.system_prompt})
-        messages.append({"role": "user", "content": request.prompt})
         payload = {
             "model": self.model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "n": request.n_b,
-            "max_tokens": request.max_tokens,
+            "max_tokens": self.max_tokens,
         }
         headers = {}
         api_key = os.environ.get(self.api_key_env, "")
@@ -270,7 +264,7 @@ class HttpBackend:
         try:
             response = self._session.post(
                 f"{self.base_url}/chat/completions", json=payload,
-                headers=headers, timeout=request.timeout)
+                headers=headers, timeout=self.timeout)
             response.raise_for_status()
             data = response.json()
             texts = [choice["message"]["content"] for choice in data["choices"]]

@@ -52,26 +52,14 @@ class LibraryConfig:
     def __post_init__(self):
         if self.variant not in ("accurate", "overcomplete", "missing"):
             raise ValueError(f"unknown library variant {self.variant!r}")
-        if self.variant == "accurate" and self.excluded:
-            raise ValueError("accurate variant: nothing excluded")
-        if self.variant == "missing" and not self.excluded:
-            raise ValueError("missing variant needs excluded variables")
+        # the missing variant, and only it, removes variables
+        if (self.variant == "missing") != bool(self.excluded):
+            raise ValueError("excluded variables go with the missing variant, "
+                             f"and only with it (got {self.variant!r}, {self.excluded})")
 
     @property
     def degree(self) -> int:
         return 2 if self.variant == "overcomplete" else 1
-
-    @classmethod
-    def accurate(cls) -> "LibraryConfig":
-        return cls(variant="accurate")
-
-    @classmethod
-    def overcomplete(cls) -> "LibraryConfig":
-        return cls(variant="overcomplete")
-
-    @classmethod
-    def missing(cls, excluded: Sequence[str]) -> "LibraryConfig":
-        return cls(variant="missing", excluded=tuple(excluded))
 
 
 @dataclass(frozen=True)
@@ -255,17 +243,10 @@ class SindyBaseline:
             setattr(self, key, tuple(value) if key == "excluded" else value)
         return self
 
-    def _library_config(self) -> LibraryConfig:
-        if self.variant == "accurate":
-            return LibraryConfig.accurate()
-        if self.variant == "overcomplete":
-            return LibraryConfig.overcomplete()
-        return LibraryConfig.missing(self.excluded)
-
     def fit(self, features: Mapping[str, np.ndarray],
             targets: Mapping[str, np.ndarray]) -> "SindyBaseline":
         names = tuple(features)
-        cfg = self._library_config()
+        cfg = LibraryConfig(self.variant, self.excluded)
         theta, terms = build_library(cfg, names, features)
         target_names = tuple(targets)
         y = np.column_stack([targets[n] for n in target_names])
@@ -332,19 +313,15 @@ def _predict(model, values: Mapping[str, float], targets: Sequence[str]) -> np.n
     return res.outputs[:, 0]
 
 
-def simulate_identified(model, record: FullRecord, mode: str = "recorded",
+def simulate_identified(model, record: FullRecord,
                         ae_model: SkeletonModel | None = None) -> ReplayResult:
     """RK4 replay of an identified model over a test record's time grid,
     starting from the record's first state row.
 
-    mode="recorded": algebraic/input signals interpolated from the record.
-    mode="ae_model": algebraic signals predicted by ``ae_model`` from the
-    current state (inputs still come from the record).
+    Algebraic and input signals are interpolated from the record; given an
+    ``ae_model``, its targets are predicted from the current state instead
+    (inputs still come from the record).
     """
-    if mode not in ("recorded", "ae_model"):
-        raise ValueError(f"unknown replay mode {mode!r}")
-    if mode == "ae_model" and ae_model is None:
-        raise ValueError("mode='ae_model' needs an ae_model")
     state_names = list(record.state_names)
     if isinstance(model, SindyModel):
         targets = [deriv_name(s) for s in state_names]
@@ -361,7 +338,7 @@ def simulate_identified(model, record: FullRecord, mode: str = "recorded",
     else:
         raise TypeError(f"cannot replay {type(model).__name__}")
     ae_targets: tuple[str, ...] = ()
-    if mode == "ae_model":
+    if ae_model is not None:
         ae_targets = tuple(ae_model.skeleton.target_names)
         inputs = inputs | variables_in(ae_model.skeleton)
     signals = sorted(inputs - set(state_names))

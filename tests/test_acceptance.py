@@ -364,14 +364,14 @@ def test_acceptance_6_sindy_oracle_and_ordering():
     # (a) threshold 0 with one round equals ordinary least squares
     rng = np.random.default_rng(12)
     columns = {"a": rng.normal(size=400), "b": rng.normal(size=400)}
-    theta, _ = build_library(LibraryConfig.overcomplete(), ["a", "b"], columns)
+    theta, _ = build_library(LibraryConfig("overcomplete"), ["a", "b"], columns)
     y = rng.normal(size=(400, 2))
     xi, _, _ = stlsq(theta, y, threshold=0.0, iters=1)
     oracle, *_ = np.linalg.lstsq(theta, y, rcond=None)
     assert np.max(np.abs(xi - oracle.T)) < 1e-9
     # (b) exact support recovery on a synthetic sparse linear system
     columns = {name: rng.uniform(-2, 2, 600) for name in ("a", "b", "c", "d")}
-    theta, terms = build_library(LibraryConfig.overcomplete(), list(columns), columns)
+    theta, terms = build_library(LibraryConfig("overcomplete"), list(columns), columns)
     true_xi = np.zeros((2, len(terms)))
     true_xi[0, [1, 6]] = [1.1, -0.7]
     true_xi[1, [0, 3]] = [0.5, 0.3]

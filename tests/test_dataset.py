@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,18 @@ def test_import_missing_column_is_schema_mismatch(tmp_path):
     keep = [i for i in range(len(header)) if header[i] != "domega_dt"]
     slim = "\n".join(",".join(line.split(",")[i] for i in keep) for line in lines)
     csv_path.write_text(slim + "\n")
+    with pytest.raises(SchemaMismatch):
+        import_dataset(prefix)
+
+
+def test_import_without_full_record_is_schema_mismatch(tmp_path):
+    ds, _, _ = _dataset()
+    prefix = tmp_path / "train"
+    export_dataset(ds, prefix)
+    meta_path = prefix.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta["full_columns"] = None
+    meta_path.write_text(json.dumps(meta))
     with pytest.raises(SchemaMismatch):
         import_dataset(prefix)
 

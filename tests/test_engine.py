@@ -395,6 +395,38 @@ def test_wallclock_budget_restarts_with_each_run(monkeypatch):
     engine.run_de_loop()
 
 
+# the first completion asks for P_e, the later ones use it
+PE_SCRIPT = [
+    [fenced(DISTRACTORS[0], requirements=[{"name": "P_e"}])],
+    [fenced(DISTRACTORS[1])],
+    [fenced(TRUE_SWING_PE)],
+    [fenced(DISTRACTORS[1])],
+    [fenced(TRUE_AE)],
+]
+
+
+def test_ae_loop_on_another_engines_result_gets_its_own_budget():
+    first = engine_with_script(PE_SCRIPT[:4], window=2)
+    de = first.run_de_loop()
+    assert "P_e" in de.library
+    # the dataset is shared because it holds the revealed P_e column
+    second = engine_with_script(PE_SCRIPT[4:], dataset=first.dataset, window=2,
+                                max_seconds=100.0)
+    ae = second.run_ae_loop(de)
+    assert ae.target_names == ("P_e",)
+
+
+def test_ae_loop_after_fit_gets_its_own_budget(monkeypatch):
+    clock = [100.0]
+    monkeypatch.setattr(engine_module, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    engine = engine_with_script(PE_SCRIPT, window=2, max_seconds=2.0)
+    engine.fit()
+    assert engine.ae_result_ is not None
+    clock[0] += 2.1
+    engine.backend = MockBackend(PE_SCRIPT[4:])
+    engine.run_ae_loop(engine.de_result_)
+
+
 def test_estimator_params_roundtrip():
     engine = engine_with_script([[fenced(TRUE_SWING)]])
     params = engine.get_params()
@@ -418,6 +450,9 @@ def test_run_config_validation():
         RunConfig.from_dict({"mystery_knob": 1})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"generator": {"kind": "http"}})  # base_url missing
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"temperature": 0.0,
+                             "generator": {"kind": "mock", "script": "s.json"}})
     cfg = RunConfig.from_dict({"generator": {"kind": "mock", "script": "s.json"},
                                "fit": {"steps": 100}})
     assert cfg.fit.steps == 100

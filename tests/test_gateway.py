@@ -172,9 +172,9 @@ def test_http_backend_wire_format(monkeypatch):
 
     monkeypatch.setenv("TEST_API_KEY", "sekret")
     backend = HttpBackend("http://example.test/v1", "test-model",
-                          api_key_env="TEST_API_KEY", session=FakeSession())
-    req = GenerationRequest(prompt="the prompt", n_b=2, temperature=1.2,
-                            timeout=30.0, max_tokens=512)
+                          api_key_env="TEST_API_KEY", timeout=30.0, max_tokens=512,
+                          session=FakeSession())
+    req = GenerationRequest(prompt="the prompt", n_b=2, temperature=1.2)
     texts = backend.complete(req)
     assert texts == ["hello", "world"]
     assert seen["url"] == "http://example.test/v1/chat/completions"

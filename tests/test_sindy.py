@@ -16,30 +16,32 @@ from daedisc.sindy import (
 
 
 def test_library_term_order_accurate():
-    terms = library_terms(LibraryConfig.accurate(), ["delta", "omega"])
+    terms = library_terms(LibraryConfig("accurate"), ["delta", "omega"])
     assert [t.name for t in terms] == ["1", "delta", "omega"]
 
 
 def test_library_term_order_overcomplete():
-    terms = library_terms(LibraryConfig.overcomplete(), ["delta", "omega"])
+    terms = library_terms(LibraryConfig("overcomplete"), ["delta", "omega"])
     assert [t.name for t in terms] == [
         "1", "delta", "omega", "delta*delta", "delta*omega", "omega*omega"]
 
 
 def test_library_missing_variant():
-    terms = library_terms(LibraryConfig.missing(["omega"]), ["delta", "omega"])
+    terms = library_terms(LibraryConfig("missing", ("omega",)), ["delta", "omega"])
     assert [t.name for t in terms] == ["1", "delta"]
     with pytest.raises(ValueError):
         LibraryConfig(variant="missing")
     with pytest.raises(ValueError):
         LibraryConfig(variant="accurate", excluded=("omega",))
+    with pytest.raises(ValueError):
+        LibraryConfig(variant="overcomplete", excluded=("omega",))
 
 
 def test_stlsq_recovers_linear_decay():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.5, 2.0, 200)
     columns = {"x": x}
-    theta, terms = build_library(LibraryConfig.accurate(), ["x"], columns)
+    theta, terms = build_library(LibraryConfig("accurate"), ["x"], columns)
     targets = (-2.0 * x)[:, None]
     xi, degenerate, ridge = stlsq(theta, targets, threshold=0.05, iters=10)
     np.testing.assert_allclose(xi[0], [0.0, -2.0], atol=1e-6)
@@ -49,7 +51,7 @@ def test_stlsq_recovers_linear_decay():
 def test_stlsq_zero_targets_degenerate():
     rng = np.random.default_rng(1)
     columns = {"x": rng.uniform(0.5, 2.0, 100)}
-    theta, _ = build_library(LibraryConfig.accurate(), ["x"], columns)
+    theta, _ = build_library(LibraryConfig("accurate"), ["x"], columns)
     xi, degenerate, _ = stlsq(theta, np.zeros((100, 1)), threshold=0.05)
     assert degenerate == [True]
     assert np.all(xi == 0.0)
@@ -58,7 +60,7 @@ def test_stlsq_zero_targets_degenerate():
 def test_stlsq_best_linear_fit_of_sine_matches_ols_oracle():
     x = np.linspace(-1.0, 1.0, 400)
     y = np.sin(x)
-    theta, _ = build_library(LibraryConfig.accurate(), ["x"], {"x": x})
+    theta, _ = build_library(LibraryConfig("accurate"), ["x"], {"x": x})
     xi, _, _ = stlsq(theta, y[:, None], threshold=0.0, iters=1)
     oracle, *_ = np.linalg.lstsq(theta, y, rcond=None)
     np.testing.assert_allclose(xi[0], oracle, atol=1e-9)
@@ -69,7 +71,7 @@ def test_stlsq_best_linear_fit_of_sine_matches_ols_oracle():
 def test_stlsq_lambda_zero_equals_ols():
     rng = np.random.default_rng(2)
     columns = {"a": rng.normal(size=300), "b": rng.normal(size=300)}
-    theta, _ = build_library(LibraryConfig.overcomplete(), ["a", "b"], columns)
+    theta, _ = build_library(LibraryConfig("overcomplete"), ["a", "b"], columns)
     y = rng.normal(size=(300, 2))
     xi, _, _ = stlsq(theta, y, threshold=0.0, iters=1)
     oracle, *_ = np.linalg.lstsq(theta, y, rcond=None)
@@ -80,7 +82,7 @@ def test_stlsq_sparsity_monotone_in_threshold():
     rng = np.random.default_rng(3)
     columns = {"a": rng.normal(size=400), "b": rng.normal(size=400),
                "c": rng.normal(size=400)}
-    theta, _ = build_library(LibraryConfig.overcomplete(), ["a", "b", "c"], columns)
+    theta, _ = build_library(LibraryConfig("overcomplete"), ["a", "b", "c"], columns)
     y = (0.9 * columns["a"] - 0.4 * columns["b"] * columns["c"]
          + 0.05 * columns["c"] + rng.normal(0, 0.01, 400))[:, None]
     counts = []
@@ -94,7 +96,7 @@ def test_stlsq_exact_support_recovery():
     rng = np.random.default_rng(4)
     n = 500
     columns = {name: rng.uniform(-2, 2, n) for name in ("a", "b", "c", "d")}
-    theta, terms = build_library(LibraryConfig.overcomplete(), list(columns), columns)
+    theta, terms = build_library(LibraryConfig("overcomplete"), list(columns), columns)
     lam = 0.05
     true_xi = np.zeros((2, len(terms)))
     # coefficients at least 2*lambda in magnitude on a sparse support
@@ -120,6 +122,18 @@ def test_baseline_estimator_surface():
     np.testing.assert_allclose(pred, targets["dx_dt"], atol=1e-8)
     with pytest.raises(ValueError):
         est.set_params(bogus=1)
+
+
+def test_baseline_exclusions_only_with_missing_variant():
+    rng = np.random.default_rng(7)
+    features = {"a": rng.uniform(0.5, 2.0, 50), "b": rng.uniform(-1, 1, 50)}
+    targets = {"da_dt": -features["a"]}
+    for variant in ("accurate", "overcomplete", "acurate"):
+        with pytest.raises(ValueError):
+            SindyBaseline(variant=variant, excluded=("b",)).fit(features, targets)
+    est = SindyBaseline(variant="missing", excluded=("b",)).fit(features, targets)
+    assert est.model_.feature_names == ("a",)
+    assert [t.name for t in est.model_.terms] == ["1", "a"]
 
 
 def test_model_json_roundtrip(tmp_path):
@@ -217,11 +231,11 @@ def test_replay_with_ae_substitution():
         ("P_e",), record.state_names, kind="ae")
     # substituting the exact algebraic relation closes the system: error at
     # integrator roundoff level
-    replay = simulate_identified(de, record, mode="ae_model", ae_model=ae)
+    replay = simulate_identified(de, record, ae_model=ae)
     assert not replay.diverged
     assert np.max(np.abs(replay.states["delta"] - record.columns["delta"])) < 1e-9
     # recorded mode interpolates P_e between samples: O(dt^2) forcing error
-    replay2 = simulate_identified(de, record, mode="recorded")
+    replay2 = simulate_identified(de, record)
     assert np.max(np.abs(replay2.states["delta"] - record.columns["delta"])) < 5e-3
 
 
