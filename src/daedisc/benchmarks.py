@@ -33,7 +33,7 @@ on top of an equilibrium initial condition solved by damped Newton.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -72,6 +72,13 @@ class CatalogEntry:
         return any(lowered == a.casefold() for a in self.aliases)
 
 
+def _reject_unknown_keys(cls, data: Mapping) -> None:
+    """A misspelled key would otherwise leave its field at the default."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+
+
 @dataclass(frozen=True)
 class Disturbance:
     """What gets perturbed during the run.
@@ -100,6 +107,7 @@ class Disturbance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Disturbance":
+        _reject_unknown_keys(cls, data)
         return cls(kind=data.get("kind", "none"), start=float(data.get("start", 0.0)),
                    duration=float(data.get("duration", 0.0)),
                    magnitude=float(data.get("magnitude", 0.0)),
@@ -134,6 +142,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
+        _reject_unknown_keys(cls, data)
         init = data.get("initial_state")
         return cls(
             total_time=float(data.get("total_time", 10.0)),

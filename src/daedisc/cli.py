@@ -135,8 +135,8 @@ def discover(config_path: str, data_dir: str, out_dir: str):
 @click.option("--threshold", default=0.05, show_default=True)
 @click.option("--iters", default=10, show_default=True)
 @click.option("--exclude", "excluded", multiple=True,
-              help="variables removed, only with --variant missing "
-                   "(default: the model's algebraic signals)")
+              help="variables removed, only with --variant missing, each one "
+                   "a feature (default: the model's algebraic signals)")
 @_guard
 def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
              iters: int, excluded: tuple[str, ...]):

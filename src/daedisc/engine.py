@@ -41,7 +41,6 @@ from .gateway import (
     GenerationRequest,
     GeneratorBackend,
     build_prompt,
-    contract,
     generate,
 )
 
@@ -298,9 +297,8 @@ class DiscoveryEngine:
                               reason=str(exc))
                     logger.info("%s loop: %s", kind, exc)
             island_id, examples = archive.sample_examples(cfg.sampler, self._rng)
-            prompt = build_prompt(
-                contract(kind, tuple(self.dataset.state_names), tuple(library.entries)),
-                examples, targets)
+            prompt = build_prompt(kind, tuple(self.dataset.state_names),
+                                  tuple(library.entries), examples, targets)
             request = GenerationRequest(prompt=prompt, n_b=cfg.n_b,
                                         temperature=cfg.temperature)
             try:

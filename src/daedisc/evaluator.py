@@ -8,8 +8,9 @@ evaluation: the result carries a fault record instead of numbers.  Callers
 that need values only, such as trajectory replay, skip the gradients and
 their finiteness check.
 
-Each skeleton is compiled once into a postorder tape, which runs parameter
-rows (R, k) broadcast against the (n,) columns: a fitter advances R restarts
+Each skeleton is compiled once into a postorder tape.  One call,
+``evaluate``, takes either one parameter vector (k,) or restart rows (R, k);
+rows are broadcast against the (n,) columns, so a fitter advances R restarts
 in one walk.  Gradients are produced per sample, not pre-reduced, so callers
 can apply any loss weighting they like.  All inputs are immutable and
 evaluation is pure.
@@ -32,7 +33,7 @@ class MissingColumn(KeyError):
 
 
 class DomainFault(RuntimeError):
-    """Raised when the evaluation domain is violated (evaluate_rows, gradient_check)."""
+    """Raised when the evaluation domain is violated (the tape walk, gradient_check)."""
 
     def __init__(self, info: "FaultInfo"):
         super().__init__(f"domain fault at sample {info.sample_index}: {info.reason}")
@@ -81,7 +82,8 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outputs (n_targets, n_samples); gradients (n_targets, n_samples, n_params)."""
+    """Outputs (n_targets, n_samples); gradients (n_targets, n_samples, n_params);
+    each with a leading restart axis when evaluated on parameter rows."""
 
     outputs: np.ndarray | None
     gradients: np.ndarray | None
@@ -200,20 +202,17 @@ def _tape(skeleton: Skeleton) -> tuple[list[str], list[list[tuple]]]:
     return tape
 
 
-def evaluate_rows(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
-                  exact: bool = False,
-                  gradients: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
+          exact: bool, gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k).
 
     Raises DomainFault if any row faults.  Checking finiteness at the outputs,
     the gradients and where ``_guard`` does decides faulted-or-not as a check
     at every node would; ``exact`` adds that per-node check, so the fault
-    names the first offending node as ``evaluate`` reports it.  With
-    ``gradients=False`` the reverse sweep and its finiteness check are
-    skipped and None stands for the gradients: only the values can fault.
+    names the first offending node.  With ``gradients=False`` the reverse
+    sweep and its finiteness check are skipped and None stands for the
+    gradients: only the values can fault.
     """
-    if params.ndim != 2 or params.shape[1] != skeleton.n_params:
-        raise ValueError(f"expected rows of {skeleton.n_params} parameters, got {params.shape}")
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
     rows, k = params.shape
@@ -266,25 +265,31 @@ def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
         grad[..., j] += g
 
 
-def evaluate(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch,
+def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: SampleBatch,
              gradients: bool = True) -> EvalResult:
     """Evaluate all targets; exact per-sample parameter gradients alongside.
 
-    ``gradients=False`` evaluates values only: the result's gradients are
-    None, and a non-finite gradient behind finite values is no fault.
+    ``params`` is one vector (k,), giving outputs (T, n) and gradients
+    (T, n, k), or restart rows (R, k), giving outputs (R, T, n) and gradients
+    (R, T, n, k).  A fault in any row faults the result.  ``gradients=False``
+    evaluates values only: the result's gradients are None, and a non-finite
+    gradient behind finite values is no fault.
     """
     p = np.asarray(params, dtype=np.float64)
-    if p.shape != (skeleton.n_params,):
-        raise ValueError(f"expected {skeleton.n_params} parameters, got shape {p.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1] != skeleton.n_params:
+        raise ValueError(f"expected {skeleton.n_params} parameters or rows of them, "
+                         f"got shape {p.shape}")
+    rows = p if p.ndim == 2 else p[None, :]
     try:
         try:
-            outputs, grads = evaluate_rows(skeleton, p[None, :], batch, gradients=gradients)
+            outputs, grads = _walk(skeleton, rows, batch, exact=False, gradients=gradients)
         except DomainFault:  # walk again checking every node, to name the first fault
-            outputs, grads = evaluate_rows(skeleton, p[None, :], batch, exact=True,
-                                           gradients=gradients)
+            outputs, grads = _walk(skeleton, rows, batch, exact=True, gradients=gradients)
     except DomainFault as fault:
         return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
-    return EvalResult(outputs=outputs[0], gradients=None if grads is None else grads[0])
+    if p.ndim == 1:
+        outputs, grads = outputs[0], None if grads is None else grads[0]
+    return EvalResult(outputs=outputs, gradients=grads)
 
 
 def gradient_check(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> float:

@@ -5,9 +5,10 @@ against its target columns; the loss is the mean squared residual over
 samples and targets, and the score is the negated loss.  Several restarts
 from random initial points hedge against non-convex landscapes; they advance
 in lockstep, one parameter row each on the skeleton's compiled tape, and the
-best (lowest-loss) restart wins.  A domain fault anywhere during fitting poisons
-the whole candidate: it keeps its metadata but gets the sentinel worst score
-and is never used as an in-context example.
+best (lowest-loss) restart wins.  A skeleton without parameter slots takes
+the same path as one row of width 0 and no Adam step.  A domain fault
+anywhere during fitting poisons the whole candidate: it keeps its metadata
+but gets the sentinel worst score and is never used as an in-context example.
 
 Fitting is pure given (inputs, seed): the same call produces bit-identical
 parameters and score, so candidates can be fitted in parallel as long as the
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import Skeleton, serialize
-from .evaluator import DomainFault, SampleBatch, evaluate, evaluate_rows
+from .evaluator import SampleBatch, evaluate
 
 SENTINEL_SCORE = -1.0e9
 # Adam's moment decay rates and denominator guard
@@ -95,18 +96,17 @@ def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
 
     None if any restart faults or has a non-finite loss.
     """
-    try:
-        outputs, gradients = evaluate_rows(skeleton, params, batch)
-    except DomainFault:
+    res = evaluate(skeleton, params, batch)
+    if res.faulted:
         return None
-    residual = outputs - targets
+    residual = res.outputs - targets
     squared = residual * residual
     # per restart, the same pairwise sum as np.mean over its contiguous block
     losses = (np.add.reduce(squared.reshape(len(squared), -1), axis=1) / targets.size).tolist()
     if not all(math.isfinite(loss) for loss in losses):
         return None
     scale = 2.0 / targets.size
-    return losses, scale * np.einsum("rts,rtsk->rk", residual, gradients)
+    return losses, scale * np.einsum("rts,rtsk->rk", residual, res.gradients)
 
 
 def _poisoned(skeleton: Skeleton, requirements) -> ScoredSkeleton:
@@ -127,23 +127,14 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
     if len(target_columns) != len(skeleton.target_names):
         raise ValueError("one target column per skeleton target required")
     targets = np.stack([batch.column(c) for c in target_columns])
-    if skeleton.n_params == 0:
-        res = evaluate(skeleton, (), batch)
-        if res.faulted:
-            return _poisoned(skeleton, requirements)
-        residual = res.outputs - targets
-        loss = float(np.mean(residual * residual))
-        params = np.zeros(0)
-        params.setflags(write=False)
-        return ScoredSkeleton(skeleton=skeleton, params=params, score=score_of(loss),
-                              restart_losses=(loss,), requirements=tuple(requirements))
-
-    # all restarts advance in lockstep, one parameter row each
+    # all restarts advance in lockstep, one parameter row each; a skeleton
+    # without slots is one row of width 0 that takes no step
+    restarts, steps = (cfg.restarts, cfg.steps) if skeleton.n_params else (1, 0)
     p = np.stack([np.random.default_rng(seed).uniform(INIT_LOW, INIT_HIGH, skeleton.n_params)
-                  for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)])
+                  for seed in np.random.SeedSequence(cfg.seed).spawn(restarts)])
     m = np.zeros_like(p)
     v = np.zeros_like(p)
-    for t in range(cfg.steps):
+    for t in range(steps):
         step = _losses_and_grad(skeleton, p, batch, targets)
         if step is None:
             return _poisoned(skeleton, requirements)

@@ -1,8 +1,9 @@
 """Prompt assembly and pluggable skeleton generators.
 
-The prompt for each loop is a deterministic function of a task contract
-(role, completion rules, variable descriptions, requirement instructions),
-the sampled in-context examples (worst first) and an empty target stub.
+One call, ``build_prompt``, renders the prompt of either loop as a
+deterministic function of the loop's task contract (role, completion rules,
+variable descriptions, requirement instructions), the sampled in-context
+examples (worst first) and an empty target stub.
 Generated completions are free text; ``parse_completion`` extracts the first
 fenced ``equations`` block and an optional fenced ``requirements`` JSON block
 and never raises, whatever bytes it is fed.
@@ -49,14 +50,6 @@ class BackendUnavailable(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PromptContract:
-    kind: str  # "de" | "ae"
-    role: str
-    library_text: str
-    requirement_rules: str
-
-
-@dataclass(frozen=True)
 class GenerationRequest:
     prompt: str
     n_b: int = 4
@@ -87,59 +80,38 @@ Exponents must be integer literals between -4 and 4.  Any other syntax or any
 name not listed below fails to compile and wastes the attempt."""
 
 
-def render_library(entries: Sequence) -> str:
-    """Deterministic rendering of (name, unit, description, kind) entries."""
-    if not entries:
-        return "(no admitted variables yet)"
-    lines = []
-    for e in entries:
-        lines.append(f"- {e.name} [{e.unit}] ({e.kind}): {e.description}")
-    return "\n".join(lines)
-
-
-# kind -> (role sentence, what the completion calls its lines)
+# kind -> (role sentence, what the completion calls its lines, stub of one target)
 _CONTRACTS = {
     "de": ("You model power-system component dynamics. Propose the structure of "
            "the state differential equations that generated the measured data.",
-           "equations"),
+           "equations", "d{}/dt = "),
     "ae": ("You model power-system algebraic constraints. Propose explicit "
            "algebraic relations expressing each target variable from states "
            "and admitted variables.",
-           "relations"),
+           "relations", "{} = "),
 }
 
 
-def contract(kind: str, state_names: Sequence[str], entries: Sequence) -> PromptContract:
-    """The task contract of the differential ("de") or algebraic ("ae") loop."""
-    role, lines = _CONTRACTS[kind]
-    library = (f"States (always available): {', '.join(state_names)}\n"
-               f"Admitted variables:\n{render_library(entries)}")
-    requirement_rules = (
-        f"If the {lines} need signals that are not admitted yet, declare them in a "
-        'fenced block tagged "requirements" holding a JSON array of '
-        '{"name": ..., "justification": ...} objects.')
-    return PromptContract(kind=kind, role=role, library_text=library,
-                          requirement_rules=requirement_rules)
-
-
-def _stub_lines(kind: str, target_names: Sequence[str]) -> str:
-    if kind == "de":
-        return "\n".join(f"d{name}/dt = " for name in target_names)
-    return "\n".join(f"{name} = " for name in target_names)
-
-
-def build_prompt(contract: PromptContract, examples: Sequence[ScoredSkeleton],
-                 target_names: Sequence[str]) -> str:
-    """Deterministic prompt text; examples must arrive ordered worst first."""
+def build_prompt(kind: str, state_names: Sequence[str], entries: Sequence,
+                 examples: Sequence[ScoredSkeleton], target_names: Sequence[str]) -> str:
+    """Deterministic prompt text of the differential ("de") or algebraic ("ae")
+    loop; entries are the admitted (name, unit, description, kind) variables,
+    and examples must arrive ordered worst first."""
+    role, lines, stub = _CONTRACTS[kind]
+    library = "\n".join(f"- {e.name} [{e.unit}] ({e.kind}): {e.description}"
+                        for e in entries) or "(no admitted variables yet)"
     parts = [
-        contract.role,
+        role,
         "",
         "Completion rules:",
         _GRAMMAR_RULES,
         "",
-        contract.library_text,
+        f"States (always available): {', '.join(state_names)}",
+        f"Admitted variables:\n{library}",
         "",
-        contract.requirement_rules,
+        f"If the {lines} need signals that are not admitted yet, declare them in a "
+        'fenced block tagged "requirements" holding a JSON array of '
+        '{"name": ..., "justification": ...} objects.',
     ]
     for example in examples:
         parts += [
@@ -154,7 +126,7 @@ def build_prompt(contract: PromptContract, examples: Sequence[ScoredSkeleton],
         "Complete the following system. Respond with one fenced block tagged "
         f'"{EQUATIONS_TAG}" containing exactly these left-hand sides:',
         f"```{EQUATIONS_TAG}",
-        _stub_lines(contract.kind, target_names),
+        "\n".join(stub.format(name) for name in target_names),
         "```",
     ]
     return "\n".join(parts)

@@ -87,7 +87,11 @@ def _term_name(powers) -> str:
 
 def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
     """Deterministic term order: constant, linear terms in declared order,
-    then (degree 2) products x_a*x_b with a <= b."""
+    then (degree 2) products x_a*x_b with a <= b.  An excluded name that is
+    not a feature is an error: it would leave the library whole."""
+    unknown = [n for n in cfg.excluded if n not in names]
+    if unknown:
+        raise ValueError(f"excluded variables {unknown} are not features {list(names)}")
     active = [n for n in names if n not in cfg.excluded]
     terms = [Term("1", ())]
     for n in active:

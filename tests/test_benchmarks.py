@@ -114,6 +114,10 @@ def test_scenario_validation():
                        disturbance=Disturbance(kind="pm_step", start=2.0, duration=0.1))
     with pytest.raises(ValueError):
         Disturbance(kind="lightning")
+    with pytest.raises(ValueError):
+        ScenarioConfig.from_dict({"total_time": 1.0, "noise": 0.0})
+    with pytest.raises(ValueError):
+        Disturbance.from_dict({"kind": "pm_step", "magnitud": 0.1})
 
 
 def test_scenario_roundtrip_dict():

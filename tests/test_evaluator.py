@@ -199,6 +199,36 @@ def test_gradient_property_random_skeletons():
     assert checked == 60
 
 
+def test_rows_match_vectors_bit_for_bit():
+    rng = np.random.default_rng(11)
+    scope = SymbolScope(states=("x",))
+    batch = _batch(x=rng.uniform(0.5, 2.0, 8))
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        try:
+            sk = parse(f"dx/dt = {random_expr(rng, 3, 3)}", scope, ["x"], kind="de")
+        except Exception:
+            continue
+        rows = rng.uniform(-2.0, 2.0, (3, sk.n_params))
+        for gradients in (True, False):
+            res = evaluate(sk, rows, batch, gradients=gradients)
+            each = [evaluate(sk, row, batch, gradients=gradients) for row in rows]
+            assert res.faulted == any(r.faulted for r in each)
+            seen[res.faulted] += 1
+            if res.faulted:
+                assert res.outputs is None and res.gradients is None
+                continue
+            for r, single in enumerate(each):
+                assert np.array_equal(res.outputs[r], single.outputs)
+                if gradients:
+                    assert np.array_equal(res.gradients[r], single.gradients)
+                else:
+                    assert res.gradients is None and single.gradients is None
+        with pytest.raises(ValueError):
+            evaluate(sk, np.zeros((3, sk.n_params + 1)), batch)
+    assert seen[True] > 10 and seen[False] > 100
+
+
 # --- fault semantics: the first offending node names the fault --------------
 
 @pytest.mark.parametrize("text", [

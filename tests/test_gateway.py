@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daedisc import gateway
 from daedisc.benchmarks import CatalogEntry
 from daedisc.dsl import SymbolScope, parse
 from daedisc.fitting import ScoredSkeleton
@@ -32,8 +31,7 @@ ENTRIES = (CatalogEntry("P_e", "pu", "electrical power", "algebraic"),)
 
 
 def test_prompt_without_examples_has_contract_and_stub():
-    contract = gateway.contract("de", ("delta", "omega"), ())
-    prompt = build_prompt(contract, [], ["delta", "omega"])
+    prompt = build_prompt("de", ("delta", "omega"), (), [], ["delta", "omega"])
     assert "ddelta/dt = " in prompt
     assert "domega/dt = " in prompt
     assert "Example" not in prompt
@@ -41,32 +39,26 @@ def test_prompt_without_examples_has_contract_and_stub():
 
 
 def test_prompt_examples_in_given_order_with_scores():
-    contract = gateway.contract("de", ("delta", "omega"), ENTRIES)
     worse = scored("ddelta/dt = p0", -2.0)
     better = scored("ddelta/dt = p0*omega", -1.0)
-    prompt = build_prompt(contract, [worse, better], ["delta"])
+    prompt = build_prompt("de", ("delta", "omega"), ENTRIES, [worse, better], ["delta"])
     assert prompt.index(worse.canonical) < prompt.index(better.canonical)
     assert "score = -2" in prompt and "score = -1" in prompt
     assert "P_e [pu]" in prompt
 
 
 def test_prompt_deterministic():
-    contract = gateway.contract("de", ("delta", "omega"), ENTRIES)
     examples = [scored("ddelta/dt = p0", -2.0)]
-    assert build_prompt(contract, examples, ["delta"]) == build_prompt(
-        contract, examples, ["delta"])
+    assert build_prompt("de", ("delta", "omega"), ENTRIES, examples, ["delta"]) == build_prompt(
+        "de", ("delta", "omega"), ENTRIES, examples, ["delta"])
 
 
 def test_ae_contract_role_and_requirement_text():
-    ae = gateway.contract("ae", ("delta", "omega"), ENTRIES)
-    assert ae.kind == "ae"
-    assert ae.role == (
+    prompt = build_prompt("ae", ("delta", "omega"), ENTRIES, [], ["P_e"])
+    assert prompt.startswith(
         "You model power-system algebraic constraints. Propose explicit algebraic "
         "relations expressing each target variable from states and admitted variables.")
-    assert ae.requirement_rules.startswith(
-        "If the relations need signals that are not admitted yet, declare them")
-    prompt = build_prompt(ae, [], ["P_e"])
-    assert prompt.startswith(ae.role)
+    assert "If the relations need signals that are not admitted yet, declare them" in prompt
     assert prompt.endswith("```equations\nP_e = \n```")
 
 

@@ -128,9 +128,10 @@ def test_baseline_exclusions_only_with_missing_variant():
     rng = np.random.default_rng(7)
     features = {"a": rng.uniform(0.5, 2.0, 50), "b": rng.uniform(-1, 1, 50)}
     targets = {"da_dt": -features["a"]}
-    for variant in ("accurate", "overcomplete", "acurate"):
+    for variant, excluded in (("accurate", ("b",)), ("overcomplete", ("b",)),
+                              ("acurate", ("b",)), ("missing", ("b_typo",))):
         with pytest.raises(ValueError):
-            SindyBaseline(variant=variant, excluded=("b",)).fit(features, targets)
+            SindyBaseline(variant=variant, excluded=excluded).fit(features, targets)
     est = SindyBaseline(variant="missing", excluded=("b",)).fit(features, targets)
     assert est.model_.feature_names == ("a",)
     assert [t.name for t in est.model_.terms] == ["1", "a"]
