@@ -129,13 +129,19 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 def _read_csv(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
     with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{path} is empty") from None
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
+        line = fh.readline()
+        if not line:
+            raise SchemaMismatch(f"{path} is empty")
+        header = next(csv.reader([line]))
+        body = fh.tell()
+        if fh.read(1):
+            fh.seek(body)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:  # a ragged row or a value that is not a number
+                raise SchemaMismatch(f"{path}: {exc}") from None
+        else:
+            data = np.empty((0, len(header)))
     if data.shape[1] != len(header):
         raise SchemaMismatch(f"{path}: row width does not match header")
     return header, {name: data[:, i] for i, name in enumerate(header)}

@@ -12,12 +12,17 @@ Each skeleton is compiled once into a postorder tape.  One call,
 ``evaluate``, takes either one parameter vector (k,) or restart rows (R, k);
 rows are broadcast against the (n,) columns, so a fitter advances R restarts
 in one walk.  Gradients are produced per sample, not pre-reduced, so callers
-can apply any loss weighting they like.  All inputs are immutable and
+can apply any loss weighting they like.  A value-only call on one vector and
+one sample, as trajectory replay makes at every RK4 stage, walks the same
+tape on Python floats: the same operations and domain rules give the array
+walk's bits there, and a sample that faults is walked again on arrays, so
+its fault record is the array walk's.  All inputs are immutable and
 evaluation is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -95,7 +100,7 @@ class EvalResult:
 
 
 def _check(bad, reason: str, shape: tuple[int, int]) -> None:
-    if bad.any():
+    if np.asarray(bad).any():  # a plain bool for a constant operand
         # the first sample at which any parameter row is bad
         index = int(np.argmax(np.broadcast_to(bad, shape).any(axis=0)))
         raise DomainFault(FaultInfo(sample_index=index, reason=reason))
@@ -106,22 +111,35 @@ def _check_finite(values, shape: tuple[int, int]) -> None:
         _check(~np.isfinite(values), "non-finite value", shape)
 
 
-def _guard(op: str, x, y, e, shape: tuple[int, int]) -> None:
-    """Domain guards, and finiteness of the operands through which a
-    non-finite value could vanish; every other operation keeps it."""
+def _near_zero(v):
+    return abs(v) < DIV_GUARD
+
+
+def _non_finite(v):
+    return v - v != 0.0  # v - v is 0 for every finite v and NaN otherwise
+
+
+def _rules(op: str, e) -> tuple:
+    """Domain rules of one instruction in check order, as (operand, bad test,
+    reason); operand 1 is the right operand y, 0 the left or only operand x.
+    Besides the domain proper, the operands through which a non-finite value
+    could vanish must be finite; every other operation keeps it.  The tests
+    use operators that mean the same on arrays and on floats, so both walks
+    read them: the array walk on columns, the one-sample walk on floats."""
+    finite = (_non_finite, "non-finite value")
     if op == "/":
-        _check(np.abs(y) < DIV_GUARD, "division by near-zero denominator", shape)
-        _check_finite(y, shape)
-    elif op == "^" and e <= 0:
-        if e < 0:
-            _check(np.abs(x) < DIV_GUARD, "negative power of near-zero base", shape)
-        _check_finite(x, shape)
-    elif op == "log":
-        _check(np.less_equal(x, 0.0), "log of non-positive argument", shape)
-    elif op == "sqrt":
-        _check(np.less(x, 0.0), "sqrt of negative argument", shape)
-    elif op in ("exp", "tanh"):
-        _check_finite(x, shape)
+        return (1, _near_zero, "division by near-zero denominator"), (1, *finite)
+    if op == "^" and e < 0:
+        return (0, _near_zero, "negative power of near-zero base"), (0, *finite)
+    if op == "^" and e == 0:
+        return ((0, *finite),)
+    if op == "log":
+        return ((0, lambda v: v <= 0.0, "log of non-positive argument"),)
+    if op == "sqrt":
+        return ((0, lambda v: v < 0.0, "sqrt of negative argument"),)
+    if op in ("exp", "tanh"):
+        return ((0, *finite),)
+    return ()
 
 
 # op -> value from the operands x, y (y is x for unary ops) and the exponent e;
@@ -159,9 +177,9 @@ _ADJOINTS = {
 def _emit(node: Expr, prog: list, variables: list) -> int:
     """Append node's subtree to prog in postorder and return its slot.
 
-    An instruction is ``(op, a, b, arg, live)``: operand slots (``b`` is ``a``
-    for unary ops), the constant, parameter slot, variable position or
-    exponent, and whether the subtree holds a parameter."""
+    An instruction is ``(op, a, b, arg, live, rules)``: operand slots (``b``
+    is ``a`` for unary ops), the constant, parameter slot, variable position
+    or exponent, whether the subtree holds a parameter, and its domain rules."""
     a = b = arg = None
     match node:
         case Const(value):
@@ -184,7 +202,7 @@ def _emit(node: Expr, prog: list, variables: list) -> int:
             raise TypeError(f"not an expression node: {node!r}")
     b = a if b is None else b
     live = op == "param" or (a is not None and (prog[a][4] or prog[b][4]))
-    prog.append((op, a, b, arg, live))
+    prog.append((op, a, b, arg, live, _rules(op, arg)))
     return len(prog) - 1
 
 
@@ -207,7 +225,7 @@ def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
     """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k).
 
     Raises DomainFault if any row faults.  Checking finiteness at the outputs,
-    the gradients and where ``_guard`` does decides faulted-or-not as a check
+    the gradients and where the domain rules do decides faulted-or-not as a check
     at every node would; ``exact`` adds that per-node check, so the fault
     names the first offending node.  With ``gradients=False`` the reverse
     sweep and its finiteness check are skipped and None stands for the
@@ -223,7 +241,7 @@ def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
     with np.errstate(all="ignore"):  # non-finite results become faults
         for t, prog in enumerate(programs):
             vals = []
-            for op, a, b, arg, _ in prog:
+            for op, a, b, arg, _, rules in prog:
                 if op == "param":
                     vals.append(pcols[arg])
                 elif op == "var":
@@ -231,8 +249,10 @@ def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                 elif op == "const":
                     vals.append(arg)
                 else:
-                    _guard(op, vals[a], vals[b], arg, shape)
-                    vals.append(_VALUE[op](vals[a], vals[b], arg))
+                    x, y = vals[a], vals[b]
+                    for operand, bad, reason in rules:
+                        _check(bad(y if operand else x), reason, shape)
+                    vals.append(_VALUE[op](x, y, arg))
                 if exact:
                     _check_finite(vals[-1], shape)
             outputs[:, t] = vals[-1]
@@ -250,7 +270,7 @@ def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
     adj = {len(prog) - 1: 1.0}
     leaves = []
     for i in range(len(prog) - 1, -1, -1):
-        op, a, b, arg, live = prog[i]
+        op, a, b, arg, live, _ = prog[i]
         g = adj.get(i)
         if g is None or not live:
             continue
@@ -263,6 +283,41 @@ def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
     # the sweep meets parameter leaves right to left; add them left to right
     for j, g in reversed(leaves):
         grad[..., j] += g
+
+
+def _walk_sample(skeleton: Skeleton, params: np.ndarray,
+                 batch: SampleBatch) -> np.ndarray | None:
+    """Outputs (T, 1) of one parameter vector on a one-sample batch, walked on
+    Python floats; None if the sample faults.
+
+    The operations are the array walk's own (``_VALUE``), which give its bits
+    on floats too, and the same domain rules and output check decide the
+    fault, so a sample that passes here has the array walk's outputs.
+    """
+    variables, programs = _tape(skeleton)
+    xs = [float(batch.column(name)[0]) for name in variables]
+    ps = params.tolist()
+    outputs = []
+    with np.errstate(all="ignore"):  # non-finite results become faults
+        for prog in programs:
+            vals = []
+            for op, a, b, arg, _, rules in prog:
+                if a is not None:
+                    x, y = vals[a], vals[b]
+                    for operand, bad, _ in rules:
+                        if bad(y if operand else x):
+                            return None
+                    vals.append(float(_VALUE[op](x, y, arg)))
+                elif op == "param":
+                    vals.append(ps[arg])
+                elif op == "var":
+                    vals.append(xs[arg])
+                else:
+                    vals.append(arg)
+            if not math.isfinite(vals[-1]):
+                return None
+            outputs.append(vals[-1])
+    return np.array(outputs)[:, None]
 
 
 def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: SampleBatch,
@@ -279,6 +334,11 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     if p.ndim not in (1, 2) or p.shape[-1] != skeleton.n_params:
         raise ValueError(f"expected {skeleton.n_params} parameters or rows of them, "
                          f"got shape {p.shape}")
+    if p.ndim == 1 and batch.n_samples == 1 and not gradients:
+        # one sample (replay): walked on floats; a fault is named by the array walk
+        outputs = _walk_sample(skeleton, p, batch)
+        if outputs is not None:
+            return EvalResult(outputs=outputs, gradients=None)
     rows = p if p.ndim == 2 else p[None, :]
     try:
         try:

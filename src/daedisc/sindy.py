@@ -14,11 +14,14 @@ the benchmark data.  Exogenous inputs and recorded algebraic signals are fed
 from the test record by linear interpolation, computed once for every signal
 at every RK4 stage time, and ``rk4_step`` hands each stage its recorded
 signals; a discovered algebraic model can substitute its own predictions
-instead.  Each stage evaluates the models on one sample:
-sparse-regression models as library times coefficients, skeletons value-only
-(no parameter gradients, so a non-finite gradient is no fault).  An unstable
-identified model yields a divergence flag and the finite prefix, never a
-crash.
+instead, and then the record need not hold its targets.  The right-hand side
+is built once per replay: every state, signal and algebraic prediction has a
+fixed place in one flat list of floats.  Each stage evaluates the models on
+one sample: sparse-regression models as the library row (the same products
+as the fitted library) times the coefficients, skeletons through one
+value-only ``evaluate`` on the variables they read (no parameter gradients,
+so a non-finite gradient is no fault).  An unstable identified model yields
+a divergence flag and the finite prefix, never a crash.
 """
 
 from __future__ import annotations
@@ -70,19 +73,16 @@ class Term:
     powers: tuple[tuple[str, int], ...]  # empty = constant term
 
     def evaluate(self, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+        # one product per factor, from 1: replay multiplies floats in this order
         out = np.ones(n)
-        for var, power in self.powers:
-            out = out * columns[var] ** power
+        for var in _factors(self):
+            out = out * columns[var]
         return out
 
 
-def _term_name(powers) -> str:
-    if not powers:
-        return "1"
-    parts = []
-    for var, power in powers:
-        parts.extend([var] * power)
-    return "*".join(parts)
+def _factors(term: Term) -> tuple[str, ...]:
+    """The monomial as a product, each variable repeated ``power`` times."""
+    return tuple(var for var, power in term.powers for _ in range(power))
 
 
 def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
@@ -99,7 +99,7 @@ def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
     if cfg.degree >= 2:
         for a, b in combinations_with_replacement(active, 2):
             powers = ((a, 2),) if a == b else ((a, 1), (b, 1))
-            terms.append(Term(_term_name(powers), powers))
+            terms.append(Term(f"{a}*{b}", powers))
     return tuple(terms)
 
 
@@ -301,20 +301,33 @@ class ReplayResult:
     n_valid: int  # samples with finite values
 
 
-def _predict(model, values: Mapping[str, float], targets: Sequence[str]) -> np.ndarray:
-    """One sample's outputs of ``model`` in ``targets`` order (for a skeleton,
-    its own target order); NaN when an input is non-finite or it faults."""
-    if not all(math.isfinite(v) for v in values.values()):
-        return np.full(len(targets), np.nan)
-    columns = {name: np.array([v]) for name, v in values.items()}
+def _stage_outputs(model, position: Mapping[str, int], targets: Sequence[str]):
+    """The function from the replay's flat input list (each name at its
+    ``position``) to one sample's outputs of ``model`` in ``targets`` order
+    (for a skeleton, its own target order); it gives None when a skeleton
+    faults."""
     if isinstance(model, SindyModel):
-        pred = model.predict(columns)
-        return np.array([pred[name][0] for name in targets])
-    # every value was checked finite above, which is all from_columns would check
-    res = evaluate(model.skeleton, model.params, SampleBatch(columns, 1), gradients=False)
-    if res.faulted:
-        return np.full(len(targets), np.nan)
-    return res.outputs[:, 0]
+        factors = [[position[var] for var in _factors(term)] for term in model.terms]
+        order = [model.target_names.index(name) for name in targets]
+        if order == list(range(len(model.target_names))):
+            order = slice(None)  # the model's own order: no copy
+        # the library row as _theta builds it: the same products, the same
+        # (1, terms) layout times the coefficients' own transpose
+        coefficients_t = model.coefficients.T
+
+        def outputs(values: list[float]) -> np.ndarray:
+            get = values.__getitem__
+            row = [math.prod(map(get, term)) for term in factors]
+            return (np.array([row]) @ coefficients_t)[0, order]
+    else:
+        used = [(name, position[name]) for name in sorted(variables_in(model.skeleton))]
+
+        def outputs(values: list[float]) -> np.ndarray | None:
+            # a batch of the variables the skeleton reads, value-only
+            batch = SampleBatch({name: np.array((values[i],)) for name, i in used}, 1)
+            res = evaluate(model.skeleton, model.params, batch, gradients=False)
+            return None if res.faulted else res.outputs[:, 0]
+    return outputs
 
 
 def simulate_identified(model, record: FullRecord,
@@ -324,7 +337,7 @@ def simulate_identified(model, record: FullRecord,
 
     Algebraic and input signals are interpolated from the record; given an
     ``ae_model``, its targets are predicted from the current state instead
-    (inputs still come from the record).
+    (inputs still come from the record), so the record need not hold them.
     """
     state_names = list(record.state_names)
     if isinstance(model, SindyModel):
@@ -332,7 +345,7 @@ def simulate_identified(model, record: FullRecord,
         missing = [s for s, t in zip(state_names, targets) if t not in model.target_names]
         if missing:
             raise ValueError(f"model does not define derivatives for {missing}")
-        # every library feature: inactive terms still get evaluated by predict
+        # every library feature: inactive terms still get evaluated
         inputs = set(model.feature_names)
     elif isinstance(model, SkeletonModel):
         if tuple(model.skeleton.target_names) != tuple(state_names):
@@ -341,11 +354,13 @@ def simulate_identified(model, record: FullRecord,
         inputs = variables_in(model.skeleton)
     else:
         raise TypeError(f"cannot replay {type(model).__name__}")
-    ae_targets: tuple[str, ...] = ()
+    ae_targets: list[str] = []
     if ae_model is not None:
-        ae_targets = tuple(ae_model.skeleton.target_names)
+        ae_targets = list(ae_model.skeleton.target_names)
+        if variables_in(ae_model.skeleton) & set(ae_targets):
+            raise ValueError("the algebraic model reads its own targets")
         inputs = inputs | variables_in(ae_model.skeleton)
-    signals = sorted(inputs - set(state_names))
+    signals = sorted(inputs - set(state_names) - set(ae_targets))
     for name in signals:
         if name not in record.columns:
             raise ValueError(f"record has no column {name!r} required for replay")
@@ -358,13 +373,30 @@ def simulate_identified(model, record: FullRecord,
     for k, name in enumerate(signals):
         recorded[:, :, k] = np.interp(stage_times, time_grid, record.columns[name])
 
-    def rhs(state: np.ndarray, signal_values: np.ndarray) -> np.ndarray:
-        values = dict(zip(state_names, state))
-        values.update(zip(signals, signal_values))
-        if ae_targets:
-            ae_inputs = {k: v for k, v in values.items() if k not in ae_targets}
-            values.update(zip(ae_targets, _predict(ae_model, ae_inputs, ae_targets)))
-        return _predict(model, values, targets)
+    # the right-hand side reads one flat list: states, recorded signals, then
+    # the algebraic model's predictions, each at a fixed position
+    position = {name: i for i, name in enumerate(state_names + signals + ae_targets)}
+    values = [0.0] * len(position)
+    n_recorded = len(state_names) + len(signals)
+    de_outputs = _stage_outputs(model, position, targets)
+    ae_outputs = None if ae_model is None else _stage_outputs(ae_model, position, ae_targets)
+
+    no_derivatives = np.full(len(state_names), np.nan)
+    no_derivatives.setflags(write=False)
+
+    def rhs(state: np.ndarray, signal_values: list[float]) -> np.ndarray:
+        given = state.tolist() + signal_values
+        # a non-finite input or a faulting model gives NaN derivatives
+        if not all(map(math.isfinite, given)):
+            return no_derivatives
+        values[:n_recorded] = given
+        if ae_outputs is not None:
+            predicted = ae_outputs(values)
+            if predicted is None:
+                return no_derivatives
+            values[n_recorded:] = predicted.tolist()
+        derivatives = de_outputs(values)
+        return no_derivatives if derivatives is None else derivatives
 
     x = np.array([record.columns[s][0] for s in state_names])
     n = len(time_grid)
@@ -373,8 +405,9 @@ def simulate_identified(model, record: FullRecord,
     diverged = False
     n_valid = 1
     with np.errstate(all="ignore"):
-        for i in range(n - 1):
-            x = rk4_step(rhs, x, float(dt[i]), *recorded[i])
+        # each step's signals become lists once, not the whole record's at once
+        for i, (step, stage_signals) in enumerate(zip(dt.tolist(), recorded)):
+            x = rk4_step(rhs, x, step, *stage_signals.tolist())
             if not np.all(np.isfinite(x)):
                 diverged = True
                 break

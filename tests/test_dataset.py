@@ -130,6 +130,33 @@ def test_import_missing_column_is_schema_mismatch(tmp_path):
         import_dataset(prefix)
 
 
+def test_import_ragged_row_is_schema_mismatch_naming_the_file(tmp_path):
+    ds, _, _ = _dataset()
+    prefix = tmp_path / "train"
+    export_dataset(ds, prefix)
+    csv_path = prefix.with_suffix(".csv")
+    lines = csv_path.read_text().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0]  # one value short of the header
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaMismatch, match="train.csv"):
+        import_dataset(prefix)
+
+
+def test_import_header_only_gives_empty_columns(tmp_path):
+    ds, _, _ = _dataset()
+    ds.reveal(["P_e"])
+    prefix = tmp_path / "train"
+    export_dataset(ds, prefix)
+    csv_path = prefix.with_suffix(".csv")
+    csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+    again = import_dataset(prefix)
+    assert again.time.shape == (0,)
+    for column in (*again.states.values(), *again.derivs.values(), *again.revealed.values()):
+        assert column.shape == (0,) and column.dtype == np.float64
+    assert again.revealed_names() == ("P_e",)
+    assert np.array_equal(again.full.time, ds.full.time)
+
+
 def test_import_without_full_record_is_schema_mismatch(tmp_path):
     ds, _, _ = _dataset()
     prefix = tmp_path / "train"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from daedisc.dsl import SymbolScope, parse
+from daedisc.dsl import FUNCTIONS, MAX_EXPONENT, SymbolScope, parse
 from daedisc.evaluator import (
     DomainFault,
     FaultInfo,
@@ -266,3 +266,55 @@ def test_value_only_skips_the_gradient_check():
     sk = parse("dx/dt = log(x)", SCOPE, ["x"], kind="de")
     assert evaluate(sk, [], _batch(x=[1.0, -1.0]), gradients=False).domain_fault == FaultInfo(
         sample_index=1, reason="log of non-positive argument")
+
+
+# --- property: the one-sample walk on floats is the array walk -------------
+
+def _any_expr(rng, depth, n_params):
+    """Random expression over x and y using every function and exponent."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.35:
+            return f"p{rng.integers(0, n_params)}"
+        if r < 0.8:
+            return str(rng.choice(["x", "y"]))
+        return f"{rng.uniform(0.0, 3.0):.3f}"
+    r = rng.random()
+    a = _any_expr(rng, depth - 1, n_params)
+    if r < 0.4:
+        op = rng.choice(["+", "-", "*", "/"])
+        return f"({a} {op} {_any_expr(rng, depth - 1, n_params)})"
+    if r < 0.5:
+        return f"-({a})"
+    if r < 0.7:
+        return f"({a})^{rng.integers(-MAX_EXPONENT, MAX_EXPONENT + 1)}"
+    return f"{rng.choice(FUNCTIONS)}({a})"
+
+
+def test_one_sample_walk_matches_the_array_walk():
+    rng = np.random.default_rng(8)
+    scope = SymbolScope(states=("x", "y"))
+    # ordinary values, and values at which the domain rules or overflow fault
+    special = [0.0, -0.0, 1e-13, -2.0, 1000.0, -1000.0, 1e300, 0.5]
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        text = f"dx/dt = {_any_expr(rng, 4, 3)}\ndy/dt = {_any_expr(rng, 3, 3)}"
+        try:
+            sk = parse(text, scope, ["x", "y"], kind="de")
+        except Exception:
+            continue
+        for _ in range(4):
+            x, y = (rng.choice(special) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+                    for _ in range(2))
+            params = rng.uniform(-2.0, 2.0, sk.n_params)
+            batch = _batch(x=[x], y=[y])
+            one = evaluate(sk, params, batch, gradients=False)
+            rows = evaluate(sk, params[None, :], batch, gradients=False)
+            assert one.faulted == rows.faulted, text
+            assert one.domain_fault == rows.domain_fault, text
+            seen[one.faulted] += 1
+            if not one.faulted:
+                assert one.outputs.shape == (2, 1)
+                assert np.array_equal(one.outputs.view(np.int64),
+                                      rows.outputs[0].view(np.int64)), (text, x, y, params)
+    assert seen[True] > 200 and seen[False] > 600

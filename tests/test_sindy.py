@@ -1,10 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, simulate
+from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, rk4_step, simulate
+from daedisc.dataset import central_difference, deriv_name
+from daedisc.dsl import variables_in
+from daedisc.evaluator import SampleBatch, evaluate
 from daedisc.sindy import (
     LibraryConfig,
     SindyBaseline,
+    SindyModel,
     SkeletonModel,
     build_library,
     library_terms,
@@ -261,3 +268,160 @@ def test_replay_ignores_a_non_finite_gradient():
     assert not padded.diverged and padded.n_valid == record.n_samples
     for name in record.state_names:
         assert np.array_equal(padded.states[name], base.states[name])
+
+
+# --- replay oracle: the per-stage right-hand side replay used to build ------
+
+def _reference_predict(model, values, targets):
+    """One sample's outputs of ``model`` in ``targets`` order (for a skeleton,
+    its own target order); NaN when an input is non-finite or it faults."""
+    if not all(math.isfinite(v) for v in values.values()):
+        return np.full(len(targets), np.nan)
+    columns = {name: np.array([v]) for name, v in values.items()}
+    if isinstance(model, SindyModel):
+        pred = model.predict(columns)
+        return np.array([pred[name][0] for name in targets])
+    # every value was checked finite above, which is all from_columns would check
+    res = evaluate(model.skeleton, model.params, SampleBatch(columns, 1), gradients=False)
+    if res.faulted:
+        return np.full(len(targets), np.nan)
+    return res.outputs[:, 0]
+
+
+def _reference_replay(model, record, ae_model=None):
+    """Replay with a right-hand side that builds dicts and batches per stage."""
+    state_names = list(record.state_names)
+    if isinstance(model, SindyModel):
+        targets = [deriv_name(s) for s in state_names]
+        inputs = set(model.feature_names)
+    else:
+        targets = state_names
+        inputs = variables_in(model.skeleton)
+    ae_targets = ()
+    if ae_model is not None:
+        ae_targets = tuple(ae_model.skeleton.target_names)
+        inputs = inputs | variables_in(ae_model.skeleton)
+    signals = sorted(inputs - set(state_names))
+    time_grid = record.time
+    start, dt = time_grid[:-1], np.diff(time_grid)
+    stage_times = np.stack([start, start + dt / 2.0, start + dt], axis=1)
+    recorded = np.empty(stage_times.shape + (len(signals),))
+    for k, name in enumerate(signals):
+        recorded[:, :, k] = np.interp(stage_times, time_grid, record.columns[name])
+
+    def rhs(state, signal_values):
+        values = dict(zip(state_names, state))
+        values.update(zip(signals, signal_values))
+        if ae_targets:
+            ae_inputs = {k: v for k, v in values.items() if k not in ae_targets}
+            values.update(zip(ae_targets, _reference_predict(ae_model, ae_inputs, ae_targets)))
+        return _reference_predict(model, values, targets)
+
+    x = np.array([record.columns[s][0] for s in state_names])
+    n = len(time_grid)
+    out = np.full((n, len(state_names)), np.nan)
+    out[0] = x
+    diverged = False
+    n_valid = 1
+    with np.errstate(all="ignore"):
+        for i in range(n - 1):
+            x = rk4_step(rhs, x, float(dt[i]), *recorded[i])
+            if not np.all(np.isfinite(x)):
+                diverged = True
+                break
+            out[i + 1] = x
+            n_valid += 1
+    return out, diverged, n_valid
+
+
+def _assert_replays_as_reference(model, record, ae_model=None):
+    replay = simulate_identified(model, record, ae_model=ae_model)
+    out, diverged, n_valid = _reference_replay(model, record, ae_model)
+    assert (replay.diverged, replay.n_valid) == (diverged, n_valid)
+    states = np.column_stack([replay.states[s] for s in record.state_names])
+    assert np.array_equal(states, out, equal_nan=True)
+    return replay
+
+
+def _swing_skeleton(record):
+    model = get_model("swing2")
+    p = model.params
+    return SkeletonModel.from_text(
+        "ddelta/dt = p0*(omega - 1)\ndomega/dt = (p1 - p2*sin(delta) - p3*(omega - 1))/p4",
+        [p["omega_b"], model.default_inputs["P_m"], p["e_prime"] * p["v_bus"] / p["x_total"],
+         p["damping"], 2.0 * p["inertia"]], record.state_names, record.state_names)
+
+
+def _swing_de_ae(record, ae_text, ae_targets):
+    """A swing skeleton reading P_e, and an algebraic model predicting it."""
+    model = get_model("swing2")
+    p = model.params
+    de = SkeletonModel.from_text(
+        "ddelta/dt = p0*(omega - 1)\ndomega/dt = (p1 - p2*P_e - p3*(omega - 1))/p4",
+        [p["omega_b"], model.default_inputs["P_m"], 1.0, p["damping"], 2.0 * p["inertia"]],
+        record.state_names, record.state_names, variables=("P_e",))
+    ae = SkeletonModel.from_text(ae_text, [p["e_prime"] * p["v_bus"] / p["x_total"]],
+                                 ae_targets, record.state_names, kind="ae")
+    return de, ae
+
+
+def _held_out(model_id, kick):
+    scen = ScenarioConfig(total_time=5.0, dt=0.01, noise_sigma=0.0, disturbance=Disturbance(
+        kind="state_kick", magnitude=1.0, offsets=kick))
+    return simulate(get_model(model_id), scen)
+
+
+def _stlsq_model(variant, model_id, features):
+    train = _held_out(model_id, (("delta", 0.5), ("omega", 0.003)))
+    features = {n: train.columns[n] for n in features}
+    derivs = {deriv_name(s): central_difference(train.columns[s], train.dt)
+              for s in train.state_names}
+    return SindyBaseline(variant=variant, threshold=0.02).fit(features, derivs).model_
+
+
+def test_replay_matches_reference_for_sparse_models():
+    record = _held_out("swing2", (("delta", 0.3), ("omega", 0.004)))
+    accurate = _stlsq_model("accurate", "swing2", ("delta", "omega", "P_e"))
+    assert not _assert_replays_as_reference(accurate, record).diverged
+    overcomplete = _stlsq_model("overcomplete", "type1order5",
+                                ("delta", "omega", "e_q_t", "e_d_t", "e_d_st", "i_d", "i_q"))
+    overcomplete = _assert_replays_as_reference(
+        overcomplete, _held_out("type1order5", (("delta", 0.6), ("omega", 0.006))))
+    assert overcomplete.diverged and 1 < overcomplete.n_valid < record.n_samples
+
+
+def test_replay_matches_reference_for_skeletons():
+    _, record = _record()
+    assert not _assert_replays_as_reference(_swing_skeleton(record), record).diverged
+    # Q_e is predicted and read by nothing
+    de, ae = _swing_de_ae(record, "P_e = p0*sin(delta)\nQ_e = p0*cos(delta)", ("P_e", "Q_e"))
+    assert not _assert_replays_as_reference(de, record, ae_model=ae).diverged
+    # log(p1 - delta) faults once delta, growing at rate p0, passes p1
+    faulting = SkeletonModel.from_text(
+        "ddelta/dt = p0\ndomega/dt = log(p1 - delta)",
+        [1.0, record.columns["delta"][0] + 2.0], record.state_names, record.state_names)
+    replay = _assert_replays_as_reference(faulting, record)
+    assert replay.diverged and 100 < replay.n_valid < record.n_samples - 100
+
+
+def test_ae_targets_need_no_recorded_column():
+    _, record = _record()
+    de, ae = _swing_de_ae(record, "P_e = p0*sin(delta)", ("P_e",))
+    slim = replace(record, columns={n: c for n, c in record.columns.items() if n != "P_e"})
+    full, cut = (simulate_identified(de, r, ae_model=ae) for r in (record, slim))
+    assert (cut.diverged, cut.n_valid) == (full.diverged, full.n_valid)
+    for name in record.state_names:
+        assert np.array_equal(cut.states[name], full.states[name])
+    with pytest.raises(ValueError, match="P_e"):
+        simulate_identified(de, slim)
+
+
+def test_term_products_match_powers():
+    # the library's products, factor by factor, give the bits of x**power
+    rng = np.random.default_rng(9)
+    columns = {"a": rng.normal(size=500), "b": rng.uniform(-3.0, 3.0, 500)}
+    for term in library_terms(LibraryConfig("overcomplete"), ["a", "b"]):
+        powered = np.ones(500)
+        for var, power in term.powers:
+            powered = powered * columns[var] ** power
+        assert np.array_equal(term.evaluate(columns, 500), powered)
