@@ -72,11 +72,31 @@ class CatalogEntry:
         return any(lowered == a.casefold() for a in self.aliases)
 
 
-def _reject_unknown_keys(cls, data: Mapping) -> None:
-    """A misspelled key would otherwise leave its field at the default."""
+def from_json_object(cls, data, **convert):
+    """Build the settings dataclass ``cls`` from a JSON object.  Every key must be
+    a field, so a misspelled key cannot pass unnoticed; a key present goes through
+    its converter in ``convert``, if any; an absent field keeps its default.
+    Malformed input raises ValueError."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    values = {}
+    for key, value in data.items():
+        try:
+            values[key] = convert[key](value) if key in convert else value
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    try:
+        return cls(**values)
+    except TypeError as exc:  # a value of the wrong type met a check in __post_init__
+        raise ValueError(str(exc)) from exc
+
+
+def _pairs(data) -> tuple[tuple[str, float], ...]:
+    """A JSON object of numbers as sorted (name, value) pairs."""
+    return tuple(sorted((str(k), float(v)) for k, v in dict(data).items()))
 
 
 @dataclass(frozen=True)
@@ -107,12 +127,8 @@ class Disturbance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Disturbance":
-        _reject_unknown_keys(cls, data)
-        return cls(kind=data.get("kind", "none"), start=float(data.get("start", 0.0)),
-                   duration=float(data.get("duration", 0.0)),
-                   magnitude=float(data.get("magnitude", 0.0)),
-                   offsets=tuple(sorted((str(k), float(v))
-                                        for k, v in dict(data.get("offsets", {})).items())))
+        return from_json_object(cls, data, start=float, duration=float,
+                                magnitude=float, offsets=_pairs)
 
 
 @dataclass(frozen=True)
@@ -142,19 +158,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
-        _reject_unknown_keys(cls, data)
-        init = data.get("initial_state")
-        return cls(
-            total_time=float(data.get("total_time", 10.0)),
-            dt=float(data.get("dt", 0.01)),
-            disturbance=Disturbance.from_dict(data.get("disturbance", {})),
-            inputs=tuple(sorted((str(k), float(v))
-                                for k, v in dict(data.get("inputs", {})).items())),
-            noise_sigma=float(data.get("noise_sigma", 0.01)),
-            seed=int(data.get("seed", 0)),
-            initial_state=None if init is None else tuple(sorted(
-                (str(k), float(v)) for k, v in dict(init).items())),
-        )
+        return from_json_object(
+            cls, data, total_time=float, dt=float, disturbance=Disturbance.from_dict,
+            inputs=_pairs, noise_sigma=float, seed=int,
+            initial_state=lambda init: None if init is None else _pairs(init))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .benchmarks import get_model, model_ids, simulate
 from .config import ConfigError, RunConfig, load_scenarios
-from .dataset import deriv_name, export_dataset, import_dataset
+from .dataset import deriv_name, export_dataset, import_dataset, import_record
 from .engine import DiscoveryEngine
 from .metrics import build_report, merge_reports
 from .sindy import (
@@ -167,14 +167,14 @@ def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
                            "active_terms": active}, sort_keys=True))
 
 
-def _load_any_model(path: Path, dataset):
+def _load_any_model(path: Path, record):
     """Model file -> (replay model, optional AE model)."""
     data = json.loads(path.read_text())
     fmt = data.get("format")
     if fmt == "daedisc-sindy":
         return SindyModel.from_json(data), None
     if fmt == "daedisc-model":
-        states = dataset.full.state_names
+        states = record.state_names
         library = [e["name"] for e in data.get("library", [])]
         de = data["de"]
         de_model = SkeletonModel.from_text(
@@ -200,9 +200,8 @@ def _load_any_model(path: Path, dataset):
 @_guard
 def evaluate_cmd(model_path: str, data_dir: str, out_path: str, use_ae: bool):
     """Replay an identified model on the held-out test record and score it."""
-    dataset = import_dataset(Path(data_dir) / "test")
-    record = dataset.full
-    model, ae_model = _load_any_model(Path(model_path), dataset)
+    record = import_record(Path(data_dir) / "test")
+    model, ae_model = _load_any_model(Path(model_path), record)
     if use_ae and ae_model is None:
         raise ValueError("--use-ae: the model file has no algebraic part")
     replay = simulate_identified(model, record, ae_model if use_ae else None)

@@ -14,7 +14,7 @@ Schema (all keys optional unless noted):
       "top_k": 3,                        // candidates mined for requirements
       "de_max_iterations": 50,
       "ae_max_iterations": 50,
-      "max_seconds": null,               // wall-clock guard, null = off
+      "max_seconds": null,               // wall-clock guard: null = off, else a number >= 0
       "fit": {"steps": 2000, "learning_rate": 0.05, "restarts": 3, "seed": 0},
       "sampler": {"tau_cluster": 0.2, "tau_length": 0.2, "examples_per_prompt": 2},
       "generator": {
@@ -27,15 +27,20 @@ Schema (all keys optional unless noted):
         "max_tokens": 1024
       }
     }
+
+The file and each section must be a JSON object; an unknown key or a value
+the dataclass rejects raises ConfigError, and an absent key keeps its default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .archive import SamplerConfig
+from .benchmarks import ScenarioConfig, from_json_object
 from .fitting import FitConfig
 from .gateway import GeneratorBackend, HttpBackend, MockBackend
 
@@ -44,15 +49,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _build(cls, data: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _read_json(path: str | Path):
+    path = Path(path)
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -120,45 +122,34 @@ class RunConfig:
             raise ValueError("top_k must be >= 1")
         if self.de_max_iterations < 0 or self.ae_max_iterations < 0:
             raise ValueError("iteration budgets must be >= 0")
+        if self.max_seconds is not None and not (
+                isinstance(self.max_seconds, (int, float)) and self.max_seconds >= 0):
+            raise ValueError("max_seconds must be null or a number >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        parts = {}
-        if "fit" in data:
-            parts["fit"] = _build(FitConfig, data.pop("fit"), "fit")
-        if "sampler" in data:
-            parts["sampler"] = _build(SamplerConfig, data.pop("sampler"), "sampler")
-        if "generator" in data:
-            parts["generator"] = _build(GeneratorConfig, data.pop("generator"), "generator")
-        cfg = _build(RunConfig, {**data, **parts}, "run config")
-        return cfg
+        try:
+            return from_json_object(
+                cls, data, fit=partial(from_json_object, FitConfig),
+                sampler=partial(from_json_object, SamplerConfig),
+                generator=partial(from_json_object, GeneratorConfig))
+        except ValueError as exc:
+            raise ConfigError(f"bad run config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path))
 
 
 def load_scenarios(path: str | Path) -> dict:
     """Scenario file for gen-data: {"train": {...}, "test": {...}}."""
-    from .benchmarks import ScenarioConfig
-
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or not {"train", "test"} <= set(data):
         raise ConfigError("scenario file must hold 'train' and 'test' objects")
     try:
         return {name: ScenarioConfig.from_dict(data[name]) for name in ("train", "test")}
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc

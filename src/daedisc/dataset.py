@@ -175,38 +175,49 @@ def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
     prefix.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def import_dataset(prefix: str | Path) -> TrajectoryDataset:
-    prefix = Path(prefix)
+def _read_sidecar(prefix: Path) -> dict:
     meta_path = prefix.with_suffix(".meta.json")
     if not meta_path.exists():
         raise SchemaMismatch(f"missing sidecar {meta_path}")
     meta = json.loads(meta_path.read_text())
     if meta.get("format") != "daedisc-dataset":
         raise SchemaMismatch("sidecar is not a dataset descriptor")
-    header, data = _read_csv(prefix.with_suffix(".csv"))
-    states = meta["states"]
-    expected = (["t"] + states + [deriv_name(s) for s in states] + meta["revealed"])
-    if header != expected:
-        raise SchemaMismatch(
-            f"column order mismatch: expected {expected}, found {header}")
     if meta.get("full_columns") is None or meta.get("full_states") is None:
         raise SchemaMismatch("sidecar does not describe the full record")
+    return meta
+
+
+def import_record(prefix: str | Path) -> FullRecord:
+    """The hidden full record alone: ``<prefix>.full.csv`` and its sidecar."""
+    prefix = Path(prefix)
+    meta = _read_sidecar(prefix)
     full_path = Path(str(prefix) + ".full.csv")
     if not full_path.exists():
         raise SchemaMismatch(f"missing full record {full_path}")
     full_header, full_data = _read_csv(full_path)
     if full_header != ["t"] + meta["full_columns"]:
         raise SchemaMismatch("full record columns do not match sidecar")
-    full = FullRecord(
+    return FullRecord(
         model_id=meta["model"], time=full_data["t"],
         columns={n: full_data[n] for n in meta["full_columns"]},
         state_names=tuple(meta["full_states"]), scenario=meta["scenario"])
+
+
+def import_dataset(prefix: str | Path) -> TrajectoryDataset:
+    prefix = Path(prefix)
+    meta = _read_sidecar(prefix)
+    header, data = _read_csv(prefix.with_suffix(".csv"))
+    states = meta["states"]
+    expected = (["t"] + states + [deriv_name(s) for s in states] + meta["revealed"])
+    if header != expected:
+        raise SchemaMismatch(
+            f"column order mismatch: expected {expected}, found {header}")
     return TrajectoryDataset(
         time=data["t"],
         states={s: data[s] for s in states},
         derivs={deriv_name(s): data[deriv_name(s)] for s in states},
         revealed={n: data[n] for n in meta["revealed"]},
-        full=full,
+        full=import_record(prefix),
         metadata={"model": meta["model"], "scenario": meta["scenario"],
                   "seed": meta["seed"]},
     )

@@ -5,7 +5,8 @@ Differential lines use the ``d<name>/dt = <expr>`` form, algebraic lines the
 ``<name> = <expr>`` form.  Right-hand sides are built from numeric literals,
 in-scope variable names, parameter placeholders ``p0, p1, ...``, the operators
 ``+ - * / ^`` and a fixed set of unary functions.  ``^`` is limited to
-constant integer exponents in [-4, 4].
+constant integer exponents in [-4, 4].  Neither the nesting of parentheses
+and calls nor the built tree may be deeper than ``MAX_DEPTH`` levels.
 
 Grammar (EBNF, also published in the README):
 
@@ -40,6 +41,9 @@ from typing import Iterator, Mapping, Sequence, Union
 
 FUNCTIONS: tuple[str, ...] = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs")
 MAX_EXPONENT = 4
+# far above any useful skeleton (a linear seed over twelve symbols is 14 levels
+# deep) and far below what the recursive parser and tree walks can descend
+MAX_DEPTH = 100
 
 _PARAM_RE = re.compile(r"^p(\d+)$")
 _NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
@@ -217,6 +221,7 @@ class _LineParser:
         self.scope = scope
         self.lineno = lineno
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -236,10 +241,15 @@ class _LineParser:
         self.advance()
 
     def parse_expr(self) -> Expr:
+        self.depth += 1  # the only recursion: a parenthesis or call argument
+        if self.depth > MAX_DEPTH:
+            raise DslSyntaxError(f"expression deeper than {MAX_DEPTH} levels",
+                                 self.lineno, self.cur.column)
         node = self.parse_term()
         while self.cur.kind == "OP" and self.cur.text in "+-":
             op = self.advance().text
             node = Bin(op, node, self.parse_term())
+        self.depth -= 1
         return node
 
     def parse_term(self) -> Expr:
@@ -250,10 +260,14 @@ class _LineParser:
         return node
 
     def parse_unary(self) -> Expr:
-        if self.cur.kind == "OP" and self.cur.text == "-":
+        signs = 0
+        while self.cur.kind == "OP" and self.cur.text == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            signs += 1
+        node = self.parse_power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def parse_power(self) -> Expr:
         node = self.parse_atom()
@@ -360,11 +374,25 @@ def _parse_line(line: str, lineno: int, scope: SymbolScope, kind: str) -> tuple[
     end = parser.cur
     if end.kind != "END":
         raise DslSyntaxError(f"trailing input {end.text!r}", lineno, end.column)
+    if _depth(expr) > MAX_DEPTH:  # chains of + * ^ and unary minus are built by loops
+        raise DslSyntaxError(f"expression deeper than {MAX_DEPTH} levels", lineno)
     return target, expr
 
 
 # ---------------------------------------------------------------------------
 # Canonicalization and construction
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Bin):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.child,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
 
 def walk(expr: Expr) -> Iterator[Expr]:
     """Depth-first iterator over every node of an expression."""
@@ -372,15 +400,17 @@ def walk(expr: Expr) -> Iterator[Expr]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Neg):
-            stack.append(node.child)
-        elif isinstance(node, Bin):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
+        stack.extend(reversed(_children(node)))
+
+
+def _depth(expr: Expr) -> int:
+    """Levels of an expression tree, a leaf being one, counted without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return deepest
 
 
 def param_indices(exprs: Sequence[Expr]) -> list[int]:

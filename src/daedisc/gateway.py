@@ -27,6 +27,7 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
+from .dsl import FUNCTIONS, MAX_EXPONENT
 from .fitting import Requirement, ScoredSkeleton
 
 logger = logging.getLogger(__name__)
@@ -69,14 +70,14 @@ class Completion:
     raw: str
 
 
-_GRAMMAR_RULES = """\
+_GRAMMAR_RULES = f"""\
 Write one equation per line and nothing else inside the block.
 Differential form:  d<state>/dt = <expression>
 Algebraic form:     <name> = <expression>
 Expressions may use + - * / ^, parentheses, numeric literals, the unary
-functions sin cos tan exp log sqrt tanh abs, the variables listed below, and
+functions {' '.join(FUNCTIONS)}, the variables listed below, and
 trainable parameter placeholders p0, p1, p2, ... for every unknown constant.
-Exponents must be integer literals between -4 and 4.  Any other syntax or any
+Exponents must be integer literals between -{MAX_EXPONENT} and {MAX_EXPONENT}.  Any other syntax or any
 name not listed below fails to compile and wastes the attempt."""
 
 

@@ -120,6 +120,11 @@ def test_scenario_validation():
         Disturbance.from_dict({"kind": "pm_step", "magnitud": 0.1})
 
 
+def test_scenario_defaults_come_from_the_dataclass():
+    assert ScenarioConfig.from_dict({"seed": 4}) == ScenarioConfig(seed=4)
+    assert Disturbance.from_dict({}) == Disturbance()
+
+
 def test_scenario_roundtrip_dict():
     scen = ScenarioConfig(
         total_time=5.0, dt=0.02, noise_sigma=0.001, seed=9,

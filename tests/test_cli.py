@@ -203,3 +203,78 @@ def test_discover_benchmark_mismatch_fails(workspace, tmp_path):
     assert result.exit_code == 1
     err = json.loads(result.output.strip().splitlines()[-1])
     assert "does not match dataset" in err["error"]["message"]
+
+
+def _config_error(result):
+    assert result.exit_code == 1, result.output
+    errors = [json.loads(line) for line in result.output.strip().splitlines()
+              if line.startswith('{"error"')]
+    assert len(errors) == 1
+    assert errors[0]["error"]["type"] == "ConfigError"
+    return errors[0]["error"]["message"]
+
+
+@pytest.mark.parametrize("config", [
+    [RUN_CONFIG],
+    {**RUN_CONFIG, "fit": None},
+    {**RUN_CONFIG, "sampler": None},
+    {**RUN_CONFIG, "generator": None},
+    {**RUN_CONFIG, "max_seconds": "60"},
+    {**RUN_CONFIG, "max_seconds": -1},
+], ids=["array", "fit-null", "sampler-null", "generator-null", "max-seconds-string",
+        "max-seconds-negative"])
+def test_discover_rejects_malformed_config(workspace, tmp_path, config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, ["discover", "--config", str(bad),
+                                       "--data", str(workspace / "data"),
+                                       "--out", str(tmp_path / "out")])
+    _config_error(result)
+    assert not (tmp_path / "out").exists()  # rejected before any fit
+
+
+@pytest.mark.parametrize("train", [
+    {**SCENARIOS["train"], "disturbance": None},
+    {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": 5}},
+], ids=["disturbance-null", "offsets-number"])
+def test_gen_data_rejects_malformed_scenario(tmp_path, train):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({**SCENARIOS, "train": train}))
+    result = CliRunner().invoke(main, ["gen-data", "--model", "swing2",
+                                       "--scenario", str(scen),
+                                       "--out", str(tmp_path / "data")])
+    assert "disturbance" in _config_error(result)
+    assert not (tmp_path / "data").exists()
+
+
+def test_discover_survives_a_deeply_nested_completion(workspace, tmp_path):
+    deep = "(" * 300 + "delta" + ")" * 300
+    script = [[fenced(f"ddelta/dt = {deep}\ndomega/dt = p1*omega")],
+              [fenced(TRUE_SWING)]]
+    (tmp_path / "script.json").write_text(json.dumps(script))
+    (tmp_path / "run.json").write_text(json.dumps(RUN_CONFIG))
+    result = CliRunner().invoke(main, ["discover", "--config", str(tmp_path / "run.json"),
+                                       "--data", str(workspace / "data"),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "run_log.jsonl").read_text().splitlines()]
+    first = next(r for r in records if r["event"] == "iteration")
+    assert (first["candidates"], first["rejected"]) == (1, 1)
+
+
+def test_evaluate_reads_only_the_full_test_record(workspace, tmp_path):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / "test.csv").unlink()
+    model = workspace / "run_discover" / "model.json"
+    reports = []
+    for data_dir, name in ((workspace / "data", "with.json"), (data, "without.json")):
+        result = CliRunner().invoke(main, ["evaluate", "--model", str(model),
+                                           "--data", str(data_dir),
+                                           "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        reports.append((tmp_path / name).read_bytes())
+    assert reports[0] == reports[1]

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daedisc.archive import make_linear_seed
+from daedisc.benchmarks import get_model
 from daedisc.dsl import (
+    MAX_DEPTH,
     ArityError,
     Bin,
     Call,
@@ -10,6 +13,7 @@ from daedisc.dsl import (
     DuplicateTarget,
     MissingTarget,
     Neg,
+    ParseError,
     Param,
     Pow,
     SymbolScope,
@@ -75,6 +79,41 @@ def test_param_slots_reindexed_contiguously():
 def test_rejections(text, errcls):
     with pytest.raises(errcls):
         parse(text, SCOPE, ["delta"], kind="de")
+
+
+@pytest.mark.parametrize("rhs", [
+    "(" * 400 + "delta" + ")" * 400,
+    "-" * 1000 + "delta",
+    " + ".join(["delta"] * 1000),
+    "sin(" * 150 + "delta" + ")" * 150,
+    "delta" + "^2" * 200,
+], ids=["parentheses", "unary-minus", "sum", "calls", "powers"])
+def test_deep_expressions_rejected(rhs):
+    # past the limit the recursive parser and tree walks would exhaust the stack
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as err:
+        parse(f"ddelta/dt = {rhs}", SCOPE, ["delta"], kind="de")
+    assert err.value.line == 1
+
+
+def test_depth_limit_is_inclusive():
+    inner = MAX_DEPTH - 1  # the right-hand side itself is the first level
+    parse("ddelta/dt = " + "sin(" * inner + "delta" + ")" * inner, SCOPE, ["delta"])
+    parse("ddelta/dt = " + " + ".join(["delta"] * MAX_DEPTH), SCOPE, ["delta"])
+    with pytest.raises(DslSyntaxError):
+        parse("ddelta/dt = " + "sin(" * MAX_DEPTH + "delta" + ")" * MAX_DEPTH,
+              SCOPE, ["delta"])
+    with pytest.raises(DslSyntaxError):
+        parse("ddelta/dt = " + " + ".join(["delta"] * (MAX_DEPTH + 1)), SCOPE, ["delta"])
+
+
+def test_full_catalog_linear_seed_roundtrips():
+    model = get_model("type1order5")
+    scope = SymbolScope(states=model.state_names,
+                        variables=tuple(e.name for e in model.catalog))
+    assert len(scope.symbols) == 12
+    seed = make_linear_seed(scope, model.state_names, "de")
+    again = parse(serialize(seed), scope, model.state_names, kind="de")
+    assert again.expressions == seed.expressions
 
 
 def test_missing_and_duplicate_targets():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daedisc.benchmarks import CatalogEntry
-from daedisc.dsl import SymbolScope, parse
+from daedisc.dsl import FUNCTIONS, MAX_EXPONENT, SymbolScope, parse
 from daedisc.fitting import ScoredSkeleton
 from daedisc.gateway import (
     BackendUnavailable,
@@ -36,6 +36,15 @@ def test_prompt_without_examples_has_contract_and_stub():
     assert "domega/dt = " in prompt
     assert "Example" not in prompt
     assert "p0, p1, p2" in prompt
+
+
+@pytest.mark.parametrize("kind,targets", [("de", ["delta"]), ("ae", ["P_e"])])
+def test_prompt_states_the_dsl_limits(kind, targets):
+    prompt = build_prompt(kind, ("delta", "omega"), ENTRIES, [], targets)
+    functions_line = next(line for line in prompt.splitlines()
+                          if line.startswith("functions "))
+    assert functions_line.split(",")[0].split()[1:] == list(FUNCTIONS)
+    assert f"between -{MAX_EXPONENT} and {MAX_EXPONENT}." in prompt
 
 
 def test_prompt_examples_in_given_order_with_scores():
