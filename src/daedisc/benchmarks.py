@@ -72,26 +72,48 @@ class CatalogEntry:
         return any(lowered == a.casefold() for a in self.aliases)
 
 
+# a scalar field's declared type -> (the JSON values it takes, their name);
+# bool is an int in Python, but JSON true/false is no number
+_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+            "str": (str, "a string")}
+
+
+def _type_error(declared: str, value) -> str | None:
+    """Why a JSON value cannot fill a field declared as ``declared``, or None if
+    it can or the field is no scalar (its converter checks it then)."""
+    scalar, _, rest = declared.partition(" | ")
+    if scalar not in _SCALARS or value is None and rest == "None":
+        return None
+    kinds, name = _SCALARS[scalar]
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return None
+    got = "null" if value is None else type(value).__name__
+    return f"expected {name}{' or null' if rest == 'None' else ''}, got {got}"
+
+
 def from_json_object(cls, data, **convert):
     """Build the settings dataclass ``cls`` from a JSON object.  Every key must be
-    a field, so a misspelled key cannot pass unnoticed; a key present goes through
-    its converter in ``convert``, if any; an absent field keeps its default.
-    Malformed input raises ValueError."""
+    a field, so a misspelled key cannot pass unnoticed; a scalar value must have
+    its field's declared type (an integer fills a float field); a key present
+    goes through its converter in ``convert``, if any; an absent field keeps its
+    default.  Malformed input raises ValueError: naming the key for a wrong
+    type or a failed conversion, or the dataclass's own for a value it rejects."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(declared))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
     values = {}
     for key, value in data.items():
+        problem = _type_error(declared[key], value)
+        if problem:
+            raise ValueError(f"{key}: {problem}")
         try:
             values[key] = convert[key](value) if key in convert else value
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key}: {exc}") from exc
-    try:
-        return cls(**values)
-    except TypeError as exc:  # a value of the wrong type met a check in __post_init__
-        raise ValueError(str(exc)) from exc
+    return cls(**values)
 
 
 def _pairs(data) -> tuple[tuple[str, float], ...]:
@@ -142,8 +164,14 @@ class ScenarioConfig:
     initial_state: tuple[tuple[str, float], ...] | None = None  # None: equilibrium
 
     def __post_init__(self):
+        if self.total_time <= 0:
+            raise ValueError(f"total_time must be positive, got {self.total_time}")
         if self.dt <= 0:
             raise ValueError("step must be positive")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.disturbance.kind != "none":
             if not (0.0 <= self.disturbance.start <= self.total_time):
                 raise ValueError("disturbance window outside the run")
@@ -160,7 +188,7 @@ class ScenarioConfig:
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
         return from_json_object(
             cls, data, total_time=float, dt=float, disturbance=Disturbance.from_dict,
-            inputs=_pairs, noise_sigma=float, seed=int,
+            inputs=_pairs, noise_sigma=float,
             initial_state=lambda init: None if init is None else _pairs(init))
 
 

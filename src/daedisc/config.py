@@ -122,8 +122,7 @@ class RunConfig:
             raise ValueError("top_k must be >= 1")
         if self.de_max_iterations < 0 or self.ae_max_iterations < 0:
             raise ValueError("iteration budgets must be >= 0")
-        if self.max_seconds is not None and not (
-                isinstance(self.max_seconds, (int, float)) and self.max_seconds >= 0):
+        if self.max_seconds is not None and self.max_seconds < 0:
             raise ValueError("max_seconds must be null or a number >= 0")
 
     def to_dict(self) -> dict:

@@ -167,7 +167,10 @@ class SymbolScope:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """A parsed equation system: one expression per target, canonical slots."""
+    """A parsed equation system: one expression per target, canonical slots.
+
+    Forms derived from the fields alone (the canonical text, the evaluator's
+    tape) are cached on the instance on first use."""
 
     kind: str  # "de" | "ae"
     target_names: tuple[str, ...]
@@ -551,12 +554,17 @@ def _fmt(expr: Expr) -> tuple[str, int]:
 
 
 def serialize(skeleton: Skeleton) -> str:
-    """Canonical text: fixed spacing, minimal parentheses, one line per target."""
-    lines = []
-    for name, expr in zip(skeleton.target_names, skeleton.expressions):
-        lhs = f"d{name}/dt" if skeleton.kind == "de" else name
-        lines.append(f"{lhs} = {_fmt(expr)[0]}")
-    return "\n".join(lines)
+    """Canonical text: fixed spacing, minimal parentheses, one line per target;
+    formatted on first use and cached on the skeleton instance."""
+    text = skeleton.__dict__.get("_text")
+    if text is None:
+        lines = []
+        for name, expr in zip(skeleton.target_names, skeleton.expressions):
+            lhs = f"d{name}/dt" if skeleton.kind == "de" else name
+            lines.append(f"{lhs} = {_fmt(expr)[0]}")
+        text = "\n".join(lines)
+        object.__setattr__(skeleton, "_text", text)  # Skeleton is frozen
+    return text
 
 
 def code_length(skeleton: Skeleton) -> int:

@@ -12,17 +12,31 @@ Each skeleton is compiled once into a postorder tape.  One call,
 ``evaluate``, takes either one parameter vector (k,) or restart rows (R, k);
 rows are broadcast against the (n,) columns, so a fitter advances R restarts
 in one walk.  Gradients are produced per sample, not pre-reduced, so callers
-can apply any loss weighting they like.  A value-only call on one vector and
-one sample, as trajectory replay makes at every RK4 stage, walks the same
-tape on Python floats: the same operations and domain rules give the array
-walk's bits there, and a sample that faults is walked again on arrays, so
-its fault record is the array walk's.  All inputs are immutable and
-evaluation is pure.
+can apply any loss weighting they like.
+
+An array walk runs on a fit plan compiled from the tape: the forward steps
+over the nodes whose subtree holds a parameter (live nodes), and a reverse
+sweep that forms adjoints along parameter paths only.  The values of the
+parameter-free subtrees, such as ``omega - 1`` or ``sin(delta)``, and their
+domain rules depend on the batch alone; they are computed once per skeleton
+and batch and held, with the plan, in a one-entry memo of the last pair
+walked, never on the skeleton or the batch.  Each call then checks the domain
+rules of the live nodes and the finiteness of all outputs and of all
+gradients once.  Any fault there sends the call to the exact walk, which
+walks every node of the tape checking each in postorder, so the fault record
+names the first offending node.
+
+A value-only call on one vector and one sample, as trajectory replay makes at
+every RK4 stage, walks the tape on Python floats: the same operations and
+domain rules give the array walk's bits there, and a sample that faults is
+walked again on arrays, so its fault record is the array walk's.  All inputs
+are immutable and evaluation is pure.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -155,22 +169,23 @@ _VALUE = {
     **{f: (lambda x, y, e, ufunc=getattr(np, f): ufunc(x)) for f in FUNCTIONS},
 }
 
-# op -> (adjoint of x, adjoint of y or None) from the adjoint g of the value v
+# op -> (adjoint of x, adjoint of y or None for unary ops), each from the
+# adjoint g of the value v; a zeroth power has no adjoint (see _reverse_steps)
 _ADJOINTS = {
-    "neg": lambda g, x, y, v, e: (-g, None),
-    "+": lambda g, x, y, v, e: (g, g),
-    "-": lambda g, x, y, v, e: (g, -g),
-    "*": lambda g, x, y, v, e: (g * y, g * x),
-    "/": lambda g, x, y, v, e: (g / y, -g * x / (y * y)),
-    "^": lambda g, x, y, v, e: (g * e * np.asarray(x) ** float(e - 1) if e else None, None),
-    "sin": lambda g, x, y, v, e: (g * np.cos(x), None),
-    "cos": lambda g, x, y, v, e: (g * -np.sin(x), None),
-    "tan": lambda g, x, y, v, e: (g * (1.0 + v * v), None),
-    "exp": lambda g, x, y, v, e: (g * v, None),
-    "log": lambda g, x, y, v, e: (g * (1.0 / x), None),
-    "sqrt": lambda g, x, y, v, e: (g * (0.5 / v), None),
-    "tanh": lambda g, x, y, v, e: (g * (1.0 - v * v), None),
-    "abs": lambda g, x, y, v, e: (g * np.sign(x), None),  # subgradient 0 at the kink
+    "neg": (lambda g, x, y, v, e: -g, None),
+    "+": (lambda g, x, y, v, e: g, lambda g, x, y, v, e: g),
+    "-": (lambda g, x, y, v, e: g, lambda g, x, y, v, e: -g),
+    "*": (lambda g, x, y, v, e: g * y, lambda g, x, y, v, e: g * x),
+    "/": (lambda g, x, y, v, e: g / y, lambda g, x, y, v, e: -g * x / (y * y)),
+    "^": (lambda g, x, y, v, e: g * e * np.asarray(x) ** float(e - 1), None),
+    "sin": (lambda g, x, y, v, e: g * np.cos(x), None),
+    "cos": (lambda g, x, y, v, e: g * -np.sin(x), None),
+    "tan": (lambda g, x, y, v, e: g * (1.0 + v * v), None),
+    "exp": (lambda g, x, y, v, e: g * v, None),
+    "log": (lambda g, x, y, v, e: g * (1.0 / x), None),
+    "sqrt": (lambda g, x, y, v, e: g * (0.5 / v), None),
+    "tanh": (lambda g, x, y, v, e: g * (1.0 - v * v), None),
+    "abs": (lambda g, x, y, v, e: g * np.sign(x), None),  # subgradient 0 at the kink
 }
 
 
@@ -220,17 +235,166 @@ def _tape(skeleton: Skeleton) -> tuple[list[str], list[list[tuple]]]:
     return tape
 
 
-def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
-          exact: bool, gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k).
+def _reverse_steps(prog: list) -> tuple[tuple, tuple]:
+    """The reverse sweep of one target restricted to parameter paths.
 
-    Raises DomainFault if any row faults.  Checking finiteness at the outputs,
-    the gradients and where the domain rules do decides faulted-or-not as a check
-    at every node would; ``exact`` adds that per-node check, so the fault
-    names the first offending node.  With ``gradients=False`` the reverse
-    sweep and its finiteness check are skipped and None stands for the
-    gradients: only the values can fault.
+    An adjoint is formed only for an operand whose subtree holds a parameter
+    and that the value depends on (a zeroth power does not depend on its
+    base).  Steps are ``(slot, a, b, arg, adjoint of x or None, adjoint of y
+    or None)`` from the root down; leaves are ``(parameter index, slot)`` for
+    the parameter nodes the sweep reaches, left to right, the order in which a
+    repeated parameter's adjoints are summed."""
+    reached = {len(prog) - 1}
+    steps = []
+    for i in range(len(prog) - 1, -1, -1):
+        op, a, b, arg, live, _ = prog[i]
+        if i not in reached or not live or a is None:
+            continue
+        dx, dy = _ADJOINTS[op]
+        dx = dx if prog[a][4] and not (op == "^" and arg == 0) else None
+        dy = dy if dy is not None and prog[b][4] else None
+        reached.update(slot for slot, d in ((a, dx), (b, dy)) if d is not None)
+        if dx or dy:
+            steps.append((i, a, b, arg, dx, dy))
+    leaves = tuple((prog[i][3], i) for i in sorted(reached) if prog[i][0] == "param")
+    return tuple(steps), leaves
+
+
+def _plan(programs: list) -> tuple:
+    """One fit plan per target, as ``(places, forward, reverse, leaves)``.
+
+    ``places`` puts the parameter columns into their slots as (slot,
+    parameter index).  ``forward`` computes the other live nodes in
+    postorder as (slot, value function, a, b, arg, checks); checks are the
+    domain rules on live operands as (operand slot, bad test), since the rules
+    on parameter-free operands hold for the batch and are checked once with
+    it (``_parameter_free_values``).  ``reverse`` and ``leaves`` are the sweep
+    of ``_reverse_steps``."""
+    plan = []
+    for prog in programs:
+        places = tuple((i, ins[3]) for i, ins in enumerate(prog) if ins[0] == "param")
+        forward = tuple(
+            (i, _VALUE[op], a, b, arg,
+             tuple((slot, bad) for slot, bad in ((b if operand else a, bad)
+                                                 for operand, bad, _ in rules)
+                   if prog[slot][4]))
+            for i, (op, a, b, arg, live, rules) in enumerate(prog)
+            if live and op != "param")
+        plan.append((places, forward, *_reverse_steps(prog)))
+    return tuple(plan)
+
+
+def _reverse(steps: tuple, leaves: tuple, vals: list, grad: np.ndarray) -> None:
+    """Add per-sample parameter adjoints into grad (R, n, k), zero-filled."""
+    adj = {len(vals) - 1: 1.0}
+    for i, a, b, arg, dx, dy in steps:
+        g, x, y, v = adj[i], vals[a], vals[b], vals[i]
+        if dx is not None:
+            adj[a] = dx(g, x, y, v, arg)
+        if dy is not None:
+            adj[b] = dy(g, x, y, v, arg)
+    for j, i in leaves:
+        grad[..., j] += adj[i]
+
+
+def _parameter_free_values(programs: list, plan: tuple, cols: list) -> tuple | None:
+    """Per target, a list over the tape's slots holding the values of the
+    parameter-free subtrees that live nodes read (or that a target is), None
+    elsewhere; None if a domain rule on a parameter-free operand fails."""
+    values = []
+    with np.errstate(all="ignore"):  # non-finite results become faults
+        for prog, (_, forward, _, _) in zip(programs, plan):
+            vals = [None] * len(prog)
+            for i, (op, a, b, arg, live, rules) in enumerate(prog):
+                for operand, bad, _ in rules:
+                    slot = b if operand else a
+                    if not prog[slot][4] and np.asarray(bad(vals[slot])).any():
+                        return None
+                if live:
+                    continue
+                if op == "var":
+                    vals[i] = cols[arg]
+                elif op == "const":
+                    vals[i] = arg
+                else:
+                    vals[i] = _VALUE[op](vals[a], vals[b], arg)
+            read = {len(prog) - 1}.union(*((a, b) for _, _, a, b, _, _ in forward))
+            values.append([v if i in read else None for i, v in enumerate(vals)])
+    return tuple(values)
+
+
+# (skeleton, its plan, a weak reference to a batch, the parameter-free values):
+# the last pair walked on arrays.  One entry serves every step of a fit.  The
+# plan is not kept on the skeleton, nor the values at all once their batch is
+# gone: an archive holds its skeletons for the whole run, and a plan on each, or
+# a spent batch's values, would add to the peak memory.  Each call reads the
+# entry once and replaces it whole, so threads sharing it at worst recompute.
+_NOTHING_WALKED = (None, None, None, None)
+_last_walked: tuple = _NOTHING_WALKED
+
+
+def _forget(batch_ref: weakref.ref) -> None:
+    global _last_walked
+    if _last_walked[2] is batch_ref:
+        _last_walked = _NOTHING_WALKED
+
+
+def _fit_plan(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | None]:
+    """(plan, parameter-free values or None if they fault) of a skeleton on a
+    batch, from the one-entry memo when it holds them."""
+    global _last_walked
+    held, plan, batch_ref, values = _last_walked
+    if held is not skeleton:
+        plan, batch_ref = _plan(_tape(skeleton)[1]), None
+    if batch_ref is None or batch_ref() is not batch:
+        variables, programs = _tape(skeleton)
+        values = _parameter_free_values(programs, plan,
+                                        [batch.column(name) for name in variables])
+        batch_ref = weakref.ref(batch, _forget)
+    _last_walked = (skeleton, plan, batch_ref, values)
+    return plan, values
+
+
+def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int,
+                  gradients: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k),
+    walked on the fit plan from the parameter-free values; None if any row
+    faults.
+
+    Only live nodes are computed; the domain rules run before each of them,
+    and finiteness is checked once over all outputs and once over all
+    gradients.  Those checks and the parameter-free ones decide
+    faulted-or-not as a check at every node would; ``_walk_exact`` names the
+    fault.  With ``gradients=False`` the reverse sweep and its finiteness
+    check are skipped and None stands for the gradients.
     """
+    rows, k = params.shape
+    pcols = [params[:, j:j + 1] for j in range(k)]
+    outputs = np.empty((rows, len(plan), n_samples))
+    grads = np.zeros(outputs.shape + (k,)) if gradients else None
+    with np.errstate(all="ignore"):  # non-finite results become faults
+        for t, ((places, forward, reverse, leaves), base) in enumerate(zip(plan, values)):
+            vals = base.copy()
+            for i, j in places:
+                vals[i] = pcols[j]
+            for i, value, a, b, arg, checks in forward:
+                for slot, bad in checks:
+                    if bad(vals[slot]).any():
+                        return None
+                vals[i] = value(vals[a], vals[b], arg)
+            outputs[:, t] = vals[-1]
+            if gradients:
+                _reverse(reverse, leaves, vals, grads[:, t])
+        if not np.isfinite(outputs).all() or gradients and not np.isfinite(grads).all():
+            return None
+    return outputs, grads
+
+
+def _walk_exact(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
+                gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_walk_planned``'s results, walking every node of the tape and checking
+    each in postorder, target by target: raises DomainFault naming the first
+    offending node, or a target's non-finite gradient after its values."""
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
     rows, k = params.shape
@@ -239,7 +403,7 @@ def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
     outputs = np.empty((rows, len(programs), batch.n_samples))
     grads = np.zeros(outputs.shape + (k,)) if gradients else None
     with np.errstate(all="ignore"):  # non-finite results become faults
-        for t, prog in enumerate(programs):
+        for t, (prog, (_, _, reverse, leaves)) in enumerate(zip(programs, plan)):
             vals = []
             for op, a, b, arg, _, rules in prog:
                 if op == "param":
@@ -253,36 +417,14 @@ def _walk(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                     for operand, bad, reason in rules:
                         _check(bad(y if operand else x), reason, shape)
                     vals.append(_VALUE[op](x, y, arg))
-                if exact:
-                    _check_finite(vals[-1], shape)
+                _check_finite(vals[-1], shape)
             outputs[:, t] = vals[-1]
-            _check_finite(outputs[:, t], shape)
             if gradients:
                 grad = grads[:, t]
-                _sweep(prog, vals, grad)
+                _reverse(reverse, leaves, vals, grad)
                 if not np.isfinite(grad).all():
                     _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
     return outputs, grads
-
-
-def _sweep(prog: list, vals: list, grad: np.ndarray) -> None:
-    """Add per-sample parameter adjoints into grad (R, n, k), zero-filled."""
-    adj = {len(prog) - 1: 1.0}
-    leaves = []
-    for i in range(len(prog) - 1, -1, -1):
-        op, a, b, arg, live, _ = prog[i]
-        g = adj.get(i)
-        if g is None or not live:
-            continue
-        if op == "param":
-            leaves.append((arg, g))
-        else:
-            adj[a], gb = _ADJOINTS[op](g, vals[a], vals[b], vals[i], arg)
-            if gb is not None:
-                adj[b] = gb
-    # the sweep meets parameter leaves right to left; add them left to right
-    for j, g in reversed(leaves):
-        grad[..., j] += g
 
 
 def _walk_sample(skeleton: Skeleton, params: np.ndarray,
@@ -340,13 +482,15 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
         if outputs is not None:
             return EvalResult(outputs=outputs, gradients=None)
     rows = p if p.ndim == 2 else p[None, :]
-    try:
+    plan, values = _fit_plan(skeleton, batch)
+    walked = None if values is None else _walk_planned(plan, values, rows, batch.n_samples,
+                                                       gradients)
+    if walked is None:  # walk again checking every node, to name the first fault
         try:
-            outputs, grads = _walk(skeleton, rows, batch, exact=False, gradients=gradients)
-        except DomainFault:  # walk again checking every node, to name the first fault
-            outputs, grads = _walk(skeleton, rows, batch, exact=True, gradients=gradients)
-    except DomainFault as fault:
-        return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
+            walked = _walk_exact(skeleton, plan, rows, batch, gradients)
+        except DomainFault as fault:
+            return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
+    outputs, grads = walked
     if p.ndim == 1:
         outputs, grads = outputs[0], None if grads is None else grads[0]
     return EvalResult(outputs=outputs, gradients=grads)

@@ -247,6 +247,22 @@ def test_gen_data_rejects_malformed_scenario(tmp_path, train):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise_sigma", -0.5),
+    ("total_time", -1.0),
+    ("total_time", 0.0),
+    ("seed", -1),
+], ids=["negative-noise", "negative-duration", "zero-duration", "negative-seed"])
+def test_gen_data_rejects_out_of_range_scenario_values(tmp_path, key, value):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({**SCENARIOS, "train": {**SCENARIOS["train"], key: value}}))
+    result = CliRunner().invoke(main, ["gen-data", "--model", "swing2",
+                                       "--scenario", str(scen),
+                                       "--out", str(tmp_path / "data")])
+    assert key in _config_error(result)
+    assert not (tmp_path / "data").exists()
+
+
 def test_discover_survives_a_deeply_nested_completion(workspace, tmp_path):
     deep = "(" * 300 + "delta" + ")" * 300
     script = [[fenced(f"ddelta/dt = {deep}\ndomega/dt = p1*omega")],

@@ -457,3 +457,29 @@ def test_run_config_validation():
                                "fit": {"steps": 100}})
     assert cfg.fit.steps == 100
     assert cfg.fit.learning_rate == 0.05  # untouched defaults survive
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"islands": "3"}, "islands: expected an integer, got str"),
+    ({"fit": {"steps": "10"}}, "fit: steps: expected an integer, got str"),
+    ({"sampler": {"tau_cluster": "x"}}, "sampler: tau_cluster: expected a number, got str"),
+    ({"temperature": True}, "temperature: expected a number, got bool"),
+    ({"islands": 3.0}, "islands: expected an integer, got float"),
+    ({"max_seconds": "60"}, "max_seconds: expected a number or null, got str"),
+    ({"generator": {"kind": "mock", "script": 5}},
+     "generator: script: expected a string or null, got int"),
+], ids=["islands-string", "steps-string", "tau-string", "temperature-bool", "islands-float",
+        "max-seconds-string", "script-number"])
+def test_run_config_names_a_wrong_type(data, message):
+    from daedisc.config import ConfigError
+
+    with pytest.raises(ConfigError) as caught:
+        RunConfig.from_dict({"generator": {"kind": "mock", "script": "s.json"}, **data})
+    assert str(caught.value) == f"bad run config: {message}"
+
+
+def test_run_config_takes_an_integer_for_a_float():
+    cfg = RunConfig.from_dict({"temperature": 2, "max_seconds": 60,
+                               "sampler": {"tau_cluster": 1},
+                               "generator": {"kind": "mock", "script": "s.json"}})
+    assert (cfg.temperature, cfg.max_seconds, cfg.sampler.tau_cluster) == (2, 60, 1)

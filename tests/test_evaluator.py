@@ -1,3 +1,9 @@
+import gc
+import sys
+import threading
+import types
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,9 @@ from daedisc.evaluator import (
     FaultInfo,
     MissingColumn,
     SampleBatch,
+    _ADJOINTS,
+    _VALUE,
+    _tape,
     evaluate,
     gradient_check,
 )
@@ -318,3 +327,203 @@ def test_one_sample_walk_matches_the_array_walk():
                 assert np.array_equal(one.outputs.view(np.int64),
                                       rows.outputs[0].view(np.int64)), (text, x, y, params)
     assert seen[True] > 200 and seen[False] > 600
+
+
+# --- the fit plan: the planned walk is the plain tape walk -----------------
+
+def _tape_walk(sk, rows, batch, gradients):
+    """The plain tape walk: every node in postorder, checked as it is formed,
+    and a reverse sweep forming every adjoint, parameter-free or not.
+    (outputs, gradients or None) for rows (R, k), or the FaultInfo."""
+    variables, programs = _tape(sk)
+    cols = [batch.column(name) for name in variables]
+    shape = (rows.shape[0], batch.n_samples)
+    outputs = np.empty((shape[0], len(programs), shape[1]))
+    grads = np.zeros(outputs.shape + (rows.shape[1],))
+
+    def fault(bad, reason):
+        return FaultInfo(int(np.argmax(np.broadcast_to(bad, shape).any(axis=0))), reason)
+
+    with np.errstate(all="ignore"):
+        for t, prog in enumerate(programs):
+            vals = []
+            for op, a, b, arg, _, rules in prog:
+                if op == "param":
+                    v = rows[:, arg:arg + 1]
+                elif op == "var":
+                    v = cols[arg]
+                elif op == "const":
+                    v = arg
+                else:
+                    x, y = vals[a], vals[b]
+                    for operand, bad, reason in rules:
+                        if np.any(bad(y if operand else x)):
+                            return fault(bad(y if operand else x), reason)
+                    v = _VALUE[op](x, y, arg)
+                if not np.all(np.isfinite(v)):
+                    return fault(~np.isfinite(v), "non-finite value")
+                vals.append(v)
+            outputs[:, t] = vals[-1]
+            if not gradients:
+                continue
+            adj, leaves = {len(prog) - 1: 1.0}, []
+            for i in range(len(prog) - 1, -1, -1):
+                op, a, b, arg, _, _ = prog[i]
+                if i not in adj or op in ("var", "const"):
+                    continue
+                if op == "param":
+                    leaves.append((arg, adj[i]))
+                    continue
+                dx, dy = _ADJOINTS[op]
+                if not (op == "^" and arg == 0):
+                    adj[a] = dx(adj[i], vals[a], vals[b], vals[i], arg)
+                if dy is not None:
+                    adj[b] = dy(adj[i], vals[a], vals[b], vals[i], arg)
+            for j, g in reversed(leaves):  # met right to left, added left to right
+                grads[:, t, :, j] += g
+            if not np.all(np.isfinite(grads[:, t])):
+                return fault(~np.isfinite(grads[:, t]).all(axis=2), "non-finite gradient")
+    return outputs, grads if gradients else None
+
+
+def _same_as_tape_walk(sk, params, batch):
+    """evaluate agrees bit for bit with the plain tape walk, on a fresh plan
+    value memo and on a second call that reuses it; returns whether it faulted."""
+    params = np.asarray(params, dtype=np.float64)
+    rows = params if params.ndim == 2 else params[None, :]
+    faulted = False
+    for gradients in (True, False):
+        want = _tape_walk(sk, rows, batch, gradients)
+        for _ in range(2):
+            got = evaluate(sk, params, batch, gradients=gradients)
+            if isinstance(want, FaultInfo):
+                assert got.domain_fault == want
+                assert got.outputs is None and got.gradients is None
+                faulted = True
+                continue
+            assert not got.faulted, got.domain_fault
+            outputs, grads = want if params.ndim == 2 else (want[0][0], None if want[1] is None
+                                                            else want[1][0])
+            assert np.array_equal(got.outputs.view(np.int64), outputs.view(np.int64))
+            if gradients:
+                assert np.array_equal(got.gradients.view(np.int64), grads.view(np.int64))
+            else:
+                assert got.gradients is None
+    return faulted
+
+
+def test_planned_walk_is_the_tape_walk_on_random_skeletons():
+    from test_acceptance import _random_expr
+
+    rng = np.random.default_rng(10)
+    scope = SymbolScope(states=("x",))
+    special = [0.0, 1e-13, -2.0, 1000.0, 1e300]
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        try:
+            sk = parse(f"dx/dt = {_random_expr(rng, 3, 3)}", scope, ["x"], kind="de")
+        except Exception:
+            continue
+        x = rng.uniform(0.5, 2.0, 6)
+        if rng.random() < 0.3:
+            x[rng.integers(6)] = rng.choice(special)
+        batch = _batch(x=x)
+        shape = (3, sk.n_params) if rng.random() < 0.5 else (sk.n_params,)
+        seen[_same_as_tape_walk(sk, rng.uniform(-2.0, 2.0, shape), batch)] += 1
+    assert seen[True] > 10 and seen[False] > 100
+
+
+@pytest.mark.parametrize("text, params, fault", [
+    ("dx/dt = p0*x + x^0\ndy/dt = p0^0*y + p1", [0.0, -1.2], None),
+    ("dx/dt = p0*x + p0*x^2 - p0*p0\ndy/dt = p1*y - p0", [0.7, -1.2], None),
+    ("dx/dt = p0*log(x - 10)\ndy/dt = p1*y", [0.7, -1.2],
+     FaultInfo(1, "log of non-positive argument")),
+    # a parameter-free fault (sample 1) comes before a live one (sample 0)
+    ("dx/dt = p1*log(x - 10) + sqrt(p0*x)\ndy/dt = y", [-1.0, 2.0],
+     FaultInfo(1, "log of non-positive argument")),
+    ("dx/dt = sqrt(p0*x) + p1*log(x - 10)\ndy/dt = y", [-1.0, 2.0],
+     FaultInfo(0, "sqrt of negative argument")),
+    # the faults of a later target come after the gradients of an earlier one
+    ("dx/dt = sqrt(p0*x)\ndy/dt = p1*log(y - 10)", [1.0, 0.0],
+     FaultInfo(2, "non-finite gradient")),
+    # faults that the outputs do not show: a huge finite quotient, and a
+    # non-finite value that tanh turns finite
+    ("dx/dt = p1/(p0*y - 2)\ndy/dt = y", [1.00000000000001, 1.0],
+     FaultInfo(1, "division by near-zero denominator")),
+    ("dx/dt = tanh(exp(p0*x))\ndy/dt = p1*y", [40.0, 1.0], FaultInfo(0, "non-finite value")),
+], ids=["zeroth-powers", "repeated-parameter", "parameter-free-fault",
+        "parameter-free-fault-first", "live-fault-first", "gradient-fault-first",
+        "near-zero-live-denominator", "vanishing-live-overflow"])
+def test_planned_walk_is_the_tape_walk_on_chosen_skeletons(text, params, fault):
+    scope = SymbolScope(states=("x", "y"))
+    sk = parse(text, scope, ["x", "y"], kind="de")
+    batch = _batch(x=[20.1, 5.3, 0.0], y=[1.0, 2.0, 3.0])
+    for p in (params, [params, [0.5, 0.25]]):
+        _same_as_tape_walk(sk, p, batch)
+    assert evaluate(sk, params, batch).domain_fault == fault
+
+
+def test_plan_values_are_not_kept_on_a_skeleton():
+    # the parameter-free values live in a one-entry memo, so walking a second
+    # skeleton leaves nothing of the first one's batch data reachable from it
+    batch = _batch(x=np.linspace(0.5, 2.0, 50))
+    first = parse("dx/dt = p0*sin(x) + p1*exp(x - 1)", SCOPE, ["x"], kind="de")
+    second = parse("dx/dt = p0*cos(x)", SCOPE, ["x"], kind="de")
+    assert not evaluate(first, [1.0, 2.0], batch).faulted
+    assert not evaluate(second, [1.0], batch).faulted
+
+    seen, todo = {id(first)}, [first]
+    while todo:
+        obj = todo.pop()
+        assert not isinstance(obj, np.ndarray)
+        for ref in gc.get_referents(obj):  # code, not data: no functions or modules
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                todo.append(ref)
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None
+
+
+def test_plan_memo_under_threads():
+    # threads walking different skeletons on different batches share the
+    # one-entry memo; each must still get its own pair's bits
+    rng = np.random.default_rng(3)
+    jobs = []
+    for text in ("p0*sin(x) + p1*exp(x - 1)", "p0*cos(x)^2 - p1", "(x - 1)*p0 + log(x)*p1",
+                 "p1/(x + 2) + p0*tanh(x)"):
+        sk = parse(f"dx/dt = {text}", SCOPE, ["x"], kind="de")
+        batch = _batch(x=rng.uniform(0.5, 2.0, 40))
+        rows = rng.uniform(-1.0, 1.0, (2, sk.n_params))
+        want = evaluate(sk, rows, batch)
+        jobs.append((sk, batch, rows, want))
+    mismatches = []
+
+    def work(first):
+        # each thread cycles through every pair from its own start, so the
+        # memo changes hands at almost every call
+        for n in range(200):
+            sk, batch, rows, want = jobs[(first + n) % len(jobs)]
+            try:
+                got = evaluate(sk, rows, batch)
+            except Exception as exc:  # another pair's plan or values: wrong shapes
+                mismatches.append(exc)
+                return
+            if not (np.array_equal(got.outputs, want.outputs)
+                    and np.array_equal(got.gradients, want.gradients)):
+                mismatches.append(sk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % len(jobs),)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
