@@ -27,10 +27,15 @@ walks every node of the tape checking each in postorder, so the fault record
 names the first offending node.
 
 A value-only call on one vector and one sample, as trajectory replay makes at
-every RK4 stage, walks the tape on Python floats: the same operations and
-domain rules give the array walk's bits there, and a sample that faults is
-walked again on arrays, so its fault record is the array walk's.  All inputs
-are immutable and evaluation is pure.
+every RK4 stage, runs the skeleton's one-sample walk: a straight-line Python
+function of the variable and parameter values, compiled once from the tape
+and cached on the skeleton.  Its statements are the tape's operations and
+domain rules on Python floats, which give the array walk's bits; the source
+holds only slot numbers and fixed templates, with constants, operations and
+rule predicates bound in its namespace, so no text of the skeleton is ever
+compiled.  A sample that faults is walked again on arrays, so its fault
+record is the array walk's.  Replay calls the compiled walk directly
+(``sample_walk``).  All inputs are immutable and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -427,39 +432,80 @@ def _walk_exact(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: Samp
     return outputs, grads
 
 
-def _walk_sample(skeleton: Skeleton, params: np.ndarray,
-                 batch: SampleBatch) -> np.ndarray | None:
-    """Outputs (T, 1) of one parameter vector on a one-sample batch, walked on
-    Python floats; None if the sample faults.
+# the one-sample walk's statements: ``+ - * /`` and negation inline on floats,
+# every other operation through its ``_VALUE`` entry, bound as f<slot>
+_INLINE = {"neg": "-{x}", "+": "{x} + {y}", "-": "{x} - {y}", "*": "{x} * {y}",
+           "/": "{x} / {y}"}
 
-    The operations are the array walk's own (``_VALUE``), which give its bits
-    on floats too, and the same domain rules and output check decide the
-    fault, so a sample that passes here has the array walk's outputs.
+
+def _sample_source(programs: list) -> tuple[str, dict]:
+    """Source and namespace of ``walk(xs, ps)``, the straight-line one-sample
+    walk of a tape's programs.
+
+    Slot ``n`` of the tape, counted over all targets, is the local ``v<n>``:
+    a parameter or variable is read from ``ps`` or ``xs`` by index, and every
+    other value is formed after its domain rules, each a bound predicate
+    ``r<n>_<k>``; a target's output is checked finite.  Constants (``c<n>``),
+    operations (``f<n>``), exponents (``k<n>``) and predicates are bound in
+    the namespace, so the source holds nothing but slot numbers, indices and
+    fixed templates.
+    """
+    namespace = {"__builtins__": {}, "float": float, "isfinite": math.isfinite}
+    lines = ["def walk(xs, ps):"]
+    roots = []
+    base = 0
+    for prog in programs:
+        slots = []
+        for i, (op, a, b, arg, _, rules) in enumerate(prog):
+            n = base + i
+            if op == "const":
+                namespace[f"c{n}"] = arg
+                slots.append(f"c{n}")
+                continue
+            slots.append(f"v{n}")
+            if op == "param":
+                lines.append(f"    v{n} = ps[{int(arg)}]")
+                continue
+            if op == "var":
+                lines.append(f"    v{n} = xs[{int(arg)}]")
+                continue
+            x, y = slots[a], slots[b]
+            for k, (operand, bad, _) in enumerate(rules):
+                namespace[f"r{n}_{k}"] = bad
+                lines.append(f"    if r{n}_{k}({y if operand else x}): return None")
+            if op in _INLINE:
+                lines.append(f"    v{n} = " + _INLINE[op].format(x=x, y=y))
+            else:
+                namespace[f"f{n}"], namespace[f"k{n}"] = _VALUE[op], arg
+                lines.append(f"    v{n} = float(f{n}({x}, {y}, k{n}))")
+        root = slots[-1]
+        lines.append(f"    if not isfinite({root}): return None")
+        roots.append(root)
+        base += len(prog)
+    lines.append(f"    return [{', '.join(roots)}]")
+    return "\n".join(lines) + "\n", namespace
+
+
+def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
+    """(variables, walk): the skeleton's value-only walk on one sample,
+    compiled on first use and cached on the skeleton instance.
+
+    ``walk(xs, ps)`` takes the values of ``variables``, in that order, and the
+    parameter vector as lists of floats, and gives the outputs in target order
+    as a list of floats, or None if the sample faults.  The operations are the
+    array walk's own (``_VALUE``), which give its bits on floats too, and the
+    same domain rules and output check decide the fault, so a sample that
+    passes has the array walk's outputs.  Call it under
+    ``np.errstate(all="ignore")``: a non-finite value is a fault, not a warning.
     """
     variables, programs = _tape(skeleton)
-    xs = [float(batch.column(name)[0]) for name in variables]
-    ps = params.tolist()
-    outputs = []
-    with np.errstate(all="ignore"):  # non-finite results become faults
-        for prog in programs:
-            vals = []
-            for op, a, b, arg, _, rules in prog:
-                if a is not None:
-                    x, y = vals[a], vals[b]
-                    for operand, bad, _ in rules:
-                        if bad(y if operand else x):
-                            return None
-                    vals.append(float(_VALUE[op](x, y, arg)))
-                elif op == "param":
-                    vals.append(ps[arg])
-                elif op == "var":
-                    vals.append(xs[arg])
-                else:
-                    vals.append(arg)
-            if not math.isfinite(vals[-1]):
-                return None
-            outputs.append(vals[-1])
-    return np.array(outputs)[:, None]
+    walk = skeleton.__dict__.get("_sample_walk")
+    if walk is None:
+        source, namespace = _sample_source(programs)
+        exec(compile(source, "<sample walk>", "exec"), namespace)
+        walk = namespace["walk"]
+        object.__setattr__(skeleton, "_sample_walk", walk)  # Skeleton is frozen
+    return variables, walk
 
 
 def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: SampleBatch,
@@ -477,10 +523,14 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
         raise ValueError(f"expected {skeleton.n_params} parameters or rows of them, "
                          f"got shape {p.shape}")
     if p.ndim == 1 and batch.n_samples == 1 and not gradients:
-        # one sample (replay): walked on floats; a fault is named by the array walk
-        outputs = _walk_sample(skeleton, p, batch)
+        # one sample (replay's shape): the compiled walk on floats; a fault is
+        # named by the array walk
+        variables, walk = sample_walk(skeleton)
+        xs = [float(batch.column(name)[0]) for name in variables]
+        with np.errstate(all="ignore"):  # non-finite results become faults
+            outputs = walk(xs, p.tolist())
         if outputs is not None:
-            return EvalResult(outputs=outputs, gradients=None)
+            return EvalResult(outputs=np.array(outputs)[:, None], gradients=None)
     rows = p if p.ndim == 2 else p[None, :]
     plan, values = _fit_plan(skeleton, batch)
     walked = None if values is None else _walk_planned(plan, values, rows, batch.n_samples,

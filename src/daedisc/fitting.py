@@ -50,6 +50,8 @@ class FitConfig:
             raise ValueError("learning rate must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:  # NumPy's seed sequences take no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

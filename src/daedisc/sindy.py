@@ -18,10 +18,13 @@ instead, and then the record need not hold its targets.  The right-hand side
 is built once per replay: every state, signal and algebraic prediction has a
 fixed place in one flat list of floats.  Each stage evaluates the models on
 one sample: sparse-regression models as the library row (the same products
-as the fitted library) times the coefficients, skeletons through one
-value-only ``evaluate`` on the variables they read (no parameter gradients,
-so a non-finite gradient is no fault).  An unstable identified model yields
-a divergence flag and the finite prefix, never a crash.
+as the fitted library) times the coefficients, skeletons through their
+compiled one-sample walk (``evaluator.sample_walk``) on lists of the
+variables they read and of their parameters (values only, so a non-finite
+gradient is no fault).  A skeleton that faults is evaluated once more by a
+value-only ``evaluate``, whose array walk names the fault; the replay logs
+it and returns it.  An unstable identified model yields a divergence flag
+and the finite prefix, never a crash.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -39,7 +42,7 @@ import numpy as np
 from .benchmarks import FullRecord, rk4_step
 from .dataset import deriv_name
 from .dsl import Skeleton, SymbolScope, parse, variables_in
-from .evaluator import SampleBatch, evaluate
+from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
 
 logger = logging.getLogger(__name__)
 
@@ -299,13 +302,26 @@ class ReplayResult:
     states: dict[str, np.ndarray]
     diverged: bool
     n_valid: int  # samples with finite values
+    # the domain fault that ended the replay, its sample_index the time-grid
+    # index of the faulting RK4 step's start
+    fault: FaultInfo | None = None
+
+
+def _name_fault(model: SkeletonModel, values: list[float],
+                position: Mapping[str, int]) -> FaultInfo:
+    """The domain fault of a skeleton on the replay sample ``values``, named
+    by the array walk of one value-only ``evaluate``."""
+    batch = SampleBatch({name: np.array((values[position[name]],))
+                         for name in variables_in(model.skeleton)}, 1)
+    return evaluate(model.skeleton, model.params, batch, gradients=False).domain_fault
 
 
 def _stage_outputs(model, position: Mapping[str, int], targets: Sequence[str]):
     """The function from the replay's flat input list (each name at its
     ``position``) to one sample's outputs of ``model`` in ``targets`` order
-    (for a skeleton, its own target order); it gives None when a skeleton
-    faults."""
+    (for a skeleton, its own target order, as a list from its compiled
+    one-sample walk); it gives None when a skeleton faults.  Callers run it
+    under ``np.errstate(all="ignore")``."""
     if isinstance(model, SindyModel):
         factors = [[position[var] for var in _factors(term)] for term in model.terms]
         order = [model.target_names.index(name) for name in targets]
@@ -320,13 +336,12 @@ def _stage_outputs(model, position: Mapping[str, int], targets: Sequence[str]):
             row = [math.prod(map(get, term)) for term in factors]
             return (np.array([row]) @ coefficients_t)[0, order]
     else:
-        used = [(name, position[name]) for name in sorted(variables_in(model.skeleton))]
+        variables, walk = sample_walk(model.skeleton)
+        places = [position[name] for name in variables]
+        params = model.params.tolist()
 
-        def outputs(values: list[float]) -> np.ndarray | None:
-            # a batch of the variables the skeleton reads, value-only
-            batch = SampleBatch({name: np.array((values[i],)) for name, i in used}, 1)
-            res = evaluate(model.skeleton, model.params, batch, gradients=False)
-            return None if res.faulted else res.outputs[:, 0]
+        def outputs(values: list[float]) -> list[float] | None:
+            return walk([values[i] for i in places], params)
     return outputs
 
 
@@ -383,20 +398,29 @@ def simulate_identified(model, record: FullRecord,
 
     no_derivatives = np.full(len(state_names), np.nan)
     no_derivatives.setflags(write=False)
+    faulted = None  # (which model, its fault): at most one, as it ends the replay
+
+    def fault(skeleton_model: SkeletonModel, which: str) -> np.ndarray:
+        nonlocal faulted
+        faulted = which, _name_fault(skeleton_model, values, position)
+        return no_derivatives
 
     def rhs(state: np.ndarray, signal_values: list[float]) -> np.ndarray:
         given = state.tolist() + signal_values
-        # a non-finite input or a faulting model gives NaN derivatives
+        # a non-finite input or a faulting model gives NaN derivatives, so
+        # every later stage stops here
         if not all(map(math.isfinite, given)):
             return no_derivatives
         values[:n_recorded] = given
         if ae_outputs is not None:
             predicted = ae_outputs(values)
             if predicted is None:
-                return no_derivatives
-            values[n_recorded:] = predicted.tolist()
+                return fault(ae_model, "AE")
+            values[n_recorded:] = predicted
         derivatives = de_outputs(values)
-        return no_derivatives if derivatives is None else derivatives
+        if derivatives is None:
+            return fault(model, "DE")
+        return np.asarray(derivatives)
 
     x = np.array([record.columns[s][0] for s in state_names])
     n = len(time_grid)
@@ -413,9 +437,15 @@ def simulate_identified(model, record: FullRecord,
                 break
             out[i + 1] = x
             n_valid += 1
+    info = None
+    if faulted is not None:
+        which, info = faulted
+        info = replace(info, sample_index=n_valid - 1)
+        logger.warning("replay: the %s model faults in the RK4 step from t = %g s: %s",
+                       which, time_grid[n_valid - 1], info.reason)
     states = {s: out[:, j] for j, s in enumerate(state_names)}
     return ReplayResult(time=time_grid.copy(), states=states,
-                        diverged=diverged, n_valid=n_valid)
+                        diverged=diverged, n_valid=n_valid, fault=info)
 
 
 def save_model(model: SindyModel, path: str | Path) -> None:

@@ -478,6 +478,18 @@ def test_run_config_names_a_wrong_type(data, message):
     assert str(caught.value) == f"bad run config: {message}"
 
 
+def test_run_config_rejects_a_negative_fit_seed():
+    from daedisc.config import ConfigError
+
+    with pytest.raises(ConfigError) as caught:
+        RunConfig.from_dict({"generator": {"kind": "mock", "script": "s.json"},
+                             "fit": {"seed": -2}})
+    assert str(caught.value) == "bad run config: fit: seed must be >= 0, got -2"
+    cfg = RunConfig.from_dict({"generator": {"kind": "mock", "script": "s.json"},
+                               "fit": {"seed": 0}})
+    assert cfg.fit.seed == 0
+
+
 def test_run_config_takes_an_integer_for_a_float():
     cfg = RunConfig.from_dict({"temperature": 2, "max_seconds": 60,
                                "sampler": {"tau_cluster": 1},

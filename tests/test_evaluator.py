@@ -1,13 +1,17 @@
 import gc
+import io
+import keyword
+import re
 import sys
 import threading
+import tokenize
 import types
 import weakref
 
 import numpy as np
 import pytest
 
-from daedisc.dsl import FUNCTIONS, MAX_EXPONENT, SymbolScope, parse
+from daedisc.dsl import FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, SymbolScope, _depth, parse
 from daedisc.evaluator import (
     DomainFault,
     FaultInfo,
@@ -15,9 +19,11 @@ from daedisc.evaluator import (
     SampleBatch,
     _ADJOINTS,
     _VALUE,
+    _sample_source,
     _tape,
     evaluate,
     gradient_check,
+    sample_walk,
 )
 
 SCOPE = SymbolScope(states=("x", "delta", "omega"))
@@ -527,3 +533,98 @@ def test_plan_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not mismatches
+
+
+# --- the compiled one-sample walk ------------------------------------------
+
+def _same_bits_one_sample(sk, params, batch):
+    """The compiled walk (a vector on one sample) against the array walk (the
+    same vector as a row); returns whether the sample faulted."""
+    one = evaluate(sk, params, batch, gradients=False)
+    rows = evaluate(sk, np.asarray(params, dtype=np.float64)[None, :], batch, gradients=False)
+    assert one.domain_fault == rows.domain_fault
+    if not one.faulted:
+        assert np.array_equal(one.outputs.view(np.int64), rows.outputs[0].view(np.int64))
+    return one.faulted
+
+
+def test_compiled_walk_of_a_skeleton_at_max_depth():
+    # unary calls, powers, negations and binary operators nested to MAX_DEPTH
+    wrappers = [lambda e: f"tanh({e})", lambda e: f"(p1 - {e})", lambda e: f"sin({e})^2",
+                lambda e: f"-{e}", lambda e: f"(y*{e} / 1.5)"]
+
+    def system(expr):
+        return parse(f"dx/dt = {expr}\ndy/dt = x", SymbolScope(states=("x", "y")),
+                     ["x", "y"], kind="de")
+
+    text = "p0*x"
+    for n in range(MAX_DEPTH):  # each wrapper adds one or two levels
+        wrapped = wrappers[n % len(wrappers)](text)
+        if _depth(system(wrapped).expressions[0]) > MAX_DEPTH - 2:
+            break
+        text = wrapped
+    while _depth(system(text).expressions[0]) < MAX_DEPTH:
+        text = f"cos({text})"
+    sk = system(text)
+    assert _depth(sk.expressions[0]) == MAX_DEPTH
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        batch = _batch(x=[rng.uniform(-2.0, 2.0)], y=[rng.uniform(-2.0, 2.0)])
+        assert not _same_bits_one_sample(sk, rng.uniform(-2.0, 2.0, 2), batch)
+
+
+def test_compiled_walk_of_a_skeleton_with_many_nodes():
+    # a balanced sum of 256 terms per target keeps the depth small
+    def balanced(terms):
+        if len(terms) == 1:
+            return terms[0]
+        half = len(terms) // 2
+        return f"({balanced(terms[:half])} + {balanced(terms[half:])})"
+
+    rng = np.random.default_rng(13)
+    functions = ("sin", "cos", "exp", "log", "sqrt", "tanh", "abs", "tan")
+    lines = []
+    for target in ("x", "y"):
+        terms = [f"p{k % 7}*{functions[k % 8]}({rng.uniform(0.1, 0.9):.4f}*x + y^2 + 1)"
+                 f"^{k % 5 - 2} / (y + {k + 3})" for k in range(256)]
+        lines.append(f"d{target}/dt = {balanced(terms)}")
+    sk = parse("\n".join(lines), SymbolScope(states=("x", "y")), ["x", "y"], kind="de")
+    assert sum(len(prog) for prog in _tape(sk)[1]) > 8000
+    faulted = [_same_bits_one_sample(sk, rng.uniform(-2.0, 2.0, 7),
+                                     _batch(x=[rng.uniform(-1.0, 1.0)], y=[y]))
+               for y in (0.3, -0.4, 2.0, -1.0 - 1e-13)]
+    assert faulted.count(False) >= 3
+
+
+def test_compiled_walk_keeps_constants_exactly():
+    sk = parse("dx/dt = -0.0\ndy/dt = 1e-300\ndz/dt = 5e-324 + p0*(x*1e-300)",
+               SymbolScope(states=("x", "y", "z")), ["x", "y", "z"], kind="de")
+    res = evaluate(sk, [0.0], _batch(x=[1.5], y=[0.0], z=[0.0]), gradients=False)
+    want = np.array([-0.0, 1e-300, 5e-324])
+    assert np.array_equal(res.outputs[:, 0].view(np.int64), want.view(np.int64))
+    assert not _same_bits_one_sample(sk, [2.5], _batch(x=[3.0], y=[0.0], z=[0.0]))
+
+
+def test_compiled_source_holds_no_skeleton_text():
+    text = ("dtheta_gen/dt = p0*log(omega_s - 1.2345678) + 6.02e23/sqrt(theta_gen)\n"
+            "domega_s/dt = tanh(-0.0 + 1e-300*theta_gen)^3 - 5e-324 + abs(omega_s)")
+    sk = parse(text, SymbolScope(states=("theta_gen", "omega_s")),
+               ["theta_gen", "omega_s"], kind="de")
+    source, _ = _sample_source(_tape(sk)[1])
+    for piece in ("theta_gen", "omega_s", "log", "sqrt", "tanh", "abs", "2345678",
+                  "e23", "e-300", "e-324", "0.0", "6.02"):
+        assert piece not in source
+    # every token is a fixed name, a slot-numbered name or an integer index
+    fixed = {"walk", "xs", "ps", "float", "isfinite"}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert (keyword.iskeyword(tok.string) or tok.string in fixed
+                    or re.fullmatch(r"[vcfk]\d+|r\d+_\d+", tok.string)), tok.string
+        elif tok.type == tokenize.NUMBER:
+            assert re.fullmatch(r"\d+", tok.string), tok.string
+        else:
+            assert tok.type in (tokenize.OP, tokenize.NEWLINE, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER, tokenize.NL), tok
+    variables, walk = sample_walk(sk)
+    assert sorted(variables) == ["omega_s", "theta_gen"]
+    assert walk is sample_walk(sk)[1]  # compiled once, kept on the skeleton

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, rk4_step, simulate
 from daedisc.dataset import central_difference, deriv_name
 from daedisc.dsl import variables_in
-from daedisc.evaluator import SampleBatch, evaluate
+from daedisc.evaluator import FaultInfo, SampleBatch, evaluate
 from daedisc.sindy import (
     LibraryConfig,
     SindyBaseline,
@@ -402,6 +403,29 @@ def test_replay_matches_reference_for_skeletons():
         [1.0, record.columns["delta"][0] + 2.0], record.state_names, record.state_names)
     replay = _assert_replays_as_reference(faulting, record)
     assert replay.diverged and 100 < replay.n_valid < record.n_samples - 100
+
+
+def test_replay_names_its_domain_fault(caplog):
+    _, record = _record()
+    assert simulate_identified(_swing_skeleton(record), record).fault is None
+    faulting = SkeletonModel.from_text(
+        "ddelta/dt = p0\ndomega/dt = log(p1 - delta)",
+        [1.0, record.columns["delta"][0] + 2.0], record.state_names, record.state_names)
+    with caplog.at_level(logging.WARNING, logger="daedisc.sindy"):
+        replay = simulate_identified(faulting, record)
+    # the step from the last valid sample faults
+    assert replay.fault == FaultInfo(replay.n_valid - 1, "log of non-positive argument")
+    assert len(caplog.records) == 1
+    assert "DE model" in caplog.text and "log of non-positive argument" in caplog.text
+    assert f"t = {record.time[replay.n_valid - 1]:g} s" in caplog.text
+    # an algebraic model that faults once delta falls to 0.5
+    de, ae = _swing_de_ae(record, "P_e = p0*sin(delta) + 0*log(delta - 0.5)", ("P_e",))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="daedisc.sindy"):
+        replay = simulate_identified(de, record, ae_model=ae)
+    assert replay.diverged
+    assert replay.fault == FaultInfo(replay.n_valid - 1, "log of non-positive argument")
+    assert "AE model" in caplog.text
 
 
 def test_ae_targets_need_no_recorded_column():
