@@ -464,15 +464,19 @@ def solve_equilibrium(model: BenchmarkModel, inputs: Mapping[str, float]) -> np.
         f"no equilibrium for {model.model_id} after {EQUILIBRIUM_MAX_ITERATIONS} iterations")
 
 
-def rk4_step(f: Callable[[np.ndarray, object], np.ndarray], x: np.ndarray, dt: float,
-             start, middle, end) -> np.ndarray:
-    """One classic RK4 step of ``f(x, u)``; the caller supplies ``u`` at the
-    step's start, midpoint (shared by the two middle stages) and end."""
+def rk4_step(f: Callable[[list[float], object], list[float]], x: list[float], dt: float,
+             start, middle, end) -> list[float]:
+    """One classic RK4 step of ``f(x, u)`` on lists of floats, the one step
+    shared by data generation and replay; the caller supplies ``u`` at the
+    step's start, midpoint (shared by the two middle stages) and end.  Each
+    element takes the operations of the array formula in its order, so the
+    bits are those of ``x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0``."""
     k1 = f(x, start)
-    k2 = f(x + dt * k1 / 2.0, middle)
-    k3 = f(x + dt * k2 / 2.0, middle)
-    k4 = f(x + dt * k3, end)
-    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    k2 = f([a + dt * b / 2.0 for a, b in zip(x, k1)], middle)
+    k3 = f([a + dt * b / 2.0 for a, b in zip(x, k2)], middle)
+    k4 = f([a + dt * b for a, b in zip(x, k3)], end)
+    return [a + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
@@ -491,26 +495,24 @@ def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
             return dist.magnitude
         return 0.0
 
-    def f(state: np.ndarray, t: float) -> np.ndarray:
-        return model.rhs(state, inputs_at(t), shift_at(t))
+    def f(state: list[float], t: float) -> list[float]:
+        return model.rhs(state, inputs_at(t), shift_at(t)).tolist()
 
     if scen.initial_state is not None:
         given = dict(scen.initial_state)
         missing = [s for s in model.state_names if s not in given]
         if missing:
             raise ValueError(f"initial_state missing {missing}")
-        x = np.array([given[name] for name in model.state_names])
+        x = [float(given[name]) for name in model.state_names]
     else:
-        x = solve_equilibrium(model, base_inputs)
+        x = solve_equilibrium(model, base_inputs).tolist()
 
     kick_index = -1
-    kick = np.zeros(len(model.state_names))
     if dist.kind == "state_kick":
         kick_index = int(round(dist.start / scen.dt))
         offsets = dict(dist.offsets)
         scale = dist.magnitude if dist.magnitude != 0.0 else 1.0
-        for i, name in enumerate(model.state_names):
-            kick[i] = scale * offsets.get(name, 0.0)
+        kick = [scale * offsets.get(name, 0.0) for name in model.state_names]
 
     n_steps = int(round(scen.total_time / scen.dt))
     time = np.arange(n_steps + 1) * scen.dt
@@ -522,8 +524,8 @@ def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
     for i in range(n_steps + 1):
         t = time[i]
         if i == kick_index:
-            x = x + kick
-        if not np.all(np.isfinite(x)):
+            x = [a + b for a, b in zip(x, kick)]
+        if not all(map(math.isfinite, x)):
             raise NonFiniteState(f"integration blew up at t={t:.4f}")
         states[i] = x
         u = inputs_at(t)

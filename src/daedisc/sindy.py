@@ -9,19 +9,20 @@ Cholesky solve; ill-conditioned active sets fall back to a small ridge
 penalty and are flagged.
 
 ``simulate_identified`` replays any identified model (a sparse-regression
-model or a fitted skeleton) through the same RK4 integrator that produced
-the benchmark data.  Exogenous inputs and recorded algebraic signals are fed
-from the test record by linear interpolation, computed once for every signal
-at every RK4 stage time, and ``rk4_step`` hands each stage its recorded
-signals; a discovered algebraic model can substitute its own predictions
-instead, and then the record need not hold its targets.  The right-hand side
-is built once per replay: every state, signal and algebraic prediction has a
-fixed place in one flat list of floats.  Each stage evaluates the models on
-one sample: sparse-regression models as the library row (the same products
-as the fitted library) times the coefficients, skeletons through their
-compiled one-sample walk (``evaluator.sample_walk``) on lists of the
-variables they read and of their parameters (values only, so a non-finite
-gradient is no fault).  A skeleton that faults is evaluated once more by a
+model or a fitted skeleton) through the same RK4 step, on lists of floats,
+that produced the benchmark data.  Exogenous inputs and recorded algebraic
+signals are fed from the test record by linear interpolation, computed once
+for every signal at every RK4 stage time, and ``rk4_step`` hands each stage
+its recorded signals; a discovered algebraic model can substitute its own
+predictions instead, and then the record need not hold its targets.  The
+right-hand side is built once per replay: every state, signal and algebraic
+prediction has a fixed place in one flat list of floats, and it returns the
+derivatives as a list.  Each stage evaluates the models on one sample:
+sparse-regression models as the library row (the same products as the
+fitted library) times the coefficients, skeletons through their compiled
+one-sample walk (``evaluator.sample_walk``) on lists of the variables they
+read and of their parameters (values only, so a non-finite gradient is no
+fault).  A skeleton that faults is evaluated once more by a
 value-only ``evaluate``, whose array walk names the fault; the replay logs
 it and returns it.  An unstable identified model yields a divergence flag
 and the finite prefix, never a crash.
@@ -331,10 +332,10 @@ def _stage_outputs(model, position: Mapping[str, int], targets: Sequence[str]):
         # (1, terms) layout times the coefficients' own transpose
         coefficients_t = model.coefficients.T
 
-        def outputs(values: list[float]) -> np.ndarray:
+        def outputs(values: list[float]) -> list[float]:
             get = values.__getitem__
             row = [math.prod(map(get, term)) for term in factors]
-            return (np.array([row]) @ coefficients_t)[0, order]
+            return (np.array([row]) @ coefficients_t)[0, order].tolist()
     else:
         variables, walk = sample_walk(model.skeleton)
         places = [position[name] for name in variables]
@@ -396,17 +397,16 @@ def simulate_identified(model, record: FullRecord,
     de_outputs = _stage_outputs(model, position, targets)
     ae_outputs = None if ae_model is None else _stage_outputs(ae_model, position, ae_targets)
 
-    no_derivatives = np.full(len(state_names), np.nan)
-    no_derivatives.setflags(write=False)
+    no_derivatives = [math.nan] * len(state_names)
     faulted = None  # (which model, its fault): at most one, as it ends the replay
 
-    def fault(skeleton_model: SkeletonModel, which: str) -> np.ndarray:
+    def fault(skeleton_model: SkeletonModel, which: str) -> list[float]:
         nonlocal faulted
         faulted = which, _name_fault(skeleton_model, values, position)
         return no_derivatives
 
-    def rhs(state: np.ndarray, signal_values: list[float]) -> np.ndarray:
-        given = state.tolist() + signal_values
+    def rhs(state: list[float], signal_values: list[float]) -> list[float]:
+        given = state + signal_values
         # a non-finite input or a faulting model gives NaN derivatives, so
         # every later stage stops here
         if not all(map(math.isfinite, given)):
@@ -420,9 +420,9 @@ def simulate_identified(model, record: FullRecord,
         derivatives = de_outputs(values)
         if derivatives is None:
             return fault(model, "DE")
-        return np.asarray(derivatives)
+        return derivatives
 
-    x = np.array([record.columns[s][0] for s in state_names])
+    x = [float(record.columns[s][0]) for s in state_names]
     n = len(time_grid)
     out = np.full((n, len(state_names)), np.nan)
     out[0] = x
@@ -432,7 +432,7 @@ def simulate_identified(model, record: FullRecord,
         # each step's signals become lists once, not the whole record's at once
         for i, (step, stage_signals) in enumerate(zip(dt.tolist(), recorded)):
             x = rk4_step(rhs, x, step, *stage_signals.tolist())
-            if not np.all(np.isfinite(x)):
+            if not all(map(math.isfinite, x)):
                 diverged = True
                 break
             out[i + 1] = x

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daedisc.benchmarks import (
     Disturbance,
@@ -9,6 +10,7 @@ from daedisc.benchmarks import (
     UnknownModel,
     get_model,
     model_ids,
+    rk4_step,
     simulate,
     solve_equilibrium,
 )
@@ -96,6 +98,92 @@ def test_rk4_self_convergence_order():
 
     order = np.log2(error(0.02) / error(0.01))
     assert order >= 3.8
+
+
+def _array_rk4_step(f, x, dt, start, middle, end):
+    """The RK4 step as NumPy array arithmetic: the oracle of ``rk4_step``,
+    which works on lists of floats."""
+    k1 = f(x, start)
+    k2 = f(x + dt * k1 / 2.0, middle)
+    k3 = f(x + dt * k2 / 2.0, middle)
+    k4 = f(x + dt * k3, end)
+    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=5, max_size=5)), _ANY_FLOAT)
+def test_list_rk4_step_has_the_array_formulas_bits(rows, dt):
+    # rows: the state, then the derivative each of the four stages returns
+    x, derivatives = rows[0], rows[1:]
+
+    def scripted(as_kind):
+        calls = []
+
+        def f(state, u):
+            calls.append((u, [float.hex(float(v)) for v in state]))
+            return as_kind(derivatives[len(calls) - 1])
+        return f, calls
+
+    f_list, list_calls = scripted(list)
+    f_array, array_calls = scripted(np.array)
+    got = rk4_step(f_list, list(x), dt, "start", "middle", "end")
+    with np.errstate(all="ignore"):
+        want = _array_rk4_step(f_array, np.array(x), dt, "start", "middle", "end")
+    assert type(got) is list
+    assert list_calls == array_calls
+    assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in want]
+
+
+def _array_simulate(model, scen):
+    """``simulate``'s states and algebraic signals from an array RK4 loop
+    written out here (pm_step and state_kick disturbances)."""
+    dist = scen.disturbance
+    base = model.inputs_with(dict(scen.inputs))
+
+    def inputs_at(t):
+        pulse = dist.kind == "pm_step" and dist.start <= t < dist.start + dist.duration
+        return {**base, "P_m": base["P_m"] + dist.magnitude} if pulse else base
+
+    def f(x, t):
+        return model.rhs(x, inputs_at(t))
+
+    n = int(round(scen.total_time / scen.dt))
+    kick_at = int(round(dist.start / scen.dt)) if dist.kind == "state_kick" else -1
+    offsets = dict(dist.offsets)
+    kick = np.array([dist.magnitude * offsets.get(s, 0.0) for s in model.state_names])
+    x = solve_equilibrium(model, base)
+    states = np.empty((n + 1, len(x)))
+    algebra = {name: np.empty(n + 1) for name in model.algebraic_names}
+    for i, t in enumerate(np.arange(n + 1) * scen.dt):
+        if i == kick_at:
+            x = x + kick
+        states[i] = x
+        for name, value in model.algebra(x, inputs_at(t)).items():
+            algebra[name][i] = value
+        if i < n:
+            x = _array_rk4_step(f, x, scen.dt, t, t + scen.dt / 2.0, t + scen.dt)
+    return states, algebra
+
+
+@pytest.mark.parametrize("model_id", ALL_MODELS)
+@pytest.mark.parametrize("disturbance", [
+    Disturbance(kind="state_kick", start=0.5, magnitude=1.0,
+                offsets=(("delta", 0.4), ("omega", 0.003))),
+    Disturbance(kind="pm_step", start=0.5, duration=0.5, magnitude=0.1),
+], ids=["state_kick", "pm_step"])
+def test_simulate_matches_an_array_rk4_loop(model_id, disturbance):
+    model = get_model(model_id)
+    scen = ScenarioConfig(total_time=2.0, dt=0.01, noise_sigma=0.0, disturbance=disturbance)
+    record = simulate(model, scen)
+    states, algebra = _array_simulate(model, scen)
+    assert np.array_equal(np.column_stack([record.columns[s] for s in model.state_names]),
+                          states)
+    for name, column in algebra.items():
+        assert np.array_equal(record.columns[name], column)
 
 
 def test_non_finite_state_raises():

@@ -405,6 +405,37 @@ def test_replay_matches_reference_for_skeletons():
     assert replay.diverged and 100 < replay.n_valid < record.n_samples - 100
 
 
+def _array_rk4_step(f, x, dt, start, middle, end):
+    """The RK4 step as NumPy array arithmetic: the oracle of ``rk4_step``,
+    which works on lists of floats."""
+    k1 = f(x, start)
+    k2 = f(x + dt * k1 / 2.0, middle)
+    k3 = f(x + dt * k2 / 2.0, middle)
+    k4 = f(x + dt * k3, end)
+    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+@pytest.fixture
+def array_rk4(monkeypatch):
+    """``_reference_replay`` steps with ``_array_rk4_step``, not the production step."""
+    monkeypatch.setitem(globals(), "rk4_step", _array_rk4_step)
+
+
+def test_replay_matches_an_array_rk4_oracle(array_rk4):
+    record = _held_out("swing2", (("delta", 0.3), ("omega", 0.004)))
+    sparse = _stlsq_model("accurate", "swing2", ("delta", "omega", "P_e"))
+    assert not _assert_replays_as_reference(sparse, record).diverged
+    _, kicked = _record()
+    assert not _assert_replays_as_reference(_swing_skeleton(kicked), kicked).diverged
+    de, ae = _swing_de_ae(kicked, "P_e = p0*sin(delta)", ("P_e",))
+    assert not _assert_replays_as_reference(de, kicked, ae_model=ae).diverged
+    overcomplete = _stlsq_model("overcomplete", "type1order5",
+                                ("delta", "omega", "e_q_t", "e_d_t", "e_d_st", "i_d", "i_q"))
+    replay = _assert_replays_as_reference(
+        overcomplete, _held_out("type1order5", (("delta", 0.6), ("omega", 0.006))))
+    assert replay.diverged and 1 < replay.n_valid < record.n_samples
+
+
 def test_replay_names_its_domain_fault(caplog):
     _, record = _record()
     assert simulate_identified(_swing_skeleton(record), record).fault is None
