@@ -11,7 +11,9 @@ prompt reads as an improvement sequence.
 
 Worst-sentinel (poisoned) candidates are quarantined: they stay inspectable
 but never join a cluster and are never sampled.  Duplicate canonical text
-within an island registers as a no-op.
+within an island registers as a no-op, and ``Island.holds`` answers that
+question before a fit, so the engine never fits a candidate its island
+would drop.
 
 The archive is a single mutation domain; callers serialize registrations and
 sampling, and supply their own random generator so runs stay reproducible.
@@ -34,6 +36,7 @@ from .dsl import (
     code_length,
     make_skeleton,
     parse,
+    serialize,
 )
 from .fitting import Requirement, ScoredSkeleton, SENTINEL_SCORE
 
@@ -76,6 +79,11 @@ class Island:
 
     def member_count(self) -> int:
         return sum(len(c.members) for c in self.clusters.values())
+
+    def holds(self, skeleton: Skeleton) -> bool:
+        """Whether this island already holds the skeleton's canonical text,
+        as a member or in quarantine."""
+        return serialize(skeleton) in self._texts
 
     def register(self, cand: ScoredSkeleton) -> bool:
         text = cand.canonical

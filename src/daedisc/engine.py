@@ -17,7 +17,13 @@ reveal the matching dataset columns; once the best score stays above
 Runs are deterministic given the configuration seed and a scripted mock
 generator: sampling uses one engine-owned generator, re-derived from the seed
 at the start of every ``fit()`` together with an empty run log, and every
-candidate fit receives a derived seed.
+candidate fit receives a derived seed from its loop, iteration and completion
+index.
+
+A candidate whose canonical text the sampled island already holds is not
+fitted: the island would drop it unchanged.  Skipping it keeps every other
+completion's seed, the run log and both archives as they were; the same text
+proposed to another island is still fitted there.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .archive import Archive, make_linear_seed
 from .benchmarks import BenchmarkModel, CatalogEntry, get_model
 from .config import RunConfig
 from .dataset import TrajectoryDataset, deriv_name
-from .dsl import ParseError, SymbolScope, parse, variables_in
+from .dsl import ParseError, SymbolScope, parse, serialize, variables_in
 from .fitting import ScoredSkeleton, derived_fit_config, fit_and_score
 from .gateway import (
     BackendUnavailable,
@@ -315,6 +321,11 @@ class DiscoveryEngine:
                 except ParseError as exc:
                     rejected += 1
                     logger.debug("candidate rejected: %s", exc)
+                    continue
+                if archive.island(island_id).holds(skeleton):
+                    logger.debug("%s loop iteration %d island %d completion %d: "
+                                 "duplicate not fitted: %r", kind, t, island_id, j,
+                                 serialize(skeleton))
                     continue
                 scored = fit_and_score(
                     skeleton, batch, labels,

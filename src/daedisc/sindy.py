@@ -140,8 +140,13 @@ def stlsq(theta: np.ndarray, targets: np.ndarray, threshold: float = 0.05,
 
     theta: (n_samples, n_terms); targets: (n_samples, n_targets).
     Returns (coefficients (n_targets, n_terms), degenerate flags per target,
-    ridge_fallback used anywhere).
+    ridge_fallback used anywhere).  ``iters`` caps the sweeps and must be at
+    least 1; ``threshold`` must be a number >= 0 (0 keeps every term).
     """
+    if iters < 1:
+        raise ValueError(f"STLSQ iters must be >= 1, got {iters}")
+    if not threshold >= 0:
+        raise ValueError(f"STLSQ threshold must be >= 0, got {threshold}")
     n_samples, n_terms = theta.shape
     targets = np.atleast_2d(targets.T).T  # ensure 2-D (n_samples, n_targets)
     n_targets = targets.shape[1]
@@ -151,7 +156,7 @@ def stlsq(theta: np.ndarray, targets: np.ndarray, threshold: float = 0.05,
     for j in range(n_targets):
         mask = np.ones(n_terms, dtype=bool)
         coef = np.zeros(n_terms)
-        for _ in range(max(1, iters)):
+        for _ in range(iters):
             if not mask.any():
                 break
             solution, used_ridge = _solve_ls(theta[:, mask], targets[:, j])

@@ -67,6 +67,28 @@ def test_duplicate_canonical_text_is_noop():
     assert archive.island(1).member_count() == before
 
 
+def test_holds_members_quarantine_and_seed_by_canonical_text():
+    archive = Archive.seeded(2, SEED)
+    archive.register(1, scored("ddelta/dt = p0*omega", -2.0))
+    archive.register(1, scored("ddelta/dt = p0/delta", SENTINEL_SCORE))
+
+    def sk(text):
+        return parse(text, SCOPE, ["delta"], kind="de")
+
+    island, other = archive.island(1), archive.island(2)
+    assert island.holds(sk("ddelta/dt = p0*omega"))
+    assert island.holds(sk("ddelta/dt  =  p0 * omega"))  # spacing only
+    assert island.holds(sk("ddelta/dt = p0/delta"))  # quarantined
+    assert island.holds(sk(SEED.canonical))
+    assert other.holds(sk(SEED.canonical))
+    assert not other.holds(sk("ddelta/dt = p0*omega"))  # per island
+    assert not island.holds(sk("ddelta/dt = p0*delta"))
+    # what holds answers is what register would drop
+    assert not archive.register(1, scored("ddelta/dt=p0*omega", -0.5))
+    assert archive.register(2, scored("ddelta/dt=p0*omega", -0.5))
+    assert other.holds(sk("ddelta/dt = p0*omega"))
+
+
 def test_single_member_sampled_with_probability_one():
     archive = Archive.seeded(1, SEED)
     rng = np.random.default_rng(0)

@@ -205,6 +205,25 @@ def test_discover_benchmark_mismatch_fails(workspace, tmp_path):
     assert "does not match dataset" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--iters", "0", "iters must be >= 1, got 0"),
+    ("--iters", "-3", "iters must be >= 1, got -3"),
+    ("--threshold", "-0.1", "threshold must be >= 0, got -0.1"),
+    ("--threshold", "nan", "threshold must be >= 0, got nan"),
+])
+def test_baseline_rejects_bad_stlsq_settings(workspace, tmp_path, option, value,
+                                             message):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["baseline", "--variant", "accurate",
+                                       "--data", str(workspace / "data"),
+                                       "--out", str(out), f"{option}={value}"])
+    assert result.exit_code == 1, result.output
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ValueError"
+    assert message in err["error"]["message"]
+    assert not (out / "model.json").exists()
+
+
 def _config_error(result):
     assert result.exit_code == 1, result.output
     errors = [json.loads(line) for line in result.output.strip().splitlines()

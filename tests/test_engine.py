@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from daedisc import engine as engine_module
-from daedisc.archive import Archive
+from daedisc.archive import Archive, Island
 from daedisc.benchmarks import CatalogEntry, Disturbance, ScenarioConfig, get_model, simulate
 from daedisc.config import RunConfig
 from daedisc.dataset import make_dataset
-from daedisc.dsl import SymbolScope, parse, variables_in
+from daedisc.dsl import SymbolScope, parse, serialize, variables_in
 from daedisc.engine import (
     BudgetExceeded,
     CatalogExhausted,
@@ -425,6 +425,89 @@ def test_ae_loop_after_fit_gets_its_own_budget(monkeypatch):
     clock[0] += 2.1
     engine.backend = MockBackend(PE_SCRIPT[4:])
     engine.run_ae_loop(engine.de_result_)
+
+
+SEED_DE = ("ddelta/dt = p0*delta + p1*omega + p2\n"
+           "domega/dt = p3*delta + p4*omega + p5")
+# the algebraic loop's seed once P_e and then the fallback i_d are admitted
+SEED_AE = "P_e = p0*delta + p1*omega + p2*i_d + p3"
+FAULTING = "ddelta/dt = log(delta - 5)\ndomega/dt = p0"  # poisoned, quarantined
+
+# every batch repeats a text: verbatim, with other spacing, or as the seed
+DUPLICATE_TEXTS = [
+    [DISTRACTORS[0], "ddelta/dt=p0 * delta\ndomega/dt  =  p1*omega", SEED_DE,
+     FAULTING, FAULTING],
+    [DISTRACTORS[1], DISTRACTORS[0], DISTRACTORS[1], FAULTING],
+    [TRUE_SWING_PE, TRUE_SWING_PE.replace(" ", ""), DISTRACTORS[0]],
+    [TRUE_SWING_PE, DISTRACTORS[1]],
+    [TRUE_AE, "P_e = p0 * sin( delta )", SEED_AE],
+    [TRUE_AE, "P_e = p0*delta"],
+]
+# distractors ask for P_e, so that every copy the archive keeps asks for it
+DUPLICATE_SCRIPT = [
+    [fenced(text, [{"name": "P_e"}] if text in DISTRACTORS else None) for text in batch]
+    for batch in DUPLICATE_TEXTS]
+
+
+def _canonical_script():
+    """Each batch's completions as canonical text."""
+    scope = SymbolScope(states=("delta", "omega"), variables=("P_e", "i_d"))
+    out = []
+    for batch in DUPLICATE_TEXTS:
+        kind, targets = (("ae", ["P_e"]) if batch[0].startswith("P_e")
+                         else ("de", ["delta", "omega"]))
+        out.append([serialize(parse(t, scope, targets, kind)) for t in batch])
+    return out
+
+
+def _duplicate_run(monkeypatch, old_path):
+    fitted = []
+    real_fit = engine_module.fit_and_score
+
+    def counting_fit(skeleton, *args, **kwargs):
+        fitted.append(serialize(skeleton))
+        return real_fit(skeleton, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "fit_and_score", counting_fit)
+        if old_path:  # fit every candidate and let register drop duplicates
+            patch.setattr(Island, "holds", lambda self, skeleton: False)
+        engine = engine_with_script(
+            DUPLICATE_SCRIPT, n_b=5, window=2, epsilon=1000.0, gamma=1e-12,
+            de_max_iterations=4, ae_max_iterations=2,
+            fit={"steps": 300, "learning_rate": 1.5, "restarts": 1, "seed": 0})
+        engine.fit()
+    assert engine.ae_result_ is not None
+    archives = [json.dumps(r.archive.to_snapshot(r.kind, r.target_names, r.scope),
+                           sort_keys=True)
+                for r in (engine.de_result_, engine.ae_result_)]
+    outputs = (json.dumps(engine.result_dict(), sort_keys=True),
+               json.dumps(engine.run_log_, sort_keys=True), archives)
+    return outputs, fitted, engine
+
+
+def test_duplicate_skip_changes_nothing_but_the_fits(monkeypatch):
+    outputs, fitted, engine = _duplicate_run(monkeypatch, old_path=False)
+    old_outputs, old_fitted, _ = _duplicate_run(monkeypatch, old_path=True)
+    assert outputs == old_outputs
+    # one fit per loop seed, then one per distinct (island, text) in that loop
+    iterations = [r for r in engine.run_log_ if r.get("event") == "iteration"]
+    assert len(iterations) == len(DUPLICATE_SCRIPT)
+    held: dict[tuple[str, int], set[str]] = {}
+    expected = []
+    for record, batch in zip(iterations, _canonical_script()):
+        loop = record["loop"]
+        seed = SEED_DE if loop == "de" else SEED_AE
+        if not any(key[0] == loop for key in held):
+            expected.append(seed)
+        texts = held.setdefault((loop, record["island"]), {seed})
+        for text in batch:
+            if text not in texts:
+                texts.add(text)
+                expected.append(text)
+    assert fitted == expected
+    assert len(old_fitted) == 2 + sum(len(b) for b in DUPLICATE_SCRIPT)
+    assert len(fitted) < len(old_fitted)
 
 
 def test_estimator_params_roundtrip():

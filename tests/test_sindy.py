@@ -132,6 +132,22 @@ def test_baseline_estimator_surface():
         est.set_params(bogus=1)
 
 
+def test_stlsq_settings_are_checked_not_clamped():
+    rng = np.random.default_rng(5)
+    features = {"x": rng.uniform(0.5, 2.0, 100)}
+    targets = {"dx_dt": -2.0 * features["x"]}
+    for settings in ({"iters": 0}, {"iters": -1}, {"threshold": -0.05},
+                     {"threshold": math.nan}, {"threshold": -math.inf}):
+        with pytest.raises(ValueError, match="STLSQ"):
+            SindyBaseline(**settings).fit(features, targets)
+    # the edges that stay valid: one sweep, and a threshold that keeps every term
+    theta, _ = build_library(LibraryConfig("accurate"), ["x"], features)
+    one = SindyBaseline(iters=1, threshold=0.0).fit(features, targets).model_
+    assert one.iters == 1 and one.threshold == 0.0
+    xi, _, _ = stlsq(theta, targets["dx_dt"][:, None], threshold=0.0, iters=1)
+    np.testing.assert_array_equal(one.coefficients, xi)
+
+
 def test_baseline_exclusions_only_with_missing_variant():
     rng = np.random.default_rng(7)
     features = {"a": rng.uniform(0.5, 2.0, 50), "b": rng.uniform(-1, 1, 50)}
