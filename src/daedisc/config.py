@@ -18,7 +18,7 @@ Schema (all keys optional unless noted):
       "fit": {"steps": 2000, "learning_rate": 0.05, "restarts": 3, "seed": 0},
       "sampler": {"tau_cluster": 0.2, "tau_length": 0.2, "examples_per_prompt": 2},
       "generator": {
-        "kind": "mock" | "http",
+        "kind": "mock" | "http",         // http alone imports the HTTP client
         "script": "mock_script.json",    // mock: JSON array of batches of strings
         "base_url": "https://...",       // http: chat-completions endpoint base
         "model": "model-name",

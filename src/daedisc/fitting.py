@@ -9,6 +9,8 @@ best (lowest-loss) restart wins.  A skeleton without parameter slots takes
 the same path as one row of width 0 and no Adam step.  A domain fault
 anywhere during fitting poisons the whole candidate: it keeps its metadata
 but gets the sentinel worst score and is never used as an in-context example.
+The fault is logged at debug level: its reason and sample index, or
+"non-finite loss" when a restart's loss is not finite.
 
 Fitting is pure given (inputs, seed): the same call produces bit-identical
 parameters and score, so candidates can be fitted in parallel as long as the
@@ -17,6 +19,7 @@ caller derives a distinct seed per candidate.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -24,7 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import Skeleton, serialize
-from .evaluator import SampleBatch, evaluate
+from .evaluator import FaultInfo, SampleBatch, evaluate
+
+logger = logging.getLogger(__name__)
 
 SENTINEL_SCORE = -1.0e9
 # Adam's moment decay rates and denominator guard
@@ -92,21 +97,30 @@ def score_of(loss: float) -> float:
     return -loss
 
 
+class _PoisonedFit(Exception):
+    """A restart faulted (the evaluator's ``info``) or reached a non-finite
+    loss (``info`` None); either poisons the whole fit."""
+
+    def __init__(self, info: FaultInfo | None):
+        super().__init__(info)
+        self.info = info
+
+
 def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                      targets: np.ndarray):
     """Per-restart losses and loss gradients (R, k) for parameter rows (R, k).
 
-    None if any restart faults or has a non-finite loss.
+    Raises _PoisonedFit if any restart faults or has a non-finite loss.
     """
     res = evaluate(skeleton, params, batch)
     if res.faulted:
-        return None
+        raise _PoisonedFit(res.domain_fault)
     residual = res.outputs - targets
     squared = residual * residual
     # per restart, the same pairwise sum as np.mean over its contiguous block
     losses = (np.add.reduce(squared.reshape(len(squared), -1), axis=1) / targets.size).tolist()
     if not all(math.isfinite(loss) for loss in losses):
-        return None
+        raise _PoisonedFit(None)
     scale = 2.0 / targets.size
     return losses, scale * np.einsum("rts,rtsk->rk", residual, res.gradients)
 
@@ -136,20 +150,21 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
                   for seed in np.random.SeedSequence(cfg.seed).spawn(restarts)])
     m = np.zeros_like(p)
     v = np.zeros_like(p)
-    for t in range(steps):
-        step = _losses_and_grad(skeleton, p, batch, targets)
-        if step is None:
-            return _poisoned(skeleton, requirements)
-        grad = step[1]
-        m = BETA1 * m + (1.0 - BETA1) * grad
-        v = BETA2 * v + (1.0 - BETA2) * grad * grad
-        m_hat = m / (1.0 - BETA1 ** (t + 1))
-        v_hat = v / (1.0 - BETA2 ** (t + 1))
-        p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    final = _losses_and_grad(skeleton, p, batch, targets)
-    if final is None:
+    try:
+        for t in range(steps):
+            grad = _losses_and_grad(skeleton, p, batch, targets)[1]
+            m = BETA1 * m + (1.0 - BETA1) * grad
+            v = BETA2 * v + (1.0 - BETA2) * grad * grad
+            m_hat = m / (1.0 - BETA1 ** (t + 1))
+            v_hat = v / (1.0 - BETA2 ** (t + 1))
+            p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        restart_losses = _losses_and_grad(skeleton, p, batch, targets)[0]
+    except _PoisonedFit as exc:
+        fault = exc.info
+        logger.debug("fit of %r poisoned: %s", serialize(skeleton),
+                     "non-finite loss" if fault is None
+                     else f"domain fault at sample {fault.sample_index}: {fault.reason}")
         return _poisoned(skeleton, requirements)
-    restart_losses = final[0]
     best = restart_losses.index(min(restart_losses))
     best_params = p[best].copy()
     best_params.setflags(write=False)

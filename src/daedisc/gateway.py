@@ -23,12 +23,13 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .dsl import FUNCTIONS, MAX_EXPONENT
 from .fitting import Requirement, ScoredSkeleton
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -210,7 +211,11 @@ class MockBackend:
 
 
 class HttpBackend:
-    """Chat-completions client: OpenAI wire format against any base URL."""
+    """Chat-completions client: OpenAI wire format against any base URL.
+
+    ``requests`` is imported here, on construction, so that a process that
+    never talks to a live endpoint never loads the HTTP stack.
+    """
 
     def __init__(self, base_url: str, model: str,
                  api_key_env: str = "OPENAI_API_KEY", timeout: float = 60.0,
@@ -220,7 +225,10 @@ class HttpBackend:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_tokens = max_tokens
+        import requests
+
         self._session = session or requests.Session()
+        self._transport_errors = (requests.RequestException, KeyError, TypeError, ValueError)
 
     def complete(self, request: GenerationRequest) -> list[str]:
         payload = {
@@ -241,7 +249,7 @@ class HttpBackend:
             response.raise_for_status()
             data = response.json()
             texts = [choice["message"]["content"] for choice in data["choices"]]
-        except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
+        except self._transport_errors as exc:
             raise BackendUnavailable(str(exc)) from exc
         return [t for t in texts if isinstance(t, str)]
 

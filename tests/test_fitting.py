@@ -1,4 +1,6 @@
 
+import logging
+
 import numpy as np
 
 from daedisc.dsl import SymbolScope, parse
@@ -171,3 +173,27 @@ def test_fault_in_a_later_restart_poisons():
     scored = fit_and_score(sk, batch, ["dx_dt"], FitConfig(steps=50, restarts=3, seed=4))
     assert scored.poisoned
     assert scored.score == SENTINEL_SCORE
+
+
+def test_poisoned_fit_logs_its_fault(caplog):
+    x = np.linspace(0.5, 2.0, 20)
+    batch = SampleBatch.from_columns({"x": x, "dx_dt": np.log(2.0 + x)})
+    sk = parse("dx/dt = log(p0 + x)", SCOPE, ["x"], kind="de")
+    with caplog.at_level(logging.DEBUG, logger="daedisc.fitting"):
+        scored = fit_and_score(sk, batch, ["dx_dt"], FitConfig(steps=50, restarts=3, seed=4))
+    assert scored.poisoned
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "'dx/dt = log(p0 + x)' poisoned: domain fault at sample " in record.getMessage()
+
+
+def test_non_finite_loss_logs_without_a_fault(caplog):
+    # outputs near 1e200 are finite, but their squared residuals overflow
+    x = np.full(4, 1e200)
+    batch = SampleBatch.from_columns({"x": x, "dx_dt": np.zeros(4)})
+    sk = parse("dx/dt = p0*x", SCOPE, ["x"], kind="de")
+    with caplog.at_level(logging.DEBUG, logger="daedisc.fitting"), np.errstate(over="ignore"):
+        scored = fit_and_score(sk, batch, ["dx_dt"], FitConfig(steps=5, seed=0))
+    assert scored.poisoned
+    assert [r.getMessage() for r in caplog.records] == [
+        "fit of 'dx/dt = p0*x' poisoned: non-finite loss"]

@@ -200,6 +200,16 @@ def test_http_backend_failure_is_backend_unavailable():
         backend.complete(GenerationRequest(prompt="x"))
 
 
+def test_http_backend_builds_its_own_session_offline():
+    import requests
+
+    backend = HttpBackend("not-a-url", "m")
+    assert isinstance(backend._session, requests.Session)
+    # requests rejects the URL (MissingSchema) before opening any connection
+    with pytest.raises(BackendUnavailable, match="No scheme supplied"):
+        backend.complete(GenerationRequest(prompt="x"))
+
+
 def test_malformed_completion_flows_to_rejection():
     # no fenced block: empty skeleton text, rejected downstream by the parser
     completion = parse_completion("plain text")
