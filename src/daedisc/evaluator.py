@@ -442,10 +442,11 @@ def _sample_source(programs: list) -> tuple[str, dict]:
     """Source and namespace of ``walk(xs, ps)``, the straight-line one-sample
     walk of a tape's programs.
 
-    Slot ``n`` of the tape, counted over all targets, is the local ``v<n>``:
-    a parameter or variable is read from ``ps`` or ``xs`` by index, and every
-    other value is formed after its domain rules, each a bound predicate
-    ``r<n>_<k>``; a target's output is checked finite.  Constants (``c<n>``),
+    Slot ``n`` of the tape, counted over all targets, is read where it is
+    used: a parameter or variable in place from ``ps`` or ``xs`` by index, a
+    constant as the bound ``c<n>``, and every other value as the local
+    ``v<n>``, formed after its domain rules, each a bound predicate
+    ``r<n>_<k>``; a target's output is checked finite.  Constants,
     operations (``f<n>``), exponents (``k<n>``) and predicates are bound in
     the namespace, so the source holds nothing but slot numbers, indices and
     fixed templates.
@@ -462,13 +463,10 @@ def _sample_source(programs: list) -> tuple[str, dict]:
                 namespace[f"c{n}"] = arg
                 slots.append(f"c{n}")
                 continue
+            if op in ("param", "var"):
+                slots.append(f"{'ps' if op == 'param' else 'xs'}[{int(arg)}]")
+                continue
             slots.append(f"v{n}")
-            if op == "param":
-                lines.append(f"    v{n} = ps[{int(arg)}]")
-                continue
-            if op == "var":
-                lines.append(f"    v{n} = xs[{int(arg)}]")
-                continue
             x, y = slots[a], slots[b]
             for k, (operand, bad, _) in enumerate(rules):
                 namespace[f"r{n}_{k}"] = bad

@@ -151,14 +151,17 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     try:
-        for t in range(steps):
-            grad = _losses_and_grad(skeleton, p, batch, targets)[1]
-            m = BETA1 * m + (1.0 - BETA1) * grad
-            v = BETA2 * v + (1.0 - BETA2) * grad * grad
-            m_hat = m / (1.0 - BETA1 ** (t + 1))
-            v_hat = v / (1.0 - BETA2 ** (t + 1))
-            p = p - cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        restart_losses = _losses_and_grad(skeleton, p, batch, targets)[0]
+        # a loss or step that leaves the floats poisons the fit, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(steps):
+                grad = _losses_and_grad(skeleton, p, batch, targets)[1]
+                m = BETA1 * m + (1.0 - BETA1) * grad
+                v = BETA2 * v + (1.0 - BETA2) * grad * grad
+                m_hat = m / (1.0 - BETA1 ** (t + 1))
+                v_hat = v / (1.0 - BETA2 ** (t + 1))
+                p = p - (cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat
+                         / (np.sqrt(v_hat) + ADAM_EPS))
+            restart_losses = _losses_and_grad(skeleton, p, batch, targets)[0]
     except _PoisonedFit as exc:
         fault = exc.info
         logger.debug("fit of %r poisoned: %s", serialize(skeleton),

@@ -4,28 +4,29 @@ Sequential thresholded least squares (STLSQ) over a polynomial candidate
 library, with the three prior-knowledge configurations used for comparison
 runs: ``accurate`` (degree-1 library over the complete variable set),
 ``overcomplete`` (quadratic terms appended) and ``missing`` (a subset of
-variables removed).  Least squares goes through the normal equations with a
-Cholesky solve; ill-conditioned active sets fall back to a small ridge
-penalty and are flagged.
+variables removed).  The library is one skeleton, the sum of ``p_j`` for the
+constant and ``p_j*(x_a*x_b…)`` for every other term, and its matrix is
+``evaluate``'s parameter gradient at zero.  Least squares goes through the
+normal equations with a Cholesky solve; ill-conditioned active sets fall
+back to a small ridge penalty and are flagged.
 
-``simulate_identified`` replays any identified model (a sparse-regression
-model or a fitted skeleton) through the same RK4 step, on lists of floats,
-that produced the benchmark data.  Exogenous inputs and recorded algebraic
-signals are fed from the test record by linear interpolation, computed once
-for every signal at every RK4 stage time, and ``rk4_step`` hands each stage
-its recorded signals; a discovered algebraic model can substitute its own
-predictions instead, and then the record need not hold its targets.  The
-right-hand side is built once per replay: every state, signal and algebraic
-prediction has a fixed place in one flat list of floats, and it returns the
-derivatives as a list.  Each stage evaluates the models on one sample:
-sparse-regression models as the library row (the same products as the
-fitted library) times the coefficients, skeletons through their compiled
-one-sample walk (``evaluator.sample_walk``) on lists of the variables they
-read and of their parameters (values only, so a non-finite gradient is no
-fault).  A skeleton that faults is evaluated once more by a
-value-only ``evaluate``, whose array walk names the fault; the replay logs
-it and returns it.  An unstable identified model yields a divergence flag
-and the finite prefix, never a crash.
+``simulate_identified`` replays a fitted skeleton, or a sparse-regression
+model as the skeleton of its active terms, through the same RK4 step, on
+lists of floats, that produced the benchmark data.  Exogenous inputs and
+recorded algebraic signals are fed from the test record by linear
+interpolation, computed once for every signal at every RK4 stage time, and
+``rk4_step`` hands each stage its recorded signals; a discovered algebraic
+model can substitute its own predictions instead, and then the record need
+not hold its targets.  The right-hand side is built once per replay: every
+state, signal and algebraic prediction has a fixed place in one flat list
+of floats, and it returns the derivatives as a list.  Each stage evaluates
+the skeletons through their compiled one-sample walk
+(``evaluator.sample_walk``) on lists of the variables they read and of
+their parameters (values only, so a non-finite gradient is no fault).  A
+skeleton that faults (a non-finite derivative is a fault) is evaluated once
+more by a value-only ``evaluate``, whose array walk names the fault; the
+replay logs it and returns it.  An unstable identified model yields a
+divergence flag and the finite prefix, never a crash.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -42,7 +44,8 @@ import numpy as np
 
 from .benchmarks import FullRecord, rk4_step
 from .dataset import deriv_name
-from .dsl import Skeleton, SymbolScope, parse, variables_in
+from .dsl import (Bin, Const, Expr, Param, Skeleton, SymbolScope, Var, make_skeleton, parse,
+                  variables_in)
 from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
 
 logger = logging.getLogger(__name__)
@@ -76,17 +79,19 @@ class Term:
     name: str
     powers: tuple[tuple[str, int], ...]  # empty = constant term
 
-    def evaluate(self, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-        # one product per factor, from 1: replay multiplies floats in this order
-        out = np.ones(n)
-        for var in _factors(self):
-            out = out * columns[var]
-        return out
-
 
 def _factors(term: Term) -> tuple[str, ...]:
     """The monomial as a product, each variable repeated ``power`` times."""
     return tuple(var for var, power in term.powers for _ in range(power))
+
+
+def _term_sum(terms: Sequence[Term], first_slot: int = 0) -> Expr:
+    """``p<slot>`` for a constant term and ``p<slot>*(x_a*x_b…)``, factors in
+    ``_factors`` order, for any other, summed left to right with slots from
+    ``first_slot``; no terms sum to 0."""
+    exprs = [Bin("*", Param(slot), reduce(partial(Bin, "*"), map(Var, _factors(term))))
+             if term.powers else Param(slot) for slot, term in enumerate(terms, first_slot)]
+    return reduce(partial(Bin, "+"), exprs) if exprs else Const(0.0)
 
 
 def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
@@ -107,16 +112,19 @@ def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
     return tuple(terms)
 
 
-def _theta(terms: Sequence[Term], columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Library matrix: one column per term, one row per sample."""
-    n = len(next(iter(columns.values())))
-    return np.column_stack([t.evaluate(columns, n) for t in terms])
-
-
 def build_library(cfg: LibraryConfig, names: Sequence[str],
                   columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple[Term, ...]]:
+    """(library matrix, terms): one row per sample, one column per term, the
+    term's product as the library skeleton's gradient at zero parameters
+    gives it (times an adjoint of exactly 1).  A non-finite product is an error."""
     terms = library_terms(cfg, names)
-    return _theta(terms, columns), terms
+    library = make_skeleton("de", ["library"], [_term_sum(terms)])
+    batch = SampleBatch.from_columns({name: columns[name] for name in names})
+    res = evaluate(library, np.zeros(len(terms)), batch)
+    if res.faulted:
+        raise ValueError(f"library column not finite at sample "
+                         f"{res.domain_fault.sample_index}: {res.domain_fault.reason}")
+    return res.gradients[0], terms
 
 
 def _solve_ls(theta_active: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -188,11 +196,23 @@ class SindyModel:
     degenerate: tuple[bool, ...]
     ridge_fallback: bool
 
-    def predict(self, columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        # the product's bits depend on the number of terms and the operand
-        # layout: every term, and the coefficients' own transpose
-        values = _theta(self.terms, columns) @ self.coefficients.T
-        return {name: values[:, j] for j, name in enumerate(self.target_names)}
+    def as_skeleton(self, state_names: Sequence[str]) -> "SkeletonModel":
+        """The model as a skeleton over ``state_names``: each state's
+        derivative is the sum of its active terms (``_term_sum``), their
+        coefficients the parameters; a derivative without one is 0."""
+        targets = [deriv_name(s) for s in state_names]
+        missing = [s for s, t in zip(state_names, targets) if t not in self.target_names]
+        if missing:
+            raise ValueError(f"model does not define derivatives for {missing}")
+        exprs, params = [], []
+        for target in targets:
+            row = self.coefficients[self.target_names.index(target)]
+            active = np.flatnonzero(row)
+            exprs.append(_term_sum([self.terms[i] for i in active], len(params)))
+            params.extend(row[active].tolist())
+        p = np.array(params, dtype=np.float64)
+        p.setflags(write=False)
+        return SkeletonModel(make_skeleton("de", state_names, exprs), p)
 
     def to_json(self) -> dict:
         return {
@@ -274,11 +294,6 @@ class SindyBaseline:
             degenerate=tuple(degenerate), ridge_fallback=ridge)
         return self
 
-    def predict(self, features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        if not hasattr(self, "model_"):
-            raise RuntimeError("call fit() first")
-        return self.model_.predict(features)
-
 
 # ---------------------------------------------------------------------------
 # Replay of identified models
@@ -322,33 +337,15 @@ def _name_fault(model: SkeletonModel, values: list[float],
     return evaluate(model.skeleton, model.params, batch, gradients=False).domain_fault
 
 
-def _stage_outputs(model, position: Mapping[str, int], targets: Sequence[str]):
+def _stage_outputs(model: SkeletonModel, position: Mapping[str, int]):
     """The function from the replay's flat input list (each name at its
-    ``position``) to one sample's outputs of ``model`` in ``targets`` order
-    (for a skeleton, its own target order, as a list from its compiled
-    one-sample walk); it gives None when a skeleton faults.  Callers run it
-    under ``np.errstate(all="ignore")``."""
-    if isinstance(model, SindyModel):
-        factors = [[position[var] for var in _factors(term)] for term in model.terms]
-        order = [model.target_names.index(name) for name in targets]
-        if order == list(range(len(model.target_names))):
-            order = slice(None)  # the model's own order: no copy
-        # the library row as _theta builds it: the same products, the same
-        # (1, terms) layout times the coefficients' own transpose
-        coefficients_t = model.coefficients.T
-
-        def outputs(values: list[float]) -> list[float]:
-            get = values.__getitem__
-            row = [math.prod(map(get, term)) for term in factors]
-            return (np.array([row]) @ coefficients_t)[0, order].tolist()
-    else:
-        variables, walk = sample_walk(model.skeleton)
-        places = [position[name] for name in variables]
-        params = model.params.tolist()
-
-        def outputs(values: list[float]) -> list[float] | None:
-            return walk([values[i] for i in places], params)
-    return outputs
+    ``position``) to one sample's outputs of ``model`` in its target order,
+    as a list from its compiled one-sample walk, or None when it faults.
+    Callers run it under ``np.errstate(all="ignore")``."""
+    variables, walk = sample_walk(model.skeleton)
+    places = [position[name] for name in variables]
+    params = model.params.tolist()
+    return lambda values: walk([values[i] for i in places], params)
 
 
 def simulate_identified(model, record: FullRecord,
@@ -359,22 +356,16 @@ def simulate_identified(model, record: FullRecord,
     Algebraic and input signals are interpolated from the record; given an
     ``ae_model``, its targets are predicted from the current state instead
     (inputs still come from the record), so the record need not hold them.
+    A sparse-regression model is replayed as its skeleton (``as_skeleton``).
     """
     state_names = list(record.state_names)
     if isinstance(model, SindyModel):
-        targets = [deriv_name(s) for s in state_names]
-        missing = [s for s, t in zip(state_names, targets) if t not in model.target_names]
-        if missing:
-            raise ValueError(f"model does not define derivatives for {missing}")
-        # every library feature: inactive terms still get evaluated
-        inputs = set(model.feature_names)
-    elif isinstance(model, SkeletonModel):
-        if tuple(model.skeleton.target_names) != tuple(state_names):
-            raise ValueError("skeleton targets do not match the record's states")
-        targets = state_names
-        inputs = variables_in(model.skeleton)
-    else:
+        model = model.as_skeleton(state_names)
+    if not isinstance(model, SkeletonModel):
         raise TypeError(f"cannot replay {type(model).__name__}")
+    if tuple(model.skeleton.target_names) != tuple(state_names):
+        raise ValueError("skeleton targets do not match the record's states")
+    inputs = variables_in(model.skeleton)
     ae_targets: list[str] = []
     if ae_model is not None:
         ae_targets = list(ae_model.skeleton.target_names)
@@ -399,8 +390,8 @@ def simulate_identified(model, record: FullRecord,
     position = {name: i for i, name in enumerate(state_names + signals + ae_targets)}
     values = [0.0] * len(position)
     n_recorded = len(state_names) + len(signals)
-    de_outputs = _stage_outputs(model, position, targets)
-    ae_outputs = None if ae_model is None else _stage_outputs(ae_model, position, ae_targets)
+    de_outputs = _stage_outputs(model, position)
+    ae_outputs = None if ae_model is None else _stage_outputs(ae_model, position)
 
     no_derivatives = [math.nan] * len(state_names)
     faulted = None  # (which model, its fault): at most one, as it ends the replay

@@ -1,5 +1,6 @@
 
 import logging
+import warnings
 
 import numpy as np
 
@@ -188,11 +189,13 @@ def test_poisoned_fit_logs_its_fault(caplog):
 
 
 def test_non_finite_loss_logs_without_a_fault(caplog):
-    # outputs near 1e200 are finite, but their squared residuals overflow
+    # outputs near 1e200 are finite, but their squared residuals overflow:
+    # that poisons the fit, and no RuntimeWarning reaches the caller
     x = np.full(4, 1e200)
     batch = SampleBatch.from_columns({"x": x, "dx_dt": np.zeros(4)})
     sk = parse("dx/dt = p0*x", SCOPE, ["x"], kind="de")
-    with caplog.at_level(logging.DEBUG, logger="daedisc.fitting"), np.errstate(over="ignore"):
+    with caplog.at_level(logging.DEBUG, logger="daedisc.fitting"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         scored = fit_and_score(sk, batch, ["dx_dt"], FitConfig(steps=5, seed=0))
     assert scored.poisoned
     assert [r.getMessage() for r in caplog.records] == [

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, rk4_step, simulate
 from daedisc.dataset import central_difference, deriv_name
@@ -126,8 +127,8 @@ def test_baseline_estimator_surface():
     est.set_params(threshold=0.02)
     assert est.threshold == 0.02
     est.fit(features, targets)
-    pred = est.predict(features)["dx_dt"]
-    np.testing.assert_allclose(pred, targets["dx_dt"], atol=1e-8)
+    assert [t.name for t in est.model_.terms] == ["1", "x"]
+    np.testing.assert_allclose(est.model_.coefficients, [[0.0, -2.0]], atol=1e-8)
     with pytest.raises(ValueError):
         est.set_params(bogus=1)
 
@@ -291,13 +292,22 @@ def test_replay_ignores_a_non_finite_gradient():
 
 def _reference_predict(model, values, targets):
     """One sample's outputs of ``model`` in ``targets`` order (for a skeleton,
-    its own target order); NaN when an input is non-finite or it faults."""
+    its own target order); NaN when an input is non-finite or it faults.
+
+    A sparse model gives its library row, every term's product formed from 1,
+    times the coefficients' transpose by NumPy matmul: the replay's right-hand
+    side before sparse models replayed as skeletons."""
     if not all(math.isfinite(v) for v in values.values()):
         return np.full(len(targets), np.nan)
-    columns = {name: np.array([v]) for name, v in values.items()}
     if isinstance(model, SindyModel):
-        pred = model.predict(columns)
-        return np.array([pred[name][0] for name in targets])
+        row = np.ones((1, len(model.terms)))
+        for j, term in enumerate(model.terms):
+            for var, power in term.powers:
+                for _ in range(power):
+                    row[0, j] = row[0, j] * values[var]
+        pred = (row @ model.coefficients.T)[0]
+        return np.array([pred[model.target_names.index(name)] for name in targets])
+    columns = {name: np.array([v]) for name, v in values.items()}
     # every value was checked finite above, which is all from_columns would check
     res = evaluate(model.skeleton, model.params, SampleBatch(columns, 1), gradients=False)
     if res.faulted:
@@ -360,6 +370,29 @@ def _assert_replays_as_reference(model, record, ae_model=None):
     return replay
 
 
+# the matmul sums every term, the skeleton its active terms left to right, so
+# the states differ by rounding alone, which a diverging model amplifies (to
+# 3.4e-11 on the overcomplete type1order5 model below)
+MATMUL_RTOL = 1e-9
+
+
+def _assert_sparse_replays_as_references(model, record):
+    """A sparse model replays bit for bit as its skeleton through the
+    reference's ``evaluate``, and like the matmul reference within
+    ``MATMUL_RTOL``, with the same divergence."""
+    replay = simulate_identified(model, record)
+    skeleton = model.as_skeleton(record.state_names)
+    assert skeleton.skeleton.n_params == np.count_nonzero(model.coefficients)
+    out, diverged, n_valid = _reference_replay(skeleton, record)
+    assert (replay.diverged, replay.n_valid) == (diverged, n_valid)
+    states = np.column_stack([replay.states[s] for s in record.state_names])
+    assert np.array_equal(states, out, equal_nan=True)
+    out, diverged, n_valid = _reference_replay(model, record)
+    assert (replay.diverged, replay.n_valid) == (diverged, n_valid)
+    np.testing.assert_allclose(states, out, rtol=MATMUL_RTOL, atol=0.0, equal_nan=True)
+    return replay
+
+
 def _swing_skeleton(record):
     model = get_model("swing2")
     p = model.params
@@ -399,12 +432,14 @@ def _stlsq_model(variant, model_id, features):
 def test_replay_matches_reference_for_sparse_models():
     record = _held_out("swing2", (("delta", 0.3), ("omega", 0.004)))
     accurate = _stlsq_model("accurate", "swing2", ("delta", "omega", "P_e"))
-    assert not _assert_replays_as_reference(accurate, record).diverged
+    assert not _assert_sparse_replays_as_references(accurate, record).diverged
     overcomplete = _stlsq_model("overcomplete", "type1order5",
                                 ("delta", "omega", "e_q_t", "e_d_t", "e_d_st", "i_d", "i_q"))
-    overcomplete = _assert_replays_as_reference(
+    overcomplete = _assert_sparse_replays_as_references(
         overcomplete, _held_out("type1order5", (("delta", 0.6), ("omega", 0.006))))
     assert overcomplete.diverged and 1 < overcomplete.n_valid < record.n_samples
+    # a derivative that leaves the floats is the skeleton's fault, as for any skeleton
+    assert overcomplete.fault == FaultInfo(overcomplete.n_valid - 1, "non-finite value")
 
 
 def test_replay_matches_reference_for_skeletons():
@@ -440,14 +475,14 @@ def array_rk4(monkeypatch):
 def test_replay_matches_an_array_rk4_oracle(array_rk4):
     record = _held_out("swing2", (("delta", 0.3), ("omega", 0.004)))
     sparse = _stlsq_model("accurate", "swing2", ("delta", "omega", "P_e"))
-    assert not _assert_replays_as_reference(sparse, record).diverged
+    assert not _assert_sparse_replays_as_references(sparse, record).diverged
     _, kicked = _record()
     assert not _assert_replays_as_reference(_swing_skeleton(kicked), kicked).diverged
     de, ae = _swing_de_ae(kicked, "P_e = p0*sin(delta)", ("P_e",))
     assert not _assert_replays_as_reference(de, kicked, ae_model=ae).diverged
     overcomplete = _stlsq_model("overcomplete", "type1order5",
                                 ("delta", "omega", "e_q_t", "e_d_t", "e_d_st", "i_d", "i_q"))
-    replay = _assert_replays_as_reference(
+    replay = _assert_sparse_replays_as_references(
         overcomplete, _held_out("type1order5", (("delta", 0.6), ("omega", 0.006))))
     assert replay.diverged and 1 < replay.n_valid < record.n_samples
 
@@ -487,12 +522,62 @@ def test_ae_targets_need_no_recorded_column():
         simulate_identified(de, slim)
 
 
-def test_term_products_match_powers():
-    # the library's products, factor by factor, give the bits of x**power
-    rng = np.random.default_rng(9)
-    columns = {"a": rng.normal(size=500), "b": rng.uniform(-3.0, 3.0, 500)}
-    for term in library_terms(LibraryConfig("overcomplete"), ["a", "b"]):
-        powered = np.ones(500)
-        for var, power in term.powers:
-            powered = powered * columns[var] ** power
-        assert np.array_equal(term.evaluate(columns, 500), powered)
+# library columns whose degree-2 products stay finite
+_COLUMN_VALUES = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_COLUMN_VALUES, min_size=n, max_size=n),
+                       min_size=width, max_size=width))))
+def test_library_matrix_is_the_column_products(values):
+    # the library skeleton's gradient gives the bits of x**power products and
+    # of each term's product formed from np.ones, but for the sign of a zero:
+    # the gradient adds each product into zeros, and 0.0 + -0.0 is 0.0
+    names = ["a", "b", "c"][:len(values)]
+    columns = {name: np.array(column) for name, column in zip(names, values)}
+    n = len(values[0])
+    for cfg in (LibraryConfig("accurate"), LibraryConfig("overcomplete"),
+                LibraryConfig("missing", (names[-1],))):
+        theta, terms = build_library(cfg, names, columns)
+        assert theta.shape == (n, len(terms))
+        for j, term in enumerate(terms):
+            powered = np.ones(n)
+            product = np.ones(n)
+            for var, power in term.powers:
+                powered = powered * columns[var] ** power
+                for _ in range(power):
+                    product = product * columns[var]
+            for reference in (powered, product):
+                assert np.array_equal(theta[:, j].view(np.int64),
+                                      (reference + 0.0).view(np.int64)), term.name
+
+
+def test_library_with_an_overflowing_product_is_an_error():
+    columns = {"a": np.array([1.0, 1e200]), "b": np.array([2.0, 3.0])}
+    assert np.isfinite(build_library(LibraryConfig("accurate"), ["a", "b"], columns)[0]).all()
+    with pytest.raises(ValueError, match="not finite at sample 1"):
+        build_library(LibraryConfig("overcomplete"), ["a", "b"], columns)
+
+
+# float.hex of the STLSQ coefficients as the baseline wrote them when its
+# library matrix was formed with np.ones and column products
+GOLDEN_COEFFICIENTS = {
+    ("accurate", ("delta", "omega", "P_e")): [
+        ["-0x1.78b0cddeeb022p+8", "0x0.0p+0", "0x1.78b0bdbe77335p+8", "0x0.0p+0"],
+        ["0x1.dc6bc8f1ab44fp-3", "0x0.0p+0", "-0x1.53ff86e1bfa13p-3", "-0x1.55135af5d1185p-4"],
+    ],
+    ("overcomplete", ("delta", "omega")): [
+        ["-0x1.730ec2343e307p+8", "0x1.94aaf2a2b1413p-4", "0x1.6d5fcba140c00p+8", "0x0.0p+0",
+         "-0x1.9838cfc56ed7cp-4", "0x1.6bbe827b99408p+2"],
+        ["0x1.8bb2c6e1a39ccp+2", "-0x1.4141699bd8bb1p-3", "-0x1.8218b30193c6dp+3",
+         "0x1.277aff5fc1296p-5", "0x0.0p+0", "0x1.7cda3d3861d0bp+2"],
+    ],
+}
+
+
+@pytest.mark.parametrize("variant, features", list(GOLDEN_COEFFICIENTS))
+def test_stlsq_coefficients_golden(variant, features):
+    model = _stlsq_model(variant, "swing2", features)
+    assert [[float(v).hex() for v in row] for row in model.coefficients] == \
+        GOLDEN_COEFFICIENTS[variant, features]
