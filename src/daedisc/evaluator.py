@@ -2,7 +2,8 @@
 
 Evaluates every target expression of a skeleton over a column batch and
 returns per-sample outputs together with the exact partial derivatives with
-respect to each parameter slot.  Domain violations (log of a non-positive
+respect to each parameter slot, per sample or weighted by the residuals
+against given targets and summed.  Domain violations (log of a non-positive
 argument, near-zero divisors, any non-finite intermediate) poison the whole
 evaluation: the result carries a fault record instead of numbers.  Callers
 that need values only, such as trajectory replay, skip the gradients and
@@ -11,8 +12,15 @@ their finiteness check.
 Each skeleton is compiled once into a postorder tape.  One call,
 ``evaluate``, takes either one parameter vector (k,) or restart rows (R, k);
 rows are broadcast against the (n,) columns, so a fitter advances R restarts
-in one walk.  Gradients are produced per sample, not pre-reduced, so callers
-can apply any loss weighting they like.
+in one walk.  Gradients come in two modes from the same reverse sweep, which
+hands back the adjoints of the parameter leaves.  Per sample, the sweep is
+seeded with 1.0 and the adjoints are scattered into a (T, n, k) array of
+partial derivatives, for callers that read them themselves
+(``gradient_check``).  Weighted by
+``targets`` (T, n), each target's sweep is seeded with its residual
+``outputs - targets`` and the adjoints are summed over samples, which gives
+the least-squares gradient sum((f - y) * df/dp), (k,), at about the cost of
+one evaluation and with no per-sample array: what a fitter needs.
 
 An array walk runs on a fit plan compiled from the tape: the forward steps
 over the nodes whose subtree holds a parameter (live nodes), and a reverse
@@ -22,9 +30,15 @@ domain rules depend on the batch alone; they are computed once per skeleton
 and batch and held, with the plan, in a one-entry memo of the last pair
 walked, never on the skeleton or the batch.  Each call then checks the domain
 rules of the live nodes and the finiteness of all outputs and of all
-gradients once.  Any fault there sends the call to the exact walk, which
-walks every node of the tape checking each in postorder, so the fault record
-names the first offending node.
+gradients (per sample, or the weighted sums) once.  Any fault there sends the
+call to the exact walk, which walks every node of the tape checking each in
+postorder, and each target's per-sample gradient, so the fault record names
+the first offending node.  A weighted sum that is not finite although the
+exact walk finds no fault (only the weighting overflowed) is a "non-finite
+gradient" at the first sample at which a weighted leaf adjoint is not
+finite; that result keeps its outputs.  The weighted mode checks only the
+sums: a per-sample partial that overflows where the residual is small
+enough to bring the weighted adjoint back into the floats is not seen.
 
 A value-only call on one vector and one sample, as trajectory replay makes at
 every RK4 stage, runs the skeleton's one-sample walk: a straight-line Python
@@ -106,8 +120,12 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outputs (n_targets, n_samples); gradients (n_targets, n_samples, n_params);
-    each with a leading restart axis when evaluated on parameter rows."""
+    """Outputs (n_targets, n_samples); gradients per sample (n_targets,
+    n_samples, n_params), or, evaluated with targets, the residual-weighted
+    sums (n_params,); each with a leading restart axis when evaluated on
+    parameter rows.  Gradients are None when evaluated for values only or
+    faulted, outputs when faulted, except for a weighted sum that alone left
+    the floats (see ``evaluate``)."""
 
     outputs: np.ndarray | None
     gradients: np.ndarray | None
@@ -289,17 +307,42 @@ def _plan(programs: list) -> tuple:
     return tuple(plan)
 
 
-def _reverse(steps: tuple, leaves: tuple, vals: list, grad: np.ndarray) -> None:
-    """Add per-sample parameter adjoints into grad (R, n, k), zero-filled."""
-    adj = {len(vals) - 1: 1.0}
+def _reverse(steps: tuple, leaves: tuple, vals: list, seed) -> list:
+    """The adjoints of the sweep's parameter leaves, in leaf order, from the
+    root adjoint ``seed``: 1.0 gives each sample's partial derivatives, a
+    residual (R, n) gives them weighted by it."""
+    adj = {len(vals) - 1: seed}
     for i, a, b, arg, dx, dy in steps:
         g, x, y, v = adj[i], vals[a], vals[b], vals[i]
         if dx is not None:
             adj[a] = dx(g, x, y, v, arg)
         if dy is not None:
             adj[b] = dy(g, x, y, v, arg)
-    for j, i in leaves:
-        grad[..., j] += adj[i]
+    return [adj[i] for _, i in leaves]
+
+
+def _scatter(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
+    """Add per-sample leaf adjoints into grad (R, n, k), zero-filled."""
+    for (j, _), g in zip(leaves, adjoints):
+        grad[..., j] += g
+
+
+def _reduce(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
+    """Add weighted leaf adjoints (R, n), summed over samples, into grad (R, k)."""
+    for (j, _), g in zip(leaves, adjoints):
+        grad[:, j] += np.add.reduce(g, axis=-1)
+
+
+def _weighted_fault(adjoints: list, shape: tuple[int, int]) -> FaultInfo:
+    """The fault of a weighted gradient that is not finite although every
+    per-sample gradient is: at the first sample at which a weighted leaf
+    adjoint is not finite or, if each one is and only their sums overflowed,
+    at which the running sum of their magnitudes is not."""
+    bad = np.logical_or.reduce([~np.isfinite(g) for g in adjoints])
+    if not bad.any():
+        bad = ~np.isfinite(np.cumsum(sum(np.abs(g) for g in adjoints), axis=-1))
+    index = int(np.argmax(np.broadcast_to(bad, shape).any(axis=0)))
+    return FaultInfo(sample_index=index, reason="non-finite gradient")
 
 
 def _parameter_free_values(programs: list, plan: tuple, cols: list) -> tuple | None:
@@ -361,22 +404,28 @@ def _fit_plan(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | No
 
 
 def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int,
-                  gradients: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Outputs (R, T, n) and gradients (R, T, n, k) for parameter rows (R, k),
-    walked on the fit plan from the parameter-free values; None if any row
-    faults.
+                  gradients: bool, targets: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Outputs (R, T, n) and gradients for parameter rows (R, k), walked on
+    the fit plan from the parameter-free values; None if any row faults.
 
-    Only live nodes are computed; the domain rules run before each of them,
-    and finiteness is checked once over all outputs and once over all
-    gradients.  Those checks and the parameter-free ones decide
-    faulted-or-not as a check at every node would; ``_walk_exact`` names the
-    fault.  With ``gradients=False`` the reverse sweep and its finiteness
-    check are skipped and None stands for the gradients.
+    The gradients are per sample (R, T, n, k), or with ``targets`` (T, n)
+    the residual-weighted sums (R, k); with ``gradients=False`` the reverse
+    sweep is skipped and None stands for them.  Only live nodes are computed;
+    the domain rules run before each of them, and finiteness is checked once
+    over all outputs and once over all gradients.  Those checks and the
+    parameter-free ones decide faulted-or-not as a check at every node would
+    (of a weighted gradient, as a check of its sums); ``_walk_exact`` names
+    the fault.
     """
     rows, k = params.shape
     pcols = [params[:, j:j + 1] for j in range(k)]
     outputs = np.empty((rows, len(plan), n_samples))
-    grads = np.zeros(outputs.shape + (k,)) if gradients else None
+    grads = None
+    if targets is not None:
+        grads = np.zeros((rows, k))
+    elif gradients:
+        grads = np.zeros(outputs.shape + (k,))
     with np.errstate(all="ignore"):  # non-finite results become faults
         for t, ((places, forward, reverse, leaves), base) in enumerate(zip(plan, values)):
             vals = base.copy()
@@ -388,25 +437,34 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
                         return None
                 vals[i] = value(vals[a], vals[b], arg)
             outputs[:, t] = vals[-1]
-            if gradients:
-                _reverse(reverse, leaves, vals, grads[:, t])
+            if targets is not None:
+                if leaves:  # a target without parameters needs no residual
+                    _reduce(leaves, _reverse(reverse, leaves, vals, vals[-1] - targets[t]),
+                            grads)
+            elif gradients:
+                _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grads[:, t])
         if not np.isfinite(outputs).all() or gradients and not np.isfinite(grads).all():
             return None
     return outputs, grads
 
 
 def _walk_exact(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
-                gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
+                gradients: bool, targets: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray | FaultInfo | None]:
     """``_walk_planned``'s results, walking every node of the tape and checking
     each in postorder, target by target: raises DomainFault naming the first
-    offending node, or a target's non-finite gradient after its values."""
+    offending node, or a target's non-finite per-sample gradient after its
+    values.  With ``targets``, the per-sample gradients are checked a target
+    at a time and not kept; weighted sums that are not finite although every
+    check passed come back as ``_weighted_fault``'s record in their place."""
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
     rows, k = params.shape
     shape = (rows, batch.n_samples)
     pcols = [params[:, j:j + 1] for j in range(k)]
     outputs = np.empty((rows, len(programs), batch.n_samples))
-    grads = np.zeros(outputs.shape + (k,)) if gradients else None
+    grads = np.zeros(outputs.shape + (k,)) if gradients and targets is None else None
+    weighted, weighted_adjoints = np.zeros((rows, k)), []
     with np.errstate(all="ignore"):  # non-finite results become faults
         for t, (prog, (_, _, reverse, leaves)) in enumerate(zip(programs, plan)):
             vals = []
@@ -425,11 +483,19 @@ def _walk_exact(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: Samp
                 _check_finite(vals[-1], shape)
             outputs[:, t] = vals[-1]
             if gradients:
-                grad = grads[:, t]
-                _reverse(reverse, leaves, vals, grad)
+                grad = grads[:, t] if targets is None else np.zeros(shape + (k,))
+                _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grad)
                 if not np.isfinite(grad).all():
                     _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
-    return outputs, grads
+            if targets is not None and leaves:
+                adjoints = _reverse(reverse, leaves, vals, vals[-1] - targets[t])
+                _reduce(leaves, adjoints, weighted)
+                weighted_adjoints += adjoints
+        if targets is None:
+            return outputs, grads
+        if not np.isfinite(weighted).all():
+            return outputs, _weighted_fault(weighted_adjoints, shape)
+    return outputs, weighted
 
 
 # the one-sample walk's statements: ``+ - * /`` and negation inline on floats,
@@ -507,19 +573,34 @@ def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
 
 
 def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: SampleBatch,
-             gradients: bool = True) -> EvalResult:
-    """Evaluate all targets; exact per-sample parameter gradients alongside.
+             gradients: bool = True, targets: np.ndarray | None = None) -> EvalResult:
+    """Evaluate all targets; exact parameter gradients alongside.
 
-    ``params`` is one vector (k,), giving outputs (T, n) and gradients
-    (T, n, k), or restart rows (R, k), giving outputs (R, T, n) and gradients
-    (R, T, n, k).  A fault in any row faults the result.  ``gradients=False``
-    evaluates values only: the result's gradients are None, and a non-finite
-    gradient behind finite values is no fault.
+    ``params`` is one vector (k,), giving outputs (T, n) and per-sample
+    gradients (T, n, k), or restart rows (R, k), giving outputs (R, T, n) and
+    gradients (R, T, n, k).  With ``targets`` (T, n), the gradients are
+    instead the residual-weighted sums over targets and samples,
+    sum((outputs - targets) * d outputs / dp), (k,) or (R, k), from one
+    reverse sweep per target seeded with its residual.  A fault in any row
+    faults the result, and its outputs and gradients are None.  So does a
+    weighted sum that is not finite, but if every value and per-sample
+    gradient is finite (only the weighting overflowed), the result keeps its
+    outputs, so that a caller can still tell an overflowing loss.
+    ``gradients=False`` evaluates values only: the result's gradients are
+    None, and a non-finite gradient behind finite values is no fault.
     """
     p = np.asarray(params, dtype=np.float64)
     if p.ndim not in (1, 2) or p.shape[-1] != skeleton.n_params:
         raise ValueError(f"expected {skeleton.n_params} parameters or rows of them, "
                          f"got shape {p.shape}")
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if not gradients:
+            raise ValueError("targets weight the gradients; gradients=False takes none")
+        if targets.shape != (len(skeleton.expressions), batch.n_samples):
+            raise ValueError(f"expected targets of shape "
+                             f"{(len(skeleton.expressions), batch.n_samples)}, "
+                             f"got {targets.shape}")
     if p.ndim == 1 and batch.n_samples == 1 and not gradients:
         # one sample (replay's shape): the compiled walk on floats; a fault is
         # named by the array walk
@@ -532,16 +613,18 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     rows = p if p.ndim == 2 else p[None, :]
     plan, values = _fit_plan(skeleton, batch)
     walked = None if values is None else _walk_planned(plan, values, rows, batch.n_samples,
-                                                       gradients)
+                                                       gradients, targets)
     if walked is None:  # walk again checking every node, to name the first fault
         try:
-            walked = _walk_exact(skeleton, plan, rows, batch, gradients)
+            walked = _walk_exact(skeleton, plan, rows, batch, gradients, targets)
         except DomainFault as fault:
             return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
     outputs, grads = walked
+    fault = grads if isinstance(grads, FaultInfo) else None
+    grads = None if fault else grads
     if p.ndim == 1:
         outputs, grads = outputs[0], None if grads is None else grads[0]
-    return EvalResult(outputs=outputs, gradients=grads)
+    return EvalResult(outputs=outputs, gradients=grads, domain_fault=fault)
 
 
 def gradient_check(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> float:

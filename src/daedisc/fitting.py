@@ -5,12 +5,16 @@ against its target columns; the loss is the mean squared residual over
 samples and targets, and the score is the negated loss.  Several restarts
 from random initial points hedge against non-convex landscapes; they advance
 in lockstep, one parameter row each on the skeleton's compiled tape, and the
-best (lowest-loss) restart wins.  A skeleton without parameter slots takes
-the same path as one row of width 0 and no Adam step.  A domain fault
-anywhere during fitting poisons the whole candidate: it keeps its metadata
-but gets the sentinel worst score and is never used as an in-context example.
-The fault is logged at debug level: its reason and sample index, or
-"non-finite loss" when a restart's loss is not finite.
+best (lowest-loss) restart wins.  Each step takes the loss gradient from one
+``evaluate`` with the targets: the evaluator seeds each target's reverse
+sweep with its residual and sums over samples, so no per-sample Jacobian is
+formed.  A skeleton without parameter slots takes the same path as one row
+of width 0 and no Adam step.  A domain fault anywhere during fitting poisons
+the whole candidate: it keeps its metadata but gets the sentinel worst score
+and is never used as an in-context example.
+The fault is logged at debug level: its reason and sample index (a
+"non-finite gradient" when only the residual-weighted gradient overflowed),
+or "non-finite loss" when a restart's loss is not finite.
 
 Fitting is pure given (inputs, seed): the same call produces bit-identical
 parameters and score, so candidates can be fitted in parallel as long as the
@@ -110,10 +114,13 @@ def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                      targets: np.ndarray):
     """Per-restart losses and loss gradients (R, k) for parameter rows (R, k).
 
-    Raises _PoisonedFit if any restart faults or has a non-finite loss.
+    The gradient is the evaluator's residual-weighted sum, scaled by the
+    loss's 2/size.  Raises _PoisonedFit if any restart faults or has a
+    non-finite loss; a loss that overflows is named before the weighted
+    gradient that overflows with it.
     """
-    res = evaluate(skeleton, params, batch)
-    if res.faulted:
+    res = evaluate(skeleton, params, batch, targets=targets)
+    if res.outputs is None:
         raise _PoisonedFit(res.domain_fault)
     residual = res.outputs - targets
     squared = residual * residual
@@ -121,8 +128,9 @@ def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
     losses = (np.add.reduce(squared.reshape(len(squared), -1), axis=1) / targets.size).tolist()
     if not all(math.isfinite(loss) for loss in losses):
         raise _PoisonedFit(None)
-    scale = 2.0 / targets.size
-    return losses, scale * np.einsum("rts,rtsk->rk", residual, res.gradients)
+    if res.faulted:  # the weighted gradient alone is not finite
+        raise _PoisonedFit(res.domain_fault)
+    return losses, (2.0 / targets.size) * res.gradients
 
 
 def _poisoned(skeleton: Skeleton, requirements) -> ScoredSkeleton:

@@ -5,10 +5,12 @@ library, with the three prior-knowledge configurations used for comparison
 runs: ``accurate`` (degree-1 library over the complete variable set),
 ``overcomplete`` (quadratic terms appended) and ``missing`` (a subset of
 variables removed).  The library is one skeleton, the sum of ``p_j`` for the
-constant and ``p_j*(x_a*x_b…)`` for every other term, and its matrix is
-``evaluate``'s parameter gradient at zero.  Least squares goes through the
-normal equations with a Cholesky solve; ill-conditioned active sets fall
-back to a small ridge penalty and are flagged.
+constant and ``p_j*(x_a*x_b…)`` for every other term, and its matrix holds
+ones for the constant and each other term's product, among the
+parameter-free values that the evaluator computes for the skeleton on the
+batch.  Least squares goes through the normal equations with a Cholesky
+solve; ill-conditioned active sets fall back to a small ridge penalty and
+are flagged.
 
 ``simulate_identified`` replays a fitted skeleton, or a sparse-regression
 model as the skeleton of its active terms, through the same RK4 step, on
@@ -46,7 +48,8 @@ from .benchmarks import FullRecord, rk4_step
 from .dataset import deriv_name
 from .dsl import (Bin, Const, Expr, Param, Skeleton, SymbolScope, Var, make_skeleton, parse,
                   variables_in)
-from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
+from .evaluator import (FaultInfo, SampleBatch, _parameter_free_values, _plan, _tape,
+                        evaluate, sample_walk)
 
 logger = logging.getLogger(__name__)
 
@@ -114,17 +117,27 @@ def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
 
 def build_library(cfg: LibraryConfig, names: Sequence[str],
                   columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple[Term, ...]]:
-    """(library matrix, terms): one row per sample, one column per term, the
-    term's product as the library skeleton's gradient at zero parameters
-    gives it (times an adjoint of exactly 1).  A non-finite product is an error."""
+    """(library matrix, terms): one row per sample, one column per term,
+    ones for the constant and otherwise the term's product, read as the
+    parameter-free operand of its ``p_j*product`` in the library skeleton
+    (the evaluator's parameter-free values; no reverse sweep).  A ``-0.0``
+    product reads ``+0.0``.  A non-finite product is an error."""
     terms = library_terms(cfg, names)
     library = make_skeleton("de", ["library"], [_term_sum(terms)])
+    variables, programs = _tape(library)
     batch = SampleBatch.from_columns({name: columns[name] for name in names})
-    res = evaluate(library, np.zeros(len(terms)), batch)
-    if res.faulted:
+    [values] = _parameter_free_values(programs, _plan(programs),
+                                      [batch.column(name) for name in variables])
+    [prog] = programs
+    theta = np.ones((batch.n_samples, len(terms)))
+    for op, a, b, _, _, _ in prog:
+        if op == "*" and prog[a][0] == "param":
+            theta[:, prog[a][3]] = values[b] + 0.0
+    bad = ~np.isfinite(theta)
+    if bad.any():
         raise ValueError(f"library column not finite at sample "
-                         f"{res.domain_fault.sample_index}: {res.domain_fault.reason}")
-    return res.gradients[0], terms
+                         f"{int(np.argmax(bad.any(axis=1)))}: non-finite value")
+    return theta, terms
 
 
 def _solve_ls(theta_active: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, bool]:

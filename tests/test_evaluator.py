@@ -7,11 +7,14 @@ import threading
 import tokenize
 import types
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from daedisc.dsl import FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, SymbolScope, _depth, parse
+from daedisc.dsl import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Bin, Call, Expr, Neg, Param, Pow,
+                         SymbolScope, _depth, make_skeleton, parse)
 from daedisc.evaluator import (
     DomainFault,
     FaultInfo,
@@ -25,6 +28,7 @@ from daedisc.evaluator import (
     gradient_check,
     sample_walk,
 )
+from test_dsl import _exprs
 
 SCOPE = SymbolScope(states=("x", "delta", "omega"))
 
@@ -628,3 +632,129 @@ def test_compiled_source_holds_no_skeleton_text():
     variables, walk = sample_walk(sk)
     assert sorted(variables) == ["omega_s", "theta_gen"]
     assert walk is sample_walk(sk)[1]  # compiled once, kept on the skeleton
+
+
+# --- the residual-weighted gradient -----------------------------------------
+
+_COLUMNS = ("delta", "omega", "e_q", "i_d")  # the variables test_dsl._exprs draws
+# one target: up to three test_dsl._exprs trees joined by random operators,
+# so that most targets hold several parameters, some of them repeated
+_TARGET = st.lists(st.tuples(st.sampled_from("+-*/"), _exprs(3)), min_size=1, max_size=3).map(
+    lambda parts: reduce(lambda acc, part: Bin(part[0], acc, part[1]), parts[1:], parts[0][1]))
+
+
+def _split_parameters(expr: Expr, slots: list) -> Expr:
+    """expr with a slot of its own for every parameter occurrence, in tree
+    order; ``slots`` collects the parameter each new slot stands for."""
+    match expr:
+        case Param(index):
+            slots.append(index)
+            return Param(len(slots) - 1)
+        case Bin(op, left, right):
+            return Bin(op, _split_parameters(left, slots), _split_parameters(right, slots))
+        case Neg(child):
+            return Neg(_split_parameters(child, slots))
+        case Pow(base, exponent):
+            return Pow(_split_parameters(base, slots), exponent)
+        case Call(name, child):
+            return Call(name, _split_parameters(child, slots))
+    return expr
+
+
+def _weighted_oracle(sk, params, batch, targets):
+    """The per-sample gradients (R, T, n, k) contracted with the residual by
+    np.einsum, and the contraction of the magnitudes of the residual and of
+    each parameter occurrence's partial, which bounds the rounding of any
+    order of summing the weighted partials; None if the per-sample call
+    faults."""
+    per_sample = evaluate(sk, params, batch)
+    if per_sample.faulted:
+        return per_sample.domain_fault
+    slots = []
+    split = make_skeleton(sk.kind, sk.target_names,
+                          [_split_parameters(e, slots) for e in sk.expressions])
+    partials = evaluate(split, params[..., slots], batch).gradients
+    residual = per_sample.outputs - targets
+    want = np.einsum("...ts,...tsk->...k", residual, per_sample.gradients)
+    scale = np.zeros_like(want)
+    for occurrence, j in enumerate(slots):
+        scale[..., j] += np.einsum("...ts,...ts->...", np.abs(residual),
+                                   np.abs(partials[..., occurrence]))
+    return per_sample.outputs, want, scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs=st.lists(_TARGET, min_size=1, max_size=2), data=st.data())
+def test_weighted_gradient_is_the_contracted_per_sample_gradient(exprs, data):
+    sk = make_skeleton("de", ["delta", "omega"][:len(exprs)], exprs)
+    n = data.draw(st.integers(1, 5), label="n")
+    floats = st.floats(-3.0, 3.0, allow_nan=False)
+    batch = _batch(**{name: data.draw(st.lists(floats, min_size=n, max_size=n), label=name)
+                      for name in _COLUMNS})
+    shape = data.draw(st.sampled_from([(sk.n_params,), (1, sk.n_params), (3, sk.n_params)]),
+                      label="shape")
+    params = np.array(data.draw(st.lists(floats, min_size=int(np.prod(shape)),
+                                         max_size=int(np.prod(shape))), label="params"))
+    params = params.reshape(shape)
+    targets = np.array(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                                          min_size=len(exprs) * n, max_size=len(exprs) * n),
+                                 label="targets")).reshape(len(exprs), n)
+    weighted = evaluate(sk, params, batch, targets=targets)
+    with np.errstate(all="ignore"):
+        oracle = _weighted_oracle(sk, params, batch, targets)
+    if isinstance(oracle, FaultInfo):  # the per-sample call faults, and names it
+        assert weighted.domain_fault == oracle
+        assert weighted.outputs is None and weighted.gradients is None
+        return
+    outputs, want, scale = oracle
+    assert np.array_equal(weighted.outputs, outputs)
+    if weighted.faulted:  # only the weighting overflowed; the outputs are kept
+        assert weighted.domain_fault.reason == "non-finite gradient"
+        assert weighted.gradients is None
+        assert not np.isfinite(scale).all()
+        return
+    assert weighted.gradients.shape == want.shape
+    # within rtol 1e-12 of the oracle, floored by the magnitude of the
+    # weighted partials where they cancel
+    assert np.all(np.abs(weighted.gradients - want)
+                  <= 1e-12 * (np.abs(want) + scale) + np.finfo(np.float64).tiny)
+
+
+def test_weighted_gradient_overflow_names_its_sample():
+    # every per-sample partial is finite, but the residual times the partial
+    # of p0 leaves the floats at sample 1 only: the outputs are kept
+    scope = SymbolScope(states=("x",))
+    sk = parse("dx/dt = p0*x", scope, ["x"], kind="de")
+    batch = _batch(x=[1.0, 1e200, 2.0])
+    targets = np.array([[0.0, -1e200, 0.0]])
+    assert not evaluate(sk, [1.0], batch).faulted
+    res = evaluate(sk, [1.0], batch, targets=targets)
+    assert res.domain_fault == FaultInfo(1, "non-finite gradient")
+    assert res.gradients is None
+    assert np.array_equal(res.outputs, [[1.0, 1e200, 2.0]])
+    # finite weighted adjoints whose sum overflows: named where the running
+    # sum of their magnitudes leaves the floats
+    batch = _batch(x=[1.0, 1e154, 1e154, 1e154])
+    res = evaluate(sk, [1.0], batch, targets=np.zeros((1, 4)))
+    assert res.domain_fault == FaultInfo(2, "non-finite gradient")
+
+
+def test_weighted_gradient_takes_the_per_sample_fault_first():
+    # a later target's value fault is named before an earlier target's
+    # weighted overflow, as the per-sample walk names it
+    scope = SymbolScope(states=("x", "y"))
+    sk = parse("dx/dt = p0*x\ndy/dt = p1*log(y - 10)", scope, ["x", "y"], kind="de")
+    batch = _batch(x=[1e200, 1.0, 1.0], y=[20.0, 5.0, 20.0])
+    targets = np.array([[-1e200, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    want = evaluate(sk, [1.0, 1.0], batch).domain_fault
+    assert want == FaultInfo(1, "log of non-positive argument")
+    assert evaluate(sk, [1.0, 1.0], batch, targets=targets).domain_fault == want
+
+
+def test_weighted_gradient_argument_checks():
+    sk = parse("dx/dt = p0*x", SymbolScope(states=("x",)), ["x"], kind="de")
+    batch = _batch(x=[1.0, 2.0])
+    with pytest.raises(ValueError, match="targets of shape"):
+        evaluate(sk, [1.0], batch, targets=np.zeros(2))
+    with pytest.raises(ValueError, match="gradients=False"):
+        evaluate(sk, [1.0], batch, gradients=False, targets=np.zeros((1, 2)))
