@@ -38,7 +38,7 @@ from .dsl import (
     parse,
     serialize,
 )
-from .fitting import Requirement, ScoredSkeleton, SENTINEL_SCORE
+from .fitting import Requirement, ScoredSkeleton
 
 SCORE_KEY_DECIMALS = 3
 
@@ -90,7 +90,7 @@ class Island:
         if text in self._texts:
             return False
         self._texts.add(text)
-        if cand.score <= SENTINEL_SCORE:
+        if cand.poisoned:
             self.quarantine.append(cand)
             return True
         key = cluster_key(cand.score)

@@ -144,10 +144,13 @@ class RunConfig:
 
 
 def load_scenarios(path: str | Path) -> dict:
-    """Scenario file for gen-data: {"train": {...}, "test": {...}}."""
+    """Scenario file for gen-data: {"train": {...}, "test": {...}}, nothing else."""
     data = _read_json(path)
     if not isinstance(data, dict) or not {"train", "test"} <= set(data):
         raise ConfigError("scenario file must hold 'train' and 'test' objects")
+    unknown = sorted(set(data) - {"train", "test"})
+    if unknown:
+        raise ConfigError(f"unknown scenario file keys: {unknown}")
     try:
         return {name: ScenarioConfig.from_dict(data[name]) for name in ("train", "test")}
     except ValueError as exc:

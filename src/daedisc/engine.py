@@ -239,6 +239,8 @@ class DiscoveryEngine:
     # ---------------------------------------------------------------- shared
 
     def _reset(self) -> None:
+        for name in ("de_result_", "ae_result_", "library_", "ae_skip_reason_"):
+            self.__dict__.pop(name, None)
         self.run_log_: list[dict] = []
         self._rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed & 0x7FFFFFFF, 101]))

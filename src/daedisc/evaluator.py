@@ -9,53 +9,54 @@ evaluation: the result carries a fault record instead of numbers.  Callers
 that need values only, such as trajectory replay, skip the gradients and
 their finiteness check.
 
-Each skeleton is compiled once into a postorder tape.  One call,
-``evaluate``, takes either one parameter vector (k,) or restart rows (R, k);
-rows are broadcast against the (n,) columns, so a fitter advances R restarts
-in one walk.  Gradients come in two modes from the same reverse sweep, which
-hands back the adjoints of the parameter leaves.  Per sample, the sweep is
-seeded with 1.0 and the adjoints are scattered into a (T, n, k) array of
-partial derivatives, for callers that read them themselves
-(``gradient_check``).  Weighted by
-``targets`` (T, n), each target's sweep is seeded with its residual
-``outputs - targets`` and the adjoints are summed over samples, which gives
-the least-squares gradient sum((f - y) * df/dp), (k,), at about the cost of
-one evaluation and with no per-sample array: what a fitter needs.
+Each skeleton is compiled once into a postorder tape, and three walks read
+it, each with one job and one way in.
 
-An array walk runs on a fit plan compiled from the tape: the forward steps
-over the nodes whose subtree holds a parameter (live nodes), and a reverse
-sweep that forms adjoints along parameter paths only.  The values of the
-parameter-free subtrees, such as ``omega - 1`` or ``sin(delta)``, and their
-domain rules depend on the batch alone; they are computed once per skeleton
-and batch and held, with the plan, in a one-entry memo of the last pair
-walked, never on the skeleton or the batch.  Each call then checks the domain
-rules of the live nodes and the finiteness of all outputs and of all
-gradients (per sample, or the weighted sums) once.  Any fault there sends the
-call to the exact walk, which walks every node of the tape checking each in
-postorder, and each target's per-sample gradient, so the fault record names
-the first offending node.  A weighted sum that is not finite although the
-exact walk finds no fault (only the weighting overflowed) is a "non-finite
+The array walk (``evaluate``) computes.  It takes one parameter vector (k,)
+or restart rows (R, k); rows are broadcast against the (n,) columns, so a
+fitter advances R restarts in one walk.  It runs on a fit plan compiled from
+the tape: the forward steps over the nodes whose subtree holds a parameter
+(live nodes), and a reverse sweep that forms adjoints along parameter paths
+only.  Per sample, the sweep is seeded with 1.0 and the adjoints of the
+parameter leaves are scattered into a (T, n, k) array of partial
+derivatives, for callers that read them themselves (``gradient_check``).
+Weighted by ``targets`` (T, n), each target's sweep is seeded with its
+residual ``outputs - targets`` and the adjoints are summed over samples,
+which gives the least-squares gradient sum((f - y) * df/dp), (k,), at about
+the cost of one evaluation and with no per-sample array: what a fitter
+needs.  The values of the parameter-free subtrees, such as ``omega - 1`` or
+``sin(delta)``, and their domain rules depend on the batch alone; they are
+computed once per skeleton and batch and held, with the plan and the batch,
+in a one-entry memo of the last pair walked, never on the skeleton.  Each
+call checks the domain rules of the live nodes and the finiteness of all
+outputs and of all gradients (per sample, or the weighted sums) once; these
+checks decide faulted-or-not as a check at every node would.
+
+The naming walk (``_name_fault``) only names faults.  ``evaluate`` calls it
+when the array walk refused a call; it walks every node of the tape checking
+each in postorder, and each target's per-sample gradient, so the fault
+record names the first offending node.  A weighted sum that is not finite
+although no check fails (only the weighting overflowed) is a "non-finite
 gradient" at the first sample at which a weighted leaf adjoint is not
 finite; that result keeps its outputs.  The weighted mode checks only the
 sums: a per-sample partial that overflows where the residual is small
 enough to bring the weighted adjoint back into the floats is not seen.
 
-A value-only call on one vector and one sample, as trajectory replay makes at
-every RK4 stage, runs the skeleton's one-sample walk: a straight-line Python
+The float walk (``sample_walk``) computes the values of one sample, as
+trajectory replay needs them at every RK4 stage: a straight-line Python
 function of the variable and parameter values, compiled once from the tape
 and cached on the skeleton.  Its statements are the tape's operations and
 domain rules on Python floats, which give the array walk's bits; the source
 holds only slot numbers and fixed templates, with constants, operations and
 rule predicates bound in its namespace, so no text of the skeleton is ever
-compiled.  A sample that faults is walked again on arrays, so its fault
-record is the array walk's.  Replay calls the compiled walk directly
-(``sample_walk``).  All inputs are immutable and evaluation is pure.
+compiled.  It tells a fault only by returning None; a caller that needs the
+record evaluates the sample with ``evaluate``.  All inputs are immutable and
+evaluation is pure.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -71,7 +72,7 @@ class MissingColumn(KeyError):
 
 
 class DomainFault(RuntimeError):
-    """Raised when the evaluation domain is violated (the tape walk, gradient_check)."""
+    """Raised when the evaluation domain is violated (the naming walk, gradient_check)."""
 
     def __init__(self, info: "FaultInfo"):
         super().__init__(f"domain fault at sample {info.sample_index}: {info.reason}")
@@ -120,12 +121,13 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outputs (n_targets, n_samples); gradients per sample (n_targets,
-    n_samples, n_params), or, evaluated with targets, the residual-weighted
-    sums (n_params,); each with a leading restart axis when evaluated on
-    parameter rows.  Gradients are None when evaluated for values only or
-    faulted, outputs when faulted, except for a weighted sum that alone left
-    the floats (see ``evaluate``)."""
+    """One array walk's result: outputs (n_targets, n_samples); gradients per
+    sample (n_targets, n_samples, n_params), or, evaluated with targets, the
+    residual-weighted sums (n_params,); each with a leading restart axis when
+    evaluated on parameter rows.  A faulted result carries the naming walk's
+    record; its gradients are None, and so are its outputs, except for a
+    weighted sum that alone left the floats (see ``evaluate``).  Gradients
+    are None too when evaluated for values only."""
 
     outputs: np.ndarray | None
     gradients: np.ndarray | None
@@ -136,16 +138,15 @@ class EvalResult:
         return self.domain_fault is not None
 
 
+def _fault(bad, reason: str, shape: tuple[int, int]) -> FaultInfo:
+    """The fault at the first sample at which any parameter row is bad."""
+    return FaultInfo(sample_index=int(np.argmax(np.broadcast_to(bad, shape).any(axis=0))),
+                     reason=reason)
+
+
 def _check(bad, reason: str, shape: tuple[int, int]) -> None:
     if np.asarray(bad).any():  # a plain bool for a constant operand
-        # the first sample at which any parameter row is bad
-        index = int(np.argmax(np.broadcast_to(bad, shape).any(axis=0)))
-        raise DomainFault(FaultInfo(sample_index=index, reason=reason))
-
-
-def _check_finite(values, shape: tuple[int, int]) -> None:
-    if not np.isfinite(values).all():
-        _check(~np.isfinite(values), "non-finite value", shape)
+        raise DomainFault(_fault(bad, reason, shape))
 
 
 def _near_zero(v):
@@ -341,8 +342,7 @@ def _weighted_fault(adjoints: list, shape: tuple[int, int]) -> FaultInfo:
     bad = np.logical_or.reduce([~np.isfinite(g) for g in adjoints])
     if not bad.any():
         bad = ~np.isfinite(np.cumsum(sum(np.abs(g) for g in adjoints), axis=-1))
-    index = int(np.argmax(np.broadcast_to(bad, shape).any(axis=0)))
-    return FaultInfo(sample_index=index, reason="non-finite gradient")
+    return _fault(bad, "non-finite gradient", shape)
 
 
 def _parameter_free_values(programs: list, plan: tuple, cols: list) -> tuple | None:
@@ -371,35 +371,26 @@ def _parameter_free_values(programs: list, plan: tuple, cols: list) -> tuple | N
     return tuple(values)
 
 
-# (skeleton, its plan, a weak reference to a batch, the parameter-free values):
-# the last pair walked on arrays.  One entry serves every step of a fit.  The
-# plan is not kept on the skeleton, nor the values at all once their batch is
-# gone: an archive holds its skeletons for the whole run, and a plan on each, or
-# a spent batch's values, would add to the peak memory.  Each call reads the
-# entry once and replaces it whole, so threads sharing it at worst recompute.
-_NOTHING_WALKED = (None, None, None, None)
-_last_walked: tuple = _NOTHING_WALKED
-
-
-def _forget(batch_ref: weakref.ref) -> None:
-    global _last_walked
-    if _last_walked[2] is batch_ref:
-        _last_walked = _NOTHING_WALKED
+# (skeleton, its plan, a batch, the parameter-free values): the last pair
+# walked on arrays.  One entry serves every step of a fit.  The plan is not kept
+# on the skeleton: an archive holds its skeletons for the whole run, and a plan
+# on each would add to the peak memory.  Each call reads the entry once and
+# replaces it whole, so threads sharing it at worst recompute.
+_last_walked: tuple = (None, None, None, None)
 
 
 def _fit_plan(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | None]:
     """(plan, parameter-free values or None if they fault) of a skeleton on a
     batch, from the one-entry memo when it holds them."""
     global _last_walked
-    held, plan, batch_ref, values = _last_walked
+    held, plan, held_batch, values = _last_walked
     if held is not skeleton:
-        plan, batch_ref = _plan(_tape(skeleton)[1]), None
-    if batch_ref is None or batch_ref() is not batch:
+        plan, held_batch = _plan(_tape(skeleton)[1]), None
+    if held_batch is not batch:
         variables, programs = _tape(skeleton)
         values = _parameter_free_values(programs, plan,
                                         [batch.column(name) for name in variables])
-        batch_ref = weakref.ref(batch, _forget)
-    _last_walked = (skeleton, plan, batch_ref, values)
+    _last_walked = (skeleton, plan, batch, values)
     return plan, values
 
 
@@ -415,7 +406,7 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
     the domain rules run before each of them, and finiteness is checked once
     over all outputs and once over all gradients.  Those checks and the
     parameter-free ones decide faulted-or-not as a check at every node would
-    (of a weighted gradient, as a check of its sums); ``_walk_exact`` names
+    (of a weighted gradient, as a check of its sums); ``_name_fault`` names
     the fault.
     """
     rows, k = params.shape
@@ -448,54 +439,50 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
     return outputs, grads
 
 
-def _walk_exact(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
+def _name_fault(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
                 gradients: bool, targets: np.ndarray | None
-                ) -> tuple[np.ndarray, np.ndarray | FaultInfo | None]:
-    """``_walk_planned``'s results, walking every node of the tape and checking
-    each in postorder, target by target: raises DomainFault naming the first
-    offending node, or a target's non-finite per-sample gradient after its
-    values.  With ``targets``, the per-sample gradients are checked a target
-    at a time and not kept; weighted sums that are not finite although every
-    check passed come back as ``_weighted_fault``'s record in their place."""
+                ) -> tuple[np.ndarray | None, FaultInfo]:
+    """(None, the fault) of a call ``_walk_planned`` refused, named by a walk
+    of every node of the tape that checks each in postorder, target by
+    target, and then, with ``gradients``, the target's per-sample gradients:
+    the record is the first failing check's.  A refused call always has a
+    fault to name.  If every check passes, only the residual-weighted sums
+    left the floats, and the walk gives (outputs (R, T, n),
+    ``_weighted_fault``'s record)."""
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
     rows, k = params.shape
     shape = (rows, batch.n_samples)
     pcols = [params[:, j:j + 1] for j in range(k)]
     outputs = np.empty((rows, len(programs), batch.n_samples))
-    grads = np.zeros(outputs.shape + (k,)) if gradients and targets is None else None
-    weighted, weighted_adjoints = np.zeros((rows, k)), []
+    weighted_adjoints = []
     with np.errstate(all="ignore"):  # non-finite results become faults
-        for t, (prog, (_, _, reverse, leaves)) in enumerate(zip(programs, plan)):
-            vals = []
-            for op, a, b, arg, _, rules in prog:
-                if op == "param":
-                    vals.append(pcols[arg])
-                elif op == "var":
-                    vals.append(cols[arg])
-                elif op == "const":
-                    vals.append(arg)
-                else:
-                    x, y = vals[a], vals[b]
-                    for operand, bad, reason in rules:
-                        _check(bad(y if operand else x), reason, shape)
-                    vals.append(_VALUE[op](x, y, arg))
-                _check_finite(vals[-1], shape)
-            outputs[:, t] = vals[-1]
-            if gradients:
-                grad = grads[:, t] if targets is None else np.zeros(shape + (k,))
-                _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grad)
-                if not np.isfinite(grad).all():
+        try:
+            for t, (prog, (_, _, reverse, leaves)) in enumerate(zip(programs, plan)):
+                vals = []
+                for op, a, b, arg, _, rules in prog:
+                    if op == "param":
+                        vals.append(pcols[arg])
+                    elif op == "var":
+                        vals.append(cols[arg])
+                    elif op == "const":
+                        vals.append(arg)
+                    else:
+                        x, y = vals[a], vals[b]
+                        for operand, bad, reason in rules:
+                            _check(bad(y if operand else x), reason, shape)
+                        vals.append(_VALUE[op](x, y, arg))
+                    _check(~np.isfinite(vals[-1]), "non-finite value", shape)
+                outputs[:, t] = vals[-1]
+                if gradients:
+                    grad = np.zeros(shape + (k,))
+                    _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grad)
                     _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
-            if targets is not None and leaves:
-                adjoints = _reverse(reverse, leaves, vals, vals[-1] - targets[t])
-                _reduce(leaves, adjoints, weighted)
-                weighted_adjoints += adjoints
-        if targets is None:
-            return outputs, grads
-        if not np.isfinite(weighted).all():
-            return outputs, _weighted_fault(weighted_adjoints, shape)
-    return outputs, weighted
+                if targets is not None and leaves:
+                    weighted_adjoints += _reverse(reverse, leaves, vals, vals[-1] - targets[t])
+        except DomainFault as fault:
+            return None, fault.info
+        return outputs, _weighted_fault(weighted_adjoints, shape)
 
 
 # the one-sample walk's statements: ``+ - * /`` and negation inline on floats,
@@ -551,8 +538,9 @@ def _sample_source(programs: list) -> tuple[str, dict]:
 
 
 def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
-    """(variables, walk): the skeleton's value-only walk on one sample,
-    compiled on first use and cached on the skeleton instance.
+    """(variables, walk): the float walk, the skeleton's value-only walk on
+    one sample and the only way into it, compiled on first use and cached on
+    the skeleton instance.
 
     ``walk(xs, ps)`` takes the values of ``variables``, in that order, and the
     parameter vector as lists of floats, and gives the outputs in target order
@@ -561,6 +549,8 @@ def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
     same domain rules and output check decide the fault, so a sample that
     passes has the array walk's outputs.  Call it under
     ``np.errstate(all="ignore")``: a non-finite value is a fault, not a warning.
+    The walk does not say which rule failed: ``evaluate`` on the sample names
+    the fault.
     """
     variables, programs = _tape(skeleton)
     walk = skeleton.__dict__.get("_sample_walk")
@@ -574,7 +564,8 @@ def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
 
 def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: SampleBatch,
              gradients: bool = True, targets: np.ndarray | None = None) -> EvalResult:
-    """Evaluate all targets; exact parameter gradients alongside.
+    """Evaluate all targets on the array walk; exact parameter gradients
+    alongside, and on a fault the naming walk's record.
 
     ``params`` is one vector (k,), giving outputs (T, n) and per-sample
     gradients (T, n, k), or restart rows (R, k), giving outputs (R, T, n) and
@@ -585,7 +576,8 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     faults the result, and its outputs and gradients are None.  So does a
     weighted sum that is not finite, but if every value and per-sample
     gradient is finite (only the weighting overflowed), the result keeps its
-    outputs, so that a caller can still tell an overflowing loss.
+    outputs, so that a caller can still tell an overflowing loss.  Every
+    call walks arrays, one sample too; the float walk is ``sample_walk``.
     ``gradients=False`` evaluates values only: the result's gradients are
     None, and a non-finite gradient behind finite values is no fault.
     """
@@ -601,28 +593,16 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
             raise ValueError(f"expected targets of shape "
                              f"{(len(skeleton.expressions), batch.n_samples)}, "
                              f"got {targets.shape}")
-    if p.ndim == 1 and batch.n_samples == 1 and not gradients:
-        # one sample (replay's shape): the compiled walk on floats; a fault is
-        # named by the array walk
-        variables, walk = sample_walk(skeleton)
-        xs = [float(batch.column(name)[0]) for name in variables]
-        with np.errstate(all="ignore"):  # non-finite results become faults
-            outputs = walk(xs, p.tolist())
-        if outputs is not None:
-            return EvalResult(outputs=np.array(outputs)[:, None], gradients=None)
     rows = p if p.ndim == 2 else p[None, :]
     plan, values = _fit_plan(skeleton, batch)
     walked = None if values is None else _walk_planned(plan, values, rows, batch.n_samples,
                                                        gradients, targets)
+    fault = None
     if walked is None:  # walk again checking every node, to name the first fault
-        try:
-            walked = _walk_exact(skeleton, plan, rows, batch, gradients, targets)
-        except DomainFault as fault:
-            return EvalResult(outputs=None, gradients=None, domain_fault=fault.info)
+        outputs, fault = _name_fault(skeleton, plan, rows, batch, gradients, targets)
+        walked = outputs, None
     outputs, grads = walked
-    fault = grads if isinstance(grads, FaultInfo) else None
-    grads = None if fault else grads
-    if p.ndim == 1:
+    if p.ndim == 1 and outputs is not None:
         outputs, grads = outputs[0], None if grads is None else grads[0]
     return EvalResult(outputs=outputs, gradients=grads, domain_fault=fault)
 

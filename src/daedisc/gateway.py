@@ -269,19 +269,17 @@ def generate(request: GenerationRequest, backend: GeneratorBackend,
     """
     last_error: Exception | None = None
     for attempt in range(GENERATE_ATTEMPTS):
+        if attempt:  # a retry
+            sleep(GENERATE_BACKOFF_S * 2.0 ** (attempt - 1))
         try:
             texts = backend.complete(request)
         except BackendUnavailable as exc:
             last_error = exc
             if exc.permanent:
                 break
-            if attempt + 1 < GENERATE_ATTEMPTS:
-                sleep(GENERATE_BACKOFF_S * (2.0 ** attempt))
             continue
         completions = [parse_completion(t) for t in texts[: request.n_b]]
         if completions:
             return completions
         last_error = BackendUnavailable("backend returned zero completions")
-        if attempt + 1 < GENERATE_ATTEMPTS:
-            sleep(GENERATE_BACKOFF_S * (2.0 ** attempt))
     raise BackendUnavailable(str(last_error) if last_error else "no completions")

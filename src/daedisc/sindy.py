@@ -26,7 +26,7 @@ the skeletons through their compiled one-sample walk
 (``evaluator.sample_walk``) on lists of the variables they read and of
 their parameters (values only, so a non-finite gradient is no fault).  A
 skeleton that faults (a non-finite derivative is a fault) is evaluated once
-more by a value-only ``evaluate``, whose array walk names the fault; the
+more by a value-only ``evaluate``, whose naming walk names the fault; the
 replay logs it and returns it.  An unstable identified model yields a
 divergence flag and the finite prefix, never a crash.
 """
@@ -344,7 +344,7 @@ class ReplayResult:
 def _name_fault(model: SkeletonModel, values: list[float],
                 position: Mapping[str, int]) -> FaultInfo:
     """The domain fault of a skeleton on the replay sample ``values``, named
-    by the array walk of one value-only ``evaluate``."""
+    by the naming walk of one value-only ``evaluate``."""
     batch = SampleBatch({name: np.array((values[position[name]],))
                          for name in variables_in(model.skeleton)}, 1)
     return evaluate(model.skeleton, model.params, batch, gradients=False).domain_fault

@@ -266,6 +266,15 @@ def test_gen_data_rejects_malformed_scenario(tmp_path, train):
     assert not (tmp_path / "data").exists()
 
 
+def test_gen_data_rejects_unknown_scenario_keys(tmp_path):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({**SCENARIOS, "validation": SCENARIOS["test"]}))
+    result = CliRunner().invoke(main, ["gen-data", "--model", "swing2",
+                                       "--scenario", str(scen),
+                                       "--out", str(tmp_path / "data")])
+    assert "validation" in _config_error(result)
+    assert not (tmp_path / "data").exists()
+
 @pytest.mark.parametrize("key, value", [
     ("noise_sigma", -0.5),
     ("total_time", -1.0),

@@ -395,6 +395,22 @@ def test_wallclock_budget_restarts_with_each_run(monkeypatch):
     engine.run_de_loop()
 
 
+def test_a_refit_that_fails_leaves_no_results_behind():
+    # a second fit() that raises must not pair the first run's results with
+    # the new config and run log
+    engine = engine_with_script([[fenced(TRUE_SWING)]], de_max_iterations=1,
+                                ae_max_iterations=0)
+    engine.fit()
+    engine.result_dict()
+    engine.set_params(max_seconds=0.0)
+    engine.backend = MockBackend([[fenced(TRUE_SWING)]])
+    with pytest.raises(BudgetExceeded):
+        engine.fit()
+    for name in ("de_result_", "ae_result_", "library_", "ae_skip_reason_"):
+        assert not hasattr(engine, name)
+    with pytest.raises(RuntimeError, match=r"call fit\(\) first"):
+        engine.result_dict()
+
 # the first completion asks for P_e, the later ones use it
 PE_SCRIPT = [
     [fenced(DISTRACTORS[0], requirements=[{"name": "P_e"}])],

@@ -329,12 +329,16 @@ def test_one_sample_walk_matches_the_array_walk():
             batch = _batch(x=[x], y=[y])
             one = evaluate(sk, params, batch, gradients=False)
             rows = evaluate(sk, params[None, :], batch, gradients=False)
-            assert one.faulted == rows.faulted, text
+            variables, walk = sample_walk(sk)
+            with np.errstate(all="ignore"):
+                floats = walk([float(batch.column(name)[0]) for name in variables],
+                              params.tolist())
+            assert one.faulted == rows.faulted == (floats is None), text
             assert one.domain_fault == rows.domain_fault, text
             seen[one.faulted] += 1
             if not one.faulted:
                 assert one.outputs.shape == (2, 1)
-                assert np.array_equal(one.outputs.view(np.int64),
+                assert np.array_equal(np.array(floats)[:, None].view(np.int64),
                                       rows.outputs[0].view(np.int64)), (text, x, y, params)
     assert seen[True] > 200 and seen[False] > 600
 
@@ -542,14 +546,18 @@ def test_plan_memo_under_threads():
 # --- the compiled one-sample walk ------------------------------------------
 
 def _same_bits_one_sample(sk, params, batch):
-    """The compiled walk (a vector on one sample) against the array walk (the
-    same vector as a row); returns whether the sample faulted."""
-    one = evaluate(sk, params, batch, gradients=False)
-    rows = evaluate(sk, np.asarray(params, dtype=np.float64)[None, :], batch, gradients=False)
-    assert one.domain_fault == rows.domain_fault
-    if not one.faulted:
-        assert np.array_equal(one.outputs.view(np.int64), rows.outputs[0].view(np.int64))
-    return one.faulted
+    """The compiled walk (``sample_walk`` on one sample) against the array
+    walk (the same vector as a row); returns whether the sample faulted."""
+    p = np.asarray(params, dtype=np.float64)
+    variables, walk = sample_walk(sk)
+    with np.errstate(all="ignore"):
+        one = walk([float(batch.column(name)[0]) for name in variables], p.tolist())
+    rows = evaluate(sk, p[None, :], batch, gradients=False)
+    assert (one is None) == rows.faulted
+    if one is not None:
+        assert np.array_equal(np.array(one)[:, None].view(np.int64),
+                              rows.outputs[0].view(np.int64))
+    return one is None
 
 
 def test_compiled_walk_of_a_skeleton_at_max_depth():

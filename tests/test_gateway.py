@@ -155,6 +155,18 @@ def test_generate_retries_then_succeeds():
     assert slept == [0.5, 1.0]
 
 
+def test_generate_sleeps_before_each_retry_only():
+    # empty answers are retried, backing off before each retry; a permanent
+    # failure (an exhausted script) is not retried and sleeps not at all
+    slept = []
+    with pytest.raises(BackendUnavailable, match="zero completions"):
+        generate(GenerationRequest(prompt="x"), MockBackend([[], [], []]), sleep=slept.append)
+    assert slept == [0.5, 1.0]
+    slept.clear()
+    with pytest.raises(BackendUnavailable, match="exhausted"):
+        generate(GenerationRequest(prompt="x"), MockBackend([]), sleep=slept.append)
+    assert slept == []
+
 def test_http_backend_wire_format(monkeypatch):
     seen = {}
 
