@@ -203,16 +203,15 @@ class DiscoveryEngine:
         ``max_seconds`` budget spans both loops."""
         self._reset()
         de = self.run_de_loop()
-        self.de_result_ = de
-        self.library_ = de.library
         try:
-            self.ae_result_ = self._run_ae_loop(de)
-            self.ae_skip_reason_ = None
+            ae, skip_reason = self._run_ae_loop(de), None
         except NoAlgebraicTargets as exc:
-            self.ae_result_ = None
-            self.ae_skip_reason_ = str(exc)
+            ae, skip_reason = None, str(exc)
             self.run_log_.append({"loop": "ae", "event": "skipped", "reason": str(exc)})
             logger.info("algebraic loop skipped: %s", exc)
+        # set together, so that a fit raising in either loop leaves no results
+        self.de_result_, self.library_ = de, de.library
+        self.ae_result_, self.ae_skip_reason_ = ae, skip_reason
         return self
 
     def run_de_loop(self) -> LoopResult:

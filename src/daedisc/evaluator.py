@@ -32,7 +32,7 @@ call checks the domain rules of the live nodes and the finiteness of all
 outputs and of all gradients (per sample, or the weighted sums) once; these
 checks decide faulted-or-not as a check at every node would.
 
-The naming walk (``_name_fault``) only names faults.  ``evaluate`` calls it
+The naming walk (``_fault_of``) only names faults.  ``evaluate`` calls it
 when the array walk refused a call; it walks every node of the tape checking
 each in postorder, and each target's per-sample gradient, so the fault
 record names the first offending node.  A weighted sum that is not finite
@@ -406,7 +406,7 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
     the domain rules run before each of them, and finiteness is checked once
     over all outputs and once over all gradients.  Those checks and the
     parameter-free ones decide faulted-or-not as a check at every node would
-    (of a weighted gradient, as a check of its sums); ``_name_fault`` names
+    (of a weighted gradient, as a check of its sums); ``_fault_of`` names
     the fault.
     """
     rows, k = params.shape
@@ -439,15 +439,15 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
     return outputs, grads
 
 
-def _name_fault(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
-                gradients: bool, targets: np.ndarray | None
-                ) -> tuple[np.ndarray | None, FaultInfo]:
+def _fault_of(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
+              gradients: bool, targets: np.ndarray | None
+              ) -> tuple[np.ndarray | None, FaultInfo]:
     """(None, the fault) of a call ``_walk_planned`` refused, named by a walk
     of every node of the tape that checks each in postorder, target by
     target, and then, with ``gradients``, the target's per-sample gradients:
     the record is the first failing check's.  A refused call always has a
     fault to name.  If every check passes, only the residual-weighted sums
-    left the floats, and the walk gives (outputs (R, T, n),
+    left the floats, which needs ``targets`` (asserted), and the walk gives (outputs (R, T, n),
     ``_weighted_fault``'s record)."""
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
@@ -482,6 +482,7 @@ def _name_fault(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: Samp
                     weighted_adjoints += _reverse(reverse, leaves, vals, vals[-1] - targets[t])
         except DomainFault as fault:
             return None, fault.info
+        assert targets is not None, "the planned walk refused a call with no fault"
         return outputs, _weighted_fault(weighted_adjoints, shape)
 
 
@@ -597,11 +598,11 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     plan, values = _fit_plan(skeleton, batch)
     walked = None if values is None else _walk_planned(plan, values, rows, batch.n_samples,
                                                        gradients, targets)
-    fault = None
     if walked is None:  # walk again checking every node, to name the first fault
-        outputs, fault = _name_fault(skeleton, plan, rows, batch, gradients, targets)
-        walked = outputs, None
-    outputs, grads = walked
+        outputs, fault = _fault_of(skeleton, plan, rows, batch, gradients, targets)
+        grads = None
+    else:
+        (outputs, grads), fault = walked, None
     if p.ndim == 1 and outputs is not None:
         outputs, grads = outputs[0], None if grads is None else grads[0]
     return EvalResult(outputs=outputs, gradients=grads, domain_fault=fault)

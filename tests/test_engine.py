@@ -411,6 +411,26 @@ def test_a_refit_that_fails_leaves_no_results_behind():
     with pytest.raises(RuntimeError, match=r"call fit\(\) first"):
         engine.result_dict()
 
+
+def test_a_refit_that_fails_in_the_algebraic_loop_leaves_no_results_behind():
+    # the max_seconds budget spans both loops, so the algebraic loop can raise
+    # after the differential loop has finished
+    engine = engine_with_script([[fenced(TRUE_SWING)]], de_max_iterations=1,
+                                ae_max_iterations=0)
+    engine.fit()
+    engine.backend = MockBackend([[fenced(TRUE_SWING)]])
+
+    def over_budget(de):
+        raise BudgetExceeded("run exceeded 0.0 s")
+
+    engine._run_ae_loop = over_budget
+    with pytest.raises(BudgetExceeded):
+        engine.fit()
+    for name in ("de_result_", "ae_result_", "library_", "ae_skip_reason_"):
+        assert not hasattr(engine, name)
+    with pytest.raises(RuntimeError, match=r"call fit\(\) first"):
+        engine.result_dict()
+
 # the first completion asks for P_e, the later ones use it
 PE_SCRIPT = [
     [fenced(DISTRACTORS[0], requirements=[{"name": "P_e"}])],

@@ -617,6 +617,20 @@ def test_compiled_walk_keeps_constants_exactly():
     assert not _same_bits_one_sample(sk, [2.5], _batch(x=[3.0], y=[0.0], z=[0.0]))
 
 
+def test_float_walk_keeps_constants_exactly():
+    # evaluate walks arrays only, so the float walk's constants are checked
+    # on its own, at inputs where the subnormal survives the sum
+    sk = parse("dx/dt = -0.0\ndy/dt = 1e-300\ndz/dt = 5e-324 + p0*(x*1e-300)",
+               SymbolScope(states=("x", "y", "z")), ["x", "y", "z"], kind="de")
+    variables, walk = sample_walk(sk)
+    sample = {"x": 1.5, "y": 0.0, "z": 0.0}
+    with np.errstate(all="ignore"):
+        one = walk([sample[name] for name in variables], [0.0])
+    want = np.array([-0.0, 1e-300, 5e-324])
+    assert np.array_equal(np.array(one).view(np.int64), want.view(np.int64))
+    assert not _same_bits_one_sample(sk, [0.0], _batch(x=[1.5], y=[0.0], z=[0.0]))
+
+
 def test_compiled_source_holds_no_skeleton_text():
     text = ("dtheta_gen/dt = p0*log(omega_s - 1.2345678) + 6.02e23/sqrt(theta_gen)\n"
             "domega_s/dt = tanh(-0.0 + 1e-300*theta_gen)^3 - 5e-324 + abs(omega_s)")
