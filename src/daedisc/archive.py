@@ -28,15 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .dsl import (
-    Bin,
-    Param,
     Skeleton,
     SymbolScope,
-    Var,
     code_length,
     make_skeleton,
     parse,
     serialize,
+    term_sum,
 )
 from .fitting import Requirement, ScoredSkeleton
 
@@ -282,16 +280,7 @@ class Archive:
 def make_linear_seed(scope: SymbolScope, target_names, kind: str) -> Skeleton:
     """One line per target: a parameter-weighted sum of every scope symbol
     plus a bias slot, with distinct slots per target."""
-    exprs = []
-    slot = 0
-    for _ in target_names:
-        node = None
-        for name in scope.symbols:
-            term = Bin("*", Param(slot), Var(name))
-            slot += 1
-            node = term if node is None else Bin("+", node, term)
-        bias = Param(slot)
-        slot += 1
-        node = bias if node is None else Bin("+", node, bias)
-        exprs.append(node)
-    return make_skeleton(kind, list(target_names), exprs)
+    products = [(name,) for name in scope.symbols] + [()]
+    return make_skeleton(kind, list(target_names),
+                         [term_sum(products, t * len(products))
+                          for t in range(len(target_names))])

@@ -7,7 +7,7 @@ with one machine-readable JSON error object on stderr.
     daedisc discover  --config run.json --data data/ --out run1/
     daedisc baseline  --variant accurate --data data/ --out run2/
     daedisc evaluate  --model run1/model.json --data data/ --out run1/report.json
-    daedisc report    --runs run1 run2 --out comparison.json
+    daedisc report    run1 run2 --out comparison.json
 """
 
 from __future__ import annotations
@@ -147,11 +147,9 @@ def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
                            if n not in model.input_names)
     if variant == "missing" and not excluded:
         excluded = core_algebraic
-    features: dict[str, np.ndarray] = {}
-    features.update(dataset.states)  # noisy states, as trained on
-    full = dataset.full
-    for name in model.core_variable_names:
-        features[name] = full.columns[name]
+    full = dataset.full.columns
+    features = {**dataset.states,  # noisy states, as trained on
+                **{name: full[name] for name in model.core_variable_names}}
     targets = {deriv_name(s): dataset.derivs[deriv_name(s)] for s in dataset.state_names}
     est = SindyBaseline(variant=variant, threshold=threshold, iters=iters,
                         excluded=excluded)
@@ -229,10 +227,13 @@ def report_cmd(runs: tuple[str, ...], out_path: str):
     """Merge per-run report.json files into one comparison table."""
     named = {}
     for run_dir in runs:
-        path = Path(run_dir) / "report.json"
+        path, name = Path(run_dir) / "report.json", Path(run_dir).name
+        if name in named:
+            raise ValueError(f"run {run_dir} has the name {name!r} of an earlier run; "
+                             "runs are keyed by their directory's name")
         if not path.exists():
             raise FileNotFoundError(f"{path} missing (run `daedisc evaluate` first)")
-        named[Path(run_dir).name] = json.loads(path.read_text())
+        named[name] = json.loads(path.read_text())
     table, merged = merge_reports(named)
     Path(out_path).write_text(json.dumps(merged, indent=2, sort_keys=True))
     click.echo(table)

@@ -23,8 +23,8 @@ Schema (all keys optional unless noted):
         "base_url": "https://...",       // http: chat-completions endpoint base
         "model": "model-name",
         "api_key_env": "OPENAI_API_KEY",
-        "timeout": 60.0,
-        "max_tokens": 1024
+        "timeout": 60.0,                 // seconds per request, > 0
+        "max_tokens": 1024               // >= 1
       }
     }
 
@@ -74,6 +74,10 @@ class GeneratorConfig:
             raise ValueError("mock generator needs a script path")
         if self.kind == "http" and not self.base_url:
             raise ValueError("http generator needs a base_url")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
     def build(self, base_dir: str | Path = ".") -> GeneratorBackend:
         if self.kind == "mock":

@@ -83,11 +83,7 @@ class TrajectoryDataset:
             self.revealed[name] = self.full.columns[name]
 
     def to_batch(self) -> SampleBatch:
-        cols: dict[str, np.ndarray] = {}
-        cols.update(self.states)
-        cols.update(self.derivs)
-        cols.update(self.revealed)
-        return SampleBatch.from_columns(cols)
+        return SampleBatch.from_columns({**self.states, **self.derivs, **self.revealed})
 
 
 def make_dataset(record: FullRecord, scen: ScenarioConfig) -> TrajectoryDataset:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterator, Mapping, Sequence, Union
 
 FUNCTIONS: tuple[str, ...] = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs")
@@ -453,6 +454,21 @@ def _rewrite(expr: Expr, param_map: Mapping[int, int]) -> Expr:
     if isinstance(expr, Call):
         return Call(expr.func, _rewrite(expr.arg, param_map))
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def monomial(factors: Sequence[str]) -> Expr:
+    """The product ``x_a*x_b…`` of the named variables, left to right; 1 for
+    none.  A term of ``term_sum`` and of the STLSQ library."""
+    return reduce(partial(Bin, "*"), map(Var, factors)) if factors else Const(1.0)
+
+
+def term_sum(products: Sequence[Sequence[str]], first_slot: int = 0) -> Expr:
+    """``p<slot>`` for an empty product and ``p<slot>*(x_a*x_b…)`` for any
+    other, summed left to right with slots from ``first_slot``; no terms sum
+    to 0.  The builder of the search's linear seed and of sparse models."""
+    terms = [Bin("*", Param(slot), monomial(factors)) if factors else Param(slot)
+             for slot, factors in enumerate(products, first_slot)]
+    return reduce(partial(Bin, "+"), terms) if terms else Const(0.0)
 
 
 def make_skeleton(kind: str, target_names: Sequence[str],

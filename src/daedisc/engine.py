@@ -123,11 +123,8 @@ def extend_variables(archive: Archive, library: VariableLibrary,
     admitted instead so the loop always makes progress; with no catalog
     variables left CatalogExhausted is raised.
     """
-    requested: list[str] = []
-    for cand in archive.top(top_k):
-        for req in cand.requirements:
-            if req.name not in requested:
-                requested.append(req.name)
+    requested = list(dict.fromkeys(
+        req.name for cand in archive.top(top_k) for req in cand.requirements))
     matched = []
     ignored: list[str] = []
     for name in requested:

@@ -194,7 +194,8 @@ class MockBackend:
     @classmethod
     def from_script(cls, path: str | Path) -> "MockBackend":
         data = json.loads(Path(path).read_text())
-        if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
+        if not isinstance(data, list) or not all(
+                isinstance(b, list) and all(isinstance(c, str) for c in b) for b in data):
             raise ValueError("mock script must be a JSON array of batches of strings")
         return cls(data)
 

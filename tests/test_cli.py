@@ -173,6 +173,25 @@ def test_report_merges_four_runs(workspace, tmp_path):
     assert result2.output == result.output
 
 
+def test_report_rejects_runs_that_share_a_name(workspace, tmp_path):
+    runner = CliRunner()
+    first, second = tmp_path / "a" / "run", tmp_path / "b" / "run"
+    result = runner.invoke(main, [
+        "evaluate", "--model", str(workspace / "run_accurate" / "model.json"),
+        "--data", str(workspace / "data"), "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    for run_dir in (first, second):
+        run_dir.mkdir(parents=True)
+        (run_dir / "report.json").write_bytes((tmp_path / "report.json").read_bytes())
+    out_path = tmp_path / "comparison.json"
+    result = runner.invoke(main, ["report", "--out", str(out_path), str(first), str(second)])
+    assert result.exit_code == 1, result.output
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ValueError"
+    assert f"run {second} has the name 'run' of an earlier run" in err["error"]["message"]
+    assert not out_path.exists()
+
+
 def test_failure_emits_error_json(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["evaluate", "--model", str(tmp_path / "x.json"),
@@ -249,6 +268,19 @@ def test_discover_rejects_malformed_config(workspace, tmp_path, config):
                                        "--data", str(workspace / "data"),
                                        "--out", str(tmp_path / "out")])
     _config_error(result)
+    assert not (tmp_path / "out").exists()  # rejected before any fit
+
+
+@pytest.mark.parametrize("key, value", [("timeout", 0), ("timeout", -5), ("max_tokens", 0)],
+                         ids=["zero-timeout", "negative-timeout", "zero-max-tokens"])
+def test_discover_rejects_a_generator_that_cannot_complete(workspace, tmp_path, key, value):
+    bad = tmp_path / "bad.json"
+    generator = {"kind": "mock", "script": str(workspace / "script.json"), key: value}
+    bad.write_text(json.dumps({**RUN_CONFIG, "generator": generator}))
+    result = CliRunner().invoke(main, ["discover", "--config", str(bad),
+                                       "--data", str(workspace / "data"),
+                                       "--out", str(tmp_path / "out")])
+    assert f"generator: {key} must be" in _config_error(result)
     assert not (tmp_path / "out").exists()  # rejected before any fit
 
 

@@ -129,6 +129,15 @@ def test_mock_backend_scripted_batches(tmp_path):
         generate(req, backend, sleep=lambda s: None)
 
 
+@pytest.mark.parametrize("script", [[[1, None]], [["A"], ["B", 2]], [[["A"]]]],
+                         ids=["number-and-null", "number-in-a-later-batch", "nested-list"])
+def test_mock_script_completions_must_be_strings(tmp_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    with pytest.raises(ValueError, match="batches of strings"):
+        MockBackend.from_script(path)
+
+
 def test_generate_truncates_to_n_b():
     backend = MockBackend([["A", "B", "C"]])
     req = GenerationRequest(prompt="x", n_b=2)
