@@ -14,23 +14,34 @@ it, each with one job and one way in.
 
 The array walk (``evaluate``) computes.  It takes one parameter vector (k,)
 or restart rows (R, k); rows are broadcast against the (n,) columns, so a
-fitter advances R restarts in one walk.  It runs on a fit plan compiled from
-the tape: the forward steps over the nodes whose subtree holds a parameter
-(live nodes), and a reverse sweep that forms adjoints along parameter paths
-only.  Per sample, the sweep is seeded with 1.0 and the adjoints of the
-parameter leaves are scattered into a (T, n, k) array of partial
-derivatives, for callers that read them themselves (``gradient_check``).
-Weighted by ``targets`` (T, n), each target's sweep is seeded with its
-residual ``outputs - targets`` and the adjoints are summed over samples,
-which gives the least-squares gradient sum((f - y) * df/dp), (k,), at about
-the cost of one evaluation and with no per-sample array: what a fitter
-needs.  The values of the parameter-free subtrees, such as ``omega - 1`` or
-``sin(delta)``, and their domain rules depend on the batch alone; they are
-computed once per skeleton and batch and held, with the plan and the batch,
-in a one-entry memo of the last pair walked, never on the skeleton.  Each
-call checks the domain rules of the live nodes and the finiteness of all
-outputs and of all gradients (per sample, or the weighted sums) once; these
-checks decide faulted-or-not as a check at every node would.
+fitter advances R restarts in one walk.  It runs on a plan compiled from the
+tape: the forward steps over the nodes whose subtree holds a parameter (live
+nodes), and a reverse sweep that forms adjoints along parameter paths only.
+Per sample, the sweep is seeded with 1.0 and the adjoints of the parameter
+leaves are scattered into a (T, n, k) array of partial derivatives, for
+callers that read them themselves (``gradient_check``).  Weighted by
+``targets`` (T, n), each target's sweep is seeded with its residual
+``outputs - targets``, which the result keeps, and the adjoints are summed
+over samples, which gives the least-squares gradient sum((f - y) * df/dp),
+(k,), at about the cost of one evaluation and with no per-sample array: the
+fit step, once per Adam step.  The weighted mode runs only on a
+straight-line NumPy function per target, compiled from the plan on a
+skeleton's first weighted call: one statement per live node and per
+adjoint, with the domain rules as bound predicates, and the negations on the
+sweep's path carried as signs to the leaf sums, which gives the bits of the
+interpreted sweep.  The one-shot modes, values only or per sample (the STLSQ
+library matrix, replay's fault naming, ``gradient_check``), walk the plan
+interpreted: each runs once per plan, and compiling costs more than one walk
+(the type1order5 overcomplete library walks in 0.9 ms; compiling a function
+per target of it takes 5.7 ms).  The values of the parameter-free subtrees,
+such as ``omega - 1`` or ``sin(delta)``, and their domain rules depend on the
+batch alone; a weighted call computes them once per skeleton and batch and
+holds them, with the plan, the compiled walks and the batch, in a one-entry
+memo of the last pair fitted, never on the skeleton; a one-shot call computes
+them and stores nothing.  Each call checks the domain rules of the live
+nodes and the finiteness of all outputs and of all gradients (per sample, or
+the weighted sums) once; these checks decide faulted-or-not as a check at
+every node would.
 
 The naming walk (``_fault_of``) only names faults.  ``evaluate`` calls it
 when the array walk refused a call; it walks every node of the tape checking
@@ -124,14 +135,17 @@ class EvalResult:
     """One array walk's result: outputs (n_targets, n_samples); gradients per
     sample (n_targets, n_samples, n_params), or, evaluated with targets, the
     residual-weighted sums (n_params,); each with a leading restart axis when
-    evaluated on parameter rows.  A faulted result carries the naming walk's
-    record; its gradients are None, and so are its outputs, except for a
-    weighted sum that alone left the floats (see ``evaluate``).  Gradients
-    are None too when evaluated for values only."""
+    evaluated on parameter rows.  Evaluated with targets, ``residual`` is
+    outputs - targets, shaped like the outputs; it is None otherwise.  A
+    faulted result carries the naming walk's record; its gradients are None,
+    and so are its outputs and residual, except for a weighted sum that alone
+    left the floats (see ``evaluate``).  Gradients are None too when evaluated
+    for values only."""
 
     outputs: np.ndarray | None
     gradients: np.ndarray | None
     domain_fault: FaultInfo | None = None
+    residual: np.ndarray | None = None
 
     @property
     def faulted(self) -> bool:
@@ -285,7 +299,7 @@ def _reverse_steps(prog: list) -> tuple[tuple, tuple]:
 
 
 def _plan(programs: list) -> tuple:
-    """One fit plan per target, as ``(places, forward, reverse, leaves)``.
+    """One plan per target, as ``(places, forward, reverse, leaves)``.
 
     ``places`` puts the parameter columns into their slots as (slot,
     parameter index).  ``forward`` computes the other live nodes in
@@ -328,12 +342,6 @@ def _scatter(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
         grad[..., j] += g
 
 
-def _reduce(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
-    """Add weighted leaf adjoints (R, n), summed over samples, into grad (R, k)."""
-    for (j, _), g in zip(leaves, adjoints):
-        grad[:, j] += np.add.reduce(g, axis=-1)
-
-
 def _weighted_fault(adjoints: list, shape: tuple[int, int]) -> FaultInfo:
     """The fault of a weighted gradient that is not finite although every
     per-sample gradient is: at the first sample at which a weighted leaf
@@ -345,10 +353,14 @@ def _weighted_fault(adjoints: list, shape: tuple[int, int]) -> FaultInfo:
     return _fault(bad, "non-finite gradient", shape)
 
 
-def _parameter_free_values(programs: list, plan: tuple, cols: list) -> tuple | None:
+def _parameter_free_values(skeleton: Skeleton, plan: tuple, batch: SampleBatch
+                           ) -> tuple | None:
     """Per target, a list over the tape's slots holding the values of the
-    parameter-free subtrees that live nodes read (or that a target is), None
-    elsewhere; None if a domain rule on a parameter-free operand fails."""
+    parameter-free subtrees that live nodes read (or that a target is) on the
+    batch, None elsewhere; None if a domain rule on a parameter-free operand
+    fails."""
+    variables, programs = _tape(skeleton)
+    cols = [batch.column(name) for name in variables]
     values = []
     with np.errstate(all="ignore"):  # non-finite results become faults
         for prog, (_, forward, _, _) in zip(programs, plan):
@@ -371,52 +383,198 @@ def _parameter_free_values(programs: list, plan: tuple, cols: list) -> tuple | N
     return tuple(values)
 
 
-# (skeleton, its plan, a batch, the parameter-free values): the last pair
-# walked on arrays.  One entry serves every step of a fit.  The plan is not kept
-# on the skeleton: an archive holds its skeletons for the whole run, and a plan
-# on each would add to the peak memory.  Each call reads the entry once and
-# replaces it whole, so threads sharing it at worst recompute.
-_last_walked: tuple = (None, None, None, None)
+# ``+ - * /`` and negation with their result written into the output row, for
+# a weighted walk's root
+_INTO = {"neg": "negative({x}, out=O)", "+": "add({x}, {y}, out=O)",
+         "-": "subtract({x}, {y}, out=O)", "*": "multiply({x}, {y}, out=O)",
+         "/": "divide({x}, {y}, out=O)"}
+
+# op -> (adjoint of x, adjoint of y or None), each as (statement template from
+# the adjoint g and the operands, sign relative to g); a template that is g
+# alone forms no array and only carries the sign.  The templates are the
+# ``_ADJOINTS`` entries' operations with the negation taken out: IEEE negation
+# commutes with ``*`` and ``/``, so ``-g * x / (y * y)`` is the negation of
+# ``g * x / (y * y)`` bit for bit
+_INLINE_ADJOINTS = {
+    "neg": (("{g}", -1), None),
+    "+": (("{g}", 1), ("{g}", 1)),
+    "-": (("{g}", 1), ("{g}", -1)),
+    "*": (("{g} * {y}", 1), ("{g} * {x}", 1)),
+    "/": (("{g} / {y}", 1), ("{g} * {x} / ({y} * {y})", -1)),
+}
 
 
-def _fit_plan(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | None]:
-    """(plan, parameter-free values or None if they fault) of a skeleton on a
-    batch, from the one-entry memo when it holds them."""
+def _weighted_source(prog: list, entry: tuple) -> tuple[str, dict]:
+    """Source and namespace of ``walk(V, P, Y, O, E, G)``, the straight-line
+    residual-weighted walk of one target's plan entry.
+
+    ``V`` holds the target's parameter-free values and ``P`` the parameter
+    columns (R, 1); the walk writes the outputs into ``O`` (R, n) and the
+    residual against the target row ``Y`` into ``E``, and adds the
+    residual-weighted leaf adjoints, summed over samples, into ``G``, the
+    columns (R,) of the gradient sums (R, k).
+    It returns False as soon as a live operand fails its domain rule, True
+    otherwise; finiteness is the caller's check.  The statements are the
+    plan's: each live node after its domain rules, then the sweep from the
+    residual, each adjoint carried with a sign fixed at compile time, since a
+    negation commutes with every adjoint operation and with the pairwise sum;
+    a leaf's sum is added into ``G`` or subtracted from it by that sign.
+    ``G`` starts at +0.0 and a sum of +0.0 never gives -0.0, so a sum that is
+    a signed zero gives the same bits either way.
+
+    No name in the source depends on the skeleton: values and adjoints are
+    the entries of a list ``T``, and the rule predicates, the operations
+    other than ``+ - * /`` and negation, their exponents and the adjoint
+    functions are the entries of a tuple ``B`` bound in the namespace.  The
+    interpreter interns every name it compiles, and a search compiles the
+    walks of every candidate: names numbered by slot would be interned and
+    freed again with each candidate, and that churn grows the interpreter's
+    table of interned strings (with such names, a run of perfbench's
+    search_order5 workload gained 0.5 MB of peak memory after about 25
+    passes).
+    """
+    places, forward, reverse, leaves = entry
+    bound = []
+
+    def bind(obj) -> str:
+        bound.append(obj)
+        return f"B[{len(bound) - 1}]"
+
+    temps = 0
+
+    def temp() -> str:
+        nonlocal temps
+        temps += 1
+        return f"T[{temps - 1}]"
+
+    name = {i: f"V[{i}]" for i, ins in enumerate(prog) if not ins[4]}
+    name.update((i, f"P[{j}]") for i, j in places)
+    root = len(prog) - 1
+    lines = []
+    for i, _, a, b, arg, checks in forward:
+        for slot, bad in checks:
+            lines.append(f"    if {bind(bad)}({name[slot]}).any(): return False")
+        op, x, y = prog[i][0], name[a], name[b]
+        if i == root and op in _INTO:
+            lines.append("    " + _INTO[op].format(x=x, y=y))
+            name[i] = "O"
+        elif op in _INLINE:
+            name[i] = temp()
+            lines.append(f"    {name[i]} = " + _INLINE[op].format(x=x, y=y))
+        else:
+            name[i] = temp()
+            lines.append(f"    {name[i]} = {bind(_VALUE[op])}({x}, {y}, {bind(arg)})")
+    if name[root] != "O":
+        lines.append(f"    O[...] = {name[root]}")
+    lines.append("    subtract(O, Y, out=E)")
+    adjoint = {root: ("E", 1)}
+    for i, a, b, arg, dx, dy in reverse:
+        op, (g, sign) = prog[i][0], adjoint[i]
+        x, y, v = name[a], name[b], name[i]
+        for which, (slot, d) in enumerate(((a, dx), (b, dy))):
+            if d is None:
+                continue
+            if op not in _INLINE_ADJOINTS:
+                adjoint[slot] = (temp(), sign)
+                lines.append(f"    {adjoint[slot][0]} = "
+                             f"{bind(d)}({g}, {x}, {y}, {v}, {bind(arg)})")
+                continue
+            template, flip = _INLINE_ADJOINTS[op][which]
+            if template == "{g}":
+                adjoint[slot] = (g, sign * flip)
+                continue
+            adjoint[slot] = (temp(), sign * flip)
+            lines.append(f"    {adjoint[slot][0]} = " + template.format(g=g, x=x, y=y))
+    for j, slot in leaves:
+        g, sign = adjoint[slot]
+        lines.append(f"    G[{j}] {'+' if sign > 0 else '-'}= add_reduce({g}, axis=-1)")
+    lines = ["def walk(V, P, Y, O, E, G):", f"    T = [None] * {temps}", *lines,
+             "    return True"]
+    # the builtins stay: NumPy imports some of its modules on first use,
+    # through the calling frame's __import__
+    namespace = {"B": tuple(bound), "add_reduce": np.add.reduce, "negative": np.negative,
+                 "add": np.add, "subtract": np.subtract, "multiply": np.multiply,
+                 "divide": np.divide}
+    return "\n".join(lines) + "\n", namespace
+
+
+def _weighted_walks(programs: list, plan: tuple) -> tuple:
+    """The compiled residual-weighted walk of each target, in target order.
+    Each is taken out of its namespace, which is its globals: left in, the
+    two would form a reference cycle that outlives the memo entry until the
+    cyclic collector runs."""
+    walks = []
+    for prog, entry in zip(programs, plan):
+        source, namespace = _weighted_source(prog, entry)
+        exec(compile(source, "<weighted walk>", "exec"), namespace)
+        walks.append(namespace.pop("walk"))
+    return tuple(walks)
+
+
+# (skeleton, its plan, its compiled weighted walks, a batch, the
+# parameter-free values): the last pair a fit walked.  One entry serves every
+# step of a fit; only residual-weighted calls read or write it.  None of it is
+# kept on the skeleton: an archive holds its skeletons for the whole run, and
+# a plan and walks on each would add to the peak memory.  Each call reads the
+# entry once and replaces it whole, so threads sharing it at worst recompute.
+_last_walked: tuple = (None, None, None, None, None)
+
+
+def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple, tuple | None]:
+    """(plan, weighted walks, parameter-free values or None if they fault) of
+    a skeleton on a batch, from the one-entry memo when it holds them."""
     global _last_walked
-    held, plan, held_batch, values = _last_walked
+    held, plan, walks, held_batch, values = _last_walked
     if held is not skeleton:
-        plan, held_batch = _plan(_tape(skeleton)[1]), None
+        programs = _tape(skeleton)[1]
+        plan, held_batch = _plan(programs), None
+        walks = _weighted_walks(programs, plan)
     if held_batch is not batch:
-        variables, programs = _tape(skeleton)
-        values = _parameter_free_values(programs, plan,
-                                        [batch.column(name) for name in variables])
-    _last_walked = (skeleton, plan, batch, values)
-    return plan, values
+        values = _parameter_free_values(skeleton, plan, batch)
+    _last_walked = (skeleton, plan, walks, batch, values)
+    return plan, walks, values
+
+
+def _walk_weighted(walks: tuple, values: tuple, params: np.ndarray, targets: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Outputs and residuals (R, T, n) and the residual-weighted gradient sums
+    (R, k) for parameter rows (R, k), from each target's compiled walk; None
+    if any row faults.  The domain rules run before each live node, and
+    finiteness is checked once over all outputs and once over the sums; those
+    checks and the parameter-free ones decide faulted-or-not as a check at
+    every node and of the sums would, and ``_fault_of`` names the fault."""
+    rows, k = params.shape
+    pcols = list(params.T[:, :, None])  # (R, 1) each
+    outputs = np.empty((rows,) + targets.shape)
+    residual = np.empty_like(outputs)
+    grads = np.zeros((rows, k))
+    columns = list(grads.T)  # a walk adds into a column in place, with no copy back
+    with np.errstate(all="ignore"):  # non-finite results become faults
+        for t, (walk, base) in enumerate(zip(walks, values)):
+            if not walk(base, pcols, targets[t], outputs[:, t], residual[:, t], columns):
+                return None
+        if not (np.isfinite(outputs).all() and np.isfinite(grads).all()):
+            return None
+    return outputs, residual, grads
 
 
 def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int,
-                  gradients: bool, targets: np.ndarray | None
-                  ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Outputs (R, T, n) and gradients for parameter rows (R, k), walked on
-    the fit plan from the parameter-free values; None if any row faults.
+                  gradients: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Outputs (R, T, n) and per-sample gradients (R, T, n, k) for parameter
+    rows (R, k), walked on the plan from the parameter-free values; None if
+    any row faults.
 
-    The gradients are per sample (R, T, n, k), or with ``targets`` (T, n)
-    the residual-weighted sums (R, k); with ``gradients=False`` the reverse
-    sweep is skipped and None stands for them.  Only live nodes are computed;
-    the domain rules run before each of them, and finiteness is checked once
-    over all outputs and once over all gradients.  Those checks and the
-    parameter-free ones decide faulted-or-not as a check at every node would
-    (of a weighted gradient, as a check of its sums); ``_fault_of`` names
-    the fault.
+    With ``gradients=False`` the reverse sweep is skipped and None stands for
+    the gradients.  Only live nodes are computed; the domain rules run before
+    each of them, and finiteness is checked once over all outputs and once
+    over all gradients.  Those checks and the parameter-free ones decide
+    faulted-or-not as a check at every node would; ``_fault_of`` names the
+    fault.
     """
     rows, k = params.shape
     pcols = [params[:, j:j + 1] for j in range(k)]
     outputs = np.empty((rows, len(plan), n_samples))
-    grads = None
-    if targets is not None:
-        grads = np.zeros((rows, k))
-    elif gradients:
-        grads = np.zeros(outputs.shape + (k,))
+    grads = np.zeros(outputs.shape + (k,)) if gradients else None
     with np.errstate(all="ignore"):  # non-finite results become faults
         for t, ((places, forward, reverse, leaves), base) in enumerate(zip(plan, values)):
             vals = base.copy()
@@ -428,11 +586,7 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
                         return None
                 vals[i] = value(vals[a], vals[b], arg)
             outputs[:, t] = vals[-1]
-            if targets is not None:
-                if leaves:  # a target without parameters needs no residual
-                    _reduce(leaves, _reverse(reverse, leaves, vals, vals[-1] - targets[t]),
-                            grads)
-            elif gradients:
+            if gradients:
                 _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grads[:, t])
         if not np.isfinite(outputs).all() or gradients and not np.isfinite(grads).all():
             return None
@@ -442,7 +596,7 @@ def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int
 def _fault_of(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
               gradients: bool, targets: np.ndarray | None
               ) -> tuple[np.ndarray | None, FaultInfo]:
-    """(None, the fault) of a call ``_walk_planned`` refused, named by a walk
+    """(None, the fault) of a call the array walk refused, named by a walk
     of every node of the tape that checks each in postorder, target by
     target, and then, with ``gradients``, the target's per-sample gradients:
     the record is the first failing check's.  A refused call always has a
@@ -573,14 +727,16 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     gradients (R, T, n, k).  With ``targets`` (T, n), the gradients are
     instead the residual-weighted sums over targets and samples,
     sum((outputs - targets) * d outputs / dp), (k,) or (R, k), from one
-    reverse sweep per target seeded with its residual.  A fault in any row
-    faults the result, and its outputs and gradients are None.  So does a
-    weighted sum that is not finite, but if every value and per-sample
-    gradient is finite (only the weighting overflowed), the result keeps its
-    outputs, so that a caller can still tell an overflowing loss.  Every
-    call walks arrays, one sample too; the float walk is ``sample_walk``.
-    ``gradients=False`` evaluates values only: the result's gradients are
-    None, and a non-finite gradient behind finite values is no fault.
+    reverse sweep per target seeded with its residual, which the result
+    keeps as ``residual``; this mode runs on the compiled weighted walks.  A
+    fault in any row faults the result, and its outputs and gradients are
+    None.  So does a weighted sum that is not finite, but if every value and
+    per-sample gradient is finite (only the weighting overflowed), the result
+    keeps its outputs and residual, so that a caller can still tell an
+    overflowing loss.  Every call walks arrays, one sample too; the float
+    walk is ``sample_walk``.  ``gradients=False`` evaluates values only: the
+    result's gradients are None, and a non-finite gradient behind finite
+    values is no fault.
     """
     p = np.asarray(params, dtype=np.float64)
     if p.ndim not in (1, 2) or p.shape[-1] != skeleton.n_params:
@@ -595,17 +751,29 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
                              f"{(len(skeleton.expressions), batch.n_samples)}, "
                              f"got {targets.shape}")
     rows = p if p.ndim == 2 else p[None, :]
-    plan, values = _fit_plan(skeleton, batch)
-    walked = None if values is None else _walk_planned(plan, values, rows, batch.n_samples,
-                                                       gradients, targets)
+    residual = fault = None
+    if targets is None:
+        plan = _plan(_tape(skeleton)[1])
+        values = _parameter_free_values(skeleton, plan, batch)
+        walked = None if values is None else _walk_planned(plan, values, rows,
+                                                           batch.n_samples, gradients)
+    else:
+        plan, walks, values = _fit_state(skeleton, batch)
+        walked = None if values is None else _walk_weighted(walks, values, rows, targets)
     if walked is None:  # walk again checking every node, to name the first fault
         outputs, fault = _fault_of(skeleton, plan, rows, batch, gradients, targets)
         grads = None
+        if outputs is not None:  # only the weighted sums left the floats
+            residual = outputs - targets
+    elif targets is None:
+        outputs, grads = walked
     else:
-        (outputs, grads), fault = walked, None
+        outputs, residual, grads = walked
     if p.ndim == 1 and outputs is not None:
-        outputs, grads = outputs[0], None if grads is None else grads[0]
-    return EvalResult(outputs=outputs, gradients=grads, domain_fault=fault)
+        outputs, residual = outputs[0], None if residual is None else residual[0]
+        grads = None if grads is None else grads[0]
+    return EvalResult(outputs=outputs, gradients=grads, domain_fault=fault,
+                      residual=residual)
 
 
 def gradient_check(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> float:

@@ -6,10 +6,12 @@ samples and targets, and the score is the negated loss.  Several restarts
 from random initial points hedge against non-convex landscapes; they advance
 in lockstep, one parameter row each on the skeleton's compiled tape, and the
 best (lowest-loss) restart wins.  Each step takes the loss gradient from one
-``evaluate`` with the targets: the evaluator seeds each target's reverse
-sweep with its residual and sums over samples, so no per-sample Jacobian is
-formed.  A skeleton without parameter slots takes the same path as one row
-of width 0 and no Adam step.  A domain fault anywhere during fitting poisons
+``evaluate`` with the targets, on the evaluator's compiled weighted walk: it
+seeds each target's reverse sweep with its residual and sums over samples,
+so no per-sample Jacobian is formed, and the loss is read from the residual
+it returns.  Adam's moments and the parameter rows are updated in place.  A
+skeleton without parameter slots takes the same path as one row of width 0
+and no Adam step.  A domain fault anywhere during fitting poisons
 the whole candidate: it keeps its metadata but gets the sentinel worst score
 and is never used as an in-context example.
 The fault is logged at debug level: its reason and sample index (a
@@ -114,16 +116,16 @@ def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                      targets: np.ndarray):
     """Per-restart losses and loss gradients (R, k) for parameter rows (R, k).
 
-    The gradient is the evaluator's residual-weighted sum, scaled by the
-    loss's 2/size.  Raises _PoisonedFit if any restart faults or has a
-    non-finite loss; a loss that overflows is named before the weighted
-    gradient that overflows with it.
+    The losses are the mean squares of the evaluator's residual, and the
+    gradient is its residual-weighted sum, scaled by the loss's 2/size.
+    Raises _PoisonedFit if any restart faults or has a non-finite loss; a
+    loss that overflows is named before the weighted gradient that overflows
+    with it.
     """
     res = evaluate(skeleton, params, batch, targets=targets)
-    if res.outputs is None:
+    if res.residual is None:
         raise _PoisonedFit(res.domain_fault)
-    residual = res.outputs - targets
-    squared = residual * residual
+    squared = res.residual * res.residual
     # per restart, the same pairwise sum as np.mean over its contiguous block
     losses = (np.add.reduce(squared.reshape(len(squared), -1), axis=1) / targets.size).tolist()
     if not all(math.isfinite(loss) for loss in losses):
@@ -163,12 +165,12 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
                 grad = _losses_and_grad(skeleton, p, batch, targets)[1]
-                m = BETA1 * m + (1.0 - BETA1) * grad
-                v = BETA2 * v + (1.0 - BETA2) * grad * grad
-                m_hat = m / (1.0 - BETA1 ** (t + 1))
-                v_hat = v / (1.0 - BETA2 ** (t + 1))
-                p = p - (cosine_lr(t, cfg.learning_rate, cfg.steps) * m_hat
-                         / (np.sqrt(v_hat) + ADAM_EPS))
+                m *= BETA1
+                m += (1.0 - BETA1) * grad
+                v *= BETA2
+                v += (1.0 - BETA2) * grad * grad
+                p -= ((m / (1.0 - BETA1 ** (t + 1))) * cosine_lr(t, cfg.learning_rate, cfg.steps)
+                      / (np.sqrt(v / (1.0 - BETA2 ** (t + 1))) + ADAM_EPS))
             restart_losses = _losses_and_grad(skeleton, p, batch, targets)[0]
     except _PoisonedFit as exc:
         fault = exc.info

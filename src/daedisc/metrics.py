@@ -3,8 +3,10 @@
 MAPE excludes samples where the reference magnitude sits below a small floor
 (the percentage is unbounded there); the exclusion count is part of the
 report.  The coefficient of determination uses the total sum of squares
-about the reference mean and is undefined (NaN, flagged) for constant
-references.  Negative values are meaningful: the prediction explains less
+about the reference mean and is undefined (NaN, flagged) for references
+without variance: constant ones, and ones whose spread is numerical noise,
+such as an undisturbed record that drifts from its equilibrium by rounding
+alone.  Negative values are meaningful: the prediction explains less
 than the reference mean does.
 
 Reports carry per-state values, their unweighted mean, and the same metrics
@@ -19,6 +21,11 @@ from typing import Mapping
 import numpy as np
 
 ZERO_FLOOR = 1e-9
+# a reference whose root-mean-square spread about its mean is at most this
+# share of its largest magnitude has no variance to explain: an undisturbed
+# record at equilibrium drifts by about 1e-13 of its value, a disturbed one of
+# the benchmark scenarios spreads by 1e-3 and more
+SPREAD_FLOOR = 1e-9
 
 
 def mape_detail(truth: np.ndarray, pred: np.ndarray) -> tuple[float, int, int]:
@@ -40,13 +47,15 @@ def mape(truth: np.ndarray, pred: np.ndarray) -> float:
 
 
 def r_squared(truth: np.ndarray, pred: np.ndarray) -> float:
-    """1 - SS_res/SS_tot about the truth mean; NaN when truth has no variance."""
+    """1 - SS_res/SS_tot about the truth mean; NaN when truth has no variance
+    beyond numerical noise (see ``SPREAD_FLOOR``)."""
     truth = np.asarray(truth, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if truth.shape != pred.shape:
         raise ValueError("truth and prediction must have equal length")
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
-    if ss_tot == 0.0:
+    noise = SPREAD_FLOOR * float(np.max(np.abs(truth), initial=0.0))
+    if ss_tot <= truth.size * noise * noise:
         return float("nan")
     with np.errstate(over="ignore"):  # wildly diverged predictions -> -inf
         ss_res = float(np.sum((pred - truth) ** 2))

@@ -11,8 +11,9 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from daedisc import evaluator
 from daedisc.dsl import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Bin, Call, Expr, Neg, Param, Pow,
                          SymbolScope, _depth, make_skeleton, parse)
 from daedisc.evaluator import (
@@ -22,8 +23,14 @@ from daedisc.evaluator import (
     SampleBatch,
     _ADJOINTS,
     _VALUE,
+    _fault_of,
+    _parameter_free_values,
+    _plan,
+    _reverse,
     _sample_source,
+    _scatter,
     _tape,
+    _weighted_source,
     evaluate,
     gradient_check,
     sample_walk,
@@ -780,3 +787,270 @@ def test_weighted_gradient_argument_checks():
         evaluate(sk, [1.0], batch, targets=np.zeros(2))
     with pytest.raises(ValueError, match="gradients=False"):
         evaluate(sk, [1.0], batch, gradients=False, targets=np.zeros((1, 2)))
+
+
+# --- the compiled weighted walk against the interpreted one ----------------
+# The interpreted walk that the compiled residual-weighted walk replaced, kept
+# verbatim but for its name as the oracle of its bits and faults.
+
+def _reduce(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
+    """Add weighted leaf adjoints (R, n), summed over samples, into grad (R, k)."""
+    for (j, _), g in zip(leaves, adjoints):
+        grad[:, j] += np.add.reduce(g, axis=-1)
+
+
+def _interpreted_walk(plan: tuple, values: tuple, params: np.ndarray, n_samples: int,
+                      gradients: bool, targets: np.ndarray | None
+                      ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Outputs (R, T, n) and gradients for parameter rows (R, k), walked on
+    the fit plan from the parameter-free values; None if any row faults.
+
+    The gradients are per sample (R, T, n, k), or with ``targets`` (T, n)
+    the residual-weighted sums (R, k); with ``gradients=False`` the reverse
+    sweep is skipped and None stands for them.  Only live nodes are computed;
+    the domain rules run before each of them, and finiteness is checked once
+    over all outputs and once over all gradients.  Those checks and the
+    parameter-free ones decide faulted-or-not as a check at every node would
+    (of a weighted gradient, as a check of its sums); ``_fault_of`` names
+    the fault.
+    """
+    rows, k = params.shape
+    pcols = [params[:, j:j + 1] for j in range(k)]
+    outputs = np.empty((rows, len(plan), n_samples))
+    grads = None
+    if targets is not None:
+        grads = np.zeros((rows, k))
+    elif gradients:
+        grads = np.zeros(outputs.shape + (k,))
+    with np.errstate(all="ignore"):  # non-finite results become faults
+        for t, ((places, forward, reverse, leaves), base) in enumerate(zip(plan, values)):
+            vals = base.copy()
+            for i, j in places:
+                vals[i] = pcols[j]
+            for i, value, a, b, arg, checks in forward:
+                for slot, bad in checks:
+                    if bad(vals[slot]).any():
+                        return None
+                vals[i] = value(vals[a], vals[b], arg)
+            outputs[:, t] = vals[-1]
+            if targets is not None:
+                if leaves:  # a target without parameters needs no residual
+                    _reduce(leaves, _reverse(reverse, leaves, vals, vals[-1] - targets[t]),
+                            grads)
+            elif gradients:
+                _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grads[:, t])
+        if not np.isfinite(outputs).all() or gradients and not np.isfinite(grads).all():
+            return None
+    return outputs, grads
+
+
+def _same_as_interpreted_walk(sk, params, batch, targets):
+    """The weighted ``evaluate`` gives the interpreted walk's outputs,
+    gradients and fault bit for bit, and the residual ``outputs - targets``;
+    returns whether it faulted."""
+    plan = _plan(_tape(sk)[1])
+    values = _parameter_free_values(sk, plan, batch)
+    rows = params if params.ndim == 2 else params[None, :]
+    walked = None if values is None else _interpreted_walk(plan, values, rows, batch.n_samples,
+                                                           True, targets)
+    if walked is None:
+        (outputs, fault), grads = _fault_of(sk, plan, rows, batch, True, targets), None
+    else:
+        (outputs, grads), fault = walked, None
+    got = evaluate(sk, params, batch, targets=targets)
+    assert got.domain_fault == fault
+    if outputs is None:
+        assert got.outputs is None and got.gradients is None and got.residual is None
+        return True
+    if params.ndim == 1:
+        outputs, grads = outputs[0], None if grads is None else grads[0]
+    assert np.array_equal(got.outputs.view(np.int64), outputs.view(np.int64))
+    assert np.array_equal(got.residual.view(np.int64), (outputs - targets).view(np.int64))
+    if grads is None:
+        assert got.gradients is None
+    else:
+        assert np.array_equal(got.gradients.view(np.int64), grads.view(np.int64))
+    return fault is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs=st.lists(_TARGET, min_size=1, max_size=3), data=st.data())
+def test_compiled_weighted_walk_is_the_interpreted_walk(exprs, data):
+    sk = make_skeleton("de", ["delta", "omega", "e_q"][:len(exprs)], exprs)
+    n = data.draw(st.integers(1, 6), label="n")
+    floats = st.floats(-3.0, 3.0, allow_nan=False)
+    batch = _batch(**{name: data.draw(st.lists(floats, min_size=n, max_size=n), label=name)
+                      for name in _COLUMNS})
+    shape = data.draw(st.sampled_from([(sk.n_params,), (1, sk.n_params), (3, sk.n_params)]),
+                      label="shape")
+    params = np.array(data.draw(st.lists(floats, min_size=int(np.prod(shape)),
+                                         max_size=int(np.prod(shape))), label="params"))
+    targets = np.array(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                                          min_size=len(exprs) * n, max_size=len(exprs) * n),
+                                 label="targets")).reshape(len(exprs), n)
+    event("faulted" if _same_as_interpreted_walk(sk, params.reshape(shape), batch, targets)
+          else "clean")
+
+
+@pytest.mark.parametrize("text", [
+    # negation, subtraction, parameter divisors, powers, repeated parameters
+    "dx/dt = -(p0*x) - p1*sin(y)\ndy/dt = p0/(p1 + y) - (p2 - x)^3 + x/p2^2",
+    # every function, live and parameter-free
+    "dx/dt = p0*sin(x) - cos(p1*y) + tan(p2*x) - exp(p0*y) + cos(x)\n"
+    "dy/dt = -log(p1^2 + x^2) + sqrt(abs(p2*x)) - tanh(p3 - y) + abs(p3)*log(abs(y) + 1)",
+    # sums that cancel to signed zeros, and a zero adjoint through abs
+    "dx/dt = p0/p1 - p0*x/p1 - (p1 - p1)*x\ndy/dt = -(p2 - p2)*y + abs(p3*0*x) - -p3",
+    # roots that are a parameter, a negated parameter or parameter-free, and
+    # zeroth powers that cut a parameter off the sweep
+    "dx/dt = p0\ndy/dt = -p1",
+    "dx/dt = 1.5\ndy/dt = p0^0*y + (p1*x)^0 - sin(x)",
+], ids=["operators", "functions", "signed-zeros", "roots", "no-sweep"])
+def test_compiled_weighted_walk_on_chosen_skeletons(text):
+    scope = SymbolScope(states=("x", "y"))
+    sk = parse(text, scope, ["x", "y"], kind="de")
+    rng = np.random.default_rng(19)
+    special = [0.0, -0.0, 1e-13, -2.0, 1000.0, 1e200]
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        x, y = rng.uniform(-3.0, 3.0, (2, 5))
+        if rng.random() < 0.4:
+            x[rng.integers(5)] = rng.choice(special)
+        batch = _batch(x=x, y=y)
+        shape = (3, sk.n_params) if rng.random() < 0.5 else (sk.n_params,)
+        targets = rng.uniform(-10.0, 10.0, (2, 5))
+        seen[_same_as_interpreted_walk(sk, rng.uniform(-2.0, 2.0, shape), batch, targets)] += 1
+    assert seen[False] > 10
+
+
+@pytest.mark.parametrize("text, params, fault", [
+    # faults that the outputs do not show: a huge finite quotient, and a
+    # non-finite value that tanh turns finite
+    ("dx/dt = p1/(p0*y - 2)\ndy/dt = y", [1.00000000000001, 1.0],
+     FaultInfo(1, "division by near-zero denominator")),
+    ("dx/dt = tanh(exp(p0*x))\ndy/dt = p1*y", [40.0, 1.0], FaultInfo(0, "non-finite value")),
+    ("dx/dt = sqrt(p0*x) + p1*log(x - 10)\ndy/dt = y", [-1.0, 2.0],
+     FaultInfo(0, "sqrt of negative argument")),
+], ids=["near-zero-live-denominator", "vanishing-live-overflow", "live-fault-first"])
+def test_compiled_weighted_walk_refuses_live_faults(text, params, fault):
+    sk = parse(text, SymbolScope(states=("x", "y")), ["x", "y"], kind="de")
+    batch = _batch(x=[20.1, 5.3, 0.0], y=[1.0, 2.0, 3.0])
+    targets = np.zeros((2, 3))
+    for p in (np.array(params), np.array([params, [0.5, 0.25]])):
+        assert _same_as_interpreted_walk(sk, p, batch, targets)
+    assert evaluate(sk, params, batch, targets=targets).domain_fault == fault
+
+
+def test_compiled_weighted_walk_keeps_a_weighted_overflow_and_its_outputs():
+    sk = parse("dx/dt = -(p0*x)", SymbolScope(states=("x",)), ["x"], kind="de")
+    batch = _batch(x=[1.0, 1e200, 2.0])
+    assert _same_as_interpreted_walk(sk, np.array([-1.0]), batch, np.array([[0.0, -1e200, 0.0]]))
+    res = evaluate(sk, [-1.0], batch, targets=np.array([[0.0, -1e200, 0.0]]))
+    assert res.domain_fault == FaultInfo(1, "non-finite gradient")
+    assert np.array_equal(res.residual, [[1.0, 2e200, 2.0]])
+
+
+def test_one_shot_calls_compile_nothing_and_keep_the_fit_memo(monkeypatch):
+    batch = _batch(x=np.linspace(0.5, 2.0, 20))
+    fitted = parse("dx/dt = p0*sin(x) + p1", SCOPE, ["x"], kind="de")
+    other = parse("dx/dt = p0*log(x - 1)", SCOPE, ["x"], kind="de")
+    targets = np.zeros((1, 20))
+    evaluate(fitted, [1.0, 2.0], batch, targets=targets)
+    held = evaluator._last_walked
+    assert held[0] is fitted
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(evaluator, "compile", counting_compile, raising=False)
+    for sk in (fitted, other):  # other faults at x <= 1 and takes the naming walk
+        evaluate(sk, [1.0] * sk.n_params, batch, gradients=False)
+        evaluate(sk, np.ones((2, sk.n_params)), batch)
+    assert not compiled
+    assert evaluator._last_walked is held
+    # a residual-weighted call of a new skeleton compiles one walk per target
+    two = parse("dx/dt = p0*x\ndy/dt = p1*x", SymbolScope(states=("x", "y")), ["x", "y"],
+                kind="de")
+    evaluate(two, [1.0, 2.0], batch, targets=np.zeros((2, 20)))
+    assert len(compiled) == 2 and evaluator._last_walked[0] is two
+    evaluate(two, [1.5, 2.0], batch, targets=np.zeros((2, 20)))
+    assert len(compiled) == 2
+
+
+def test_fit_memo_under_threads():
+    # threads fitting different skeletons on different batches share the
+    # one-entry memo; each must still get its own pair's bits
+    rng = np.random.default_rng(4)
+    jobs = []
+    for text in ("p0*sin(x) + p1*exp(x - 1)", "p0*cos(x)^2 - p1", "(x - 1)*p0 + log(x)*p1",
+                 "p1/(x + 2) + p0*tanh(x)"):
+        sk = parse(f"dx/dt = {text}", SCOPE, ["x"], kind="de")
+        batch = _batch(x=rng.uniform(0.5, 2.0, 40))
+        rows = rng.uniform(-1.0, 1.0, (2, sk.n_params))
+        targets = rng.uniform(-1.0, 1.0, (1, 40))
+        jobs.append((sk, batch, rows, targets, evaluate(sk, rows, batch, targets=targets)))
+    mismatches = []
+
+    def work(first):
+        for n in range(200):
+            sk, batch, rows, targets, want = jobs[(first + n) % len(jobs)]
+            try:
+                got = evaluate(sk, rows, batch, targets=targets)
+            except Exception as exc:  # another pair's walks or values: wrong shapes
+                mismatches.append(exc)
+                return
+            if not (np.array_equal(got.outputs, want.outputs)
+                    and np.array_equal(got.gradients, want.gradients)):
+                mismatches.append(sk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % len(jobs),)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
+
+
+def test_a_replaced_fit_memo_frees_its_walks_without_the_collector():
+    # a search fits one candidate after another; each one's compiled walks
+    # must go with its memo entry, not wait for the cyclic collector
+    batch = _batch(x=np.linspace(0.5, 2.0, 20))
+    first = parse("dx/dt = p0*sin(x) + p1", SCOPE, ["x"], kind="de")
+    evaluate(first, [1.0, 2.0], batch, targets=np.zeros((1, 20)))
+    walk = weakref.ref(evaluator._last_walked[2][0])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        second = parse("dx/dt = p0*x", SCOPE, ["x"], kind="de")
+        evaluate(second, [1.0], batch, targets=np.zeros((1, 20)))
+        assert walk() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_weighted_source_names_nothing_of_the_skeleton():
+    # every name is fixed, so compiling the walks of candidate after candidate
+    # interns no new strings; slots, parameters and bound objects are indices
+    text = ("dtheta_gen/dt = p0*log(omega_s - 1.2345678) + 6.02e23/sqrt(p1*theta_gen)\n"
+            "domega_s/dt = -tanh(-0.0 + p2*theta_gen)^3 - 5e-324*p0 + abs(omega_s)")
+    sk = parse(text, SymbolScope(states=("theta_gen", "omega_s")),
+               ["theta_gen", "omega_s"], kind="de")
+    fixed = {"def", "walk", "V", "P", "Y", "O", "E", "G", "T", "B", "None", "if", "return",
+             "True", "False", "any", "out", "axis", "add_reduce", "negative", "add", "subtract",
+             "multiply", "divide"}
+    for prog, entry in zip(_tape(sk)[1], _plan(_tape(sk)[1])):
+        source, namespace = _weighted_source(prog, entry)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in fixed, tok.string
+            elif tok.type == tokenize.NUMBER:
+                assert re.fullmatch(r"\d+", tok.string), tok.string
+        assert set(namespace) <= fixed

@@ -47,6 +47,50 @@ def test_r_squared_undefined_for_constant_truth():
     assert math.isnan(r_squared(np.ones(5), np.zeros(5)))
 
 
+def test_r_squared_undefined_for_rounding_noise_truth():
+    # a constant that drifts by a few ulps has no variance to explain; a
+    # spread of 1e-6 of the value is dynamics and keeps R2 defined
+    level = 0.49238314
+    drift = level + np.arange(6) * 1e-13
+    assert math.isnan(r_squared(drift, drift + 0.004))
+    small = level + np.arange(6) * 1e-6
+    assert r_squared(small, small) == 1.0
+
+
+def test_r_squared_undefined_on_an_undisturbed_gen_data_record(tmp_path):
+    # the test record of a scenario without a disturbance stays at the
+    # equilibrium and drifts by rounding alone (about 5e-13 on delta)
+    from click.testing import CliRunner
+
+    from daedisc.cli import main
+    from daedisc.dataset import import_record
+
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"train": {"total_time": 1.0, "dt": 0.01, "seed": 1},
+                                "test": {"total_time": 1.0, "dt": 0.01, "seed": 2}}))
+    runner = CliRunner()
+    result = runner.invoke(main, ["gen-data", "--model", "swing2", "--scenario", str(scen),
+                                  "--out", str(tmp_path / "data")])
+    assert result.exit_code == 0, result.output
+    record = import_record(tmp_path / "data" / "test")
+    delta = record.columns["delta"]
+    assert 0.0 < np.ptp(delta) < 1e-11
+    assert math.isnan(r_squared(delta, delta + 1e-3))
+    result = runner.invoke(main, ["baseline", "--variant", "overcomplete",
+                                  "--data", str(tmp_path / "data"),
+                                  "--out", str(tmp_path / "sindy")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["evaluate", "--model", str(tmp_path / "sindy" / "model.json"),
+                                  "--data", str(tmp_path / "data"),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    for state in ("delta", "omega"):
+        assert report["per_state"][state]["r2_undefined"]
+        assert math.isnan(report["per_state"][state]["r2"])
+    assert math.isnan(report["aggregate"]["r2"])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=30))
 def test_metric_identity_properties(values):
