@@ -80,15 +80,19 @@ _SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 
 def _type_error(declared: str, value) -> str | None:
     """Why a JSON value cannot fill a field declared as ``declared``, or None if
-    it can or the field is no scalar (its converter checks it then)."""
+    it can or the field is no scalar (its converter checks it then).  JSON's
+    NaN and Infinity fill no field: NaN passes every range check, since each
+    comparison with it is false, and Infinity turns a limit off."""
     scalar, _, rest = declared.partition(" | ")
     if scalar not in _SCALARS or value is None and rest == "None":
         return None
     kinds, name = _SCALARS[scalar]
+    null = " or null" if rest == "None" else ""
     if isinstance(value, kinds) and not isinstance(value, bool):
-        return None
+        finite = not isinstance(value, float) or math.isfinite(value)
+        return None if finite else f"expected a finite number{null}, got {value}"
     got = "null" if value is None else type(value).__name__
-    return f"expected {name}{' or null' if rest == 'None' else ''}, got {got}"
+    return f"expected {name}{null}, got {got}"
 
 
 def from_json_object(cls, data, **convert):
@@ -117,8 +121,12 @@ def from_json_object(cls, data, **convert):
 
 
 def _pairs(data) -> tuple[tuple[str, float], ...]:
-    """A JSON object of numbers as sorted (name, value) pairs."""
-    return tuple(sorted((str(k), float(v)) for k, v in dict(data).items()))
+    """A JSON object of finite numbers as sorted (name, value) pairs."""
+    pairs = tuple(sorted((str(k), float(v)) for k, v in dict(data).items()))
+    for name, value in pairs:
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: expected a finite number, got {value}")
+    return pairs
 
 
 @dataclass(frozen=True)

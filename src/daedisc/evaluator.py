@@ -10,54 +10,52 @@ that need values only, such as trajectory replay, skip the gradients and
 their finiteness check.
 
 Each skeleton is compiled once into a postorder tape, and three walks read
-it, each with one job and one way in.
+it, each with one job.  ``evaluate`` takes one parameter vector (k,) or
+restart rows (R, k); rows are broadcast against the (n,) columns, so a
+fitter advances R restarts in one call.
 
-The array walk (``evaluate``) computes.  It takes one parameter vector (k,)
-or restart rows (R, k); rows are broadcast against the (n,) columns, so a
-fitter advances R restarts in one walk.  It runs on a plan compiled from the
-tape: the forward steps over the nodes whose subtree holds a parameter (live
-nodes), and a reverse sweep that forms adjoints along parameter paths only.
-Per sample, the sweep is seeded with 1.0 and the adjoints of the parameter
-leaves are scattered into a (T, n, k) array of partial derivatives, for
-callers that read them themselves (``gradient_check``).  Weighted by
-``targets`` (T, n), each target's sweep is seeded with its residual
-``outputs - targets``, which the result keeps, and the adjoints are summed
-over samples, which gives the least-squares gradient sum((f - y) * df/dp),
-(k,), at about the cost of one evaluation and with no per-sample array: the
-fit step, once per Adam step.  The weighted mode runs only on a
-straight-line NumPy function per target, compiled from the plan on a
-skeleton's first weighted call: one statement per live node and per
-adjoint, with the domain rules as bound predicates, and the negations on the
-sweep's path carried as signs to the leaf sums, which gives the bits of the
-interpreted sweep.  The one-shot modes, values only or per sample (the STLSQ
-library matrix, replay's fault naming, ``gradient_check``), walk the plan
-interpreted: each runs once per plan, and compiling costs more than one walk
-(the type1order5 overcomplete library walks in 0.9 ms; compiling a function
-per target of it takes 5.7 ms).  The values of the parameter-free subtrees,
-such as ``omega - 1`` or ``sin(delta)``, and their domain rules depend on the
-batch alone; a weighted call computes them once per skeleton and batch and
-holds them, with the plan, the compiled walks and the batch, in a one-entry
-memo of the last pair fitted, never on the skeleton; a one-shot call computes
-them and stores nothing.  Each call checks the domain rules of the live
-nodes and the finiteness of all outputs and of all gradients (per sample, or
-the weighted sums) once; these checks decide faulted-or-not as a check at
-every node would.
+The compiled fit walk (``_walk_weighted``) computes the fit step, the call
+``evaluate(..., targets=...)`` a fitter makes once per Adam step.  Each
+target's reverse sweep is seeded with its residual ``outputs - targets``
+(T, n), which the result keeps, and the adjoints are summed over samples,
+which gives the least-squares gradient sum((f - y) * df/dp), (k,), at about
+the cost of one evaluation and with no per-sample array.  It runs on a
+straight-line NumPy function per target, compiled on a skeleton's first
+weighted call from a plan of the tape: the forward steps over the nodes
+whose subtree holds a parameter (live nodes), and a reverse sweep that
+forms adjoints along parameter paths only.  Each function has one statement
+per live node and per adjoint, with the domain rules as bound predicates,
+and the negations on the sweep's path carried as signs to the leaf sums,
+which gives the bits of the interpreted sweep.  The values of the
+parameter-free subtrees, such as ``omega - 1`` or ``sin(delta)``, and their
+domain rules depend on the batch alone; they are computed once per skeleton
+and batch and held, with the plan, the compiled walks and the batch, in a
+one-entry memo of the last pair fitted, never on the skeleton.  Each call
+checks the domain rules of the live nodes, and the finiteness of all
+outputs and of the weighted sums, once; these checks decide faulted-or-not
+as a check at every node would.  Only the sums are checked: a per-sample
+partial that overflows where the residual is small enough to bring the
+weighted adjoint back into the floats is not seen.
 
-The naming walk (``_fault_of``) only names faults.  ``evaluate`` calls it
-when the array walk refused a call; it walks every node of the tape checking
-each in postorder, and each target's per-sample gradient, so the fault
-record names the first offending node.  A weighted sum that is not finite
-although no check fails (only the weighting overflowed) is a "non-finite
-gradient" at the first sample at which a weighted leaf adjoint is not
-finite; that result keeps its outputs.  The weighted mode checks only the
-sums: a per-sample partial that overflows where the residual is small
-enough to bring the weighted adjoint back into the floats is not seen.
+The checking walk (``_walk_checked``) is the only interpreted one.  It
+walks every node of the tape in postorder, checking each as it is formed,
+target by target, and then each target's per-sample gradients, so a fault
+record names the first offending node.  It serves the one-shot calls, which
+run once per skeleton and batch, so a plan would save them nothing: values
+only (the STLSQ library matrix, replay's fault naming) and per-sample
+gradients, the sweep seeded with 1.0 and the adjoints of the parameter
+leaves scattered into a (T, n, k) array (``gradient_check``).  For these it
+gives the outputs, the gradients or the fault in one pass and stores
+nothing.  It also names the fault of a fit step that the fit walk refused.
+A weighted sum that is not finite although no check fails (only the
+weighting overflowed) is a "non-finite gradient" at the first sample at
+which a weighted leaf adjoint is not finite; that result keeps its outputs.
 
 The float walk (``sample_walk``) computes the values of one sample, as
 trajectory replay needs them at every RK4 stage: a straight-line Python
 function of the variable and parameter values, compiled once from the tape
 and cached on the skeleton.  Its statements are the tape's operations and
-domain rules on Python floats, which give the array walk's bits; the source
+domain rules on Python floats, which give the array walks' bits; the source
 holds only slot numbers and fixed templates, with constants, operations and
 rule predicates bound in its namespace, so no text of the skeleton is ever
 compiled.  It tells a fault only by returning None; a caller that needs the
@@ -83,7 +81,7 @@ class MissingColumn(KeyError):
 
 
 class DomainFault(RuntimeError):
-    """Raised when the evaluation domain is violated (the naming walk, gradient_check)."""
+    """Raised when the evaluation domain is violated (the checking walk, gradient_check)."""
 
     def __init__(self, info: "FaultInfo"):
         super().__init__(f"domain fault at sample {info.sample_index}: {info.reason}")
@@ -132,15 +130,16 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One array walk's result: outputs (n_targets, n_samples); gradients per
-    sample (n_targets, n_samples, n_params), or, evaluated with targets, the
-    residual-weighted sums (n_params,); each with a leading restart axis when
-    evaluated on parameter rows.  Evaluated with targets, ``residual`` is
-    outputs - targets, shaped like the outputs; it is None otherwise.  A
-    faulted result carries the naming walk's record; its gradients are None,
-    and so are its outputs and residual, except for a weighted sum that alone
-    left the floats (see ``evaluate``).  Gradients are None too when evaluated
-    for values only."""
+    """One ``evaluate`` call's result: outputs (n_targets, n_samples);
+    gradients per sample (n_targets, n_samples, n_params) from the checking
+    walk, or, evaluated with targets, the residual-weighted sums (n_params,)
+    from the fit walk; each with a leading restart axis when evaluated on
+    parameter rows.  Evaluated with targets, ``residual`` is outputs -
+    targets, shaped like the outputs; it is None otherwise.  A faulted result
+    carries the checking walk's record; its gradients are None, and so are
+    its outputs and residual, except for a weighted sum that alone left the
+    floats (see ``evaluate``).  Gradients are None too when evaluated for
+    values only."""
 
     outputs: np.ndarray | None
     gradients: np.ndarray | None
@@ -177,7 +176,7 @@ def _rules(op: str, e) -> tuple:
     Besides the domain proper, the operands through which a non-finite value
     could vanish must be finite; every other operation keeps it.  The tests
     use operators that mean the same on arrays and on floats, so both walks
-    read them: the array walk on columns, the one-sample walk on floats."""
+    read them: the array walks on columns, the float walk on floats."""
     finite = (_non_finite, "non-finite value")
     if op == "/":
         return (1, _near_zero, "division by near-zero denominator"), (1, *finite)
@@ -299,7 +298,8 @@ def _reverse_steps(prog: list) -> tuple[tuple, tuple]:
 
 
 def _plan(programs: list) -> tuple:
-    """One plan per target, as ``(places, forward, reverse, leaves)``.
+    """The fit walk's plan: one entry per target, as ``(places, forward,
+    reverse, leaves)``.
 
     ``places`` puts the parameter columns into their slots as (slot,
     parameter index).  ``forward`` computes the other live nodes in
@@ -520,9 +520,9 @@ def _weighted_walks(programs: list, plan: tuple) -> tuple:
 _last_walked: tuple = (None, None, None, None, None)
 
 
-def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple, tuple | None]:
-    """(plan, weighted walks, parameter-free values or None if they fault) of
-    a skeleton on a batch, from the one-entry memo when it holds them."""
+def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | None]:
+    """(weighted walks, parameter-free values or None if they fault) of a
+    skeleton on a batch, from the one-entry memo when it holds them."""
     global _last_walked
     held, plan, walks, held_batch, values = _last_walked
     if held is not skeleton:
@@ -532,7 +532,7 @@ def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple, tu
     if held_batch is not batch:
         values = _parameter_free_values(skeleton, plan, batch)
     _last_walked = (skeleton, plan, walks, batch, values)
-    return plan, walks, values
+    return walks, values
 
 
 def _walk_weighted(walks: tuple, values: tuple, params: np.ndarray, targets: np.ndarray
@@ -542,7 +542,7 @@ def _walk_weighted(walks: tuple, values: tuple, params: np.ndarray, targets: np.
     if any row faults.  The domain rules run before each live node, and
     finiteness is checked once over all outputs and once over the sums; those
     checks and the parameter-free ones decide faulted-or-not as a check at
-    every node and of the sums would, and ``_fault_of`` names the fault."""
+    every node and of the sums would, and ``_walk_checked`` names the fault."""
     rows, k = params.shape
     pcols = list(params.T[:, :, None])  # (R, 1) each
     outputs = np.empty((rows,) + targets.shape)
@@ -558,61 +558,29 @@ def _walk_weighted(walks: tuple, values: tuple, params: np.ndarray, targets: np.
     return outputs, residual, grads
 
 
-def _walk_planned(plan: tuple, values: tuple, params: np.ndarray, n_samples: int,
-                  gradients: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Outputs (R, T, n) and per-sample gradients (R, T, n, k) for parameter
-    rows (R, k), walked on the plan from the parameter-free values; None if
-    any row faults.
-
-    With ``gradients=False`` the reverse sweep is skipped and None stands for
-    the gradients.  Only live nodes are computed; the domain rules run before
-    each of them, and finiteness is checked once over all outputs and once
-    over all gradients.  Those checks and the parameter-free ones decide
-    faulted-or-not as a check at every node would; ``_fault_of`` names the
-    fault.
-    """
-    rows, k = params.shape
-    pcols = [params[:, j:j + 1] for j in range(k)]
-    outputs = np.empty((rows, len(plan), n_samples))
-    grads = np.zeros(outputs.shape + (k,)) if gradients else None
-    with np.errstate(all="ignore"):  # non-finite results become faults
-        for t, ((places, forward, reverse, leaves), base) in enumerate(zip(plan, values)):
-            vals = base.copy()
-            for i, j in places:
-                vals[i] = pcols[j]
-            for i, value, a, b, arg, checks in forward:
-                for slot, bad in checks:
-                    if bad(vals[slot]).any():
-                        return None
-                vals[i] = value(vals[a], vals[b], arg)
-            outputs[:, t] = vals[-1]
-            if gradients:
-                _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grads[:, t])
-        if not np.isfinite(outputs).all() or gradients and not np.isfinite(grads).all():
-            return None
-    return outputs, grads
-
-
-def _fault_of(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: SampleBatch,
-              gradients: bool, targets: np.ndarray | None
-              ) -> tuple[np.ndarray | None, FaultInfo]:
-    """(None, the fault) of a call the array walk refused, named by a walk
-    of every node of the tape that checks each in postorder, target by
-    target, and then, with ``gradients``, the target's per-sample gradients:
-    the record is the first failing check's.  A refused call always has a
-    fault to name.  If every check passes, only the residual-weighted sums
-    left the floats, which needs ``targets`` (asserted), and the walk gives (outputs (R, T, n),
-    ``_weighted_fault``'s record)."""
+def _walk_checked(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
+                  gradients: bool, targets: np.ndarray | None
+                  ) -> tuple[np.ndarray | None, np.ndarray | None, FaultInfo | None]:
+    """(outputs (R, T, n), per-sample gradients (R, T, n, k) or None, fault
+    or None) for parameter rows (R, k), from a walk of every node of the tape
+    that checks each in postorder, target by target, and then, with
+    ``gradients``, the target's per-sample gradients: a fault is the first
+    failing check's, and its outputs and gradients are None.  With
+    ``targets``, the compiled weighted walk refused the call, so there is a
+    fault to name: if every check passes, only the residual-weighted sums
+    left the floats, and the walk gives the outputs, no gradients and
+    ``_weighted_fault``'s record."""
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
     rows, k = params.shape
     shape = (rows, batch.n_samples)
     pcols = [params[:, j:j + 1] for j in range(k)]
     outputs = np.empty((rows, len(programs), batch.n_samples))
+    grads = np.zeros(outputs.shape + (k,)) if gradients and targets is None else None
     weighted_adjoints = []
     with np.errstate(all="ignore"):  # non-finite results become faults
         try:
-            for t, (prog, (_, _, reverse, leaves)) in enumerate(zip(programs, plan)):
+            for t, prog in enumerate(programs):
                 vals = []
                 for op, a, b, arg, _, rules in prog:
                     if op == "param":
@@ -628,16 +596,19 @@ def _fault_of(skeleton: Skeleton, plan: tuple, params: np.ndarray, batch: Sample
                         vals.append(_VALUE[op](x, y, arg))
                     _check(~np.isfinite(vals[-1]), "non-finite value", shape)
                 outputs[:, t] = vals[-1]
-                if gradients:
-                    grad = np.zeros(shape + (k,))
-                    _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grad)
-                    _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
+                if not gradients:
+                    continue
+                reverse, leaves = _reverse_steps(prog)
+                grad = np.zeros(shape + (k,)) if grads is None else grads[:, t]
+                _scatter(leaves, _reverse(reverse, leaves, vals, 1.0), grad)
+                _check(~np.isfinite(grad).all(axis=2), "non-finite gradient", shape)
                 if targets is not None and leaves:
                     weighted_adjoints += _reverse(reverse, leaves, vals, vals[-1] - targets[t])
         except DomainFault as fault:
-            return None, fault.info
-        assert targets is not None, "the planned walk refused a call with no fault"
-        return outputs, _weighted_fault(weighted_adjoints, shape)
+            return None, None, fault.info
+        if targets is None:
+            return outputs, grads, None
+        return outputs, None, _weighted_fault(weighted_adjoints, shape)
 
 
 # the one-sample walk's statements: ``+ - * /`` and negation inline on floats,
@@ -700,9 +671,9 @@ def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
     ``walk(xs, ps)`` takes the values of ``variables``, in that order, and the
     parameter vector as lists of floats, and gives the outputs in target order
     as a list of floats, or None if the sample faults.  The operations are the
-    array walk's own (``_VALUE``), which give its bits on floats too, and the
-    same domain rules and output check decide the fault, so a sample that
-    passes has the array walk's outputs.  Call it under
+    checking walk's own (``_VALUE``), which give its bits on floats too, and
+    the same domain rules and output check decide the fault, so a sample that
+    passes has the checking walk's outputs.  Call it under
     ``np.errstate(all="ignore")``: a non-finite value is a fault, not a warning.
     The walk does not say which rule failed: ``evaluate`` on the sample names
     the fault.
@@ -712,15 +683,15 @@ def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
     if walk is None:
         source, namespace = _sample_source(programs)
         exec(compile(source, "<sample walk>", "exec"), namespace)
-        walk = namespace["walk"]
+        walk = namespace.pop("walk")  # left in its globals, it would form a cycle
         object.__setattr__(skeleton, "_sample_walk", walk)  # Skeleton is frozen
     return variables, walk
 
 
 def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: SampleBatch,
              gradients: bool = True, targets: np.ndarray | None = None) -> EvalResult:
-    """Evaluate all targets on the array walk; exact parameter gradients
-    alongside, and on a fault the naming walk's record.
+    """Evaluate all targets over the batch; exact parameter gradients
+    alongside, and on a fault the checking walk's record.
 
     ``params`` is one vector (k,), giving outputs (T, n) and per-sample
     gradients (T, n, k), or restart rows (R, k), giving outputs (R, T, n) and
@@ -728,15 +699,16 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     instead the residual-weighted sums over targets and samples,
     sum((outputs - targets) * d outputs / dp), (k,) or (R, k), from one
     reverse sweep per target seeded with its residual, which the result
-    keeps as ``residual``; this mode runs on the compiled weighted walks.  A
-    fault in any row faults the result, and its outputs and gradients are
-    None.  So does a weighted sum that is not finite, but if every value and
-    per-sample gradient is finite (only the weighting overflowed), the result
-    keeps its outputs and residual, so that a caller can still tell an
-    overflowing loss.  Every call walks arrays, one sample too; the float
-    walk is ``sample_walk``.  ``gradients=False`` evaluates values only: the
-    result's gradients are None, and a non-finite gradient behind finite
-    values is no fault.
+    keeps as ``residual``; this mode runs on the compiled fit walk, and on
+    the checking walk only to name a fault it refused.  Every other call is
+    one pass of the checking walk.  A fault in any row faults the result, and
+    its outputs and gradients are None.  So does a weighted sum that is not
+    finite, but if every value and per-sample gradient is finite (only the
+    weighting overflowed), the result keeps its outputs and residual, so that
+    a caller can still tell an overflowing loss.  Every call walks arrays,
+    one sample too; the float walk is ``sample_walk``.  ``gradients=False``
+    evaluates values only: the result's gradients are None, and a non-finite
+    gradient behind finite values is no fault.
     """
     p = np.asarray(params, dtype=np.float64)
     if p.ndim not in (1, 2) or p.shape[-1] != skeleton.n_params:
@@ -751,24 +723,18 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
                              f"{(len(skeleton.expressions), batch.n_samples)}, "
                              f"got {targets.shape}")
     rows = p if p.ndim == 2 else p[None, :]
-    residual = fault = None
+    residual = None
     if targets is None:
-        plan = _plan(_tape(skeleton)[1])
-        values = _parameter_free_values(skeleton, plan, batch)
-        walked = None if values is None else _walk_planned(plan, values, rows,
-                                                           batch.n_samples, gradients)
+        outputs, grads, fault = _walk_checked(skeleton, rows, batch, gradients, None)
     else:
-        plan, walks, values = _fit_state(skeleton, batch)
+        walks, values = _fit_state(skeleton, batch)
         walked = None if values is None else _walk_weighted(walks, values, rows, targets)
-    if walked is None:  # walk again checking every node, to name the first fault
-        outputs, fault = _fault_of(skeleton, plan, rows, batch, gradients, targets)
-        grads = None
-        if outputs is not None:  # only the weighted sums left the floats
-            residual = outputs - targets
-    elif targets is None:
-        outputs, grads = walked
-    else:
-        outputs, residual, grads = walked
+        if walked is None:  # walk again checking every node, to name the first fault
+            outputs, grads, fault = _walk_checked(skeleton, rows, batch, True, targets)
+            if outputs is not None:  # only the weighted sums left the floats
+                residual = outputs - targets
+        else:
+            (outputs, residual, grads), fault = walked, None
     if p.ndim == 1 and outputs is not None:
         outputs, residual = outputs[0], None if residual is None else residual[0]
         grads = None if grads is None else grads[0]

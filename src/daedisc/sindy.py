@@ -26,7 +26,7 @@ the skeletons through their compiled one-sample walk
 (``evaluator.sample_walk``) on lists of the variables they read and of
 their parameters (values only, so a non-finite gradient is no fault).  A
 skeleton that faults (a non-finite derivative is a fault) is evaluated once
-more by a value-only ``evaluate``, whose naming walk names the fault; the
+more by a value-only ``evaluate``, whose checking walk names the fault; the
 replay logs it and returns it.  An unstable identified model yields a
 divergence flag and the finite prefix, never a crash.
 """
@@ -252,6 +252,15 @@ class SindyModel:
         )
 
 
+def _names(excluded: Sequence[str]) -> tuple[str, ...]:
+    """The excluded variables as a tuple; a bare string is refused, since it
+    would split into one name per character."""
+    if isinstance(excluded, str):
+        raise ValueError(f"excluded takes a sequence of variable names, "
+                         f"got the string {excluded!r}")
+    return tuple(excluded)
+
+
 class SindyBaseline:
     """Estimator-style wrapper: fit on (features, state-derivative targets).
 
@@ -265,7 +274,7 @@ class SindyBaseline:
         self.variant = variant
         self.threshold = threshold
         self.iters = iters
-        self.excluded = tuple(excluded)
+        self.excluded = _names(excluded)
 
     def get_params(self, deep: bool = True) -> dict:
         return {"variant": self.variant, "threshold": self.threshold,
@@ -275,7 +284,7 @@ class SindyBaseline:
         for key, value in params.items():
             if key not in self.get_params():
                 raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, tuple(value) if key == "excluded" else value)
+            setattr(self, key, _names(value) if key == "excluded" else value)
         return self
 
     def fit(self, features: Mapping[str, np.ndarray],
@@ -333,7 +342,7 @@ class ReplayResult:
 def _name_fault(model: SkeletonModel, values: list[float],
                 position: Mapping[str, int]) -> FaultInfo:
     """The domain fault of a skeleton on the replay sample ``values``, named
-    by the naming walk of one value-only ``evaluate``."""
+    by the checking walk of one value-only ``evaluate``."""
     batch = SampleBatch({name: np.array((values[position[name]],))
                          for name in variables_in(model.skeleton)}, 1)
     return evaluate(model.skeleton, model.params, batch, gradients=False).domain_fault

@@ -323,6 +323,25 @@ def test_gen_data_rejects_out_of_range_scenario_values(tmp_path, key, value):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("train, key", [
+    ({"noise_sigma": float("nan")}, "noise_sigma"),
+    ({"total_time": float("inf")}, "total_time"),
+    ({"disturbance": {"kind": "pm_step", "magnitude": float("nan"), "duration": 1.0}},
+     "disturbance: magnitude"),
+    ({"disturbance": {"kind": "state_kick", "magnitude": 1.0,
+                      "offsets": {"delta": float("nan")}}}, "disturbance: offsets: delta"),
+    ({"inputs": {"P_m": float("inf")}}, "inputs: P_m"),
+], ids=["noise-nan", "duration-infinity", "magnitude-nan", "offset-nan", "input-infinity"])
+def test_gen_data_rejects_non_finite_scenario_numbers(tmp_path, train, key):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({**SCENARIOS, "train": {**SCENARIOS["train"], **train}}))
+    result = CliRunner().invoke(main, ["gen-data", "--model", "swing2",
+                                       "--scenario", str(scen),
+                                       "--out", str(tmp_path / "data")])
+    assert f"{key}: expected a finite number" in _config_error(result)
+    assert not (tmp_path / "data").exists()
+
+
 def test_discover_survives_a_deeply_nested_completion(workspace, tmp_path):
     deep = "(" * 300 + "delta" + ")" * 300
     script = [[fenced(f"ddelta/dt = {deep}\ndomega/dt = p1*omega")],

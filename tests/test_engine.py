@@ -597,6 +597,30 @@ def test_run_config_names_a_wrong_type(data, message):
     assert str(caught.value) == f"bad run config: {message}"
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"fit": {"learning_rate": float("nan")}}, "fit: learning_rate: expected a finite number"),
+    ({"epsilon": float("nan")}, "epsilon: expected a finite number"),
+    ({"gamma": float("nan")}, "gamma: expected a finite number"),
+    ({"max_seconds": float("nan")}, "max_seconds: expected a finite number or null"),
+    ({"max_seconds": float("inf")}, "max_seconds: expected a finite number or null"),
+    ({"temperature": float("inf")}, "temperature: expected a finite number"),
+    ({"sampler": {"tau_cluster": float("-inf")}},
+     "sampler: tau_cluster: expected a finite number"),
+], ids=["learning-rate-nan", "epsilon-nan", "gamma-nan", "max-seconds-nan",
+        "max-seconds-infinity", "temperature-infinity", "tau-cluster-minus-infinity"])
+def test_run_config_rejects_a_non_finite_number(data, message):
+    # Python's json reads NaN and Infinity; a config file must not slip them in
+    from daedisc.config import ConfigError
+
+    text = json.dumps({"generator": {"kind": "mock", "script": "s.json"}, **data})
+    with pytest.raises(ConfigError) as caught:
+        RunConfig.from_dict(json.loads(text))
+    assert str(caught.value).startswith(f"bad run config: {message}, got ")
+    cfg = RunConfig.from_dict({"generator": {"kind": "mock", "script": "s.json"},
+                               "max_seconds": None})
+    assert cfg.max_seconds is None  # null still turns the budget off
+
+
 def test_run_config_rejects_a_negative_fit_seed():
     from daedisc.config import ConfigError
 

@@ -23,13 +23,13 @@ from daedisc.evaluator import (
     SampleBatch,
     _ADJOINTS,
     _VALUE,
-    _fault_of,
     _parameter_free_values,
     _plan,
     _reverse,
     _sample_source,
     _scatter,
     _tape,
+    _walk_checked,
     _weighted_source,
     evaluate,
     gradient_check,
@@ -484,6 +484,22 @@ def test_planned_walk_is_the_tape_walk_on_chosen_skeletons(text, params, fault):
     assert evaluate(sk, params, batch).domain_fault == fault
 
 
+# the chosen cases above, reused with the fit plan's builders refusing
+_CHOSEN = test_planned_walk_is_the_tape_walk_on_chosen_skeletons.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_CHOSEN.args, **_CHOSEN.kwargs)
+def test_one_shot_calls_run_one_walk(monkeypatch, text, params, fault):
+    # values-only and per-sample calls run once per skeleton and batch: they
+    # take the checking walk alone, with no plan and no parameter-free pass
+    def refuse(*args):
+        raise AssertionError("a one-shot call built the fit plan")
+
+    monkeypatch.setattr(evaluator, "_plan", refuse)
+    monkeypatch.setattr(evaluator, "_parameter_free_values", refuse)
+    test_planned_walk_is_the_tape_walk_on_chosen_skeletons(text, params, fault)
+
+
 def test_plan_values_are_not_kept_on_a_skeleton():
     # the parameter-free values live in a one-entry memo, so walking a second
     # skeleton leaves nothing of the first one's batch data reachable from it
@@ -663,6 +679,21 @@ def test_compiled_source_holds_no_skeleton_text():
     assert walk is sample_walk(sk)[1]  # compiled once, kept on the skeleton
 
 
+def test_a_dropped_skeleton_frees_its_float_walk_without_the_collector():
+    # replay compiles a float walk per replayed model; it must go with its
+    # skeleton, not wait for the cyclic collector
+    sk = parse("dx/dt = p0*sin(x) + log(p1*x)", SCOPE, ["x"], kind="de")
+    walk = weakref.ref(sample_walk(sk)[1])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sk
+        assert walk() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # --- the residual-weighted gradient -----------------------------------------
 
 _COLUMNS = ("delta", "omega", "e_q", "i_d")  # the variables test_dsl._exprs draws
@@ -811,7 +842,7 @@ def _interpreted_walk(plan: tuple, values: tuple, params: np.ndarray, n_samples:
     the domain rules run before each of them, and finiteness is checked once
     over all outputs and once over all gradients.  Those checks and the
     parameter-free ones decide faulted-or-not as a check at every node would
-    (of a weighted gradient, as a check of its sums); ``_fault_of`` names
+    (of a weighted gradient, as a check of its sums); ``_walk_checked`` names
     the fault.
     """
     rows, k = params.shape
@@ -854,7 +885,7 @@ def _same_as_interpreted_walk(sk, params, batch, targets):
     walked = None if values is None else _interpreted_walk(plan, values, rows, batch.n_samples,
                                                            True, targets)
     if walked is None:
-        (outputs, fault), grads = _fault_of(sk, plan, rows, batch, True, targets), None
+        outputs, grads, fault = _walk_checked(sk, rows, batch, True, targets)
     else:
         (outputs, grads), fault = walked, None
     got = evaluate(sk, params, batch, targets=targets)

@@ -183,6 +183,16 @@ def test_baseline_exclusions_only_with_missing_variant():
     assert [t.name for t in est.model_.terms] == ["1", "a"]
 
 
+def test_baseline_refuses_a_bare_string_of_exclusions():
+    # a string is a sequence of its characters: "P_m" would exclude P, _ and m
+    for make in (lambda: SindyBaseline(variant="missing", excluded="P_m"),
+                 lambda: SindyBaseline().set_params(variant="missing", excluded="P_m")):
+        with pytest.raises(ValueError, match="'P_m'"):
+            make()
+    est = SindyBaseline().set_params(variant="missing", excluded=["P_m"])
+    assert est.get_params()["excluded"] == ("P_m",)
+
+
 def test_model_json_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     features = {"x": rng.uniform(0.5, 2.0, 100), "y": rng.uniform(-1, 1, 100)}
