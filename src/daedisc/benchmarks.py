@@ -121,12 +121,14 @@ def from_json_object(cls, data, **convert):
 
 
 def _pairs(data) -> tuple[tuple[str, float], ...]:
-    """A JSON object of finite numbers as sorted (name, value) pairs."""
-    pairs = tuple(sorted((str(k), float(v)) for k, v in dict(data).items()))
-    for name, value in pairs:
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: expected a finite number, got {value}")
-    return pairs
+    """A JSON object of finite numbers as sorted (name, value) pairs; each value
+    is checked as a scalar float field is."""
+    data = dict(data)
+    for name, value in data.items():
+        problem = _type_error("float", value)
+        if problem:
+            raise ValueError(f"{name}: {problem}")
+    return tuple(sorted((str(k), float(v)) for k, v in data.items()))
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ class Disturbance:
     def __post_init__(self):
         if self.kind not in ("none", "pm_step", "x_step", "state_kick"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        if self.duration < 0:
+            raise ValueError(f"duration must be >= 0, got {self.duration}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "start": self.start, "duration": self.duration,
@@ -176,6 +180,9 @@ class ScenarioConfig:
             raise ValueError(f"total_time must be positive, got {self.total_time}")
         if self.dt <= 0:
             raise ValueError("step must be positive")
+        if round(self.total_time / self.dt) < 1:
+            raise ValueError(f"total_time {self.total_time} is shorter than one step "
+                             f"of dt {self.dt}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:
@@ -487,6 +494,15 @@ def rk4_step(f: Callable[[list[float], object], list[float]], x: list[float], dt
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
+def _state_values(model: BenchmarkModel, pairs, what: str) -> dict[str, float]:
+    """``pairs`` as a dict, each name a state of ``model``."""
+    values = dict(pairs)
+    for name in values:
+        if name not in model.state_names:
+            raise ValueError(f"{what}: {model.model_id} has no state {name!r}")
+    return values
+
+
 def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
     """Fixed-step RK4 run; every catalog signal recorded at every step, noiseless."""
     base_inputs = model.inputs_with(dict(scen.inputs))
@@ -507,7 +523,7 @@ def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
         return model.rhs(state, inputs_at(t), shift_at(t)).tolist()
 
     if scen.initial_state is not None:
-        given = dict(scen.initial_state)
+        given = _state_values(model, scen.initial_state, "initial_state")
         missing = [s for s in model.state_names if s not in given]
         if missing:
             raise ValueError(f"initial_state missing {missing}")
@@ -518,7 +534,7 @@ def simulate(model: BenchmarkModel, scen: ScenarioConfig) -> FullRecord:
     kick_index = -1
     if dist.kind == "state_kick":
         kick_index = int(round(dist.start / scen.dt))
-        offsets = dict(dist.offsets)
+        offsets = _state_values(model, dist.offsets, "offsets")
         scale = dist.magnitude if dist.magnitude != 0.0 else 1.0
         kick = [scale * offsets.get(name, 0.0) for name in model.state_names]
 

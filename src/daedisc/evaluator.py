@@ -20,29 +20,30 @@ target's reverse sweep is seeded with its residual ``outputs - targets``
 (T, n), which the result keeps, and the adjoints are summed over samples,
 which gives the least-squares gradient sum((f - y) * df/dp), (k,), at about
 the cost of one evaluation and with no per-sample array.  It runs on a
-straight-line NumPy function per target, compiled on a skeleton's first
-weighted call from a plan of the tape: the forward steps over the nodes
-whose subtree holds a parameter (live nodes), and a reverse sweep that
-forms adjoints along parameter paths only.  Each function has one statement
-per live node and per adjoint, with the domain rules as bound predicates,
-and the negations on the sweep's path carried as signs to the leaf sums,
-which gives the bits of the interpreted sweep.  The values of the
-parameter-free subtrees, such as ``omega - 1`` or ``sin(delta)``, and their
-domain rules depend on the batch alone; they are computed once per skeleton
-and batch and held, with the plan, the compiled walks and the batch, in a
-one-entry memo of the last pair fitted, never on the skeleton.  Each call
-checks the domain rules of the live nodes, and the finiteness of all
-outputs and of the weighted sums, once; these checks decide faulted-or-not
-as a check at every node would.  Only the sums are checked: a per-sample
-partial that overflows where the residual is small enough to bring the
-weighted adjoint back into the floats is not seen.
+straight-line NumPy function per target, emitted from the tape on a
+skeleton's first weighted call: the forward steps over the nodes whose
+subtree holds a parameter (live nodes), and a reverse sweep that forms
+adjoints along parameter paths only.  Each function has one statement per
+live node and per adjoint, with the domain rules as bound predicates, and
+the negations on the sweep's path carried as signs to the leaf sums, which
+gives the bits of the interpreted sweep.  The values of the parameter-free
+subtrees, such as ``omega - 1`` or ``sin(delta)``, and their domain rules
+depend on the batch alone; the checking walk's forward loop, run without
+parameters, computes them once per skeleton and batch, and they are held,
+with the compiled walks and the batch, in a one-entry memo of the last pair
+fitted, never on the skeleton.  Each call checks the domain rules of the
+live nodes, and the finiteness of all outputs and of the weighted sums,
+once; these checks decide faulted-or-not as a check at every node would.
+Only the sums are checked: a per-sample partial that overflows where the
+residual is small enough to bring the weighted adjoint back into the floats
+is not seen.
 
 The checking walk (``_walk_checked``) is the only interpreted one.  It
 walks every node of the tape in postorder, checking each as it is formed,
 target by target, and then each target's per-sample gradients, so a fault
 record names the first offending node.  It serves the one-shot calls, which
-run once per skeleton and batch, so a plan would save them nothing: values
-only (the STLSQ library matrix, replay's fault naming) and per-sample
+run once per skeleton and batch, so a compiled walk would save them nothing:
+values only (the STLSQ library matrix, replay's fault naming) and per-sample
 gradients, the sweep seeded with 1.0 and the adjoints of the parameter
 leaves scattered into a (T, n, k) array (``gradient_check``).  For these it
 gives the outputs, the gradients or the fault in one pass and stores
@@ -297,31 +298,6 @@ def _reverse_steps(prog: list) -> tuple[tuple, tuple]:
     return tuple(steps), leaves
 
 
-def _plan(programs: list) -> tuple:
-    """The fit walk's plan: one entry per target, as ``(places, forward,
-    reverse, leaves)``.
-
-    ``places`` puts the parameter columns into their slots as (slot,
-    parameter index).  ``forward`` computes the other live nodes in
-    postorder as (slot, value function, a, b, arg, checks); checks are the
-    domain rules on live operands as (operand slot, bad test), since the rules
-    on parameter-free operands hold for the batch and are checked once with
-    it (``_parameter_free_values``).  ``reverse`` and ``leaves`` are the sweep
-    of ``_reverse_steps``."""
-    plan = []
-    for prog in programs:
-        places = tuple((i, ins[3]) for i, ins in enumerate(prog) if ins[0] == "param")
-        forward = tuple(
-            (i, _VALUE[op], a, b, arg,
-             tuple((slot, bad) for slot, bad in ((b if operand else a, bad)
-                                                 for operand, bad, _ in rules)
-                   if prog[slot][4]))
-            for i, (op, a, b, arg, live, rules) in enumerate(prog)
-            if live and op != "param")
-        plan.append((places, forward, *_reverse_steps(prog)))
-    return tuple(plan)
-
-
 def _reverse(steps: tuple, leaves: tuple, vals: list, seed) -> list:
     """The adjoints of the sweep's parameter leaves, in leaf order, from the
     root adjoint ``seed``: 1.0 gives each sample's partial derivatives, a
@@ -353,32 +329,52 @@ def _weighted_fault(adjoints: list, shape: tuple[int, int]) -> FaultInfo:
     return _fault(bad, "non-finite gradient", shape)
 
 
-def _parameter_free_values(skeleton: Skeleton, plan: tuple, batch: SampleBatch
-                           ) -> tuple | None:
+def _forward(prog: list, cols: list, pcols: list | None, shape: tuple[int, int]) -> list:
+    """The values of one target's nodes over the tape, in postorder, each
+    formed after its domain rules; raises DomainFault at the first failing
+    check.  With the parameter columns ``pcols`` every node is formed and
+    checked finite.  Without them, only the parameter-free nodes are formed,
+    their slots hold None where a parameter reaches, and only the rules on
+    parameter-free operands are checked."""
+    vals = []
+    for op, a, b, arg, live, rules in prog:
+        for operand, bad, reason in rules:
+            v = vals[b if operand else a]
+            if v is not None:
+                _check(bad(v), reason, shape)
+        if live and pcols is None:
+            vals.append(None)
+            continue
+        if op == "param":
+            vals.append(pcols[arg])
+        elif op == "var":
+            vals.append(cols[arg])
+        elif op == "const":
+            vals.append(arg)
+        else:
+            vals.append(_VALUE[op](vals[a], vals[b], arg))
+        if pcols is not None:
+            _check(~np.isfinite(vals[-1]), "non-finite value", shape)
+    return vals
+
+
+def _parameter_free_values(skeleton: Skeleton, batch: SampleBatch) -> tuple | None:
     """Per target, a list over the tape's slots holding the values of the
     parameter-free subtrees that live nodes read (or that a target is) on the
     batch, None elsewhere; None if a domain rule on a parameter-free operand
-    fails."""
+    fails.  It is ``_forward`` without parameter columns, so the values are
+    the checking walk's own."""
     variables, programs = _tape(skeleton)
     cols = [batch.column(name) for name in variables]
     values = []
     with np.errstate(all="ignore"):  # non-finite results become faults
-        for prog, (_, forward, _, _) in zip(programs, plan):
-            vals = [None] * len(prog)
-            for i, (op, a, b, arg, live, rules) in enumerate(prog):
-                for operand, bad, _ in rules:
-                    slot = b if operand else a
-                    if not prog[slot][4] and np.asarray(bad(vals[slot])).any():
-                        return None
-                if live:
-                    continue
-                if op == "var":
-                    vals[i] = cols[arg]
-                elif op == "const":
-                    vals[i] = arg
-                else:
-                    vals[i] = _VALUE[op](vals[a], vals[b], arg)
-            read = {len(prog) - 1}.union(*((a, b) for _, _, a, b, _, _ in forward))
+        for prog in programs:
+            try:
+                vals = _forward(prog, cols, None, (1, batch.n_samples))
+            except DomainFault:
+                return None
+            read = {len(prog) - 1}.union(*((a, b) for op, a, b, _, live, _ in prog
+                                           if live and op != "param"))
             values.append([v if i in read else None for i, v in enumerate(vals)])
     return tuple(values)
 
@@ -404,9 +400,9 @@ _INLINE_ADJOINTS = {
 }
 
 
-def _weighted_source(prog: list, entry: tuple) -> tuple[str, dict]:
+def _weighted_source(prog: list) -> tuple[str, dict]:
     """Source and namespace of ``walk(V, P, Y, O, E, G)``, the straight-line
-    residual-weighted walk of one target's plan entry.
+    residual-weighted walk of one target, emitted from its tape program.
 
     ``V`` holds the target's parameter-free values and ``P`` the parameter
     columns (R, 1); the walk writes the outputs into ``O`` (R, n) and the
@@ -414,13 +410,16 @@ def _weighted_source(prog: list, entry: tuple) -> tuple[str, dict]:
     residual-weighted leaf adjoints, summed over samples, into ``G``, the
     columns (R,) of the gradient sums (R, k).
     It returns False as soon as a live operand fails its domain rule, True
-    otherwise; finiteness is the caller's check.  The statements are the
-    plan's: each live node after its domain rules, then the sweep from the
-    residual, each adjoint carried with a sign fixed at compile time, since a
-    negation commutes with every adjoint operation and with the pairwise sum;
-    a leaf's sum is added into ``G`` or subtracted from it by that sign.
-    ``G`` starts at +0.0 and a sum of +0.0 never gives -0.0, so a sum that is
-    a signed zero gives the same bits either way.
+    otherwise; finiteness is the caller's check.  The statements are read
+    from the tape: each live node other than a parameter, in postorder, after
+    the domain rules on its live operands (the rules on parameter-free
+    operands hold for the batch and are checked once with it, by
+    ``_parameter_free_values``), then the sweep of ``_reverse_steps`` from
+    the residual, each adjoint carried with a sign fixed at compile time,
+    since a negation commutes with every adjoint operation and with the
+    pairwise sum; a leaf's sum is added into ``G`` or subtracted from it by
+    that sign.  ``G`` starts at +0.0 and a sum of +0.0 never gives -0.0, so
+    a sum that is a signed zero gives the same bits either way.
 
     No name in the source depends on the skeleton: values and adjoints are
     the entries of a list ``T``, and the rule predicates, the operations
@@ -433,7 +432,7 @@ def _weighted_source(prog: list, entry: tuple) -> tuple[str, dict]:
     search_order5 workload gained 0.5 MB of peak memory after about 25
     passes).
     """
-    places, forward, reverse, leaves = entry
+    reverse, leaves = _reverse_steps(prog)
     bound = []
 
     def bind(obj) -> str:
@@ -447,14 +446,18 @@ def _weighted_source(prog: list, entry: tuple) -> tuple[str, dict]:
         temps += 1
         return f"T[{temps - 1}]"
 
-    name = {i: f"V[{i}]" for i, ins in enumerate(prog) if not ins[4]}
-    name.update((i, f"P[{j}]") for i, j in places)
+    name = {i: f"P[{arg}]" if op == "param" else f"V[{i}]"
+            for i, (op, _, _, arg, live, _) in enumerate(prog) if op == "param" or not live}
     root = len(prog) - 1
     lines = []
-    for i, _, a, b, arg, checks in forward:
-        for slot, bad in checks:
-            lines.append(f"    if {bind(bad)}({name[slot]}).any(): return False")
-        op, x, y = prog[i][0], name[a], name[b]
+    for i, (op, a, b, arg, live, rules) in enumerate(prog):
+        if not live or op == "param":
+            continue
+        for operand, bad, _ in rules:
+            slot = b if operand else a
+            if prog[slot][4]:
+                lines.append(f"    if {bind(bad)}({name[slot]}).any(): return False")
+        x, y = name[a], name[b]
         if i == root and op in _INTO:
             lines.append("    " + _INTO[op].format(x=x, y=y))
             name[i] = "O"
@@ -498,40 +501,38 @@ def _weighted_source(prog: list, entry: tuple) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", namespace
 
 
-def _weighted_walks(programs: list, plan: tuple) -> tuple:
+def _weighted_walks(programs: list) -> tuple:
     """The compiled residual-weighted walk of each target, in target order.
     Each is taken out of its namespace, which is its globals: left in, the
     two would form a reference cycle that outlives the memo entry until the
     cyclic collector runs."""
     walks = []
-    for prog, entry in zip(programs, plan):
-        source, namespace = _weighted_source(prog, entry)
+    for prog in programs:
+        source, namespace = _weighted_source(prog)
         exec(compile(source, "<weighted walk>", "exec"), namespace)
         walks.append(namespace.pop("walk"))
     return tuple(walks)
 
 
-# (skeleton, its plan, its compiled weighted walks, a batch, the
-# parameter-free values): the last pair a fit walked.  One entry serves every
-# step of a fit; only residual-weighted calls read or write it.  None of it is
-# kept on the skeleton: an archive holds its skeletons for the whole run, and
-# a plan and walks on each would add to the peak memory.  Each call reads the
-# entry once and replaces it whole, so threads sharing it at worst recompute.
-_last_walked: tuple = (None, None, None, None, None)
+# (skeleton, its compiled weighted walks, a batch, the parameter-free
+# values): the last pair a fit walked.  One entry serves every step of a fit;
+# only residual-weighted calls read or write it.  None of it is kept on the
+# skeleton: an archive holds its skeletons for the whole run, and walks on
+# each would add to the peak memory.  Each call reads the entry once and
+# replaces it whole, so threads sharing it at worst recompute.
+_last_walked: tuple = (None, None, None, None)
 
 
 def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | None]:
     """(weighted walks, parameter-free values or None if they fault) of a
     skeleton on a batch, from the one-entry memo when it holds them."""
     global _last_walked
-    held, plan, walks, held_batch, values = _last_walked
+    held, walks, held_batch, values = _last_walked
     if held is not skeleton:
-        programs = _tape(skeleton)[1]
-        plan, held_batch = _plan(programs), None
-        walks = _weighted_walks(programs, plan)
+        walks, held_batch = _weighted_walks(_tape(skeleton)[1]), None
     if held_batch is not batch:
-        values = _parameter_free_values(skeleton, plan, batch)
-    _last_walked = (skeleton, plan, walks, batch, values)
+        values = _parameter_free_values(skeleton, batch)
+    _last_walked = (skeleton, walks, batch, values)
     return walks, values
 
 
@@ -581,20 +582,7 @@ def _walk_checked(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
     with np.errstate(all="ignore"):  # non-finite results become faults
         try:
             for t, prog in enumerate(programs):
-                vals = []
-                for op, a, b, arg, _, rules in prog:
-                    if op == "param":
-                        vals.append(pcols[arg])
-                    elif op == "var":
-                        vals.append(cols[arg])
-                    elif op == "const":
-                        vals.append(arg)
-                    else:
-                        x, y = vals[a], vals[b]
-                        for operand, bad, reason in rules:
-                            _check(bad(y if operand else x), reason, shape)
-                        vals.append(_VALUE[op](x, y, arg))
-                    _check(~np.isfinite(vals[-1]), "non-finite value", shape)
+                vals = _forward(prog, cols, pcols, shape)
                 outputs[:, t] = vals[-1]
                 if not gradients:
                     continue

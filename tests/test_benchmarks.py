@@ -208,6 +208,31 @@ def test_scenario_validation():
         Disturbance.from_dict({"kind": "pm_step", "magnitud": 0.1})
 
 
+def test_scenario_pairs_take_numbers_only():
+    # each entry is checked as a scalar float field is, and named
+    with pytest.raises(ValueError, match="^inputs: P_m: expected a number, got bool$"):
+        ScenarioConfig.from_dict({"inputs": {"P_m": True}})
+    with pytest.raises(ValueError, match="^initial_state: delta: expected a number, got str$"):
+        ScenarioConfig.from_dict({"initial_state": {"delta": "0.5", "omega": 1.0}})
+
+
+def test_disturbance_rejects_a_negative_duration():
+    with pytest.raises(ValueError, match="duration must be >= 0, got -0.5"):
+        Disturbance(kind="pm_step", start=1.0, duration=-0.5, magnitude=0.1)
+
+
+@pytest.mark.parametrize("scen, what", [
+    (ScenarioConfig(total_time=1.0, disturbance=Disturbance(
+        kind="state_kick", start=0.5, offsets=(("delta_typo", 0.3),))), "offsets"),
+    (ScenarioConfig(total_time=1.0, initial_state=(("delta", 0.5), ("omega", 1.0),
+                                                   ("omega_typo", 1.0))), "initial_state"),
+], ids=["kick-offset", "initial-state"])
+def test_simulate_rejects_a_name_that_is_no_state(scen, what):
+    # an entry for no state would otherwise be dropped, leaving the run undisturbed
+    with pytest.raises(ValueError, match=f"^{what}: swing2 has no state '.*_typo'$"):
+        simulate(get_model("swing2"), scen)
+
+
 def test_scenario_defaults_come_from_the_dataclass():
     assert ScenarioConfig.from_dict({"seed": 4}) == ScenarioConfig(seed=4)
     assert Disturbance.from_dict({}) == Disturbance()

@@ -287,7 +287,9 @@ def test_discover_rejects_a_generator_that_cannot_complete(workspace, tmp_path, 
 @pytest.mark.parametrize("train", [
     {**SCENARIOS["train"], "disturbance": None},
     {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": 5}},
-], ids=["disturbance-null", "offsets-number"])
+    {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": {"delta": True}}},
+    {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": {"delta": "0.3"}}},
+], ids=["disturbance-null", "offsets-number", "offset-true", "offset-string"])
 def test_gen_data_rejects_malformed_scenario(tmp_path, train):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({**SCENARIOS, "train": train}))
@@ -312,7 +314,11 @@ def test_gen_data_rejects_unknown_scenario_keys(tmp_path):
     ("total_time", -1.0),
     ("total_time", 0.0),
     ("seed", -1),
-], ids=["negative-noise", "negative-duration", "zero-duration", "negative-seed"])
+    ("total_time", 0.004),
+    ("inputs", {"P_m": True}),
+    ("inputs", {"P_m": "0.5"}),
+], ids=["negative-noise", "negative-duration", "zero-duration", "negative-seed",
+        "shorter-than-a-step", "input-true", "input-string"])
 def test_gen_data_rejects_out_of_range_scenario_values(tmp_path, key, value):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({**SCENARIOS, "train": {**SCENARIOS["train"], key: value}}))

@@ -24,8 +24,8 @@ from daedisc.evaluator import (
     _ADJOINTS,
     _VALUE,
     _parameter_free_values,
-    _plan,
     _reverse,
+    _reverse_steps,
     _sample_source,
     _scatter,
     _tape,
@@ -294,7 +294,7 @@ def test_value_only_skips_the_gradient_check():
         sample_index=1, reason="log of non-positive argument")
 
 
-# --- property: the one-sample walk on floats is the array walk -------------
+# --- property: the float walk is the array walk on one sample -------------
 
 def _any_expr(rng, depth, n_params):
     """Random expression over x and y using every function and exponent."""
@@ -350,7 +350,7 @@ def test_one_sample_walk_matches_the_array_walk():
     assert seen[True] > 200 and seen[False] > 600
 
 
-# --- the fit plan: the planned walk is the plain tape walk -----------------
+# --- the checking walk is the plain tape walk ------------------------------
 
 def _tape_walk(sk, rows, batch, gradients):
     """The plain tape walk: every node in postorder, checked as it is formed,
@@ -408,8 +408,8 @@ def _tape_walk(sk, rows, batch, gradients):
 
 
 def _same_as_tape_walk(sk, params, batch):
-    """evaluate agrees bit for bit with the plain tape walk, on a fresh plan
-    value memo and on a second call that reuses it; returns whether it faulted."""
+    """evaluate agrees bit for bit with the plain tape walk, on two calls in
+    a row; returns whether it faulted."""
     params = np.asarray(params, dtype=np.float64)
     rows = params if params.ndim == 2 else params[None, :]
     faulted = False
@@ -484,18 +484,19 @@ def test_planned_walk_is_the_tape_walk_on_chosen_skeletons(text, params, fault):
     assert evaluate(sk, params, batch).domain_fault == fault
 
 
-# the chosen cases above, reused with the fit plan's builders refusing
+# the chosen cases above, reused with the fit walk's builders refusing
 _CHOSEN = test_planned_walk_is_the_tape_walk_on_chosen_skeletons.pytestmark[0]
 
 
 @pytest.mark.parametrize(*_CHOSEN.args, **_CHOSEN.kwargs)
 def test_one_shot_calls_run_one_walk(monkeypatch, text, params, fault):
     # values-only and per-sample calls run once per skeleton and batch: they
-    # take the checking walk alone, with no plan and no parameter-free pass
+    # take the checking walk alone, with no compiled walk and no
+    # parameter-free pass
     def refuse(*args):
-        raise AssertionError("a one-shot call built the fit plan")
+        raise AssertionError("a one-shot call built the fit walk's state")
 
-    monkeypatch.setattr(evaluator, "_plan", refuse)
+    monkeypatch.setattr(evaluator, "_fit_state", refuse)
     monkeypatch.setattr(evaluator, "_parameter_free_values", refuse)
     test_planned_walk_is_the_tape_walk_on_chosen_skeletons(text, params, fault)
 
@@ -525,8 +526,8 @@ def test_plan_values_are_not_kept_on_a_skeleton():
 
 
 def test_plan_memo_under_threads():
-    # threads walking different skeletons on different batches share the
-    # one-entry memo; each must still get its own pair's bits
+    # threads walking different skeletons on different batches at once must
+    # each still get its own pair's bits
     rng = np.random.default_rng(3)
     jobs = []
     for text in ("p0*sin(x) + p1*exp(x - 1)", "p0*cos(x)^2 - p1", "(x - 1)*p0 + log(x)*p1",
@@ -545,7 +546,7 @@ def test_plan_memo_under_threads():
             sk, batch, rows, want = jobs[(first + n) % len(jobs)]
             try:
                 got = evaluate(sk, rows, batch)
-            except Exception as exc:  # another pair's plan or values: wrong shapes
+            except Exception as exc:  # another pair's values: wrong shapes
                 mismatches.append(exc)
                 return
             if not (np.array_equal(got.outputs, want.outputs)
@@ -822,7 +823,8 @@ def test_weighted_gradient_argument_checks():
 
 # --- the compiled weighted walk against the interpreted one ----------------
 # The interpreted walk that the compiled residual-weighted walk replaced, kept
-# verbatim but for its name as the oracle of its bits and faults.
+# as the oracle of its bits and faults; it reads the tape programs and their
+# ``_reverse_steps`` sweeps.
 
 def _reduce(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
     """Add weighted leaf adjoints (R, n), summed over samples, into grad (R, k)."""
@@ -830,11 +832,12 @@ def _reduce(leaves: tuple, adjoints: list, grad: np.ndarray) -> None:
         grad[:, j] += np.add.reduce(g, axis=-1)
 
 
-def _interpreted_walk(plan: tuple, values: tuple, params: np.ndarray, n_samples: int,
+def _interpreted_walk(programs: list, values: tuple, params: np.ndarray, n_samples: int,
                       gradients: bool, targets: np.ndarray | None
                       ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Outputs (R, T, n) and gradients for parameter rows (R, k), walked on
-    the fit plan from the parameter-free values; None if any row faults.
+    the tape programs' live nodes from the parameter-free values; None if any
+    row faults.
 
     The gradients are per sample (R, T, n, k), or with ``targets`` (T, n)
     the residual-weighted sums (R, k); with ``gradients=False`` the reverse
@@ -847,22 +850,27 @@ def _interpreted_walk(plan: tuple, values: tuple, params: np.ndarray, n_samples:
     """
     rows, k = params.shape
     pcols = [params[:, j:j + 1] for j in range(k)]
-    outputs = np.empty((rows, len(plan), n_samples))
+    outputs = np.empty((rows, len(programs), n_samples))
     grads = None
     if targets is not None:
         grads = np.zeros((rows, k))
     elif gradients:
         grads = np.zeros(outputs.shape + (k,))
     with np.errstate(all="ignore"):  # non-finite results become faults
-        for t, ((places, forward, reverse, leaves), base) in enumerate(zip(plan, values)):
+        for t, (prog, base) in enumerate(zip(programs, values)):
+            reverse, leaves = _reverse_steps(prog)
             vals = base.copy()
-            for i, j in places:
-                vals[i] = pcols[j]
-            for i, value, a, b, arg, checks in forward:
-                for slot, bad in checks:
-                    if bad(vals[slot]).any():
+            for i, (op, a, b, arg, live, rules) in enumerate(prog):
+                if not live:
+                    continue
+                if op == "param":
+                    vals[i] = pcols[arg]
+                    continue
+                for operand, bad, _ in rules:
+                    slot = b if operand else a
+                    if prog[slot][4] and bad(vals[slot]).any():
                         return None
-                vals[i] = value(vals[a], vals[b], arg)
+                vals[i] = _VALUE[op](vals[a], vals[b], arg)
             outputs[:, t] = vals[-1]
             if targets is not None:
                 if leaves:  # a target without parameters needs no residual
@@ -879,11 +887,10 @@ def _same_as_interpreted_walk(sk, params, batch, targets):
     """The weighted ``evaluate`` gives the interpreted walk's outputs,
     gradients and fault bit for bit, and the residual ``outputs - targets``;
     returns whether it faulted."""
-    plan = _plan(_tape(sk)[1])
-    values = _parameter_free_values(sk, plan, batch)
+    values = _parameter_free_values(sk, batch)
     rows = params if params.ndim == 2 else params[None, :]
-    walked = None if values is None else _interpreted_walk(plan, values, rows, batch.n_samples,
-                                                           True, targets)
+    walked = None if values is None else _interpreted_walk(_tape(sk)[1], values, rows,
+                                                           batch.n_samples, True, targets)
     if walked is None:
         outputs, grads, fault = _walk_checked(sk, rows, batch, True, targets)
     else:
@@ -971,6 +978,19 @@ def test_compiled_weighted_walk_refuses_live_faults(text, params, fault):
     assert evaluate(sk, params, batch, targets=targets).domain_fault == fault
 
 
+def test_compiled_weighted_walk_refuses_a_parameter_free_overflow():
+    # exp(50*x) overflows at x = 20.1 whatever the parameters: the
+    # parameter-free pass checks no finiteness, so the compiled walk refuses
+    # the step on its outputs and the checking walk names the node
+    sk = parse("dx/dt = p0*exp(50*x)", SymbolScope(states=("x",)), ["x"], kind="de")
+    batch = _batch(x=[20.1, 5.3, 0.0])
+    targets = np.zeros((1, 3))
+    for p in (np.array([1.0]), np.array([[1.0], [0.5]])):
+        assert _same_as_interpreted_walk(sk, p, batch, targets)
+    assert evaluate(sk, [1.0], batch, targets=targets).domain_fault == FaultInfo(
+        0, "non-finite value")
+
+
 def test_compiled_weighted_walk_keeps_a_weighted_overflow_and_its_outputs():
     sk = parse("dx/dt = -(p0*x)", SymbolScope(states=("x",)), ["x"], kind="de")
     batch = _batch(x=[1.0, 1e200, 2.0])
@@ -995,7 +1015,7 @@ def test_one_shot_calls_compile_nothing_and_keep_the_fit_memo(monkeypatch):
         return compile(*args)
 
     monkeypatch.setattr(evaluator, "compile", counting_compile, raising=False)
-    for sk in (fitted, other):  # other faults at x <= 1 and takes the naming walk
+    for sk in (fitted, other):  # other faults at x <= 1 and takes the checking walk
         evaluate(sk, [1.0] * sk.n_params, batch, gradients=False)
         evaluate(sk, np.ones((2, sk.n_params)), batch)
     assert not compiled
@@ -1055,7 +1075,7 @@ def test_a_replaced_fit_memo_frees_its_walks_without_the_collector():
     batch = _batch(x=np.linspace(0.5, 2.0, 20))
     first = parse("dx/dt = p0*sin(x) + p1", SCOPE, ["x"], kind="de")
     evaluate(first, [1.0, 2.0], batch, targets=np.zeros((1, 20)))
-    walk = weakref.ref(evaluator._last_walked[2][0])
+    walk = weakref.ref(evaluator._last_walked[1][0])
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -1077,8 +1097,8 @@ def test_weighted_source_names_nothing_of_the_skeleton():
     fixed = {"def", "walk", "V", "P", "Y", "O", "E", "G", "T", "B", "None", "if", "return",
              "True", "False", "any", "out", "axis", "add_reduce", "negative", "add", "subtract",
              "multiply", "divide"}
-    for prog, entry in zip(_tape(sk)[1], _plan(_tape(sk)[1])):
-        source, namespace = _weighted_source(prog, entry)
+    for prog in _tape(sk)[1]:
+        source, namespace = _weighted_source(prog)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
                 assert tok.string in fixed, tok.string
