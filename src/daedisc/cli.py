@@ -80,12 +80,14 @@ def gen_data(model_id: str, scenario_path: str, out_dir: str):
     from .dataset import make_dataset
 
     scenarios = load_scenarios(scenario_path)
+    model = get_model(model_id)
+    # every split is built before --out is made, so a split that fails to
+    # simulate leaves no file of the others behind
+    datasets = {split: make_dataset(simulate(model, scen), scen)
+                for split, scen in scenarios.items()}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = get_model(model_id)
-    for split, scen in scenarios.items():
-        record = simulate(model, scen)
-        dataset = make_dataset(record, scen)
+    for split, dataset in datasets.items():
         export_dataset(dataset, out / split)
         logger.info("%s: %d samples -> %s", split, dataset.n_samples, out / f"{split}.csv")
     click.echo(json.dumps({"ok": True, "model": model_id, "out": str(out)},

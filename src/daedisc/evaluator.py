@@ -19,22 +19,29 @@ The compiled fit walk (``_walk_weighted``) computes the fit step, the call
 target's reverse sweep is seeded with its residual ``outputs - targets``
 (T, n), which the result keeps, and the adjoints are summed over samples,
 which gives the least-squares gradient sum((f - y) * df/dp), (k,), at about
-the cost of one evaluation and with no per-sample array.  It runs on a
-straight-line NumPy function per target, emitted from the tape on a
-skeleton's first weighted call: the forward steps over the nodes whose
-subtree holds a parameter (live nodes), and a reverse sweep that forms
-adjoints along parameter paths only.  Each function has one statement per
-live node and per adjoint, with the domain rules as bound predicates, and
-the negations on the sweep's path carried as signs to the leaf sums, which
-gives the bits of the interpreted sweep.  The values of the parameter-free
-subtrees, such as ``omega - 1`` or ``sin(delta)``, and their domain rules
-depend on the batch alone; the checking walk's forward loop, run without
-parameters, computes them once per skeleton and batch, and they are held,
-with the compiled walks and the batch, in a one-entry memo of the last pair
-fitted, never on the skeleton.  Each call checks the domain rules of the
-live nodes, and the finiteness of all outputs and of the weighted sums,
-once; these checks decide faulted-or-not as a check at every node would.
-Only the sums are checked: a per-sample partial that overflows where the
+the cost of one evaluation and with no per-sample array.  The walk also
+sums each row's squared residuals, so a fitter reads its loss from the
+result.  It runs on a straight-line NumPy function per target, emitted from
+the tape on a skeleton's first weighted call: the forward steps over the
+nodes whose subtree holds a parameter (live nodes), and a reverse sweep that
+forms adjoints along parameter paths only.  Each function has one statement
+per live node and per adjoint, with the domain rules as bound predicates,
+and the negations on the sweep's path carried as signs to the leaf sums,
+which gives the bits of the interpreted sweep.  The source text names only
+slots, so each text is compiled once, into a bounded cache of code, and a
+skeleton runs that code in its own namespace.  One parameter row reaches
+the functions as NumPy scalars, more rows as columns (R, 1); the scalars
+skip NumPy's broadcasting machinery and give the same bits.  The values of
+the parameter-free subtrees, such as ``omega - 1`` or ``sin(delta)``, and
+their domain rules depend on the batch alone; the checking walk's forward
+loop, run without parameters, computes them once per skeleton and batch,
+and they are held, with the compiled walks and the batch, in a one-entry
+memo of the last pair fitted, never on the skeleton.  Each call checks the
+domain rules of the live nodes, and the finiteness of the sums of squares
+and of the weighted sums, once; a finite sum of squares means finite
+outputs, and only if a sum is not finite are the outputs checked as such.
+These checks decide faulted-or-not as a check at every node would.  Only
+the sums are checked: a per-sample partial that overflows where the
 residual is small enough to bring the weighted adjoint back into the floats
 is not seen.
 
@@ -66,6 +73,7 @@ evaluation is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -136,16 +144,20 @@ class EvalResult:
     walk, or, evaluated with targets, the residual-weighted sums (n_params,)
     from the fit walk; each with a leading restart axis when evaluated on
     parameter rows.  Evaluated with targets, ``residual`` is outputs -
-    targets, shaped like the outputs; it is None otherwise.  A faulted result
-    carries the checking walk's record; its gradients are None, and so are
-    its outputs and residual, except for a weighted sum that alone left the
-    floats (see ``evaluate``).  Gradients are None too when evaluated for
-    values only."""
+    targets, shaped like the outputs, and ``sum_squares`` the sum of its
+    squares, one float, or (n_rows,) for parameter rows, summed pairwise as
+    ``np.sum`` sums each row's block; it is infinite where only the squares
+    overflowed.  Both are None otherwise.  A faulted result carries the
+    checking walk's record; its gradients are None, and so are its outputs,
+    residual and sums of squares, except for a weighted sum that alone left
+    the floats (see ``evaluate``).  Gradients are None too when evaluated
+    for values only."""
 
     outputs: np.ndarray | None
     gradients: np.ndarray | None
     domain_fault: FaultInfo | None = None
     residual: np.ndarray | None = None
+    sum_squares: np.ndarray | float | None = None
 
     @property
     def faulted(self) -> bool:
@@ -501,6 +513,24 @@ def _weighted_source(prog: list) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", namespace
 
 
+# the most weighted walk sources whose code is kept: a search repeats a
+# target's source within a few candidates.  A search_order5 pass of perfbench
+# (seed 1) emits 202 sources, 67 of them distinct, and with 32 kept every one
+# of its 135 repeats is a hit; keeping all 67 would add about 0.05 MB of code
+# and save compiles only across passes, which a discovery run does not make
+COMPILED_WALKS = 32
+
+
+@functools.lru_cache(maxsize=COMPILED_WALKS)
+def _compiled(source: str):
+    """The code of a weighted walk's source.  The text names only slots,
+    parameter indices and indices into the bound tuple, so equal texts are
+    equal code whichever skeleton emitted them, and a skeleton that shares a
+    target with an earlier one compiles nothing for it.  The code holds no
+    bound object: each skeleton's walk runs it in its own namespace."""
+    return compile(source, "<weighted walk>", "exec")
+
+
 def _weighted_walks(programs: list) -> tuple:
     """The compiled residual-weighted walk of each target, in target order.
     Each is taken out of its namespace, which is its globals: left in, the
@@ -509,7 +539,7 @@ def _weighted_walks(programs: list) -> tuple:
     walks = []
     for prog in programs:
         source, namespace = _weighted_source(prog)
-        exec(compile(source, "<weighted walk>", "exec"), namespace)
+        exec(_compiled(source), namespace)
         walks.append(namespace.pop("walk"))
     return tuple(walks)
 
@@ -536,27 +566,50 @@ def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | N
     return walks, values
 
 
+def _sum_squares(residual: np.ndarray) -> np.ndarray:
+    """Each row's residual sum of squares, (R,) from (R, T, n): the pairwise
+    sum that ``np.sum`` forms over a row's contiguous block.  Call it under
+    ``np.errstate``: the squares of finite residuals can overflow."""
+    return np.add.reduce((residual * residual).reshape(len(residual), -1), axis=1)
+
+
 def _walk_weighted(walks: tuple, values: tuple, params: np.ndarray, targets: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Outputs and residuals (R, T, n) and the residual-weighted gradient sums
-    (R, k) for parameter rows (R, k), from each target's compiled walk; None
-    if any row faults.  The domain rules run before each live node, and
-    finiteness is checked once over all outputs and once over the sums; those
-    checks and the parameter-free ones decide faulted-or-not as a check at
-    every node and of the sums would, and ``_walk_checked`` names the fault."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Outputs and residuals (R, T, n), the residual-weighted gradient sums
+    (R, k) and the residual sums of squares (R,) for parameter rows (R, k),
+    from each target's compiled walk; None if any row faults.
+
+    One row's parameters reach the walks as NumPy scalars, and its outputs
+    and residuals are written as rows (n,): an operation of a scalar and a
+    column takes NumPy's scalar loop, where a (1, 1) column would go through
+    its broadcasting iterator at about three times the cost, with the same
+    bits.  More rows are broadcast as columns (R, 1).  The domain rules run
+    before each live node.  Finiteness is checked once, on the sums of
+    squares and the gradient sums: a finite sum of squares means every
+    residual, and so every output, is finite.  If that check fails, the
+    outputs and the gradient sums are checked as such, so a finite step whose
+    squares alone overflow is no fault and keeps its non-finite sum of
+    squares.  Those checks and the parameter-free ones decide faulted-or-not
+    as a check at every node and of the sums would, and ``_walk_checked``
+    names the fault."""
     rows, k = params.shape
-    pcols = list(params.T[:, :, None])  # (R, 1) each
     outputs = np.empty((rows,) + targets.shape)
     residual = np.empty_like(outputs)
     grads = np.zeros((rows, k))
-    columns = list(grads.T)  # a walk adds into a column in place, with no copy back
+    if rows == 1:
+        pcols, out, res, columns = list(params[0]), outputs[0], residual[0], grads[0]
+    else:  # a walk adds into a column of the sums in place, with no copy back
+        pcols, columns = list(params.T[:, :, None]), list(grads.T)
+        out, res = outputs.swapaxes(0, 1), residual.swapaxes(0, 1)
     with np.errstate(all="ignore"):  # non-finite results become faults
         for t, (walk, base) in enumerate(zip(walks, values)):
-            if not walk(base, pcols, targets[t], outputs[:, t], residual[:, t], columns):
+            if not walk(base, pcols, targets[t], out[t], res[t], columns):
                 return None
-        if not (np.isfinite(outputs).all() and np.isfinite(grads).all()):
-            return None
-    return outputs, residual, grads
+        sum_squares = _sum_squares(residual)
+        if not (np.isfinite(sum_squares).all() and np.isfinite(grads).all()):
+            if not (np.isfinite(outputs).all() and np.isfinite(grads).all()):
+                return None
+    return outputs, residual, grads, sum_squares
 
 
 def _walk_checked(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
@@ -687,16 +740,17 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
     instead the residual-weighted sums over targets and samples,
     sum((outputs - targets) * d outputs / dp), (k,) or (R, k), from one
     reverse sweep per target seeded with its residual, which the result
-    keeps as ``residual``; this mode runs on the compiled fit walk, and on
-    the checking walk only to name a fault it refused.  Every other call is
-    one pass of the checking walk.  A fault in any row faults the result, and
-    its outputs and gradients are None.  So does a weighted sum that is not
-    finite, but if every value and per-sample gradient is finite (only the
-    weighting overflowed), the result keeps its outputs and residual, so that
-    a caller can still tell an overflowing loss.  Every call walks arrays,
-    one sample too; the float walk is ``sample_walk``.  ``gradients=False``
-    evaluates values only: the result's gradients are None, and a non-finite
-    gradient behind finite values is no fault.
+    keeps as ``residual``, with its sums of squares as ``sum_squares``; this
+    mode runs on the compiled fit walk, and on the checking walk only to
+    name a fault it refused.  Every other call is one pass of the checking
+    walk.  A fault in any row faults the result, and its outputs and
+    gradients are None.  So does a weighted sum that is not finite, but if
+    every value and per-sample gradient is finite (only the weighting
+    overflowed), the result keeps its outputs, residual and sums of squares,
+    so that a caller can still tell an overflowing loss.  Every call walks
+    arrays, one sample too; the float walk is ``sample_walk``.
+    ``gradients=False`` evaluates values only: the result's gradients are
+    None, and a non-finite gradient behind finite values is no fault.
     """
     p = np.asarray(params, dtype=np.float64)
     if p.ndim not in (1, 2) or p.shape[-1] != skeleton.n_params:
@@ -711,7 +765,7 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
                              f"{(len(skeleton.expressions), batch.n_samples)}, "
                              f"got {targets.shape}")
     rows = p if p.ndim == 2 else p[None, :]
-    residual = None
+    residual = sum_squares = None
     if targets is None:
         outputs, grads, fault = _walk_checked(skeleton, rows, batch, gradients, None)
     else:
@@ -720,14 +774,17 @@ def evaluate(skeleton: Skeleton, params: Sequence[float] | np.ndarray, batch: Sa
         if walked is None:  # walk again checking every node, to name the first fault
             outputs, grads, fault = _walk_checked(skeleton, rows, batch, True, targets)
             if outputs is not None:  # only the weighted sums left the floats
-                residual = outputs - targets
+                with np.errstate(all="ignore"):  # so may the residual and its squares
+                    residual = outputs - targets
+                    sum_squares = _sum_squares(residual)
         else:
-            (outputs, residual, grads), fault = walked, None
+            (outputs, residual, grads, sum_squares), fault = walked, None
     if p.ndim == 1 and outputs is not None:
         outputs, residual = outputs[0], None if residual is None else residual[0]
         grads = None if grads is None else grads[0]
+        sum_squares = None if sum_squares is None else sum_squares[0]
     return EvalResult(outputs=outputs, gradients=grads, domain_fault=fault,
-                      residual=residual)
+                      residual=residual, sum_squares=sum_squares)
 
 
 def gradient_check(skeleton: Skeleton, params: Sequence[float], batch: SampleBatch) -> float:

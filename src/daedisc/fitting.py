@@ -8,12 +8,15 @@ in lockstep, one parameter row each on the skeleton's compiled tape, and the
 best (lowest-loss) restart wins.  Each step takes the loss gradient from one
 ``evaluate`` with the targets, on the evaluator's compiled weighted walk: it
 seeds each target's reverse sweep with its residual and sums over samples,
-so no per-sample Jacobian is formed, and the loss is read from the residual
-it returns.  Adam's moments and the parameter rows are updated in place.  A
-skeleton without parameter slots takes the same path as one row of width 0
-and no Adam step.  A domain fault anywhere during fitting poisons
-the whole candidate: it keeps its metadata but gets the sentinel worst score
-and is never used as an in-context example.
+so no per-sample Jacobian is formed, and the loss is the residual sum of
+squares that the walk returns with it, so a fit of s steps makes s + 1
+calls.  A single restart is one parameter row, which the walk takes as
+scalars.  Adam's moments and the parameter rows are updated in place, each
+operation written into one of two scratch rows, in the order of the
+textbook update.  A skeleton without parameter slots takes the same path as
+one row of width 0 and no Adam step.  A domain fault anywhere during
+fitting poisons the whole candidate: it keeps its metadata but gets the
+sentinel worst score and is never used as an in-context example.
 The fault is logged at debug level: its reason and sample index (a
 "non-finite gradient" when only the residual-weighted gradient overflowed),
 or "non-finite loss" when a restart's loss is not finite.
@@ -116,18 +119,17 @@ def _losses_and_grad(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
                      targets: np.ndarray):
     """Per-restart losses and loss gradients (R, k) for parameter rows (R, k).
 
-    The losses are the mean squares of the evaluator's residual, and the
-    gradient is its residual-weighted sum, scaled by the loss's 2/size.
+    The losses are the evaluator's residual sums of squares over the size,
+    and the gradient is its residual-weighted sum, scaled by the loss's
+    2/size.
     Raises _PoisonedFit if any restart faults or has a non-finite loss; a
     loss that overflows is named before the weighted gradient that overflows
     with it.
     """
     res = evaluate(skeleton, params, batch, targets=targets)
-    if res.residual is None:
+    if res.sum_squares is None:
         raise _PoisonedFit(res.domain_fault)
-    squared = res.residual * res.residual
-    # per restart, the same pairwise sum as np.mean over its contiguous block
-    losses = (np.add.reduce(squared.reshape(len(squared), -1), axis=1) / targets.size).tolist()
+    losses = (res.sum_squares / targets.size).tolist()
     if not all(math.isfinite(loss) for loss in losses):
         raise _PoisonedFit(None)
     if res.faulted:  # the weighted gradient alone is not finite
@@ -160,17 +162,27 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
                   for seed in np.random.SeedSequence(cfg.seed).spawn(restarts)])
     m = np.zeros_like(p)
     v = np.zeros_like(p)
+    a = np.empty_like(p)  # scratch rows: each Adam operation writes into one
+    b = np.empty_like(p)
     try:
         # a loss or step that leaves the floats poisons the fit, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
                 grad = _losses_and_grad(skeleton, p, batch, targets)[1]
+                # m = BETA1*m + (1 - BETA1)*grad, v = BETA2*v + (1 - BETA2)*grad*grad,
+                # p -= (m/(1 - BETA1^(t+1)))*lr / (sqrt(v/(1 - BETA2^(t+1))) + ADAM_EPS),
+                # operation by operation
                 m *= BETA1
-                m += (1.0 - BETA1) * grad
+                m += np.multiply(1.0 - BETA1, grad, out=a)
                 v *= BETA2
-                v += (1.0 - BETA2) * grad * grad
-                p -= ((m / (1.0 - BETA1 ** (t + 1))) * cosine_lr(t, cfg.learning_rate, cfg.steps)
-                      / (np.sqrt(v / (1.0 - BETA2 ** (t + 1))) + ADAM_EPS))
+                np.multiply(1.0 - BETA2, grad, out=b)
+                v += np.multiply(b, grad, out=b)
+                np.divide(m, 1.0 - BETA1 ** (t + 1), out=a)
+                a *= cosine_lr(t, cfg.learning_rate, cfg.steps)
+                np.divide(v, 1.0 - BETA2 ** (t + 1), out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                p -= np.divide(a, b, out=a)
             restart_losses = _losses_and_grad(skeleton, p, batch, targets)[0]
     except _PoisonedFit as exc:
         fault = exc.info

@@ -348,6 +348,23 @@ def test_gen_data_rejects_non_finite_scenario_numbers(tmp_path, train, key):
     assert not (tmp_path / "data").exists()
 
 
+def test_gen_data_writes_no_split_when_a_later_one_fails(tmp_path):
+    # the test split kicks a state swing2 does not have: simulate refuses it
+    # after the train split has simulated, and no file of either is written
+    test = {**SCENARIOS["test"], "disturbance": {"kind": "state_kick", "magnitude": 1.0,
+                                                 "offsets": {"delta_typo": 0.4}}}
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({**SCENARIOS, "test": test}))
+    result = CliRunner().invoke(main, ["gen-data", "--model", "swing2",
+                                       "--scenario", str(scen),
+                                       "--out", str(tmp_path / "data")])
+    assert result.exit_code == 1, result.output
+    [error] = [json.loads(line)["error"] for line in result.output.strip().splitlines()
+               if line.startswith('{"error"')]
+    assert "delta_typo" in error["message"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_discover_survives_a_deeply_nested_completion(workspace, tmp_path):
     deep = "(" * 300 + "delta" + ")" * 300
     script = [[fenced(f"ddelta/dt = {deep}\ndomega/dt = p1*omega")],

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from daedisc import evaluator
-from daedisc.dsl import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Bin, Call, Expr, Neg, Param, Pow,
-                         SymbolScope, _depth, make_skeleton, parse)
+from daedisc.dsl import (FUNCTIONS, MAX_DEPTH, MAX_EXPONENT, Bin, Call, Const, Expr, Neg, Param,
+                         Pow, SymbolScope, _depth, make_skeleton, parse)
 from daedisc.evaluator import (
     DomainFault,
     FaultInfo,
@@ -883,10 +883,22 @@ def _interpreted_walk(programs: list, values: tuple, params: np.ndarray, n_sampl
     return outputs, grads
 
 
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def _old_sum_squares(residual):
+    """Each row's residual sum of squares as the fitter formed it before the
+    evaluator returned it: squares, each row's block, one pairwise sum."""
+    with np.errstate(all="ignore"):
+        squared = residual * residual
+        return np.add.reduce(squared.reshape(len(squared), -1), axis=1)
+
+
 def _same_as_interpreted_walk(sk, params, batch, targets):
     """The weighted ``evaluate`` gives the interpreted walk's outputs,
-    gradients and fault bit for bit, and the residual ``outputs - targets``;
-    returns whether it faulted."""
+    gradients and fault bit for bit, the residual ``outputs - targets`` and
+    the sums of squares of that residual; returns whether it faulted."""
     values = _parameter_free_values(sk, batch)
     rows = params if params.ndim == 2 else params[None, :]
     walked = None if values is None else _interpreted_walk(_tape(sk)[1], values, rows,
@@ -899,11 +911,17 @@ def _same_as_interpreted_walk(sk, params, batch, targets):
     assert got.domain_fault == fault
     if outputs is None:
         assert got.outputs is None and got.gradients is None and got.residual is None
+        assert got.sum_squares is None
         return True
+    with np.errstate(all="ignore"):
+        residual = outputs - targets
+    sum_squares = _old_sum_squares(residual)
     if params.ndim == 1:
         outputs, grads = outputs[0], None if grads is None else grads[0]
-    assert np.array_equal(got.outputs.view(np.int64), outputs.view(np.int64))
-    assert np.array_equal(got.residual.view(np.int64), (outputs - targets).view(np.int64))
+        residual, sum_squares = residual[0], sum_squares[0]
+    assert np.array_equal(_bits(got.outputs), _bits(outputs))
+    assert np.array_equal(_bits(got.residual), _bits(residual))
+    assert np.array_equal(_bits(got.sum_squares), _bits(sum_squares))
     if grads is None:
         assert got.gradients is None
     else:
@@ -1000,7 +1018,100 @@ def test_compiled_weighted_walk_keeps_a_weighted_overflow_and_its_outputs():
     assert np.array_equal(res.residual, [[1.0, 2e200, 2.0]])
 
 
+# --- one parameter row: the fit walk on scalar parameters -------------------
+# A one-row call hands the walks NumPy scalars instead of (1, 1) columns, so
+# every node whose subtree holds parameters only is a scalar; the interpreted
+# walk above keeps the columns and is the oracle of the bits.
+
+def _parameter_only(depth):
+    """Expressions of parameters and constants alone, under every operation."""
+    leaf = st.one_of(st.integers(0, 3).map(Param),
+                     st.sampled_from([0.5, 2.0, -1.5]).map(Const))
+    if depth == 0:
+        return leaf
+    sub = _parameter_only(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda t: Bin(*t)),
+        sub.map(Neg),
+        st.tuples(sub, st.integers(-3, 3)).map(lambda t: Pow(*t)),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub).map(lambda t: Call(*t)))
+
+
+# a target: a parameter-only tree alone, or joined to a test_dsl._exprs tree
+_ONE_ROW_TARGET = st.one_of(
+    _parameter_only(3),
+    st.tuples(st.sampled_from("+-*/"), _parameter_only(2), _TARGET).map(lambda t: Bin(*t)),
+    st.tuples(st.sampled_from("+-*/"), _TARGET, _parameter_only(2)).map(lambda t: Bin(*t)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs=st.lists(_ONE_ROW_TARGET, min_size=1, max_size=3), data=st.data())
+def test_one_row_walk_is_the_interpreted_walk(exprs, data):
+    sk = make_skeleton("de", ["delta", "omega", "e_q"][:len(exprs)], exprs)
+    n = data.draw(st.integers(1, 6), label="n")
+    floats = st.floats(-3.0, 3.0, allow_nan=False)
+    batch = _batch(**{name: data.draw(st.lists(floats, min_size=n, max_size=n), label=name)
+                      for name in _COLUMNS})
+    # parameters near the rules' edges too: zero, tiny, negative
+    params = np.array(data.draw(st.lists(st.one_of(floats, st.sampled_from([0.0, 1e-13, -1.0])),
+                                         min_size=sk.n_params, max_size=sk.n_params),
+                                label="params"))
+    targets = np.array(data.draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                                          min_size=len(exprs) * n, max_size=len(exprs) * n),
+                                 label="targets")).reshape(len(exprs), n)
+    shape = data.draw(st.sampled_from([(sk.n_params,), (1, sk.n_params)]), label="shape")
+    event("faulted" if _same_as_interpreted_walk(sk, params.reshape(shape), batch, targets)
+          else "clean")
+
+
+@pytest.mark.parametrize("text, clean, faults", [
+    ("dx/dt = p0/p1*x", [2.0, 0.5], {(1.0, 1e-13): "division by near-zero denominator"}),
+    ("dx/dt = log(p1) + p0*x", [1.0, 2.0], {(1.0, -2.0): "log of non-positive argument"}),
+    ("dx/dt = sqrt(p0)*x", [2.0], {(-1.0,): "sqrt of negative argument"}),
+    ("dx/dt = p0^-2*x", [2.0], {(0.0,): "negative power of near-zero base"}),
+    ("dx/dt = exp(p0)*x", [1.5], {(800.0,): "non-finite value"}),
+    ("dx/dt = p0", [1.5], {}),
+], ids=["divisor", "log", "sqrt", "negative-power", "exp", "bare-parameter-root"])
+def test_one_row_walk_on_parameter_only_nodes(text, clean, faults):
+    sk = parse(text, SCOPE, ["x"], kind="de")
+    batch = _batch(x=[0.5, -1.25, 3.0])
+    targets = np.array([[1.0, -2.0, 0.25]])
+    for params, reason in [(clean, None), *faults.items()]:
+        for p in (np.array(params), np.array([params])):
+            assert _same_as_interpreted_walk(sk, p, batch, targets) == (reason is not None)
+        got = evaluate(sk, params, batch, targets=targets).domain_fault
+        assert got == (None if reason is None else FaultInfo(0, reason))
+
+
+def test_sum_squares_is_the_old_loss_sum():
+    sk = parse("dx/dt = p0 + x", SCOPE, ["x"], kind="de")
+    batch = _batch(x=np.linspace(-1.0, 2.0, 7))
+    targets = np.sin(np.arange(7.0))[None, :]
+    for p in (np.array([0.3]), np.array([[0.3]]), np.array([[0.3], [-0.7], [2.0]])):
+        res = evaluate(sk, p, batch, targets=targets)
+        want = _old_sum_squares(res.residual if p.ndim == 2 else res.residual[None])
+        assert np.array_equal(_bits(res.sum_squares), _bits(want if p.ndim == 2 else want[0]))
+    # residuals of 1e200 are finite, their squares are not: no fault, and the
+    # walk's exact checks keep the non-finite sum for the fitter to refuse
+    big = _batch(x=[1e200, 1.0])
+    res = evaluate(sk, [0.5], big, targets=np.zeros((1, 2)))
+    assert not res.faulted and res.sum_squares == np.inf
+    # on the weighted-overflow fallback the checking walk's residual gives
+    # the sum: the squares overflow there too, under the evaluator's errstate
+    sk = parse("dx/dt = -(p0*x)", SCOPE, ["x"], kind="de")
+    targets = np.array([[0.0, -1e200, 0.0]])
+    for p in (np.array([-1.0]), np.array([[-1.0]]), np.array([[-1.0], [0.5]])):
+        res = evaluate(sk, p, _batch(x=[1.0, 1e200, 2.0]), targets=targets)
+        assert res.domain_fault == FaultInfo(1, "non-finite gradient")
+        residual = res.residual if p.ndim == 2 else res.residual[None]
+        want = _old_sum_squares(residual)
+        assert np.array_equal(_bits(res.sum_squares), _bits(want if p.ndim == 2 else want[0]))
+        assert not np.isfinite(want).any()
+
+
 def test_one_shot_calls_compile_nothing_and_keep_the_fit_memo(monkeypatch):
+    evaluator._compiled.cache_clear()  # walks earlier tests compiled would be hits
     batch = _batch(x=np.linspace(0.5, 2.0, 20))
     fitted = parse("dx/dt = p0*sin(x) + p1", SCOPE, ["x"], kind="de")
     other = parse("dx/dt = p0*log(x - 1)", SCOPE, ["x"], kind="de")
@@ -1027,6 +1138,62 @@ def test_one_shot_calls_compile_nothing_and_keep_the_fit_memo(monkeypatch):
     assert len(compiled) == 2 and evaluator._last_walked[0] is two
     evaluate(two, [1.5, 2.0], batch, targets=np.zeros((2, 20)))
     assert len(compiled) == 2
+
+
+def test_a_shared_target_compiles_only_the_other_target(monkeypatch):
+    # the walk source of a target names slots only, so a skeleton whose first
+    # target is an earlier skeleton's first target reuses that code
+    evaluator._compiled.cache_clear()
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(evaluator, "compile", counting_compile, raising=False)
+    scope = SymbolScope(states=("x", "y"))
+    batch = _batch(x=np.linspace(0.5, 2.0, 20), y=np.linspace(-1.0, 1.0, 20))
+    targets = np.zeros((2, 20))
+    first = parse("dx/dt = p0*sin(x) + p1\ndy/dt = p2*y", scope, ["x", "y"], kind="de")
+    second = parse("dx/dt = p0*sin(y) + p1\ndy/dt = p2*x*y", scope, ["x", "y"], kind="de")
+    evaluate(first, [1.0, 2.0, 3.0], batch, targets=targets)
+    assert len(compiled) == 2
+    want = evaluate(second, [1.0, 2.0, 3.0], batch, targets=targets)
+    assert len(compiled) == 3
+    assert compiled[2] == _weighted_source(_tape(second)[1][1])[0]
+    info = evaluator._compiled.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    # the shared code runs in the second skeleton's own namespace
+    evaluate(first, [1.0, 2.0, 3.0], batch, targets=targets)
+    got = evaluate(second, [1.0, 2.0, 3.0], batch, targets=targets)
+    assert len(compiled) == 3
+    assert np.array_equal(_bits(got.outputs), _bits(want.outputs))
+    assert np.array_equal(_bits(got.gradients), _bits(want.gradients))
+    assert not np.array_equal(got.outputs[0], evaluate(first, [1.0, 2.0, 3.0], batch,
+                                                       targets=targets).outputs[0])
+
+
+def test_the_compile_cache_keeps_no_skeleton_alive():
+    # the cache holds code, and code holds no bound object: a dropped
+    # skeleton and its walks go at once, without the cyclic collector
+    batch = _batch(x=np.linspace(0.5, 2.0, 20))
+    sk = parse("dx/dt = p0*log(x + 1.25) + p1*1.5", SCOPE, ["x"], kind="de")
+    evaluate(sk, [1.0, 2.0], batch, targets=np.zeros((1, 20)))
+    source = _weighted_source(_tape(sk)[1][0])[0]
+    refs = [weakref.ref(obj) for obj in (sk, *evaluator._last_walked[1])]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        evaluate(parse("dx/dt = p0*x", SCOPE, ["x"], kind="de"), [1.0], batch,
+                 targets=np.zeros((1, 20)))
+        del sk
+        assert all(ref() is None for ref in refs)
+        hits = evaluator._compiled.cache_info().hits
+        evaluator._compiled(source)  # the code is still cached
+        assert evaluator._compiled.cache_info().hits == hits + 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fit_memo_under_threads():

@@ -172,6 +172,47 @@ def test_golden_repeated_parameter():
         ["0x1.1059877eaca70p-9", "0x1.10598784e3473p-9", "0x1.105cbc26b7e9bp-9"])
 
 
+# one-restart fits: each step evaluates one parameter row, on scalar
+# parameters; recorded from the fitter that broadcast (1, 1) parameter columns
+@pytest.mark.parametrize("text, states, target_columns, seed, want", [
+    ("dx/dt = p0*x + p1*sin(delta)\nddelta/dt = p2*x*delta + p3", ("x", "delta"),
+     ["dx_dt", "ddelta_dt"], 11,
+     (["0x1.4cccbd8683b09p+0", "-0x1.99989525998bcp-3",
+       "0x1.66667f5defeafp-1", "-0x1.9999c5ec9e9d2p-2"], ["0x1.28cc9d27a46bdp-42"])),
+    ("dx/dt = (x - p0)*p1 + p0*x", ("x",), ["dx_dt"], 4,
+     (["0x1.3267d3521ce73p+0", "0x1.852e241a0b016p-4"], ["0x1.1059877eaca70p-9"])),
+    # a parameter-only subtree, exp(p3), and a bare parameter divisor, p2
+    ("dx/dt = (p0 - p1*sin(x))/p2 + exp(p3)", ("x",), ["dx_dt"], 3,
+     (["-0x1.056b12d09c189p-1", "-0x1.bf9d1ccce3449p-1",
+       "0x1.1af31f5466785p-2", "-0x1.b73ae1d5f948dp-2"], ["0x1.4f496fdf094a7p-4"])),
+], ids=["two-targets", "repeated-parameter", "parameter-only-subtrees"])
+def test_golden_one_restart(text, states, target_columns, seed, want):
+    sk = parse(text, SymbolScope(states=states), list(states), kind="de")
+    scored = fit_and_score(sk, _parity_batch(), target_columns,
+                           FitConfig(steps=300, restarts=1, seed=seed))
+    assert _hex(scored) == want
+
+
+def test_an_unpoisoned_fit_evaluates_once_per_step_and_once_for_the_losses(monkeypatch):
+    # the loss is the evaluator's sum of squares: no second call for it
+    from daedisc import fitting
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("targets") is not None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "evaluate", counting)
+    sk = parse("dx/dt = (x - p0)*p1 + p0*x", SCOPE, ["x"], kind="de")
+    for restarts in (1, 3):
+        calls.clear()
+        scored = fit_and_score(sk, _parity_batch(), ["dx_dt"],
+                               FitConfig(steps=40, restarts=restarts, seed=4))
+        assert not scored.poisoned
+        assert calls == [True] * 41
+
+
 def _einsum_adam(sk, batch, target_columns, cfg):
     """(best parameters, restart losses) of Adam in lockstep on the dense
     per-sample gradients (R, T, n, k) contracted with the residual by
