@@ -33,6 +33,7 @@ on top of an equilibrium initial condition solved by damped Newton.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
@@ -82,15 +83,18 @@ def _type_error(declared: str, value) -> str | None:
     """Why a JSON value cannot fill a field declared as ``declared``, or None if
     it can or the field is no scalar (its converter checks it then).  JSON's
     NaN and Infinity fill no field: NaN passes every range check, since each
-    comparison with it is false, and Infinity turns a limit off."""
+    comparison with it is false, and Infinity turns a limit off.  Nor does an
+    integer beyond the float range, which the float conversion would refuse."""
     scalar, _, rest = declared.partition(" | ")
     if scalar not in _SCALARS or value is None and rest == "None":
         return None
     kinds, name = _SCALARS[scalar]
     null = " or null" if rest == "None" else ""
     if isinstance(value, kinds) and not isinstance(value, bool):
-        finite = not isinstance(value, float) or math.isfinite(value)
-        return None if finite else f"expected a finite number{null}, got {value}"
+        if scalar != "float" or abs(value) <= sys.float_info.max:
+            return None
+        got = value if isinstance(value, float) else "an integer too large for a float"
+        return f"expected a finite number{null}, got {got}"
     got = "null" if value is None else type(value).__name__
     return f"expected {name}{null}, got {got}"
 
@@ -123,7 +127,8 @@ def from_json_object(cls, data, **convert):
 def _pairs(data) -> tuple[tuple[str, float], ...]:
     """A JSON object of finite numbers as sorted (name, value) pairs; each value
     is checked as a scalar float field is."""
-    data = dict(data)
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     for name, value in data.items():
         problem = _type_error("float", value)
         if problem:

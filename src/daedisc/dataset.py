@@ -1,16 +1,18 @@
 """Trajectory datasets: noisy training views over a hidden full record.
 
-A dataset starts with only the state trajectories and their numerically
-differentiated derivatives visible; every other catalog signal stays in the
-hidden (noiseless) full record until a discovery run reveals it.  Noise is
-Gaussian with a per-state standard deviation of ``noise_sigma`` times the
-signal amplitude, where amplitude means the max absolute value over the
-record.  Derivatives come from central differences on the noisy states with
-one-sided differences at the endpoints.
+A dataset holds the state trajectories and their numerically differentiated
+derivatives as its visible columns, next to the hidden (noiseless) full
+record of every catalog signal.  A dataset never changes once built: a
+discovery run asks ``to_batch`` for the visible columns plus the hidden
+columns of the signals it has admitted.  Noise is Gaussian with a per-state
+standard deviation of ``noise_sigma`` times the signal amplitude, where
+amplitude means the max absolute value over the record.  Derivatives come
+from central differences on the noisy states with one-sided differences at
+the endpoints.
 
-CSV export writes the visible view plus the full record and a JSON metadata
-sidecar; import reproduces every value exactly (floats serialized with
-``repr``).
+CSV export writes the visible columns plus the full record and a JSON
+metadata sidecar; import reproduces every value exactly (floats serialized
+with ``repr``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def deriv_name(state: str) -> str:
     return f"d{state}_dt"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryDataset:
     """Visible training columns plus a handle on the hidden full record."""
 
@@ -55,7 +57,6 @@ class TrajectoryDataset:
     states: dict[str, np.ndarray]
     derivs: dict[str, np.ndarray]
     full: FullRecord
-    revealed: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -66,24 +67,14 @@ class TrajectoryDataset:
     def n_samples(self) -> int:
         return int(self.time.shape[0])
 
-    def revealed_names(self) -> tuple[str, ...]:
-        return tuple(self.revealed)
-
-    def revealable_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.full.columns if n not in self.full.state_names)
-
-    def reveal(self, names) -> None:
-        """Copy catalog columns from the hidden record into the visible view."""
-        allowed = set(self.revealable_names())
+    def to_batch(self, names=()) -> SampleBatch:
+        """The visible columns plus the named catalog signals from the hidden
+        record; a state or a name the record lacks raises UnknownSignal."""
         for name in names:
-            if name not in allowed:
+            if name not in self.full.columns or name in self.full.state_names:
                 raise UnknownSignal(name)
-            if name in self.revealed:
-                continue
-            self.revealed[name] = self.full.columns[name]
-
-    def to_batch(self) -> SampleBatch:
-        return SampleBatch.from_columns({**self.states, **self.derivs, **self.revealed})
+        return SampleBatch.from_columns(
+            {**self.states, **self.derivs, **{n: self.full.columns[n] for n in names}})
 
 
 def make_dataset(record: FullRecord, scen: ScenarioConfig) -> TrajectoryDataset:
@@ -105,8 +96,7 @@ def make_dataset(record: FullRecord, scen: ScenarioConfig) -> TrajectoryDataset:
         states[name] = noisy
         derivs[deriv_name(name)] = central_difference(noisy, dt)
     return TrajectoryDataset(
-        time=record.time.copy(), states=states, derivs=derivs, revealed={},
-        full=record,
+        time=record.time.copy(), states=states, derivs=derivs, full=record,
         metadata={"model": record.model_id, "scenario": record.scenario,
                   "seed": scen.seed})
 
@@ -148,11 +138,9 @@ def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     states = list(dataset.states)
-    header = (["t"] + states + [deriv_name(s) for s in states]
-              + list(dataset.revealed))
+    header = ["t"] + states + [deriv_name(s) for s in states]
     columns = ([dataset.time] + [dataset.states[s] for s in states]
-               + [dataset.derivs[deriv_name(s)] for s in states]
-               + [dataset.revealed[n] for n in dataset.revealed])
+               + [dataset.derivs[deriv_name(s)] for s in states])
     _write_csv(prefix.with_suffix(".csv"), header, columns)
     full = dataset.full
     _write_csv(Path(str(prefix) + ".full.csv"), ["t"] + list(full.columns),
@@ -164,7 +152,6 @@ def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
         "scenario": dataset.metadata.get("scenario"),
         "seed": dataset.metadata.get("seed"),
         "states": states,
-        "revealed": list(dataset.revealed),
         "full_columns": list(full.columns),
         "full_states": list(full.state_names),
     }
@@ -204,7 +191,7 @@ def import_dataset(prefix: str | Path) -> TrajectoryDataset:
     meta = _read_sidecar(prefix)
     header, data = _read_csv(prefix.with_suffix(".csv"))
     states = meta["states"]
-    expected = (["t"] + states + [deriv_name(s) for s in states] + meta["revealed"])
+    expected = ["t"] + states + [deriv_name(s) for s in states]
     if header != expected:
         raise SchemaMismatch(
             f"column order mismatch: expected {expected}, found {header}")
@@ -212,7 +199,6 @@ def import_dataset(prefix: str | Path) -> TrajectoryDataset:
         time=data["t"],
         states={s: data[s] for s in states},
         derivs={deriv_name(s): data[deriv_name(s)] for s in states},
-        revealed={n: data[n] for n in meta["revealed"]},
         full=import_record(prefix),
         metadata={"model": meta["model"], "scenario": meta["scenario"],
                   "seed": meta["seed"]},

@@ -10,9 +10,12 @@ archive pipeline with algebraic prompts.
 Progress is tracked by the running best score across all islands.  Before
 each iteration the trigger is checked: if the last ``window`` gains are all
 at most ``epsilon`` while the best score still sits at or below ``-gamma``,
-requirements mined from the top candidates extend the variable library and
-reveal the matching dataset columns; once the best score stays above
-``-gamma`` for ``window`` consecutive iterations the loop terminates.
+requirements mined from the top candidates extend the variable library; once
+the best score stays above ``-gamma`` for ``window`` consecutive iterations
+the loop terminates.  The library is the one record of what a loop has
+admitted: each loop fits on the dataset's visible columns plus the hidden
+record's columns of its library (and, in the algebraic loop, its targets),
+and the dataset itself never changes.
 
 Runs are deterministic given the configuration seed and a scripted mock
 generator: sampling uses one engine-owned generator, re-derived from the seed
@@ -115,7 +118,8 @@ def check_trigger(history: Sequence[float], window: int, epsilon: float,
 def extend_variables(archive: Archive, library: VariableLibrary,
                      dataset: TrajectoryDataset, model: BenchmarkModel,
                      top_k: int, excluded: Sequence[str] = ()) -> tuple[list[str], list[str]]:
-    """Admit requested catalog signals; returns (added names, ignored names).
+    """Admit requested catalog signals into ``library``; returns (added names,
+    ignored names).  The dataset is only read, for its state names.
 
     Requirements come from the best ``top_k`` cluster members.  Names match
     the catalog exactly first, then case-insensitively against names and
@@ -141,7 +145,6 @@ def extend_variables(archive: Archive, library: VariableLibrary,
         raise CatalogExhausted("no catalog variables left to admit")
     for entry in admitted:
         library.add(entry)
-        dataset.reveal([entry.name])
     return [entry.name for entry in admitted], ignored
 
 
@@ -257,16 +260,17 @@ class DiscoveryEngine:
     def _run_loop(self, kind: str, targets: tuple[str, ...],
                   library: VariableLibrary) -> LoopResult:
         """The differential loop fits state derivatives; the algebraic loop fits
-        its targets' own columns and never admits them as variables."""
+        its targets' own hidden-record columns and never admits them as
+        variables."""
         cfg = self.config
         if kind == "de":
-            loop_index, labels, excluded_targets = 0, [deriv_name(s) for s in targets], ()
+            loop_index, labels, signal_targets = 0, [deriv_name(s) for s in targets], ()
             max_iterations = cfg.de_max_iterations
         else:
-            loop_index, labels, excluded_targets = 1, list(targets), targets
+            loop_index, labels, signal_targets = 1, list(targets), targets
             max_iterations = cfg.ae_max_iterations
         scope = self._scope(library)
-        batch = self.dataset.to_batch()
+        batch = self.dataset.to_batch(library.names() + signal_targets)
         seed_skeleton = make_linear_seed(scope, targets, kind)
         seed_scored = fit_and_score(
             seed_skeleton, batch, labels,
@@ -293,9 +297,9 @@ class DiscoveryEngine:
                 try:
                     added, ignored = extend_variables(
                         archive, library, self.dataset, self.model,
-                        cfg.top_k, excluded=excluded_targets)
+                        cfg.top_k, excluded=signal_targets)
                     scope = self._scope(library)
-                    batch = self.dataset.to_batch()
+                    batch = self.dataset.to_batch(library.names() + signal_targets)
                 except CatalogExhausted as exc:
                     self._log(loop=kind, iteration=t, event="catalog_exhausted",
                               reason=str(exc))

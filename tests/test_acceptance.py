@@ -193,10 +193,12 @@ def test_acceptance_2_variable_extension_path():
     assert history[t_ext - 1] <= -0.01
     deltas = [history[i + 1] - history[i] for i in range(t_ext - 1)]
     assert all(d <= 0.01 for d in deltas[-3:])
-    # the requested signal entered the library and its column was revealed
+    # the requested signal entered the library, and its column is the hidden
+    # record's
     assert extension_records[0]["added_variables"] == ["P_e"]
     assert "P_e" in de.library.names()
-    assert "P_e" in dataset.revealed_names()
+    assert np.array_equal(dataset.to_batch(de.library.names()).column("P_e"),
+                          dataset.full.columns["P_e"])
     # the post-extension candidate referencing P_e compiled and was fitted
     assert extension_records[0]["rejected"] == 0
     assert extension_records[0]["candidates"] == 1

@@ -259,8 +259,10 @@ def _config_error(result):
     {**RUN_CONFIG, "generator": None},
     {**RUN_CONFIG, "max_seconds": "60"},
     {**RUN_CONFIG, "max_seconds": -1},
+    {**RUN_CONFIG, "fit": {**RUN_CONFIG["fit"], "learning_rate": 10 ** 400}},
+    {**RUN_CONFIG, "sampler": {"tau_cluster": 10 ** 400}},
 ], ids=["array", "fit-null", "sampler-null", "generator-null", "max-seconds-string",
-        "max-seconds-negative"])
+        "max-seconds-negative", "learning-rate-beyond-float", "tau-cluster-beyond-float"])
 def test_discover_rejects_malformed_config(workspace, tmp_path, config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -289,7 +291,8 @@ def test_discover_rejects_a_generator_that_cannot_complete(workspace, tmp_path, 
     {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": 5}},
     {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": {"delta": True}}},
     {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": {"delta": "0.3"}}},
-], ids=["disturbance-null", "offsets-number", "offset-true", "offset-string"])
+    {**SCENARIOS["train"], "disturbance": {"kind": "state_kick", "offsets": [["delta", 0.5]]}},
+], ids=["disturbance-null", "offsets-number", "offset-true", "offset-string", "offsets-array"])
 def test_gen_data_rejects_malformed_scenario(tmp_path, train):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({**SCENARIOS, "train": train}))
@@ -317,8 +320,11 @@ def test_gen_data_rejects_unknown_scenario_keys(tmp_path):
     ("total_time", 0.004),
     ("inputs", {"P_m": True}),
     ("inputs", {"P_m": "0.5"}),
+    ("inputs", [["P_m", 0.5]]),
+    ("initial_state", [["delta", 0.5], ["omega", 1.0]]),
 ], ids=["negative-noise", "negative-duration", "zero-duration", "negative-seed",
-        "shorter-than-a-step", "input-true", "input-string"])
+        "shorter-than-a-step", "input-true", "input-string", "inputs-array",
+        "initial-state-array"])
 def test_gen_data_rejects_out_of_range_scenario_values(tmp_path, key, value):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({**SCENARIOS, "train": {**SCENARIOS["train"], key: value}}))
@@ -337,7 +343,11 @@ def test_gen_data_rejects_out_of_range_scenario_values(tmp_path, key, value):
     ({"disturbance": {"kind": "state_kick", "magnitude": 1.0,
                       "offsets": {"delta": float("nan")}}}, "disturbance: offsets: delta"),
     ({"inputs": {"P_m": float("inf")}}, "inputs: P_m"),
-], ids=["noise-nan", "duration-infinity", "magnitude-nan", "offset-nan", "input-infinity"])
+    ({"noise_sigma": 10 ** 400}, "noise_sigma"),
+    ({"disturbance": {"kind": "state_kick", "magnitude": 1.0,
+                      "offsets": {"delta": 10 ** 400}}}, "disturbance: offsets: delta"),
+], ids=["noise-nan", "duration-infinity", "magnitude-nan", "offset-nan", "input-infinity",
+        "noise-beyond-float", "offset-beyond-float"])
 def test_gen_data_rejects_non_finite_scenario_numbers(tmp_path, train, key):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({**SCENARIOS, "train": {**SCENARIOS["train"], **train}}))

@@ -66,28 +66,30 @@ def test_noise_amplitude_rule():
 
 def test_reveal_flow():
     ds, record, _ = _dataset()
-    assert ds.revealed_names() == ()
-    ds.reveal(["i_d"])
-    assert "i_d" in ds.revealed
-    ds.reveal(["i_d"])  # idempotent
-    assert ds.revealed_names() == ("i_d",)
-    with pytest.raises(UnknownSignal):
-        ds.reveal(["stator_flux"])
-    with pytest.raises(UnknownSignal):
-        ds.reveal(["delta"])  # states are not catalog signals
-    batch = ds.to_batch()
-    assert "i_d" in batch.columns
+    assert set(ds.to_batch().columns) == {"delta", "omega", "ddelta_dt", "domega_dt"}
+    batch = ds.to_batch(["i_d"])
+    assert set(batch.columns) == {"delta", "omega", "ddelta_dt", "domega_dt", "i_d"}
+    assert np.array_equal(batch.column("i_d"), record.columns["i_d"])
+
+
+@pytest.mark.parametrize("names", [["stator_flux"], ["delta"], ["P_e", "omega"], ["t"]],
+                         ids=["unknown", "state", "state-after-signal", "time"])
+def test_to_batch_refuses_what_is_no_catalog_signal(names):
+    # the hidden record holds the noiseless states too, but they are not
+    # catalog signals: a run sees only their noisy columns
+    ds, _, _ = _dataset(total_time=1.0)
+    with pytest.raises(UnknownSignal, match=names[-1]):
+        ds.to_batch(names)
 
 
 def test_reveal_pe_closes_loop_with_true_skeleton():
-    # with P_e revealed, the exact swing structure reproduces the omega
-    # derivative up to differentiation error
+    # with P_e from the hidden record, the exact swing structure reproduces
+    # the omega derivative up to differentiation error
     from daedisc.dsl import SymbolScope, parse
     from daedisc.evaluator import evaluate
 
     ds, record, model = _dataset(noise=0.0)
-    ds.reveal(["P_e"])
-    batch = ds.to_batch()
+    batch = ds.to_batch(["P_e"])
     scope = SymbolScope(states=("delta", "omega"), variables=("P_e",))
     sk = parse("domega/dt = (p0 - P_e - p1*(omega - 1))/p2", scope, ["omega"], kind="de")
     p = [model.default_inputs["P_m"], model.params["damping"], 2.0 * model.params["inertia"]]
@@ -98,7 +100,6 @@ def test_reveal_pe_closes_loop_with_true_skeleton():
 
 def test_export_import_roundtrip(tmp_path):
     ds, _, _ = _dataset(noise=0.01, seed=3)
-    ds.reveal(["P_e", "i_q"])
     prefix = tmp_path / "train"
     export_dataset(ds, prefix)
     again = import_dataset(prefix)
@@ -107,12 +108,10 @@ def test_export_import_roundtrip(tmp_path):
         assert np.array_equal(again.states[name], ds.states[name])
     for name in ds.derivs:
         assert np.array_equal(again.derivs[name], ds.derivs[name])
-    assert again.revealed_names() == ds.revealed_names()
-    for name in ds.revealed:
-        assert np.array_equal(again.revealed[name], ds.revealed[name])
-    # hidden record survives so later reveals still work
-    again.reveal(["i_d"])
-    assert np.array_equal(again.revealed["i_d"], ds.full.columns["i_d"])
+    # the hidden record survives, so a run on the import reads the same signals
+    for name in ds.full.columns:
+        assert np.array_equal(again.full.columns[name], ds.full.columns[name])
+    assert np.array_equal(again.to_batch(["i_d"]).column("i_d"), ds.full.columns["i_d"])
     assert again.metadata["model"] == "swing2"
 
 
@@ -144,17 +143,32 @@ def test_import_ragged_row_is_schema_mismatch_naming_the_file(tmp_path):
 
 def test_import_header_only_gives_empty_columns(tmp_path):
     ds, _, _ = _dataset()
-    ds.reveal(["P_e"])
     prefix = tmp_path / "train"
     export_dataset(ds, prefix)
     csv_path = prefix.with_suffix(".csv")
     csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
     again = import_dataset(prefix)
     assert again.time.shape == (0,)
-    for column in (*again.states.values(), *again.derivs.values(), *again.revealed.values()):
+    for column in (*again.states.values(), *again.derivs.values()):
         assert column.shape == (0,) and column.dtype == np.float64
-    assert again.revealed_names() == ("P_e",)
     assert np.array_equal(again.full.time, ds.full.time)
+
+
+def test_import_ignores_a_revealed_list_in_the_sidecar(tmp_path):
+    # older sidecars carry an empty "revealed" list: gen-data wrote one for
+    # every split
+    ds, _, _ = _dataset(total_time=1.0)
+    prefix = tmp_path / "train"
+    export_dataset(ds, prefix)
+    meta_path = prefix.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    assert "revealed" not in meta
+    meta_path.write_text(json.dumps({**meta, "revealed": []}, indent=2, sort_keys=True))
+    again = import_dataset(prefix)
+    assert again.state_names == ds.state_names
+    for name in ds.states:
+        assert np.array_equal(again.states[name], ds.states[name])
+    assert list(again.full.columns) == list(ds.full.columns)
 
 
 def test_import_without_full_record_is_schema_mismatch(tmp_path):
@@ -171,10 +185,9 @@ def test_import_without_full_record_is_schema_mismatch(tmp_path):
 
 def test_header_order_fixed(tmp_path):
     ds, _, _ = _dataset()
-    ds.reveal(["P_e"])
     export_dataset(ds, tmp_path / "d")
     header = (tmp_path / "d.csv").read_text().splitlines()[0]
-    assert header == "t,delta,omega,ddelta_dt,domega_dt,P_e"
+    assert header == "t,delta,omega,ddelta_dt,domega_dt"
 
 
 def test_central_difference_quadratic_exact():

@@ -137,7 +137,7 @@ def test_extend_variables_admits_catalog_matches():
     added, ignored = extend_variables(archive, library, ds, model, top_k=3)
     assert added == ["i_d", "i_q", "P_e"]
     assert ignored == ["stator_flux"]
-    assert set(ds.revealed_names()) == {"i_d", "i_q", "P_e"}
+    assert library.names() == ("i_d", "i_q", "P_e")
 
 
 def test_extend_variables_fallback_in_catalog_order():
@@ -203,7 +203,7 @@ def test_extend_variables_falls_back_when_every_request_is_admitted():
     added, ignored = extend_variables(archive, library, ds, model, top_k=3)
     assert added == ["i_q"]  # first catalog entry not yet admitted
     assert ignored == []
-    assert ds.revealed_names() == ("i_q",)
+    assert library.names() == ("i_d", "P_e", "i_q")
 
 
 # ------------------------------------------------------------------ full loops
@@ -242,7 +242,7 @@ def test_constant_only_mock_triggers_extension_at_earliest_window():
     # earliest possible: the check that sees window increments (history 0..window)
     assert first["iteration"] == engine.config.window + 1
     assert first["added_variables"] == ["i_d"]  # fallback, catalog order
-    assert "i_d" in ds.revealed_names()
+    assert "i_d" in de.library
 
 
 def test_requirements_drive_extension_then_ae_loop():
@@ -445,9 +445,7 @@ def test_ae_loop_on_another_engines_result_gets_its_own_budget():
     first = engine_with_script(PE_SCRIPT[:4], window=2)
     de = first.run_de_loop()
     assert "P_e" in de.library
-    # the dataset is shared because it holds the revealed P_e column
-    second = engine_with_script(PE_SCRIPT[4:], dataset=first.dataset, window=2,
-                                max_seconds=100.0)
+    second = engine_with_script(PE_SCRIPT[4:], window=2, max_seconds=100.0)
     ae = second.run_ae_loop(de)
     assert ae.target_names == ("P_e",)
 
@@ -461,6 +459,29 @@ def test_ae_loop_after_fit_gets_its_own_budget(monkeypatch):
     clock[0] += 2.1
     engine.backend = MockBackend(PE_SCRIPT[4:])
     engine.run_ae_loop(engine.de_result_)
+
+
+def test_a_run_that_admits_signals_leaves_the_dataset_as_it_was():
+    engine = engine_with_script(PE_SCRIPT, window=2)
+    ds = engine.dataset
+    columns = {"states": ds.states, "derivs": ds.derivs, "full": ds.full.columns}
+    before = {kind: {name: values.copy() for name, values in cols.items()}
+              for kind, cols in columns.items()}
+    runs = []
+    for _ in range(2):
+        engine.backend = MockBackend(PE_SCRIPT)
+        engine.fit()
+        assert engine.library_.names() == ("P_e",)
+        assert engine.ae_result_.target_names == ("P_e",)
+        for kind, cols in columns.items():
+            assert list(cols) == list(before[kind]), kind
+            for name, values in cols.items():
+                assert np.array_equal(values, before[kind][name]), (kind, name)
+        runs.append((json.dumps(engine.run_log_, sort_keys=True),
+                     json.dumps(engine.result_dict(), sort_keys=True)))
+    assert runs[0] == runs[1]
+    with pytest.raises(AttributeError):
+        ds.states = {}  # frozen: nothing assigns to a built dataset
 
 
 SEED_DE = ("ddelta/dt = p0*delta + p1*omega + p2\n"
