@@ -39,13 +39,13 @@ from .gateway import (
     generate,
     parse_completion,
 )
-from .metrics import build_report, mape, r_squared
+from .metrics import build_report, r_squared
 from .sindy import (
     LibraryConfig,
-    SindyBaseline,
     SindyModel,
     SkeletonModel,
     build_library,
+    fit_baseline,
     simulate_identified,
     stlsq,
 )

@@ -259,8 +259,16 @@ class Archive:
                 requirements=tuple(Requirement(**r) for r in item["requirements"]))
 
         archive = cls(int(snap["m"]))
+        seen: set[int] = set()
         for island_snap in snap["islands"]:
-            island = archive.island(int(island_snap["id"]))
+            island_id = int(island_snap["id"])
+            if island_id in seen:
+                raise ValueError(f"archive snapshot: island id {island_id} is repeated")
+            if not 1 <= island_id <= archive.m:
+                raise ValueError(f"archive snapshot: island id {island_id} "
+                                 f"is not in 1..{archive.m}")
+            seen.add(island_id)
+            island = archive.island(island_id)
             for cluster_snap in island_snap["clusters"]:
                 for item in cluster_snap["members"]:
                     island.register(load(item))

@@ -25,13 +25,7 @@ from .config import ConfigError, RunConfig, load_scenarios
 from .dataset import deriv_name, export_dataset, import_dataset, import_record
 from .engine import DiscoveryEngine
 from .metrics import build_report, merge_reports
-from .sindy import (
-    SindyBaseline,
-    SindyModel,
-    SkeletonModel,
-    save_model,
-    simulate_identified,
-)
+from .sindy import SindyModel, SkeletonModel, fit_baseline, save_model, simulate_identified
 
 logger = logging.getLogger("daedisc")
 
@@ -153,16 +147,14 @@ def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
     features = {**dataset.states,  # noisy states, as trained on
                 **{name: full[name] for name in model.core_variable_names}}
     targets = {deriv_name(s): dataset.derivs[deriv_name(s)] for s in dataset.state_names}
-    est = SindyBaseline(variant=variant, threshold=threshold, iters=iters,
-                        excluded=excluded)
-    est.fit(features, targets)
+    fitted = fit_baseline(features, targets, variant, threshold, iters, excluded)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"
-    save_model(est.model_, path)
-    active = int(np.count_nonzero(est.model_.coefficients))
+    save_model(fitted, path)
+    active = int(np.count_nonzero(fitted.coefficients))
     logger.info("%s: %d active terms, ridge_fallback=%s", variant, active,
-                est.model_.ridge_fallback)
+                fitted.ridge_fallback)
     click.echo(json.dumps({"ok": True, "model_file": str(path),
                            "active_terms": active}, sort_keys=True))
 

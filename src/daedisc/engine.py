@@ -17,6 +17,11 @@ admitted: each loop fits on the dataset's visible columns plus the hidden
 record's columns of its library (and, in the algebraic loop, its targets),
 and the dataset itself never changes.
 
+An engine is configured once, by its dataset, generator and run
+configuration.  ``fit()`` is the one way to run the algebraic loop: it runs
+both loops under one ``max_seconds`` budget; ``run_de_loop`` runs the
+differential loop alone, with a budget of its own.
+
 Runs are deterministic given the configuration seed and a scripted mock
 generator: sampling uses one engine-owned generator, re-derived from the seed
 at the start of every ``fit()`` together with an empty run log, and every
@@ -171,10 +176,10 @@ class LoopResult:
 class DiscoveryEngine:
     """Runs the differential loop then the algebraic loop over one dataset.
 
-    Estimator-style surface: configure once, call ``fit()``, read the fitted
-    attributes (``de_result_``, ``ae_result_``, ``library_``, ``run_log_``).
-    Every ``fit()`` starts from the seed, so calling it again with the same
-    generator script gives the same attributes.
+    Configured once, by the constructor's arguments: call ``fit()``, then read
+    the fitted attributes (``de_result_``, ``ae_result_``, ``library_``,
+    ``run_log_``).  Every ``fit()`` starts from the seed, so calling it again
+    with the same generator script gives the same attributes.
     """
 
     def __init__(self, dataset: TrajectoryDataset, backend: GeneratorBackend,
@@ -184,16 +189,6 @@ class DiscoveryEngine:
         self.config = config or RunConfig()
         self.model: BenchmarkModel = get_model(dataset.metadata["model"])
         self._reset()
-
-    # estimator-style introspection
-    def get_params(self, deep: bool = True) -> dict:
-        return self.config.to_dict()
-
-    def set_params(self, **params) -> "DiscoveryEngine":
-        data = self.config.to_dict()
-        data.update(params)
-        self.config = RunConfig.from_dict(data)
-        return self
 
     # ------------------------------------------------------------------ loops
 
@@ -218,12 +213,6 @@ class DiscoveryEngine:
         """The differential loop alone, with its own ``max_seconds`` budget."""
         self._start_time = time.monotonic()
         return self._run_loop("de", tuple(self.dataset.state_names), VariableLibrary())
-
-    def run_ae_loop(self, de: LoopResult) -> LoopResult:
-        """The algebraic loop alone, on the result of a differential loop, with
-        its own ``max_seconds`` budget."""
-        self._start_time = time.monotonic()
-        return self._run_ae_loop(de)
 
     def _run_ae_loop(self, de: LoopResult) -> LoopResult:
         targets = derive_ae_targets(de.best, de.library)

@@ -42,10 +42,6 @@ def mape_detail(truth: np.ndarray, pred: np.ndarray) -> tuple[float, int, int]:
     return value, int(np.count_nonzero(keep)), excluded
 
 
-def mape(truth: np.ndarray, pred: np.ndarray) -> float:
-    return mape_detail(truth, pred)[0]
-
-
 def r_squared(truth: np.ndarray, pred: np.ndarray) -> float:
     """1 - SS_res/SS_tot about the truth mean; NaN when truth has no variance
     beyond numerical noise (see ``SPREAD_FLOOR``)."""

@@ -9,8 +9,10 @@ the term's product (``dsl.monomial``, 1 for the constant), and its matrix is
 the transposed outputs of one value-only ``evaluate`` of it with no
 parameters.  Least squares goes through the normal equations with a
 Cholesky solve; ill-conditioned active sets fall back to a small ridge
-penalty and are flagged.  A fitted model is the sum of its active terms,
-built by ``dsl.term_sum`` like the search's linear seed.
+penalty and are flagged.  ``fit_baseline`` fits one model, configured by
+its arguments alone; each library's variant and exclusions are checked once,
+by ``LibraryConfig``.  A fitted model is the sum of its active terms, built
+by ``dsl.term_sum`` like the search's linear seed.
 
 ``simulate_identified`` replays a fitted skeleton, or a sparse-regression
 model as the skeleton of its active terms, through the same RK4 step, on
@@ -62,6 +64,11 @@ class LibraryConfig:
     excluded: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # a bare string would split into one name per character
+        if isinstance(self.excluded, str):
+            raise ValueError(f"excluded takes a sequence of variable names, "
+                             f"got the string {self.excluded!r}")
+        object.__setattr__(self, "excluded", tuple(self.excluded))
         if self.variant not in ("accurate", "overcomplete", "missing"):
             raise ValueError(f"unknown library variant {self.variant!r}")
         # the missing variant, and only it, removes variables
@@ -252,58 +259,26 @@ class SindyModel:
         )
 
 
-def _names(excluded: Sequence[str]) -> tuple[str, ...]:
-    """The excluded variables as a tuple; a bare string is refused, since it
-    would split into one name per character."""
-    if isinstance(excluded, str):
-        raise ValueError(f"excluded takes a sequence of variable names, "
-                         f"got the string {excluded!r}")
-    return tuple(excluded)
-
-
-class SindyBaseline:
-    """Estimator-style wrapper: fit on (features, state-derivative targets).
-
-    Parameters mirror the comparison configurations: ``variant`` picks the
-    library shape, ``threshold``/``iters`` drive STLSQ, ``excluded`` names
-    variables removed under missing-variable priors.
-    """
-
-    def __init__(self, variant: str = "accurate", threshold: float = 0.05,
-                 iters: int = 10, excluded: Sequence[str] = ()):
-        self.variant = variant
-        self.threshold = threshold
-        self.iters = iters
-        self.excluded = _names(excluded)
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"variant": self.variant, "threshold": self.threshold,
-                "iters": self.iters, "excluded": self.excluded}
-
-    def set_params(self, **params) -> "SindyBaseline":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, _names(value) if key == "excluded" else value)
-        return self
-
-    def fit(self, features: Mapping[str, np.ndarray],
-            targets: Mapping[str, np.ndarray]) -> "SindyBaseline":
-        names = tuple(features)
-        cfg = LibraryConfig(self.variant, self.excluded)
-        theta, terms = build_library(cfg, names, features)
-        target_names = tuple(targets)
-        y = np.column_stack([targets[n] for n in target_names])
-        xi, degenerate, ridge = stlsq(theta, y, self.threshold, self.iters)
-        if any(degenerate):
-            logger.warning("degenerate library: all terms thresholded out for %s",
-                           [n for n, d in zip(target_names, degenerate) if d])
-        self.model_ = SindyModel(
-            coefficients=xi, terms=terms, target_names=target_names,
-            feature_names=tuple(n for n in names if n not in cfg.excluded),
-            variant=self.variant, threshold=self.threshold, iters=self.iters,
-            degenerate=tuple(degenerate), ridge_fallback=ridge)
-        return self
+def fit_baseline(features: Mapping[str, np.ndarray], targets: Mapping[str, np.ndarray],
+                 variant: str = "accurate", threshold: float = 0.05, iters: int = 10,
+                 excluded: Sequence[str] = ()) -> SindyModel:
+    """The STLSQ model of ``targets`` (state derivatives) over the ``variant``
+    library of ``features``: ``threshold``/``iters`` drive STLSQ, and
+    ``excluded`` names the variables the missing variant removes."""
+    names = tuple(features)
+    cfg = LibraryConfig(variant, excluded)
+    theta, terms = build_library(cfg, names, features)
+    target_names = tuple(targets)
+    y = np.column_stack([targets[n] for n in target_names])
+    xi, degenerate, ridge = stlsq(theta, y, threshold, iters)
+    if any(degenerate):
+        logger.warning("degenerate library: all terms thresholded out for %s",
+                       [n for n, d in zip(target_names, degenerate) if d])
+    return SindyModel(
+        coefficients=xi, terms=terms, target_names=target_names,
+        feature_names=tuple(n for n in names if n not in cfg.excluded),
+        variant=variant, threshold=threshold, iters=iters,
+        degenerate=tuple(degenerate), ridge_fallback=ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +298,9 @@ class SkeletonModel:
                   kind: str = "de") -> "SkeletonModel":
         scope = SymbolScope(states=tuple(states), variables=tuple(variables))
         skeleton = parse(text, scope, list(targets), kind=kind)
+        if len(params) != skeleton.n_params:
+            raise ValueError(f"{kind.upper()} model: {len(params)} params for a "
+                             f"skeleton with {skeleton.n_params}")
         p = np.array(params, dtype=np.float64)
         p.setflags(write=False)
         return cls(skeleton=skeleton, params=p)
@@ -457,7 +435,3 @@ def simulate_identified(model, record: FullRecord,
 
 def save_model(model: SindyModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model.to_json(), indent=2, sort_keys=True))
-
-
-def load_model(path: str | Path) -> SindyModel:
-    return SindyModel.from_json(json.loads(Path(path).read_text()))

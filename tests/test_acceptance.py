@@ -29,7 +29,7 @@ from daedisc.evaluator import DomainFault, SampleBatch, gradient_check
 from daedisc.fitting import FitConfig, ScoredSkeleton, cosine_lr, fit_and_score
 from daedisc.gateway import MockBackend, parse_completion
 from daedisc.metrics import build_report
-from daedisc.sindy import SindyBaseline, SkeletonModel, simulate_identified, stlsq
+from daedisc.sindy import SkeletonModel, fit_baseline, simulate_identified, stlsq
 from daedisc.sindy import LibraryConfig, build_library
 
 TRUE_SWING = ("ddelta/dt = p0*(omega - 1)\n"
@@ -405,10 +405,9 @@ def test_acceptance_6_sindy_oracle_and_ordering():
                            if n not in model.input_names)
     mapes = {}
     for variant, excluded in [("accurate", ()), ("missing", core_algebraic)]:
-        est = SindyBaseline(variant=variant, threshold=0.05, iters=10,
-                            excluded=excluded)
-        est.fit(features, derivs)
-        replay = simulate_identified(est.model_, test)
+        fitted = fit_baseline(features, derivs, variant=variant, threshold=0.05,
+                              iters=10, excluded=excluded)
+        replay = simulate_identified(fitted, test)
         truth = {n: test.columns[n] for n in test.state_names}
         report = build_report(truth, replay.states, replay.n_valid, replay.diverged)
         mapes[variant] = report["aggregate"]["mape_pct"]

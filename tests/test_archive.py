@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from daedisc.archive import (
     Archive,
@@ -222,3 +223,19 @@ def test_snapshot_roundtrip(tmp_path):
     snap_a = archive.to_snapshot("de", ["delta"], SCOPE)
     snap_b = loaded.to_snapshot("de", ["delta"], SCOPE)
     assert snap_a == snap_b
+
+
+def test_snapshot_refuses_island_ids_outside_the_archive_or_repeated():
+    # island k is islands[k - 1]: id 0 would load into the last island, an id
+    # above m would raise a bare IndexError and a repeated id would merge two
+    snap = Archive.seeded(3, SEED).to_snapshot("de", ["delta"], SCOPE)
+    for ids, message in (((0, 2, 3), "island id 0 is not in 1..3"),
+                         ((1, 2, 4), "island id 4 is not in 1..3"),
+                         ((1, 2, 2), "island id 2 is repeated")):
+        bad = {**snap, "islands": [{**island, "id": i}
+                                   for island, i in zip(snap["islands"], ids)]}
+        with pytest.raises(ValueError, match=message):
+            Archive.from_snapshot(bad)
+    # a snapshot may list its islands in any order
+    reordered = {**snap, "islands": snap["islands"][::-1]}
+    assert Archive.from_snapshot(reordered)[0].to_snapshot("de", ["delta"], SCOPE) == snap

@@ -406,3 +406,34 @@ def test_evaluate_reads_only_the_full_test_record(workspace, tmp_path):
         assert result.exit_code == 0, result.output
         reports.append((tmp_path / name).read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("de_params, ae_params, message", [
+    ([1.0, 0.0, 0.0, 0.0], [1.0], "DE model: 4 params for a skeleton with 2"),
+    ([1.0], [1.0], "DE model: 1 params for a skeleton with 2"),
+    ([1.0, 0.0], [1.0, 2.0], "AE model: 2 params for a skeleton with 1"),
+    ([1.0, 0.0], [], "AE model: 0 params for a skeleton with 1"),
+])
+def test_evaluate_refuses_a_model_whose_param_count_is_not_its_skeletons(
+        workspace, tmp_path, de_params, ae_params, message):
+    # a model file is outside input: a count that is not the skeleton's is an error
+    doc = {
+        "format": "daedisc-model",
+        "version": 1,
+        "benchmark": "swing2",
+        "de": {"targets": ["delta", "omega"],
+               "text": "ddelta/dt = p0*(omega - 1)\ndomega/dt = p1*P_e",
+               "params": de_params, "score": 0.0},
+        "ae": {"targets": ["P_e"], "text": "P_e = p0*sin(delta)",
+               "params": ae_params, "score": 0.0},
+        "library": [{"name": "P_e", "unit": "pu", "description": "", "kind": "algebraic"}],
+    }
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["evaluate", "--model", str(model_path),
+                                       "--data", str(workspace / "data"),
+                                       "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 1, result.output
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "report.json").exists()

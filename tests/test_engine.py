@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,7 +403,7 @@ def test_a_refit_that_fails_leaves_no_results_behind():
                                 ae_max_iterations=0)
     engine.fit()
     engine.result_dict()
-    engine.set_params(max_seconds=0.0)
+    engine.config = replace(engine.config, max_seconds=0.0)
     engine.backend = MockBackend([[fenced(TRUE_SWING)]])
     with pytest.raises(BudgetExceeded):
         engine.fit()
@@ -439,26 +440,6 @@ PE_SCRIPT = [
     [fenced(DISTRACTORS[1])],
     [fenced(TRUE_AE)],
 ]
-
-
-def test_ae_loop_on_another_engines_result_gets_its_own_budget():
-    first = engine_with_script(PE_SCRIPT[:4], window=2)
-    de = first.run_de_loop()
-    assert "P_e" in de.library
-    second = engine_with_script(PE_SCRIPT[4:], window=2, max_seconds=100.0)
-    ae = second.run_ae_loop(de)
-    assert ae.target_names == ("P_e",)
-
-
-def test_ae_loop_after_fit_gets_its_own_budget(monkeypatch):
-    clock = [100.0]
-    monkeypatch.setattr(engine_module, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-    engine = engine_with_script(PE_SCRIPT, window=2, max_seconds=2.0)
-    engine.fit()
-    assert engine.ae_result_ is not None
-    clock[0] += 2.1
-    engine.backend = MockBackend(PE_SCRIPT[4:])
-    engine.run_ae_loop(engine.de_result_)
 
 
 def test_a_run_that_admits_signals_leaves_the_dataset_as_it_was():
@@ -565,16 +546,6 @@ def test_duplicate_skip_changes_nothing_but_the_fits(monkeypatch):
     assert fitted == expected
     assert len(old_fitted) == 2 + sum(len(b) for b in DUPLICATE_SCRIPT)
     assert len(fitted) < len(old_fitted)
-
-
-def test_estimator_params_roundtrip():
-    engine = engine_with_script([[fenced(TRUE_SWING)]])
-    params = engine.get_params()
-    assert params["islands"] == 3
-    engine.set_params(islands=5, n_b=2)
-    assert engine.config.islands == 5
-    assert engine.config.n_b == 2
-    assert engine.config.fit.learning_rate == 1.5
 
 
 def test_run_config_validation():

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 from dataclasses import replace
@@ -12,12 +13,11 @@ from daedisc.dsl import variables_in
 from daedisc.evaluator import FaultInfo, SampleBatch, evaluate
 from daedisc.sindy import (
     LibraryConfig,
-    SindyBaseline,
     SindyModel,
     SkeletonModel,
     build_library,
+    fit_baseline,
     library_terms,
-    load_model,
     save_model,
     simulate_identified,
     stlsq,
@@ -143,15 +143,10 @@ def test_baseline_estimator_surface():
     rng = np.random.default_rng(5)
     features = {"x": rng.uniform(0.5, 2.0, 100)}
     targets = {"dx_dt": -2.0 * features["x"]}
-    est = SindyBaseline(variant="accurate", threshold=0.05)
-    assert est.get_params()["variant"] == "accurate"
-    est.set_params(threshold=0.02)
-    assert est.threshold == 0.02
-    est.fit(features, targets)
-    assert [t.name for t in est.model_.terms] == ["1", "x"]
-    np.testing.assert_allclose(est.model_.coefficients, [[0.0, -2.0]], atol=1e-8)
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)
+    model = fit_baseline(features, targets, variant="accurate", threshold=0.02)
+    assert (model.variant, model.threshold, model.iters) == ("accurate", 0.02, 10)
+    assert [t.name for t in model.terms] == ["1", "x"]
+    np.testing.assert_allclose(model.coefficients, [[0.0, -2.0]], atol=1e-8)
 
 
 def test_stlsq_settings_are_checked_not_clamped():
@@ -161,10 +156,10 @@ def test_stlsq_settings_are_checked_not_clamped():
     for settings in ({"iters": 0}, {"iters": -1}, {"threshold": -0.05},
                      {"threshold": math.nan}, {"threshold": -math.inf}):
         with pytest.raises(ValueError, match="STLSQ"):
-            SindyBaseline(**settings).fit(features, targets)
+            fit_baseline(features, targets, **settings)
     # the edges that stay valid: one sweep, and a threshold that keeps every term
     theta, _ = build_library(LibraryConfig("accurate"), ["x"], features)
-    one = SindyBaseline(iters=1, threshold=0.0).fit(features, targets).model_
+    one = fit_baseline(features, targets, iters=1, threshold=0.0)
     assert one.iters == 1 and one.threshold == 0.0
     xi, _, _ = stlsq(theta, targets["dx_dt"][:, None], threshold=0.0, iters=1)
     np.testing.assert_array_equal(one.coefficients, xi)
@@ -177,33 +172,36 @@ def test_baseline_exclusions_only_with_missing_variant():
     for variant, excluded in (("accurate", ("b",)), ("overcomplete", ("b",)),
                               ("acurate", ("b",)), ("missing", ("b_typo",))):
         with pytest.raises(ValueError):
-            SindyBaseline(variant=variant, excluded=excluded).fit(features, targets)
-    est = SindyBaseline(variant="missing", excluded=("b",)).fit(features, targets)
-    assert est.model_.feature_names == ("a",)
-    assert [t.name for t in est.model_.terms] == ["1", "a"]
+            fit_baseline(features, targets, variant=variant, excluded=excluded)
+    model = fit_baseline(features, targets, variant="missing", excluded=("b",))
+    assert model.feature_names == ("a",)
+    assert [t.name for t in model.terms] == ["1", "a"]
 
 
 def test_baseline_refuses_a_bare_string_of_exclusions():
     # a string is a sequence of its characters: "P_m" would exclude P, _ and m
-    for make in (lambda: SindyBaseline(variant="missing", excluded="P_m"),
-                 lambda: SindyBaseline().set_params(variant="missing", excluded="P_m")):
+    features = {"P_m": np.linspace(0.5, 1.0, 20), "x": np.linspace(1.0, 2.0, 20)}
+    targets = {"dx_dt": -features["x"]}
+    for make in (lambda: LibraryConfig("missing", "P_m"),
+                 lambda: fit_baseline(features, targets, variant="missing", excluded="P_m")):
         with pytest.raises(ValueError, match="'P_m'"):
             make()
-    est = SindyBaseline().set_params(variant="missing", excluded=["P_m"])
-    assert est.get_params()["excluded"] == ("P_m",)
+    assert LibraryConfig("missing", ["P_m"]).excluded == ("P_m",)
+    model = fit_baseline(features, targets, variant="missing", excluded=["P_m"])
+    assert model.feature_names == ("x",)
 
 
 def test_model_json_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     features = {"x": rng.uniform(0.5, 2.0, 100), "y": rng.uniform(-1, 1, 100)}
     targets = {"dx_dt": -2.0 * features["x"] + 0.5 * features["y"]}
-    est = SindyBaseline(variant="overcomplete").fit(features, targets)
+    model = fit_baseline(features, targets, variant="overcomplete")
     path = tmp_path / "model.json"
-    save_model(est.model_, path)
-    again = load_model(path)
-    np.testing.assert_array_equal(again.coefficients, est.model_.coefficients)
-    assert again.target_names == est.model_.target_names
-    assert [t.name for t in again.terms] == [t.name for t in est.model_.terms]
+    save_model(model, path)
+    again = SindyModel.from_json(json.loads(path.read_text()))
+    np.testing.assert_array_equal(again.coefficients, model.coefficients)
+    assert again.target_names == model.target_names
+    assert [t.name for t in again.terms] == [t.name for t in model.terms]
 
 
 KICK = Disturbance(kind="state_kick", magnitude=1.0,
@@ -265,8 +263,8 @@ def test_replay_sindy_model_with_recorded_signals():
         "ddelta_dt": central_difference(record.columns["delta"], record.dt),
         "domega_dt": central_difference(record.columns["omega"], record.dt),
     }
-    est = SindyBaseline(variant="accurate", threshold=0.02).fit(features, derivs)
-    replay = simulate_identified(est.model_, record)
+    model = fit_baseline(features, derivs, variant="accurate", threshold=0.02)
+    replay = simulate_identified(model, record)
     assert not replay.diverged
     # recorded-signal replay of a well-fit linear model tracks the truth to a
     # few percent (bias limited by the differentiated training targets)
@@ -457,7 +455,7 @@ def _stlsq_model(variant, model_id, features):
     features = {n: train.columns[n] for n in features}
     derivs = {deriv_name(s): central_difference(train.columns[s], train.dt)
               for s in train.state_names}
-    return SindyBaseline(variant=variant, threshold=0.02).fit(features, derivs).model_
+    return fit_baseline(features, derivs, variant=variant, threshold=0.02)
 
 
 def test_replay_matches_reference_for_sparse_models():
