@@ -250,12 +250,20 @@ class Archive:
         kind = snap["kind"]
         targets = snap["target_names"]
 
-        def load(item: dict) -> ScoredSkeleton:
+        def load(island_id: int, item: dict) -> ScoredSkeleton:
             skeleton = parse(item["text"], scope, targets, kind=kind)
             params = np.array(item["params"], dtype=np.float64)
             params.setflags(write=False)
+            score = float(item["score"])
+            where = f"archive snapshot: island {island_id}, {item['text']!r}"
+            if len(params) != skeleton.n_params:
+                raise ValueError(f"{where}: {len(params)} params for a skeleton "
+                                 f"with {skeleton.n_params}")
+            # poisoned members carry the finite sentinel score
+            if not np.isfinite(score):
+                raise ValueError(f"{where}: score {score} is not finite")
             return ScoredSkeleton(
-                skeleton=skeleton, params=params, score=float(item["score"]),
+                skeleton=skeleton, params=params, score=score,
                 requirements=tuple(Requirement(**r) for r in item["requirements"]))
 
         archive = cls(int(snap["m"]))
@@ -269,11 +277,9 @@ class Archive:
                                  f"is not in 1..{archive.m}")
             seen.add(island_id)
             island = archive.island(island_id)
-            for cluster_snap in island_snap["clusters"]:
-                for item in cluster_snap["members"]:
-                    island.register(load(item))
-            for item in island_snap["quarantine"]:
-                island.register(load(item))
+            members = [item for c in island_snap["clusters"] for item in c["members"]]
+            for item in members + island_snap["quarantine"]:
+                island.register(load(island_id, item))
         return archive, scope
 
     def save(self, path: str | Path, kind: str, target_names, scope: SymbolScope) -> None:

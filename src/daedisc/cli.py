@@ -112,11 +112,10 @@ def discover(config_path: str, data_dir: str, out_dir: str):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     doc = engine.result_dict()
     (out / "model.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
-    de = engine.de_result_
-    de.archive.save(out / "archive_de.json", "de", de.target_names, de.scope)
-    if engine.ae_result_ is not None:
-        ae = engine.ae_result_
-        ae.archive.save(out / "archive_ae.json", "ae", ae.target_names, ae.scope)
+    for state in (engine.de_result_, engine.ae_result_):
+        if state is not None:
+            state.archive.save(out / f"archive_{state.kind}.json", state.kind,
+                               state.target_names, state.scope)
     logger.info("best DE score %.6g; AE %s", doc["de"]["score"],
                 "skipped" if "skipped" in doc["ae"] else f"score {doc['ae']['score']:.6g}")
     click.echo(json.dumps({"ok": True, "model_file": str(out / "model.json"),

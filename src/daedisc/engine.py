@@ -17,6 +17,13 @@ admitted: each loop fits on the dataset's visible columns plus the hidden
 record's columns of its library (and, in the algebraic loop, its targets),
 and the dataset itself never changes.
 
+Each loop's state is one ``LoopState``: what the loop fits to (targets,
+label columns, the hidden-record signals it never admits), its library,
+scope and fit batch, its archive, its score history and whether it has
+terminated or generated anything.  The engine seeds the state, then runs
+every iteration through ``_iterate`` on it; the scope and batch are rebuilt
+only when the library grows.  The state the loop ends in is its result.
+
 An engine is configured once, by its dataset, generator and run
 configuration.  ``fit()`` is the one way to run the algebraic loop: it runs
 both loops under one ``max_seconds`` budget; ``run_de_loop`` runs the
@@ -49,6 +56,7 @@ from .benchmarks import BenchmarkModel, CatalogEntry, get_model
 from .config import RunConfig
 from .dataset import TrajectoryDataset, deriv_name
 from .dsl import ParseError, SymbolScope, parse, serialize, variables_in
+from .evaluator import SampleBatch
 from .fitting import ScoredSkeleton, derived_fit_config, fit_and_score
 from .gateway import (
     BackendUnavailable,
@@ -67,10 +75,6 @@ class GenerationExhausted(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """Wall-clock guard tripped (config max_seconds)."""
-
-
-class NoAlgebraicTargets(RuntimeError):
-    """Best differential system references no algebraic variables."""
 
 
 class CatalogExhausted(RuntimeError):
@@ -162,15 +166,26 @@ def derive_ae_targets(de_best: ScoredSkeleton, library: VariableLibrary) -> tupl
 
 
 @dataclass
-class LoopResult:
+class LoopState:
+    """One loop, between iterations and after the last: what it fits to, what
+    it has admitted and found, and ``history[t]``, the best score after
+    iteration ``t`` (0 is the seed)."""
+
     kind: str
-    best: ScoredSkeleton
-    library: VariableLibrary
-    archive: Archive
-    scope: SymbolScope
     target_names: tuple[str, ...]
+    labels: tuple[str, ...]  # the columns the targets are fitted to
+    signals: tuple[str, ...]  # hidden-record columns fitted to, never admitted
+    library: VariableLibrary
+    scope: SymbolScope
+    batch: SampleBatch
+    archive: Archive
     history: list[float]
-    terminated: bool
+    terminated: bool = False
+    generated_any: bool = False
+
+    @property
+    def best(self) -> ScoredSkeleton:
+        return self.archive.best()
 
 
 class DiscoveryEngine:
@@ -198,31 +213,32 @@ class DiscoveryEngine:
         ``max_seconds`` budget spans both loops."""
         self._reset()
         de = self.run_de_loop()
-        try:
-            ae, skip_reason = self._run_ae_loop(de), None
-        except NoAlgebraicTargets as exc:
-            ae, skip_reason = None, str(exc)
-            self.run_log_.append({"loop": "ae", "event": "skipped", "reason": str(exc)})
-            logger.info("algebraic loop skipped: %s", exc)
+        ae, skip_reason = self._run_ae_loop(de)
         # set together, so that a fit raising in either loop leaves no results
         self.de_result_, self.library_ = de, de.library
         self.ae_result_, self.ae_skip_reason_ = ae, skip_reason
         return self
 
-    def run_de_loop(self) -> LoopResult:
+    def run_de_loop(self) -> LoopState:
         """The differential loop alone, with its own ``max_seconds`` budget."""
         self._start_time = time.monotonic()
-        return self._run_loop("de", tuple(self.dataset.state_names), VariableLibrary())
+        states = tuple(self.dataset.state_names)
+        return self._run_loop("de", states, tuple(deriv_name(s) for s in states), (),
+                              VariableLibrary(), self.config.de_max_iterations)
 
-    def _run_ae_loop(self, de: LoopResult) -> LoopResult:
+    def _run_ae_loop(self, de: LoopState) -> tuple[LoopState | None, str | None]:
+        """The algebraic loop's state, or None and why the loop was skipped."""
         targets = derive_ae_targets(de.best, de.library)
         if not targets:
-            raise NoAlgebraicTargets(
-                "best differential system references no algebraic variables "
-                f"(referenced: {sorted(variables_in(de.best.skeleton)) or 'states only'})")
+            reason = ("best differential system references no algebraic variables "
+                      f"(referenced: {sorted(variables_in(de.best.skeleton)) or 'states only'})")
+            self.run_log_.append({"loop": "ae", "event": "skipped", "reason": reason})
+            logger.info("algebraic loop skipped: %s", reason)
+            return None, reason
         library = VariableLibrary(
             entries=[e for e in de.library.entries if e.name not in targets])
-        return self._run_loop("ae", targets, library)
+        return self._run_loop("ae", targets, targets, targets, library,
+                              self.config.ae_max_iterations), None
 
     # ---------------------------------------------------------------- shared
 
@@ -233,9 +249,14 @@ class DiscoveryEngine:
         self._rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed & 0x7FFFFFFF, 101]))
 
-    def _scope(self, library: VariableLibrary) -> SymbolScope:
-        return SymbolScope(states=tuple(self.dataset.state_names),
-                           variables=library.names())
+    def _scope_and_batch(self, library: VariableLibrary,
+                         signals: tuple[str, ...]) -> tuple[SymbolScope, SampleBatch]:
+        """The symbols a loop's candidates may use, and the columns it fits on:
+        the visible ones plus the library's and ``signals``' from the hidden
+        record."""
+        return (SymbolScope(states=tuple(self.dataset.state_names),
+                            variables=library.names()),
+                self.dataset.to_batch(library.names() + signals))
 
     def _check_wallclock(self) -> None:
         limit = self.config.max_seconds
@@ -246,96 +267,90 @@ class DiscoveryEngine:
         self.run_log_.append(record)
         logger.debug("run log: %s", record)
 
-    def _run_loop(self, kind: str, targets: tuple[str, ...],
-                  library: VariableLibrary) -> LoopResult:
-        """The differential loop fits state derivatives; the algebraic loop fits
-        its targets' own hidden-record columns and never admits them as
-        variables."""
-        cfg = self.config
-        if kind == "de":
-            loop_index, labels, signal_targets = 0, [deriv_name(s) for s in targets], ()
-            max_iterations = cfg.de_max_iterations
-        else:
-            loop_index, labels, signal_targets = 1, list(targets), targets
-            max_iterations = cfg.ae_max_iterations
-        scope = self._scope(library)
-        batch = self.dataset.to_batch(library.names() + signal_targets)
-        seed_skeleton = make_linear_seed(scope, targets, kind)
+    def _run_loop(self, kind: str, targets: tuple[str, ...], labels: tuple[str, ...],
+                  signals: tuple[str, ...], library: VariableLibrary,
+                  max_iterations: int) -> LoopState:
+        """Seed a loop's state, then iterate on it until the trigger terminates
+        the loop or ``max_iterations`` iterations have run."""
+        scope, batch = self._scope_and_batch(library, signals)
         seed_scored = fit_and_score(
-            seed_skeleton, batch, labels,
-            derived_fit_config(cfg.fit, loop_index, 0, 0))
-        archive = Archive.seeded(cfg.islands, seed_scored)
-        history = [archive.best_score()]
+            make_linear_seed(scope, targets, kind), batch, labels,
+            derived_fit_config(self.config.fit, int(kind == "ae"), 0, 0))
+        archive = Archive.seeded(self.config.islands, seed_scored)
+        state = LoopState(kind, targets, labels, signals, library, scope, batch,
+                          archive, [archive.best_score()])
         self._log(loop=kind, iteration=0, event="seed",
-                  best_score=history[0], best_skeleton=seed_scored.canonical,
+                  best_score=state.history[0], best_skeleton=seed_scored.canonical,
                   added_variables=[], library=list(library.names()))
-        generated_any = False
-        terminated = False
-        for t in range(1, max_iterations + 1):
+        while len(state.history) <= max_iterations and not state.terminated:
             self._check_wallclock()
-            decision = check_trigger(history, cfg.window, cfg.epsilon, cfg.gamma)
-            if decision is Decision.TERMINATE:
-                terminated = True
-                self._log(loop=kind, iteration=t - 1, event="terminate",
-                          best_score=history[-1],
-                          best_skeleton=archive.best().canonical)
-                break
-            added: list[str] = []
-            ignored: list[str] = []
-            if decision is Decision.EXTEND:
-                try:
-                    added, ignored = extend_variables(
-                        archive, library, self.dataset, self.model,
-                        cfg.top_k, excluded=signal_targets)
-                    scope = self._scope(library)
-                    batch = self.dataset.to_batch(library.names() + signal_targets)
-                except CatalogExhausted as exc:
-                    self._log(loop=kind, iteration=t, event="catalog_exhausted",
-                              reason=str(exc))
-                    logger.info("%s loop: %s", kind, exc)
-            island_id, examples = archive.sample_examples(cfg.sampler, self._rng)
-            prompt = build_prompt(kind, tuple(self.dataset.state_names),
-                                  tuple(library.entries), examples, targets)
-            request = GenerationRequest(prompt=prompt, n_b=cfg.n_b,
-                                        temperature=cfg.temperature)
-            try:
-                completions = generate(request, self.backend)
-                generated_any = True
-            except BackendUnavailable as exc:
-                completions = []
-                logger.info("%s loop iteration %d: generator unavailable (%s)",
-                            kind, t, exc)
-            rejected = 0
-            for j, completion in enumerate(completions):
-                try:
-                    skeleton = parse(completion.skeleton_text, scope, targets, kind)
-                except ParseError as exc:
-                    rejected += 1
-                    logger.debug("candidate rejected: %s", exc)
-                    continue
-                if archive.island(island_id).holds(skeleton):
-                    logger.debug("%s loop iteration %d island %d completion %d: "
-                                 "duplicate not fitted: %r", kind, t, island_id, j,
-                                 serialize(skeleton))
-                    continue
-                scored = fit_and_score(
-                    skeleton, batch, labels,
-                    derived_fit_config(cfg.fit, loop_index, t, j),
-                    requirements=completion.requirements)
-                archive.register(island_id, scored)
-            history.append(max(history[-1], archive.best_score()))
-            self._log(loop=kind, iteration=t, event="iteration",
-                      best_score=history[-1], island=island_id,
-                      candidates=len(completions), rejected=rejected,
-                      added_variables=added, ignored_requirements=ignored,
-                      best_skeleton=archive.best().canonical,
-                      library=list(library.names()))
-        if max_iterations > 0 and not generated_any and not terminated:
+            self._iterate(state)
+        if max_iterations > 0 and not state.generated_any and not state.terminated:
             raise GenerationExhausted(
                 f"{kind} loop: generator produced nothing in {max_iterations} iterations")
-        return LoopResult(kind=kind, best=archive.best(), library=library,
-                          archive=archive, scope=scope, target_names=tuple(targets),
-                          history=history, terminated=terminated)
+        return state
+
+    def _iterate(self, state: LoopState) -> None:
+        """Iteration ``len(state.history)``: check the trigger, admit variables
+        if it says extend, then fit one prompt's completions into one island."""
+        cfg, kind, archive = self.config, state.kind, state.archive
+        t = len(state.history)
+        decision = check_trigger(state.history, cfg.window, cfg.epsilon, cfg.gamma)
+        if decision is Decision.TERMINATE:
+            state.terminated = True
+            self._log(loop=kind, iteration=t - 1, event="terminate",
+                      best_score=state.history[-1], best_skeleton=state.best.canonical)
+            return
+        added: list[str] = []
+        ignored: list[str] = []
+        if decision is Decision.EXTEND:
+            try:
+                added, ignored = extend_variables(
+                    archive, state.library, self.dataset, self.model,
+                    cfg.top_k, excluded=state.signals)
+                state.scope, state.batch = self._scope_and_batch(state.library, state.signals)
+            except CatalogExhausted as exc:
+                self._log(loop=kind, iteration=t, event="catalog_exhausted",
+                          reason=str(exc))
+                logger.info("%s loop: %s", kind, exc)
+        island_id, examples = archive.sample_examples(cfg.sampler, self._rng)
+        prompt = build_prompt(kind, tuple(self.dataset.state_names),
+                              tuple(state.library.entries), examples, state.target_names)
+        request = GenerationRequest(prompt=prompt, n_b=cfg.n_b,
+                                    temperature=cfg.temperature)
+        try:
+            completions = generate(request, self.backend)
+            state.generated_any = True
+        except BackendUnavailable as exc:
+            completions = []
+            logger.info("%s loop iteration %d: generator unavailable (%s)",
+                        kind, t, exc)
+        rejected = 0
+        for j, completion in enumerate(completions):
+            try:
+                skeleton = parse(completion.skeleton_text, state.scope,
+                                 state.target_names, kind)
+            except ParseError as exc:
+                rejected += 1
+                logger.debug("candidate rejected: %s", exc)
+                continue
+            if archive.island(island_id).holds(skeleton):
+                logger.debug("%s loop iteration %d island %d completion %d: "
+                             "duplicate not fitted: %r", kind, t, island_id, j,
+                             serialize(skeleton))
+                continue
+            scored = fit_and_score(
+                skeleton, state.batch, state.labels,
+                derived_fit_config(cfg.fit, int(kind == "ae"), t, j),
+                requirements=completion.requirements)
+            archive.register(island_id, scored)
+        state.history.append(max(state.history[-1], archive.best_score()))
+        self._log(loop=kind, iteration=t, event="iteration",
+                  best_score=state.history[-1], island=island_id,
+                  candidates=len(completions), rejected=rejected,
+                  added_variables=added, ignored_requirements=ignored,
+                  best_skeleton=state.best.canonical,
+                  library=list(state.library.names()))
 
     # ---------------------------------------------------------------- output
 
@@ -345,14 +360,15 @@ class DiscoveryEngine:
             raise RuntimeError("call fit() first")
         de = self.de_result_
 
-        def dump(result: LoopResult) -> dict:
+        def dump(state: LoopState) -> dict:
+            best = state.best
             return {
-                "targets": list(result.target_names),
-                "text": result.best.canonical,
-                "params": [float(v) for v in result.best.params],
-                "score": float(result.best.score),
-                "terminated": result.terminated,
-                "iterations": len(result.history) - 1,
+                "targets": list(state.target_names),
+                "text": best.canonical,
+                "params": [float(v) for v in best.params],
+                "score": float(best.score),
+                "terminated": state.terminated,
+                "iterations": len(state.history) - 1,
             }
 
         ae: dict

@@ -239,3 +239,22 @@ def test_snapshot_refuses_island_ids_outside_the_archive_or_repeated():
     # a snapshot may list its islands in any order
     reordered = {**snap, "islands": snap["islands"][::-1]}
     assert Archive.from_snapshot(reordered)[0].to_snapshot("de", ["delta"], SCOPE) == snap
+
+
+@pytest.mark.parametrize("params, score, message", [
+    ([0.0, 0.0, 0.0, 0.0], -0.5, "4 params for a skeleton with 2"),
+    ([0.0], -0.5, "1 params for a skeleton with 2"),
+    ([0.0, 0.0], "nan", "score nan is not finite"),
+    ([0.0, 0.0], "inf", "score inf is not finite"),
+    ([0.0, 0.0], float("-inf"), "score -inf is not finite"),
+])
+def test_snapshot_refuses_members_that_do_not_fit_their_skeleton(params, score, message):
+    archive = Archive.seeded(2, SEED)
+    archive.register(2, scored("ddelta/dt = p0*omega + p1", -0.5))
+    snap = archive.to_snapshot("de", ["delta"], SCOPE)
+    [member] = [m for c in snap["islands"][1]["clusters"] for m in c["members"]
+                if m["text"] == "ddelta/dt = p0*omega + p1"]
+    member.update(params=params, score=score)
+    with pytest.raises(ValueError, match=r"island 2, 'ddelta/dt = p0\*omega \+ p1': "
+                                         + message):
+        Archive.from_snapshot(snap)

@@ -10,7 +10,7 @@ from daedisc import engine as engine_module
 from daedisc.archive import Archive, Island
 from daedisc.benchmarks import CatalogEntry, Disturbance, ScenarioConfig, get_model, simulate
 from daedisc.config import RunConfig
-from daedisc.dataset import make_dataset
+from daedisc.dataset import deriv_name, make_dataset
 from daedisc.dsl import SymbolScope, parse, serialize, variables_in
 from daedisc.engine import (
     BudgetExceeded,
@@ -18,6 +18,7 @@ from daedisc.engine import (
     Decision,
     DiscoveryEngine,
     GenerationExhausted,
+    LoopState,
     VariableLibrary,
     check_trigger,
     derive_ae_targets,
@@ -463,6 +464,37 @@ def test_a_run_that_admits_signals_leaves_the_dataset_as_it_was():
     assert runs[0] == runs[1]
     with pytest.raises(AttributeError):
         ds.states = {}  # frozen: nothing assigns to a built dataset
+
+
+def test_each_loop_state_holds_the_columns_its_loop_fits_on():
+    engine = engine_with_script(PE_SCRIPT, window=2)
+    engine.fit()
+    ds = engine.dataset
+    visible = [*ds.states, *ds.derivs]
+    de, ae = engine.de_result_, engine.ae_result_
+    for state in (de, ae):
+        assert isinstance(state, LoopState)
+        assert state.scope.states == ds.state_names
+        assert state.scope.variables == state.library.names()
+        assert state.best.canonical == state.archive.best().canonical
+    # the differential loop admitted P_e: its batch was rebuilt with it
+    assert de.library.names() == ("P_e",) and de.signals == ()
+    assert de.labels == tuple(deriv_name(s) for s in ds.state_names)
+    assert list(de.batch.columns) == visible + ["P_e"]
+    # the algebraic loop fits P_e to its own column and never admits it
+    assert ae.target_names == ae.labels == ae.signals == ("P_e",)
+    assert "P_e" not in ae.library
+    assert list(ae.batch.columns) == visible + list(ae.library.names()) + ["P_e"]
+
+
+def test_a_states_only_run_logs_the_skipped_algebraic_loop_last():
+    engine = engine_with_script([[fenced(TRUE_SWING)]])
+    engine.fit()
+    de = engine.de_result_
+    assert de.library.names() == () and de.scope.variables == ()
+    assert list(de.batch.columns) == [*engine.dataset.states, *engine.dataset.derivs]
+    assert engine.run_log_[-1] == {"loop": "ae", "event": "skipped",
+                                   "reason": engine.ae_skip_reason_}
 
 
 SEED_DE = ("ddelta/dt = p0*delta + p1*omega + p2\n"
