@@ -259,12 +259,19 @@ class Archive:
             if len(params) != skeleton.n_params:
                 raise ValueError(f"{where}: {len(params)} params for a skeleton "
                                  f"with {skeleton.n_params}")
-            # poisoned members carry the finite sentinel score
+            # poisoned members carry the finite sentinel score and zero params
             if not np.isfinite(score):
                 raise ValueError(f"{where}: score {score} is not finite")
-            return ScoredSkeleton(
-                skeleton=skeleton, params=params, score=score,
-                requirements=tuple(Requirement(**r) for r in item["requirements"]))
+            if not np.isfinite(params).all():
+                raise ValueError(f"{where}: params {params.tolist()} are not finite")
+            requirements = []
+            for r in item["requirements"]:
+                try:
+                    requirements.append(Requirement(**r))
+                except TypeError as exc:  # an unknown or missing key
+                    raise ValueError(f"{where}: requirement {r!r}: {exc}") from None
+            return ScoredSkeleton(skeleton=skeleton, params=params, score=score,
+                                  requirements=tuple(requirements))
 
         archive = cls(int(snap["m"]))
         seen: set[int] = set()

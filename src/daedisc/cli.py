@@ -70,7 +70,7 @@ def main(verbose: bool):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_guard
 def gen_data(model_id: str, scenario_path: str, out_dir: str):
-    """Simulate train/test scenarios and write CSV datasets."""
+    """Simulate train/test scenarios and write .npy datasets."""
     from .dataset import make_dataset
 
     scenarios = load_scenarios(scenario_path)
@@ -83,7 +83,7 @@ def gen_data(model_id: str, scenario_path: str, out_dir: str):
     out.mkdir(parents=True, exist_ok=True)
     for split, dataset in datasets.items():
         export_dataset(dataset, out / split)
-        logger.info("%s: %d samples -> %s", split, dataset.n_samples, out / f"{split}.csv")
+        logger.info("%s: %d samples -> %s", split, dataset.n_samples, out / f"{split}.npy")
     click.echo(json.dumps({"ok": True, "model": model_id, "out": str(out)},
                           sort_keys=True))
 

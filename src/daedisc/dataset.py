@@ -10,14 +10,14 @@ amplitude means the max absolute value over the record.  Derivatives come
 from central differences on the noisy states with one-sided differences at
 the endpoints.
 
-CSV export writes the visible columns plus the full record and a JSON
-metadata sidecar; import reproduces every value exactly (floats serialized
-with ``repr``).
+Export writes two native float64 ``.npy`` tables, the visible columns and
+the full record, plus a JSON sidecar that names their columns; import
+reproduces every value bit for bit and refuses a table that does not match
+its sidecar.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,52 +102,52 @@ def make_dataset(record: FullRecord, scen: ScenarioConfig) -> TrajectoryDataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV + sidecar persistence
+# .npy tables + sidecar persistence
+
+VERSION = 2
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
+def _full_path(prefix: Path) -> Path:
+    return Path(str(prefix) + ".full.npy")
 
 
-def _read_csv(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
-    with path.open("r", newline="") as fh:
-        line = fh.readline()
-        if not line:
-            raise SchemaMismatch(f"{path} is empty")
-        header = next(csv.reader([line]))
-        body = fh.tell()
-        if fh.read(1):
-            fh.seek(body)
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-            except ValueError as exc:  # a ragged row or a value that is not a number
-                raise SchemaMismatch(f"{path}: {exc}") from None
-        else:
-            data = np.empty((0, len(header)))
-    if data.shape[1] != len(header):
-        raise SchemaMismatch(f"{path}: row width does not match header")
-    return header, {name: data[:, i] for i, name in enumerate(header)}
+def _write_table(path: Path, columns: list[np.ndarray]) -> None:
+    np.save(path, np.column_stack(columns).astype(np.float64, copy=False))
+
+
+def _read_table(path: Path, width: int) -> np.ndarray:
+    """The (n, width) float64 matrix at ``path``; anything else is refused."""
+    if not path.exists():
+        raise SchemaMismatch(f"missing table {path}")
+    try:
+        with path.open("rb") as fh:
+            table = np.load(fh, allow_pickle=False)
+    except (ValueError, OSError, EOFError) as exc:  # truncated, not .npy, or pickled
+        raise SchemaMismatch(f"{path}: {exc}") from None
+    if not isinstance(table, np.ndarray):  # an .npz archive
+        raise SchemaMismatch(f"{path}: not a .npy table")
+    if table.ndim != 2 or table.dtype != np.float64:
+        raise SchemaMismatch(f"{path}: expected a 2-D float64 table, found "
+                             f"{table.dtype} of shape {table.shape}")
+    if table.shape[1] != width:
+        raise SchemaMismatch(f"{path}: {table.shape[1]} columns, the sidecar "
+                             f"names {width}")
+    return table
 
 
 def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
-    """Write ``<prefix>.csv``, ``<prefix>.full.csv`` and ``<prefix>.meta.json``."""
+    """Write ``<prefix>.npy``, ``<prefix>.full.npy`` and ``<prefix>.meta.json``."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     states = list(dataset.states)
-    header = ["t"] + states + [deriv_name(s) for s in states]
-    columns = ([dataset.time] + [dataset.states[s] for s in states]
-               + [dataset.derivs[deriv_name(s)] for s in states])
-    _write_csv(prefix.with_suffix(".csv"), header, columns)
+    _write_table(prefix.with_suffix(".npy"),
+                 [dataset.time] + [dataset.states[s] for s in states]
+                 + [dataset.derivs[deriv_name(s)] for s in states])
     full = dataset.full
-    _write_csv(Path(str(prefix) + ".full.csv"), ["t"] + list(full.columns),
-               [full.time] + [full.columns[n] for n in full.columns])
+    _write_table(_full_path(prefix), [full.time] + list(full.columns.values()))
     meta = {
         "format": "daedisc-dataset",
-        "version": 1,
+        "version": VERSION,
         "model": dataset.metadata.get("model"),
         "scenario": dataset.metadata.get("scenario"),
         "seed": dataset.metadata.get("seed"),
@@ -165,40 +165,39 @@ def _read_sidecar(prefix: Path) -> dict:
     meta = json.loads(meta_path.read_text())
     if meta.get("format") != "daedisc-dataset":
         raise SchemaMismatch("sidecar is not a dataset descriptor")
+    if meta.get("version") != VERSION:
+        raise SchemaMismatch(
+            f"{meta_path}: dataset version {meta.get('version')!r}, expected "
+            f"{VERSION}; an earlier daedisc wrote its tables as CSV: rerun "
+            f"`daedisc gen-data` to regenerate the dataset")
     if meta.get("full_columns") is None or meta.get("full_states") is None:
         raise SchemaMismatch("sidecar does not describe the full record")
     return meta
 
 
 def import_record(prefix: str | Path) -> FullRecord:
-    """The hidden full record alone: ``<prefix>.full.csv`` and its sidecar."""
+    """The hidden full record alone: ``<prefix>.full.npy`` and its sidecar."""
     prefix = Path(prefix)
     meta = _read_sidecar(prefix)
-    full_path = Path(str(prefix) + ".full.csv")
-    if not full_path.exists():
-        raise SchemaMismatch(f"missing full record {full_path}")
-    full_header, full_data = _read_csv(full_path)
-    if full_header != ["t"] + meta["full_columns"]:
-        raise SchemaMismatch("full record columns do not match sidecar")
+    names = meta["full_columns"]
+    table = _read_table(_full_path(prefix), 1 + len(names))
     return FullRecord(
-        model_id=meta["model"], time=full_data["t"],
-        columns={n: full_data[n] for n in meta["full_columns"]},
+        model_id=meta["model"], time=table[:, 0],
+        columns={n: table[:, i] for i, n in enumerate(names, start=1)},
         state_names=tuple(meta["full_states"]), scenario=meta["scenario"])
 
 
 def import_dataset(prefix: str | Path) -> TrajectoryDataset:
+    """The visible columns of ``<prefix>.npy``, in the sidecar's order
+    (``t``, the states, their derivatives), over the full record."""
     prefix = Path(prefix)
     meta = _read_sidecar(prefix)
-    header, data = _read_csv(prefix.with_suffix(".csv"))
     states = meta["states"]
-    expected = ["t"] + states + [deriv_name(s) for s in states]
-    if header != expected:
-        raise SchemaMismatch(
-            f"column order mismatch: expected {expected}, found {header}")
+    table = _read_table(prefix.with_suffix(".npy"), 1 + 2 * len(states))
     return TrajectoryDataset(
-        time=data["t"],
-        states={s: data[s] for s in states},
-        derivs={deriv_name(s): data[deriv_name(s)] for s in states},
+        time=table[:, 0],
+        states={s: table[:, 1 + i] for i, s in enumerate(states)},
+        derivs={deriv_name(s): table[:, 1 + len(states) + i] for i, s in enumerate(states)},
         full=import_record(prefix),
         metadata={"model": meta["model"], "scenario": meta["scenario"],
                   "seed": meta["seed"]},

@@ -247,6 +247,8 @@ def test_snapshot_refuses_island_ids_outside_the_archive_or_repeated():
     ([0.0, 0.0], "nan", "score nan is not finite"),
     ([0.0, 0.0], "inf", "score inf is not finite"),
     ([0.0, 0.0], float("-inf"), "score -inf is not finite"),
+    ([float("nan"), 0.0], -0.5, r"params \[nan, 0.0\] are not finite"),
+    ([0.0, float("-inf")], -0.5, r"params \[0.0, -inf\] are not finite"),
 ])
 def test_snapshot_refuses_members_that_do_not_fit_their_skeleton(params, score, message):
     archive = Archive.seeded(2, SEED)
@@ -257,4 +259,20 @@ def test_snapshot_refuses_members_that_do_not_fit_their_skeleton(params, score, 
     member.update(params=params, score=score)
     with pytest.raises(ValueError, match=r"island 2, 'ddelta/dt = p0\*omega \+ p1': "
                                          + message):
+        Archive.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("requirement, message", [
+    ({"name": "P_e", "extra": 1}, "unexpected keyword argument 'extra'"),
+    ({"justification": "load"}, "missing 1 required positional argument: 'name'"),
+])
+def test_snapshot_refuses_requirements_with_unknown_or_missing_keys(requirement, message):
+    archive = Archive.seeded(2, SEED)
+    archive.register(2, scored("ddelta/dt = p0*omega + p1", -0.5))
+    snap = archive.to_snapshot("de", ["delta"], SCOPE)
+    [member] = [m for c in snap["islands"][1]["clusters"] for m in c["members"]
+                if m["text"] == "ddelta/dt = p0*omega + p1"]
+    member["requirements"] = [requirement]
+    with pytest.raises(ValueError, match=r"island 2, 'ddelta/dt = p0\*omega \+ p1': "
+                                         r"requirement .*" + message):
         Archive.from_snapshot(snap)

@@ -67,13 +67,16 @@ def workspace(tmp_path_factory):
 
 
 def test_gen_data_outputs(workspace):
+    import numpy as np
+
     data = workspace / "data"
-    for split in ("train", "test"):
-        assert (data / f"{split}.csv").exists()
-        assert (data / f"{split}.full.csv").exists()
-        assert (data / f"{split}.meta.json").exists()
-    header = (data / "train.csv").read_text().splitlines()[0]
-    assert header == "t,delta,omega,ddelta_dt,domega_dt"
+    assert sorted(p.name for p in data.iterdir()) == [
+        "test.full.npy", "test.meta.json", "test.npy",
+        "train.full.npy", "train.meta.json", "train.npy"]
+    meta = json.loads((data / "train.meta.json").read_text())
+    assert (meta["version"], meta["states"]) == (2, ["delta", "omega"])
+    table = np.load(data / "train.npy", allow_pickle=False)
+    assert table.dtype == np.float64 and table.shape == (1001, 5)
 
 
 def test_discover_outputs(workspace):
@@ -396,7 +399,7 @@ def test_evaluate_reads_only_the_full_test_record(workspace, tmp_path):
 
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
-    (data / "test.csv").unlink()
+    (data / "test.npy").unlink()
     model = workspace / "run_discover" / "model.json"
     reports = []
     for data_dir, name in ((workspace / "data", "with.json"), (data, "without.json")):

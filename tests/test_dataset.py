@@ -1,11 +1,19 @@
+import io
 import json
+import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, simulate
+from daedisc.benchmarks import (
+    Disturbance, FullRecord, ScenarioConfig, get_model, simulate)
 from daedisc.dataset import (
     SchemaMismatch,
+    TrajectoryDataset,
     UnknownSignal,
     central_difference,
     export_dataset,
@@ -115,43 +123,138 @@ def test_export_import_roundtrip(tmp_path):
     assert again.metadata["model"] == "swing2"
 
 
-def test_import_missing_column_is_schema_mismatch(tmp_path):
-    ds, _, _ = _dataset()
+# finite float64 values whose bits a decimal or lossy format could change
+EDGE_VALUES = (-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308, 0.1, 1.0 / 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(8)),
+              elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+def test_export_import_roundtrip_is_bit_equal(table):
+    # columns: t, delta, omega, ddelta_dt, domega_dt, then P_e, i_d, P_m of
+    # the full record, whose own states are delta and omega again
+    cols = list(table.T)
+    full = FullRecord(model_id="swing2", time=cols[0],
+                      columns=dict(zip(("delta", "omega", "P_e", "i_d", "P_m"),
+                                       cols[1:3] + cols[5:])),
+                      state_names=("delta", "omega"), scenario={})
+    ds = TrajectoryDataset(time=cols[0], states={"delta": cols[1], "omega": cols[2]},
+                           derivs={"ddelta_dt": cols[3], "domega_dt": cols[4]},
+                           full=full)
+    with tempfile.TemporaryDirectory() as tmp:
+        export_dataset(ds, Path(tmp) / "train")
+        again = import_dataset(Path(tmp) / "train")
+    pairs = [(again.time, ds.time), (again.full.time, full.time)]
+    pairs += [(again.states[n], ds.states[n]) for n in ds.states]
+    pairs += [(again.derivs[n], ds.derivs[n]) for n in ds.derivs]
+    pairs += [(again.full.columns[n], full.columns[n]) for n in full.columns]
+    assert list(again.full.columns) == list(full.columns)
+    for got, want in pairs:
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _exported(tmp_path):
+    ds, _, _ = _dataset(total_time=1.0)
     prefix = tmp_path / "train"
     export_dataset(ds, prefix)
-    csv_path = prefix.with_suffix(".csv")
-    lines = csv_path.read_text().splitlines()
-    header = lines[0].split(",")
-    keep = [i for i in range(len(header)) if header[i] != "domega_dt"]
-    slim = "\n".join(",".join(line.split(",")[i] for i in keep) for line in lines)
-    csv_path.write_text(slim + "\n")
-    with pytest.raises(SchemaMismatch):
+    return ds, prefix
+
+
+def test_import_missing_column_is_schema_mismatch(tmp_path):
+    _, prefix = _exported(tmp_path)
+    path = prefix.with_suffix(".npy")
+    np.save(path, np.delete(np.load(path), 4, axis=1))  # no domega_dt
+    with pytest.raises(SchemaMismatch, match=r"train\.npy: 4 columns, the sidecar names 5"):
         import_dataset(prefix)
 
 
-def test_import_ragged_row_is_schema_mismatch_naming_the_file(tmp_path):
-    ds, _, _ = _dataset()
-    prefix = tmp_path / "train"
-    export_dataset(ds, prefix)
-    csv_path = prefix.with_suffix(".csv")
-    lines = csv_path.read_text().splitlines()
-    lines[7] = lines[7].rsplit(",", 1)[0]  # one value short of the header
-    csv_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaMismatch, match="train.csv"):
+def test_import_full_record_of_the_wrong_width_is_schema_mismatch_naming_the_file(tmp_path):
+    _, prefix = _exported(tmp_path)
+    path = tmp_path / "train.full.npy"
+    table = np.load(path)
+    np.save(path, np.column_stack([table, table[:, -1]]))
+    with pytest.raises(SchemaMismatch, match=r"train\.full\.npy: 8 columns, the sidecar names 7"):
         import_dataset(prefix)
 
 
 def test_import_header_only_gives_empty_columns(tmp_path):
-    ds, _, _ = _dataset()
-    prefix = tmp_path / "train"
-    export_dataset(ds, prefix)
-    csv_path = prefix.with_suffix(".csv")
-    csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+    # a (0, k) table is a dataset of no samples, as a header-only CSV was
+    ds, prefix = _exported(tmp_path)
+    np.save(prefix.with_suffix(".npy"), np.empty((0, 5)))
     again = import_dataset(prefix)
     assert again.time.shape == (0,)
     for column in (*again.states.values(), *again.derivs.values()):
         assert column.shape == (0,) and column.dtype == np.float64
     assert np.array_equal(again.full.time, ds.full.time)
+
+
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_import_refuses_a_sidecar_of_another_version(tmp_path, version):
+    _, prefix = _exported(tmp_path)
+    meta_path = prefix.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    if version is None:
+        del meta["version"]
+    else:
+        meta["version"] = version
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(SchemaMismatch, match=r"train\.meta\.json: dataset version "
+                                             r".*as CSV: rerun `daedisc gen-data`"):
+        import_dataset(prefix)
+
+
+@pytest.mark.parametrize("name", ["train.npy", "train.full.npy"])
+def test_import_refuses_a_missing_table(tmp_path, name):
+    _, prefix = _exported(tmp_path)
+    (tmp_path / name).unlink()
+    with pytest.raises(SchemaMismatch, match=f"missing table .*{name}"):
+        import_dataset(prefix)
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _npz_bytes():
+    buf = io.BytesIO()
+    np.savez(buf, table=np.zeros((3, 5)))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(lambda good: good[:-8], id="truncated-data"),
+    pytest.param(lambda good: good[:40], id="truncated-header"),
+    pytest.param(lambda good: b"", id="empty"),
+    pytest.param(lambda good: b"t,delta,omega,ddelta_dt,domega_dt\n0.0,1,2,3,4\n", id="csv"),
+    pytest.param(lambda good: _npz_bytes(), id="npz"),
+    pytest.param(lambda good: pickle.dumps(np.zeros((3, 5))), id="pickle"),
+    pytest.param(lambda good: _npy_bytes(np.array([[0.0, "x"]] * 3, dtype=object)),
+                 id="object-array"),
+])
+def test_import_refuses_a_file_np_load_refuses(tmp_path, content):
+    _, prefix = _exported(tmp_path)
+    path = prefix.with_suffix(".npy")
+    path.write_bytes(content(path.read_bytes()))
+    with pytest.raises(SchemaMismatch, match=r"train\.npy: "):
+        import_dataset(prefix)
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(np.zeros(5), id="1-d"),
+    pytest.param(np.zeros((2, 3, 5)), id="3-d"),
+    pytest.param(np.zeros((3, 5), dtype=np.float32), id="float32"),
+    pytest.param(np.zeros((3, 5), dtype=np.int64), id="int64"),
+    pytest.param(np.zeros((3, 5), dtype=">f8"), id="big-endian"),
+])
+def test_import_refuses_a_table_that_is_not_2d_float64(tmp_path, table):
+    _, prefix = _exported(tmp_path)
+    np.save(tmp_path / "train.full.npy", table)
+    with pytest.raises(SchemaMismatch, match=r"train\.full\.npy: expected a 2-D float64 table"):
+        import_dataset(prefix)
 
 
 def test_import_ignores_a_revealed_list_in_the_sidecar(tmp_path):
@@ -184,10 +287,17 @@ def test_import_without_full_record_is_schema_mismatch(tmp_path):
 
 
 def test_header_order_fixed(tmp_path):
+    # the sidecar names the columns: t, the states in order, their derivatives
     ds, _, _ = _dataset()
     export_dataset(ds, tmp_path / "d")
-    header = (tmp_path / "d.csv").read_text().splitlines()[0]
-    assert header == "t,delta,omega,ddelta_dt,domega_dt"
+    meta = json.loads((tmp_path / "d.meta.json").read_text())
+    assert meta["states"] == ["delta", "omega"]
+    table = np.load(tmp_path / "d.npy", allow_pickle=False)
+    expected = [ds.time, ds.states["delta"], ds.states["omega"],
+                ds.derivs["ddelta_dt"], ds.derivs["domega_dt"]]
+    assert table.shape[1] == len(expected)
+    for i, column in enumerate(expected):
+        assert np.array_equal(table[:, i], column)
 
 
 def test_central_difference_quadratic_exact():
