@@ -32,6 +32,7 @@ on top of an equilibrium initial condition solved by damped Newton.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -484,19 +485,43 @@ def solve_equilibrium(model: BenchmarkModel, inputs: Mapping[str, float]) -> np.
         f"no equilibrium for {model.model_id} after {EQUILIBRIUM_MAX_ITERATIONS} iterations")
 
 
+@functools.cache
+def _unrolled_rk4_step(n: int) -> Callable:
+    """The RK4 step for ``n`` states as straight-line code, compiled once per
+    state count: the state and each stage's derivatives are unpacked into
+    locals (``x<j>`` and ``k<stage>_<j>``), and every element is written out
+    with the array formula's operations in its order."""
+    x = [f"x{j}" for j in range(n)]
+    k = [[f"k{stage}_{j}" for j in range(n)] for stage in range(1, 5)]
+
+    def listed(names) -> str:
+        return "[" + ", ".join(names) + "]"
+
+    def stage(i: int, scale: str) -> str:
+        return listed(f"{a} + dt * {b}{scale}" for a, b in zip(x, k[i]))
+
+    lines = ["def step(f, x, dt, start, middle, end):",
+             f"    {listed(x)} = x",
+             f"    {listed(k[0])} = f(x, start)",
+             f"    {listed(k[1])} = f({stage(0, ' / 2.0')}, middle)",
+             f"    {listed(k[2])} = f({stage(1, ' / 2.0')}, middle)",
+             f"    {listed(k[3])} = f({stage(2, '')}, end)",
+             "    return " + listed(f"{a} + dt * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4}) / 6.0"
+                                    for a, b1, b2, b3, b4 in zip(x, *k))]
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<rk4 step of {n} states>", "exec"), namespace)
+    return namespace.pop("step")
+
+
 def rk4_step(f: Callable[[list[float], object], list[float]], x: list[float], dt: float,
              start, middle, end) -> list[float]:
     """One classic RK4 step of ``f(x, u)`` on lists of floats, the one step
     shared by data generation and replay; the caller supplies ``u`` at the
-    step's start, midpoint (shared by the two middle stages) and end.  Each
-    element takes the operations of the array formula in its order, so the
-    bits are those of ``x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0``."""
-    k1 = f(x, start)
-    k2 = f([a + dt * b / 2.0 for a, b in zip(x, k1)], middle)
-    k3 = f([a + dt * b / 2.0 for a, b in zip(x, k2)], middle)
-    k4 = f([a + dt * b for a, b in zip(x, k3)], end)
-    return [a + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    step's start, midpoint (shared by the two middle stages) and end.  The
+    step is unrolled for ``len(x)`` states (``f`` gives as many derivatives),
+    and each element takes the operations of the array formula in its order,
+    so the bits are those of ``x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0``."""
+    return _unrolled_rk4_step(len(x))(f, x, dt, start, middle, end)
 
 
 def _state_values(model: BenchmarkModel, pairs, what: str) -> dict[str, float]:

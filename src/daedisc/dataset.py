@@ -12,8 +12,8 @@ the endpoints.
 
 Export writes two native float64 ``.npy`` tables, the visible columns and
 the full record, plus a JSON sidecar that names their columns; import
-reproduces every value bit for bit and refuses a table that does not match
-its sidecar.
+reproduces every value bit for bit and refuses, naming the file, a sidecar
+that does not name the columns and a table that does not match its sidecar.
 """
 
 from __future__ import annotations
@@ -159,19 +159,34 @@ def export_dataset(dataset: TrajectoryDataset, prefix: str | Path) -> None:
 
 
 def _read_sidecar(prefix: Path) -> dict:
+    """The sidecar of ``prefix``, refused with ``SchemaMismatch`` naming it
+    unless it is a version-2 dataset descriptor whose ``states``,
+    ``full_columns`` and ``full_states`` are lists of column names, every
+    state among the full record's columns."""
     meta_path = prefix.with_suffix(".meta.json")
     if not meta_path.exists():
         raise SchemaMismatch(f"missing sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise SchemaMismatch(f"{meta_path}: not a JSON document ({exc})") from None
+    if not isinstance(meta, dict):
+        raise SchemaMismatch(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
     if meta.get("format") != "daedisc-dataset":
-        raise SchemaMismatch("sidecar is not a dataset descriptor")
+        raise SchemaMismatch(f"{meta_path}: sidecar is not a dataset descriptor")
     if meta.get("version") != VERSION:
         raise SchemaMismatch(
             f"{meta_path}: dataset version {meta.get('version')!r}, expected "
             f"{VERSION}; an earlier daedisc wrote its tables as CSV: rerun "
             f"`daedisc gen-data` to regenerate the dataset")
-    if meta.get("full_columns") is None or meta.get("full_states") is None:
-        raise SchemaMismatch("sidecar does not describe the full record")
+    for key in ("states", "full_columns", "full_states"):
+        names = meta.get(key)
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise SchemaMismatch(f"{meta_path}: {key} is not a list of column names: {names!r}")
+    for key in ("states", "full_states"):
+        missing = [name for name in meta[key] if name not in meta["full_columns"]]
+        if missing:
+            raise SchemaMismatch(f"{meta_path}: {key} {missing} are not full_columns")
     return meta
 
 

@@ -21,35 +21,37 @@ recorded algebraic signals are fed from the test record by linear
 interpolation, computed once for every signal at every RK4 stage time, and
 ``rk4_step`` hands each stage its recorded signals; a discovered algebraic
 model can substitute its own predictions instead, and then the record need
-not hold its targets.  The right-hand side is built once per replay: every
-state, signal and algebraic prediction has a fixed place in one flat list
-of floats, and it returns the derivatives as a list.  Each stage evaluates
-the skeletons through their compiled one-sample walk
-(``evaluator.sample_walk``) on lists of the variables they read and of
-their parameters (values only, so a non-finite gradient is no fault).  A
-skeleton that faults (a non-finite derivative is a fault) is evaluated once
-more by a value-only ``evaluate``, whose checking walk names the fault; the
-replay logs it and returns it.  An unstable identified model yields a
+not hold its targets.  The right-hand side is compiled once per replay as
+straight-line code: it unpacks the stage's states and recorded signals into
+numbered locals, checks each finite, and calls each skeleton's compiled
+one-sample walk (``evaluator.sample_walk``) with the variables it reads
+listed in place, the algebraic model's first, whose predictions it unpacks
+for the differential model, and returns the derivatives as a list.  The
+walks give values only, so a non-finite gradient is no fault, and the step
+is ``rk4_step``, itself unrolled for the state count.  A skeleton that
+faults (a non-finite derivative is a fault) is evaluated once more by a
+value-only ``evaluate``, whose checking walk names the fault; the replay logs
+it and returns it.  An unstable identified model yields a
 divergence flag and the finite prefix, never a crash.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .benchmarks import FullRecord, rk4_step
 from .dataset import deriv_name
 from . import evaluator
-from .dsl import (Skeleton, SymbolScope, make_skeleton, monomial, parse, term_sum,
-                  variables_in)
+from .dsl import Skeleton, SymbolScope, make_skeleton, monomial, parse, term_sum
 from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
 
 logger = logging.getLogger(__name__)
@@ -317,24 +319,64 @@ class ReplayResult:
     fault: FaultInfo | None = None
 
 
-def _name_fault(model: SkeletonModel, values: list[float],
-                position: Mapping[str, int]) -> FaultInfo:
-    """The domain fault of a skeleton on the replay sample ``values``, named
-    by the checking walk of one value-only ``evaluate``."""
-    batch = SampleBatch({name: np.array((values[position[name]],))
-                         for name in variables_in(model.skeleton)}, 1)
+def _name_fault(model: SkeletonModel, variables: Sequence[str],
+                values: Sequence[float]) -> FaultInfo:
+    """The domain fault of a skeleton on the replay sample ``values`` of its
+    ``variables``, named by the checking walk of one value-only ``evaluate``."""
+    batch = SampleBatch({name: np.array((value,)) for name, value in zip(variables, values)}, 1)
     return evaluate(model.skeleton, model.params, batch, gradients=False).domain_fault
 
 
-def _stage_outputs(model: SkeletonModel, position: Mapping[str, int]):
-    """The function from the replay's flat input list (each name at its
-    ``position``) to one sample's outputs of ``model`` in its target order,
-    as a list from its compiled one-sample walk, or None when it faults.
-    Callers run it under ``np.errstate(all="ignore")``."""
-    variables, walk = sample_walk(model.skeleton)
-    places = [position[name] for name in variables]
-    params = model.params.tolist()
-    return lambda values: walk([values[i] for i in places], params)
+def _replay_rhs(model: SkeletonModel, ae_model: SkeletonModel | None,
+                state_names: list[str], signals: list[str], faults: list) -> Callable:
+    """``rhs(state, signal_values)``: the replay's right-hand side, compiled
+    once per replay from straight-line source.
+
+    The states, the recorded ``signals`` and then the algebraic model's
+    targets are the locals ``v<i>``, numbered in that order.  The given
+    values are unpacked and checked finite (one that is not gives NaN
+    derivatives, so every later stage stops there); the algebraic model's
+    walk, if there is one, and then the differential model's are called with
+    their variables listed in place, the first unpacking its predictions and
+    the second returning its list.  A walk that faults appends ``(which
+    model, its fault)`` to ``faults``, the fault named by ``_name_fault`` on
+    its inputs, and gives the NaN list.  The walks, parameters, NaN list and
+    fault callbacks are bound in the namespace, so the source holds nothing
+    but local numbers, indices and fixed templates.  Call it under
+    ``np.errstate(all="ignore")``, as each walk.
+    """
+    ae_targets = [] if ae_model is None else list(ae_model.skeleton.target_names)
+    names = state_names + signals + ae_targets
+    local = [f"v{i}" for i in range(len(names))]
+    position = dict(zip(names, local))
+    n_states, n_given = len(state_names), len(state_names) + len(signals)
+
+    def listed(values) -> str:
+        return "[" + ", ".join(values) + "]"
+
+    lines = ["def rhs(s, u):", f"    {listed(local[:n_states])} = s"]
+    if signals:
+        lines.append(f"    {listed(local[n_states:n_given])} = u")
+    lines += [f"    if not ({' and '.join(f'isfinite({v})' for v in local[:n_given])}):",
+              "        return N"]
+    namespace = {"__builtins__": {}, "isfinite": math.isfinite, "N": [math.nan] * n_states,
+                 "faults": faults}
+    # (walk name, model, what follows a call that did not fault)
+    calls = [("de", model, "    return y")]
+    if ae_model is not None:
+        calls.insert(0, ("ae", ae_model, f"    {listed(local[n_given:])} = y"))
+    for which, stage_model, then in calls:
+        variables, walk = sample_walk(stage_model.skeleton)
+        inputs = listed(position[name] for name in variables)
+        namespace[which], namespace[f"p_{which}"] = walk, stage_model.params.tolist()
+        namespace[f"name_{which}"] = functools.partial(_name_fault, stage_model, variables)
+        lines += [f"    y = {which}({inputs}, p_{which})",
+                  "    if y is None:",
+                  f"        faults.append(('{which.upper()}', name_{which}({inputs})))",
+                  "        return N",
+                  then]
+    exec(compile("\n".join(lines) + "\n", "<replay rhs>", "exec"), namespace)
+    return namespace.pop("rhs")  # left in its globals, it would form a cycle
 
 
 def simulate_identified(model, record: FullRecord,
@@ -354,13 +396,14 @@ def simulate_identified(model, record: FullRecord,
         raise TypeError(f"cannot replay {type(model).__name__}")
     if tuple(model.skeleton.target_names) != tuple(state_names):
         raise ValueError("skeleton targets do not match the record's states")
-    inputs = variables_in(model.skeleton)
+    inputs = set(sample_walk(model.skeleton)[0])
     ae_targets: list[str] = []
     if ae_model is not None:
         ae_targets = list(ae_model.skeleton.target_names)
-        if variables_in(ae_model.skeleton) & set(ae_targets):
+        ae_inputs = set(sample_walk(ae_model.skeleton)[0])
+        if ae_inputs & set(ae_targets):
             raise ValueError("the algebraic model reads its own targets")
-        inputs = inputs | variables_in(ae_model.skeleton)
+        inputs |= ae_inputs
     signals = sorted(inputs - set(state_names) - set(ae_targets))
     for name in signals:
         if name not in record.columns:
@@ -374,39 +417,8 @@ def simulate_identified(model, record: FullRecord,
     for k, name in enumerate(signals):
         recorded[:, :, k] = np.interp(stage_times, time_grid, record.columns[name])
 
-    # the right-hand side reads one flat list: states, recorded signals, then
-    # the algebraic model's predictions, each at a fixed position
-    position = {name: i for i, name in enumerate(state_names + signals + ae_targets)}
-    values = [0.0] * len(position)
-    n_recorded = len(state_names) + len(signals)
-    de_outputs = _stage_outputs(model, position)
-    ae_outputs = None if ae_model is None else _stage_outputs(ae_model, position)
-
-    no_derivatives = [math.nan] * len(state_names)
-    faulted = None  # (which model, its fault): at most one, as it ends the replay
-
-    def fault(skeleton_model: SkeletonModel, which: str) -> list[float]:
-        nonlocal faulted
-        faulted = which, _name_fault(skeleton_model, values, position)
-        return no_derivatives
-
-    def rhs(state: list[float], signal_values: list[float]) -> list[float]:
-        given = state + signal_values
-        # a non-finite input or a faulting model gives NaN derivatives, so
-        # every later stage stops here
-        if not all(map(math.isfinite, given)):
-            return no_derivatives
-        values[:n_recorded] = given
-        if ae_outputs is not None:
-            predicted = ae_outputs(values)
-            if predicted is None:
-                return fault(ae_model, "AE")
-            values[n_recorded:] = predicted
-        derivatives = de_outputs(values)
-        if derivatives is None:
-            return fault(model, "DE")
-        return derivatives
-
+    faulted: list = []  # (which model, its fault): at most one, as it ends the replay
+    rhs = _replay_rhs(model, ae_model, state_names, signals, faulted)
     x = [float(record.columns[s][0]) for s in state_names]
     n = len(time_grid)
     out = np.full((n, len(state_names)), np.nan)
@@ -423,8 +435,8 @@ def simulate_identified(model, record: FullRecord,
             out[i + 1] = x
             n_valid += 1
     info = None
-    if faulted is not None:
-        which, info = faulted
+    if faulted:
+        [(which, info)] = faulted
         info = replace(info, sample_index=n_valid - 1)
         logger.warning("replay: the %s model faults in the RK4 step from t = %g s: %s",
                        which, time_grid[n_valid - 1], info.reason)

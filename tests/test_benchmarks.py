@@ -114,7 +114,7 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
     st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=5, max_size=5)), _ANY_FLOAT)
 def test_list_rk4_step_has_the_array_formulas_bits(rows, dt):
     # rows: the state, then the derivative each of the four stages returns

@@ -257,6 +257,47 @@ def test_import_refuses_a_table_that_is_not_2d_float64(tmp_path, table):
         import_dataset(prefix)
 
 
+def _edit_sidecar(prefix, edit):
+    meta_path = prefix.with_suffix(".meta.json")
+    meta_path.write_text(edit(json.loads(meta_path.read_text())))
+
+
+@pytest.mark.parametrize("text", ["{", "", "version: 2"])
+def test_import_refuses_a_sidecar_that_is_not_json(tmp_path, text):
+    _, prefix = _exported(tmp_path)
+    _edit_sidecar(prefix, lambda meta: text)
+    with pytest.raises(SchemaMismatch, match=r"train\.meta\.json: not a JSON document"):
+        import_dataset(prefix)
+
+
+@pytest.mark.parametrize("document", [[], ["daedisc-dataset", 2], "daedisc-dataset", 2, None])
+def test_import_refuses_a_sidecar_that_is_not_an_object(tmp_path, document):
+    _, prefix = _exported(tmp_path)
+    _edit_sidecar(prefix, lambda meta: json.dumps(document))
+    with pytest.raises(SchemaMismatch, match=r"train\.meta\.json: expected a JSON object"):
+        import_dataset(prefix)
+
+
+@pytest.mark.parametrize("key", ["states", "full_columns", "full_states"])
+@pytest.mark.parametrize("names", ["delta", ["delta", 3], {"delta": 0}, None])
+def test_import_refuses_sidecar_names_that_are_not_lists_of_strings(tmp_path, key, names):
+    # a string would be taken as one column name per character
+    _, prefix = _exported(tmp_path)
+    _edit_sidecar(prefix, lambda meta: json.dumps({**meta, key: names}))
+    with pytest.raises(SchemaMismatch,
+                       match=rf"train\.meta\.json: {key} is not a list of column names"):
+        import_dataset(prefix)
+
+
+@pytest.mark.parametrize("key", ["states", "full_states"])
+def test_import_refuses_a_state_missing_from_the_full_columns(tmp_path, key):
+    _, prefix = _exported(tmp_path)
+    _edit_sidecar(prefix, lambda meta: json.dumps({**meta, key: ["delta", "nope"]}))
+    with pytest.raises(SchemaMismatch,
+                       match=rf"train\.meta\.json: {key} \['nope'\] are not full_columns"):
+        import_dataset(prefix)
+
+
 def test_import_ignores_a_revealed_list_in_the_sidecar(tmp_path):
     # older sidecars carry an empty "revealed" list: gen-data wrote one for
     # every split

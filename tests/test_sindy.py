@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daedisc.benchmarks import Disturbance, ScenarioConfig, get_model, rk4_step, simulate
+from daedisc.benchmarks import (Disturbance, FullRecord, ScenarioConfig, get_model, rk4_step,
+                               simulate)
 from daedisc.dataset import central_difference, deriv_name
 from daedisc.dsl import variables_in
 from daedisc.evaluator import FaultInfo, SampleBatch, evaluate
@@ -514,6 +515,44 @@ def test_replay_matches_an_array_rk4_oracle(array_rk4):
     replay = _assert_sparse_replays_as_references(
         overcomplete, _held_out("type1order5", (("delta", 0.6), ("omega", 0.006))))
     assert replay.diverged and 1 < replay.n_valid < record.n_samples
+
+
+def test_replay_of_one_state_matches_an_array_rk4_oracle(array_rk4):
+    time = np.arange(301) * 0.01
+    record = FullRecord(model_id="hand", time=time,
+                        columns={"x": np.cos(time), "u": np.sin(3.0 * time)},
+                        state_names=("x",), scenario={})
+    lag = SkeletonModel.from_text("dx/dt = p0*(u - x)", [2.0], ("x",), ("x",), ("u",))
+    replay = _assert_replays_as_reference(lag, record)
+    assert not replay.diverged and replay.n_valid == record.n_samples
+    # no recorded signal at all
+    decay = SkeletonModel.from_text("dx/dt = -p0*x^2", [0.5], ("x",), ("x",))
+    assert not _assert_replays_as_reference(decay, record).diverged
+
+
+def test_replay_of_a_de_model_reading_no_recorded_signal_with_an_ae_model(array_rk4):
+    _, record = _record()
+    de = _swing_skeleton(record)
+    # predictions that the differential model does not read, from states alone
+    _, ae = _swing_de_ae(record, "P_e = p0*sin(delta)\nQ_e = p0*cos(delta)", ("P_e", "Q_e"))
+    assert not _assert_replays_as_reference(de, record, ae_model=ae).diverged
+    # the algebraic model alone reads a recorded input
+    ae = SkeletonModel.from_text("P_e = p0*sin(delta) + 0*P_m", [1.0], ("P_e",),
+                                 record.state_names, ("P_m",), kind="ae")
+    assert not _assert_replays_as_reference(de, record, ae_model=ae).diverged
+
+
+def test_replay_diverges_where_a_recorded_signal_turns_nan(array_rk4, caplog):
+    _, record = _record()
+    de, _ = _swing_de_ae(record, "P_e = p0*sin(delta)", ("P_e",))
+    p_e = record.columns["P_e"].copy()
+    p_e[200:] = np.nan
+    cut = replace(record, columns={**record.columns, "P_e": p_e})
+    with caplog.at_level(logging.WARNING, logger="daedisc.sindy"):
+        replay = _assert_replays_as_reference(de, cut)
+    # the step from sample 199 reads P_e at sample 200: no model faults
+    assert replay.diverged and replay.n_valid == 200
+    assert replay.fault is None and not caplog.records
 
 
 def test_replay_names_its_domain_fault(caplog):
