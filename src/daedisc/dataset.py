@@ -193,7 +193,11 @@ def _read_sidecar(prefix: Path) -> dict:
 def import_record(prefix: str | Path) -> FullRecord:
     """The hidden full record alone: ``<prefix>.full.npy`` and its sidecar."""
     prefix = Path(prefix)
-    meta = _read_sidecar(prefix)
+    return _full_record(prefix, _read_sidecar(prefix))
+
+
+def _full_record(prefix: Path, meta: dict) -> FullRecord:
+    """The full record of ``<prefix>.full.npy`` described by its read sidecar."""
     names = meta["full_columns"]
     table = _read_table(_full_path(prefix), 1 + len(names))
     return FullRecord(
@@ -213,7 +217,7 @@ def import_dataset(prefix: str | Path) -> TrajectoryDataset:
         time=table[:, 0],
         states={s: table[:, 1 + i] for i, s in enumerate(states)},
         derivs={deriv_name(s): table[:, 1 + len(states) + i] for i, s in enumerate(states)},
-        full=import_record(prefix),
+        full=_full_record(prefix, meta),
         metadata={"model": meta["model"], "scenario": meta["scenario"],
                   "seed": meta["seed"]},
     )

@@ -25,50 +25,53 @@ result.  It runs on a straight-line NumPy function per target, emitted from
 the tape on a skeleton's first weighted call: the forward steps over the
 nodes whose subtree holds a parameter (live nodes), and a reverse sweep that
 forms adjoints along parameter paths only.  Each function has one statement
-per live node and per adjoint, with the domain rules as bound predicates,
-and the negations on the sweep's path carried as signs to the leaf sums,
-which gives the bits of the interpreted sweep.  The source text names only
-slots, so each text is compiled once, into a bounded cache of code, and a
-skeleton runs that code in its own namespace.  One parameter row reaches
-the functions as NumPy scalars, more rows as columns (R, 1); the scalars
-skip NumPy's broadcasting machinery and give the same bits.  The values of
-the parameter-free subtrees, such as ``omega - 1`` or ``sin(delta)``, and
-their domain rules depend on the batch alone; the checking walk's forward
-loop, run without parameters, computes them once per skeleton and batch,
-and they are held, with the compiled walks and the batch, in a one-entry
-memo of the last pair fitted, never on the skeleton.  Each call checks the
-domain rules of the live nodes, and the finiteness of the sums of squares
-and of the weighted sums, once; a finite sum of squares means finite
-outputs, and only if a sum is not finite are the outputs checked as such.
-These checks decide faulted-or-not as a check at every node would.  Only
-the sums are checked: a per-sample partial that overflows where the
-residual is small enough to bring the weighted adjoint back into the floats
-is not seen.
+per live node, per domain rule test and per adjoint, written from the
+templates of ``_OPS`` and ``_TESTS``, and the negations on the sweep's path
+carried as signs to the leaf sums, which gives the bits of the interpreted
+sweep.  The source text names only slots and the templates' fixed names, so
+each text is compiled once, into a bounded cache of code, and a skeleton
+runs that code in its own copy of one fixed namespace.  One parameter row
+reaches the functions as NumPy scalars, more rows as columns (R, 1); the
+scalars skip NumPy's broadcasting machinery and give the same bits.  The
+values of the parameter-free subtrees, such as ``omega - 1`` or
+``sin(delta)``, and their domain rules depend on the batch alone; the
+checking walk's forward loop, run without parameters, computes them once
+per skeleton and batch, and they are held, with the compiled walks and the
+batch, in a one-entry memo of the last pair fitted, never on the skeleton.
+Each call checks the domain rules of the live nodes, and the finiteness of
+the sums of squares and of the weighted sums, once; a finite sum of squares
+means finite outputs, and only if a sum is not finite are the outputs
+checked as such.  These checks decide faulted-or-not as a check at every
+node would.  Only the sums are checked: a per-sample partial that overflows
+where the residual is small enough to bring the weighted adjoint back into
+the floats is not seen.
 
-The checking walk (``_walk_checked``) is the only interpreted one.  It
-walks every node of the tape in postorder, checking each as it is formed,
-target by target, and then each target's per-sample gradients, so a fault
-record names the first offending node.  It serves the one-shot calls, which
-run once per skeleton and batch, so a compiled walk would save them nothing:
-values only (the STLSQ library matrix, replay's fault naming) and per-sample
-gradients, the sweep seeded with 1.0 and the adjoints of the parameter
-leaves scattered into a (T, n, k) array (``gradient_check``).  For these it
-gives the outputs, the gradients or the fault in one pass and stores
-nothing.  It also names the fault of a fit step that the fit walk refused.
-A weighted sum that is not finite although no check fails (only the
-weighting overflowed) is a "non-finite gradient" at the first sample at
-which a weighted leaf adjoint is not finite; that result keeps its outputs.
+The checking walk (``_walk_checked``) is the only interpreted one; its
+value, adjoint and test functions are built from the same templates, once,
+at import, from this module's text alone.  It walks every node of the tape
+in postorder, checking each as it is formed, target by target, and then
+each target's per-sample gradients, so a fault record names the first
+offending node.  It serves the one-shot calls, which run once per skeleton
+and batch, so a compiled walk would save them nothing: values only (the
+STLSQ library matrix, replay's fault naming) and per-sample gradients, the
+sweep seeded with 1.0 and the adjoints of the parameter leaves scattered
+into a (T, n, k) array (``gradient_check``).  For these it gives the
+outputs, the gradients or the fault in one pass and stores nothing.  It
+also names the fault of a fit step that the fit walk refused.  A weighted
+sum that is not finite although no check fails (only the weighting
+overflowed) is a "non-finite gradient" at the first sample at which a
+weighted leaf adjoint is not finite; that result keeps its outputs.
 
 The float walk (``sample_walk``) computes the values of one sample, as
 trajectory replay needs them at every RK4 stage: a straight-line Python
 function of the variable and parameter values, compiled once from the tape
-and cached on the skeleton.  Its statements are the tape's operations and
-domain rules on Python floats, which give the array walks' bits; the source
-holds only slot numbers and fixed templates, with constants, operations and
-rule predicates bound in its namespace, so no text of the skeleton is ever
-compiled.  It tells a fault only by returning None; a caller that needs the
-record evaluates the sample with ``evaluate``.  All inputs are immutable and
-evaluation is pure.
+and cached on the skeleton.  Its statements are the same templates'
+operations and domain rule tests on Python floats, which give the array
+walks' bits; the source holds only slot numbers, exponents and the fixed
+templates, with the constants bound in its namespace, so no text of the
+skeleton is ever compiled.  It tells a fault only by returning None; a
+caller that needs the record evaluates the sample with ``evaluate``.  All
+inputs are immutable and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -175,68 +178,96 @@ def _check(bad, reason: str, shape: tuple[int, int]) -> None:
         raise DomainFault(_fault(bad, reason, shape))
 
 
-def _near_zero(v):
-    return abs(v) < DIV_GUARD
+# op -> (value, value written into the output row O or None, adjoint of x,
+# adjoint of y or None for unary ops): templates of the operands {x} and {y}
+# ({y} is {x} for unary ops), the exponent {e}, the value {v} and its adjoint
+# {g}, each adjoint with its sign relative to g.  An operator's value is
+# also a NumPy ufunc's, which writes a weighted walk's root into its output
+# row with no copy.  Every adjoint is linear in g and IEEE negation commutes
+# with ``*`` and ``/``, so a sign gives the same bits applied where the
+# adjoint is formed or carried to the leaf sums; an adjoint that is {g} alone
+# forms no array and only carries the sign.  Powers go through an array
+# because ndarray ** scalar takes NumPy's fast paths (square, reciprocal,
+# ...), whose bits can differ from scalar pow; an integer exponent gives a
+# float one's bits.  Float constants are names bound in ``_NAMES``, not
+# literals, so a compiled source holds no number but exponents and indices;
+# integer literals in their place would cost NumPy's slower path for Python
+# ints.  A zeroth power has no adjoint (see _reverse_steps)
+_OPS = {
+    "neg": ("-{x}", "negative({x}, out=O)", ("{g}", -1), None),
+    "+": ("{x} + {y}", "add({x}, {y}, out=O)", ("{g}", 1), ("{g}", 1)),
+    "-": ("{x} - {y}", "subtract({x}, {y}, out=O)", ("{g}", 1), ("{g}", -1)),
+    "*": ("{x} * {y}", "multiply({x}, {y}, out=O)", ("{g} * {y}", 1), ("{g} * {x}", 1)),
+    "/": ("{x} / {y}", "divide({x}, {y}, out=O)", ("{g} / {y}", 1),
+          ("{g} * {x} / ({y} * {y})", -1)),
+    "^": ("asarray({x}) ** {e}", None, ("{g} * {e} * asarray({x}) ** ({e} - 1)", 1), None),
+    "sin": ("sin({x})", None, ("{g} * cos({x})", 1), None),
+    "cos": ("cos({x})", None, ("{g} * sin({x})", -1), None),
+    "tan": ("tan({x})", None, ("{g} * (ONE + {v} * {v})", 1), None),
+    "exp": ("exp({x})", None, ("{g} * {v}", 1), None),
+    "log": ("log({x})", None, ("{g} * (ONE / {x})", 1), None),
+    "sqrt": ("sqrt({x})", None, ("{g} * (HALF / {v})", 1), None),
+    "tanh": ("tanh({x})", None, ("{g} * (ONE - {v} * {v})", 1), None),
+    "abs": ("abs({x})", None, ("{g} * sign({x})", 1), None),  # subgradient 0 at the kink
+}
+
+# domain rule -> the test of its operand {x} that fails it, with operators
+# that mean the same on arrays and on floats; x - x is 0 for every finite x
+# and NaN otherwise
+_TESTS = {
+    "division by near-zero denominator": "abs({x}) < DIV_GUARD",
+    "negative power of near-zero base": "abs({x}) < DIV_GUARD",
+    "non-finite value": "{x} - {x} != ZERO",
+    "log of non-positive argument": "{x} <= ZERO",
+    "sqrt of negative argument": "{x} < ZERO",
+}
+
+# the names the templates read, and the globals of the compiled fit walks
+_NAMES = {"asarray": np.asarray, "sign": np.sign, "DIV_GUARD": DIV_GUARD,
+          "ZERO": 0.0, "HALF": 0.5, "ONE": 1.0,
+          "add_reduce": np.add.reduce, "negative": np.negative, "add": np.add,
+          "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
+          **{f: getattr(np, f) for f in FUNCTIONS}}
 
 
-def _non_finite(v):
-    return v - v != 0.0  # v - v is 0 for every finite v and NaN otherwise
+def _function(args: str, template: str, sign: int = 1) -> Callable:
+    """A template of this module as a function of ``args``, negated for a
+    negative sign; called at import only, so ``eval`` reads no text but this
+    module's."""
+    body = template.format(x="x", y="y", e="e", v="v", g="g")
+    return eval(f"lambda {args}: {'-' if sign < 0 else ''}({body})", dict(_NAMES))
 
 
+# the checking walk's functions: op -> value from x, y and e, op -> (adjoint
+# of x, adjoint of y or None) from g, x, y, v and e, and rule -> test of x
+_VALUE = {op: _function("x, y, e", value) for op, (value, *_) in _OPS.items()}
+_ADJOINTS = {op: tuple(None if d is None else _function("g, x, y, v, e", *d) for d in ds)
+             for op, (_, _, *ds) in _OPS.items()}
+_PREDICATES = {reason: _function("x", test) for reason, test in _TESTS.items()}
+
+
+@functools.cache
 def _rules(op: str, e) -> tuple:
-    """Domain rules of one instruction in check order, as (operand, bad test,
-    reason); operand 1 is the right operand y, 0 the left or only operand x.
-    Besides the domain proper, the operands through which a non-finite value
-    could vanish must be finite; every other operation keeps it.  The tests
-    use operators that mean the same on arrays and on floats, so both walks
-    read them: the array walks on columns, the float walk on floats."""
-    finite = (_non_finite, "non-finite value")
+    """Domain rules of an operation and exponent ``e`` (None but for powers)
+    in check order, as (operand, bad test, reason); operand 1 is the right
+    operand y, 0 the left or only operand x.  Besides the domain proper, the
+    operands through which a non-finite value could vanish must be finite;
+    every other operation keeps it.  The tests are ``_TESTS``'s: the array
+    walks read them on columns, the float walk on floats.  Each is formed
+    once and shared by every instruction of its operation and exponent."""
     if op == "/":
-        return (1, _near_zero, "division by near-zero denominator"), (1, *finite)
-    if op == "^" and e < 0:
-        return (0, _near_zero, "negative power of near-zero base"), (0, *finite)
-    if op == "^" and e == 0:
-        return ((0, *finite),)
-    if op == "log":
-        return ((0, lambda v: v <= 0.0, "log of non-positive argument"),)
-    if op == "sqrt":
-        return ((0, lambda v: v < 0.0, "sqrt of negative argument"),)
-    if op in ("exp", "tanh"):
-        return ((0, *finite),)
-    return ()
-
-
-# op -> value from the operands x, y (y is x for unary ops) and the exponent e;
-# powers go through an array because ndarray ** scalar takes NumPy's fast
-# paths (square, reciprocal, ...), whose bits can differ from scalar pow
-_VALUE = {
-    "neg": lambda x, y, e: -x,
-    "+": lambda x, y, e: x + y,
-    "-": lambda x, y, e: x - y,
-    "*": lambda x, y, e: x * y,
-    "/": lambda x, y, e: x / y,
-    "^": lambda x, y, e: np.asarray(x) ** float(e),
-    **{f: (lambda x, y, e, ufunc=getattr(np, f): ufunc(x)) for f in FUNCTIONS},
-}
-
-# op -> (adjoint of x, adjoint of y or None for unary ops), each from the
-# adjoint g of the value v; a zeroth power has no adjoint (see _reverse_steps)
-_ADJOINTS = {
-    "neg": (lambda g, x, y, v, e: -g, None),
-    "+": (lambda g, x, y, v, e: g, lambda g, x, y, v, e: g),
-    "-": (lambda g, x, y, v, e: g, lambda g, x, y, v, e: -g),
-    "*": (lambda g, x, y, v, e: g * y, lambda g, x, y, v, e: g * x),
-    "/": (lambda g, x, y, v, e: g / y, lambda g, x, y, v, e: -g * x / (y * y)),
-    "^": (lambda g, x, y, v, e: g * e * np.asarray(x) ** float(e - 1), None),
-    "sin": (lambda g, x, y, v, e: g * np.cos(x), None),
-    "cos": (lambda g, x, y, v, e: g * -np.sin(x), None),
-    "tan": (lambda g, x, y, v, e: g * (1.0 + v * v), None),
-    "exp": (lambda g, x, y, v, e: g * v, None),
-    "log": (lambda g, x, y, v, e: g * (1.0 / x), None),
-    "sqrt": (lambda g, x, y, v, e: g * (0.5 / v), None),
-    "tanh": (lambda g, x, y, v, e: g * (1.0 - v * v), None),
-    "abs": (lambda g, x, y, v, e: g * np.sign(x), None),  # subgradient 0 at the kink
-}
+        rules = (1, "division by near-zero denominator"), (1, "non-finite value")
+    elif op == "^" and e < 0:
+        rules = (0, "negative power of near-zero base"), (0, "non-finite value")
+    elif op == "log":
+        rules = ((0, "log of non-positive argument"),)
+    elif op == "sqrt":
+        rules = ((0, "sqrt of negative argument"),)
+    elif op in ("exp", "tanh") or op == "^" and e == 0:
+        rules = ((0, "non-finite value"),)
+    else:
+        rules = ()
+    return tuple((operand, _PREDICATES[reason], reason) for operand, reason in rules)
 
 
 def _emit(node: Expr, prog: list, variables: list) -> int:
@@ -267,7 +298,7 @@ def _emit(node: Expr, prog: list, variables: list) -> int:
             raise TypeError(f"not an expression node: {node!r}")
     b = a if b is None else b
     live = op == "param" or (a is not None and (prog[a][4] or prog[b][4]))
-    prog.append((op, a, b, arg, live, _rules(op, arg)))
+    prog.append((op, a, b, arg, live, _rules(op, arg if op == "^" else None)))
     return len(prog) - 1
 
 
@@ -391,27 +422,6 @@ def _parameter_free_values(skeleton: Skeleton, batch: SampleBatch) -> tuple | No
     return tuple(values)
 
 
-# ``+ - * /`` and negation with their result written into the output row, for
-# a weighted walk's root
-_INTO = {"neg": "negative({x}, out=O)", "+": "add({x}, {y}, out=O)",
-         "-": "subtract({x}, {y}, out=O)", "*": "multiply({x}, {y}, out=O)",
-         "/": "divide({x}, {y}, out=O)"}
-
-# op -> (adjoint of x, adjoint of y or None), each as (statement template from
-# the adjoint g and the operands, sign relative to g); a template that is g
-# alone forms no array and only carries the sign.  The templates are the
-# ``_ADJOINTS`` entries' operations with the negation taken out: IEEE negation
-# commutes with ``*`` and ``/``, so ``-g * x / (y * y)`` is the negation of
-# ``g * x / (y * y)`` bit for bit
-_INLINE_ADJOINTS = {
-    "neg": (("{g}", -1), None),
-    "+": (("{g}", 1), ("{g}", 1)),
-    "-": (("{g}", 1), ("{g}", -1)),
-    "*": (("{g} * {y}", 1), ("{g} * {x}", 1)),
-    "/": (("{g} / {y}", 1), ("{g} * {x} / ({y} * {y})", -1)),
-}
-
-
 def _weighted_source(prog: list) -> tuple[str, dict]:
     """Source and namespace of ``walk(V, P, Y, O, E, G)``, the straight-line
     residual-weighted walk of one target, emitted from its tape program.
@@ -423,21 +433,21 @@ def _weighted_source(prog: list) -> tuple[str, dict]:
     columns (R,) of the gradient sums (R, k).
     It returns False as soon as a live operand fails its domain rule, True
     otherwise; finiteness is the caller's check.  The statements are read
-    from the tape: each live node other than a parameter, in postorder, after
-    the domain rules on its live operands (the rules on parameter-free
-    operands hold for the batch and are checked once with it, by
-    ``_parameter_free_values``), then the sweep of ``_reverse_steps`` from
-    the residual, each adjoint carried with a sign fixed at compile time,
-    since a negation commutes with every adjoint operation and with the
-    pairwise sum; a leaf's sum is added into ``G`` or subtracted from it by
-    that sign.  ``G`` starts at +0.0 and a sum of +0.0 never gives -0.0, so
-    a sum that is a signed zero gives the same bits either way.
+    from the tape and written from ``_OPS`` and ``_TESTS``: each live node
+    other than a parameter, in postorder, after the tests of the domain rules
+    on its live operands (the rules on parameter-free operands hold for the
+    batch and are checked once with it, by ``_parameter_free_values``), then
+    the sweep of ``_reverse_steps`` from the residual, each adjoint carried
+    with its sign, fixed at compile time, since a negation commutes with
+    every adjoint and with the pairwise sum; a leaf's sum is added into ``G``
+    or subtracted from it by that sign.  ``G`` starts at +0.0 and a sum of
+    +0.0 never gives -0.0, so a sum that is a signed zero gives the same bits
+    either way.
 
     No name in the source depends on the skeleton: values and adjoints are
-    the entries of a list ``T``, and the rule predicates, the operations
-    other than ``+ - * /`` and negation, their exponents and the adjoint
-    functions are the entries of a tuple ``B`` bound in the namespace.  The
-    interpreter interns every name it compiles, and a search compiles the
+    the entries of a list ``T``, exponents integer literals, and every other
+    name is a fixed one of the templates, bound in a copy of ``_NAMES``.
+    The interpreter interns every name it compiles, and a search compiles the
     walks of every candidate: names numbered by slot would be interned and
     freed again with each candidate, and that churn grows the interpreter's
     table of interned strings (with such names, a run of perfbench's
@@ -445,12 +455,6 @@ def _weighted_source(prog: list) -> tuple[str, dict]:
     passes).
     """
     reverse, leaves = _reverse_steps(prog)
-    bound = []
-
-    def bind(obj) -> str:
-        bound.append(obj)
-        return f"B[{len(bound) - 1}]"
-
     temps = 0
 
     def temp() -> str:
@@ -465,41 +469,33 @@ def _weighted_source(prog: list) -> tuple[str, dict]:
     for i, (op, a, b, arg, live, rules) in enumerate(prog):
         if not live or op == "param":
             continue
-        for operand, bad, _ in rules:
+        for operand, _, reason in rules:
             slot = b if operand else a
             if prog[slot][4]:
-                lines.append(f"    if {bind(bad)}({name[slot]}).any(): return False")
-        x, y = name[a], name[b]
-        if i == root and op in _INTO:
-            lines.append("    " + _INTO[op].format(x=x, y=y))
+                lines.append(f"    if ({_TESTS[reason].format(x=name[slot])}).any(): return False")
+        value, into = _OPS[op][:2]
+        if i == root and into:
+            lines.append("    " + into.format(x=name[a], y=name[b]))
             name[i] = "O"
-        elif op in _INLINE:
-            name[i] = temp()
-            lines.append(f"    {name[i]} = " + _INLINE[op].format(x=x, y=y))
         else:
             name[i] = temp()
-            lines.append(f"    {name[i]} = {bind(_VALUE[op])}({x}, {y}, {bind(arg)})")
+            lines.append(f"    {name[i]} = " + value.format(x=name[a], y=name[b], e=arg))
     if name[root] != "O":
         lines.append(f"    O[...] = {name[root]}")
     lines.append("    subtract(O, Y, out=E)")
     adjoint = {root: ("E", 1)}
     for i, a, b, arg, dx, dy in reverse:
         op, (g, sign) = prog[i][0], adjoint[i]
-        x, y, v = name[a], name[b], name[i]
-        for which, (slot, d) in enumerate(((a, dx), (b, dy))):
+        for slot, d, entry in zip((a, b), (dx, dy), _OPS[op][2:]):
             if d is None:
                 continue
-            if op not in _INLINE_ADJOINTS:
-                adjoint[slot] = (temp(), sign)
-                lines.append(f"    {adjoint[slot][0]} = "
-                             f"{bind(d)}({g}, {x}, {y}, {v}, {bind(arg)})")
-                continue
-            template, flip = _INLINE_ADJOINTS[op][which]
+            template, flip = entry
             if template == "{g}":
                 adjoint[slot] = (g, sign * flip)
                 continue
             adjoint[slot] = (temp(), sign * flip)
-            lines.append(f"    {adjoint[slot][0]} = " + template.format(g=g, x=x, y=y))
+            lines.append(f"    {adjoint[slot][0]} = "
+                         + template.format(g=g, x=name[a], y=name[b], v=name[i], e=arg))
     for j, slot in leaves:
         g, sign = adjoint[slot]
         lines.append(f"    G[{j}] {'+' if sign > 0 else '-'}= add_reduce({g}, axis=-1)")
@@ -507,10 +503,7 @@ def _weighted_source(prog: list) -> tuple[str, dict]:
              "    return True"]
     # the builtins stay: NumPy imports some of its modules on first use,
     # through the calling frame's __import__
-    namespace = {"B": tuple(bound), "add_reduce": np.add.reduce, "negative": np.negative,
-                 "add": np.add, "subtract": np.subtract, "multiply": np.multiply,
-                 "divide": np.divide}
-    return "\n".join(lines) + "\n", namespace
+    return "\n".join(lines) + "\n", dict(_NAMES)
 
 
 # the most weighted walk sources whose code is kept: a search repeats a
@@ -524,10 +517,11 @@ COMPILED_WALKS = 32
 @functools.lru_cache(maxsize=COMPILED_WALKS)
 def _compiled(source: str):
     """The code of a weighted walk's source.  The text names only slots,
-    parameter indices and indices into the bound tuple, so equal texts are
-    equal code whichever skeleton emitted them, and a skeleton that shares a
-    target with an earlier one compiles nothing for it.  The code holds no
-    bound object: each skeleton's walk runs it in its own namespace."""
+    parameter indices, exponents and the templates' fixed names, so equal
+    texts are equal code whichever skeleton emitted them, and a skeleton that
+    shares a target with an earlier one compiles nothing for it.  The code
+    holds no object: each skeleton's walk runs it in its own copy of the
+    fixed namespace."""
     return compile(source, "<weighted walk>", "exec")
 
 
@@ -652,12 +646,6 @@ def _walk_checked(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
         return outputs, None, _weighted_fault(weighted_adjoints, shape)
 
 
-# the one-sample walk's statements: ``+ - * /`` and negation inline on floats,
-# every other operation through its ``_VALUE`` entry, bound as f<slot>
-_INLINE = {"neg": "-{x}", "+": "{x} + {y}", "-": "{x} - {y}", "*": "{x} * {y}",
-           "/": "{x} / {y}"}
-
-
 def _sample_source(programs: list) -> tuple[str, dict]:
     """Source and namespace of ``walk(xs, ps)``, the straight-line one-sample
     walk of a tape's programs.
@@ -665,13 +653,16 @@ def _sample_source(programs: list) -> tuple[str, dict]:
     Slot ``n`` of the tape, counted over all targets, is read where it is
     used: a parameter or variable in place from ``ps`` or ``xs`` by index, a
     constant as the bound ``c<n>``, and every other value as the local
-    ``v<n>``, formed after its domain rules, each a bound predicate
-    ``r<n>_<k>``; a target's output is checked finite.  Constants,
-    operations (``f<n>``), exponents (``k<n>``) and predicates are bound in
-    the namespace, so the source holds nothing but slot numbers, indices and
-    fixed templates.
+    ``v<n>``, formed after the tests of its domain rules; a target's output
+    is checked finite.  Values and tests are written from ``_OPS`` and
+    ``_TESTS``, on Python floats: NumPy's functions and powers give NumPy
+    scalars, which ``float`` turns back.  Only the constants are bound in the
+    namespace, beside the templates' fixed names, so the source holds nothing
+    but slot numbers, indices, exponents and fixed templates.
     """
-    namespace = {"__builtins__": {}, "float": float, "isfinite": math.isfinite}
+    # the builtin abs gives NumPy's bits on a float, at a fraction of its cost
+    namespace = {**_NAMES, "__builtins__": {}, "abs": abs, "float": float,
+                 "isfinite": math.isfinite}
     lines = ["def walk(xs, ps):"]
     roots = []
     base = 0
@@ -688,14 +679,12 @@ def _sample_source(programs: list) -> tuple[str, dict]:
                 continue
             slots.append(f"v{n}")
             x, y = slots[a], slots[b]
-            for k, (operand, bad, _) in enumerate(rules):
-                namespace[f"r{n}_{k}"] = bad
-                lines.append(f"    if r{n}_{k}({y if operand else x}): return None")
-            if op in _INLINE:
-                lines.append(f"    v{n} = " + _INLINE[op].format(x=x, y=y))
-            else:
-                namespace[f"f{n}"], namespace[f"k{n}"] = _VALUE[op], arg
-                lines.append(f"    v{n} = float(f{n}({x}, {y}, k{n}))")
+            for operand, _, reason in rules:
+                lines.append(f"    if {_TESTS[reason].format(x=y if operand else x)}: return None")
+            value = _OPS[op][0].format(x=x, y=y, e=arg)
+            if op in FUNCTIONS or op == "^":
+                value = f"float({value})"
+            lines.append(f"    v{n} = {value}")
         root = slots[-1]
         lines.append(f"    if not isfinite({root}): return None")
         roots.append(root)
@@ -712,9 +701,9 @@ def sample_walk(skeleton: Skeleton) -> tuple[list[str], Callable]:
     ``walk(xs, ps)`` takes the values of ``variables``, in that order, and the
     parameter vector as lists of floats, and gives the outputs in target order
     as a list of floats, or None if the sample faults.  The operations are the
-    checking walk's own (``_VALUE``), which give its bits on floats too, and
-    the same domain rules and output check decide the fault, so a sample that
-    passes has the checking walk's outputs.  Call it under
+    checking walk's own templates (``_OPS``), which give its bits on floats
+    too, and the same domain rules and output check decide the fault, so a
+    sample that passes has the checking walk's outputs.  Call it under
     ``np.errstate(all="ignore")``: a non-finite value is a fault, not a warning.
     The walk does not say which rule failed: ``evaluate`` on the sample names
     the fault.

@@ -248,8 +248,12 @@ class SindyModel:
         terms = tuple(
             Term(name, tuple((var, int(power)) for var, power in powers))
             for name, powers in zip(data["terms"], data["term_powers"]))
+        coefficients = np.array(data["coefficients"], dtype=np.float64)
+        if not np.isfinite(coefficients).all():
+            raise ValueError(f"sparse-regression model: coefficients "
+                             f"{coefficients.tolist()} are not finite")
         return cls(
-            coefficients=np.array(data["coefficients"], dtype=np.float64),
+            coefficients=coefficients,
             terms=terms,
             target_names=tuple(data["target_names"]),
             feature_names=tuple(data["feature_names"]),
@@ -304,6 +308,8 @@ class SkeletonModel:
             raise ValueError(f"{kind.upper()} model: {len(params)} params for a "
                              f"skeleton with {skeleton.n_params}")
         p = np.array(params, dtype=np.float64)
+        if not np.isfinite(p).all():
+            raise ValueError(f"{kind.upper()} model: params {p.tolist()} are not finite")
         p.setflags(write=False)
         return cls(skeleton=skeleton, params=p)
 

@@ -8,6 +8,7 @@ import tokenize
 import types
 import weakref
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from daedisc.evaluator import (
 from test_dsl import _exprs
 
 SCOPE = SymbolScope(states=("x", "delta", "omega"))
+# powers of live bases with negative and positive exponents
+LIVE_POWERS = "dx/dt = (p0*x)^(-1) - (p1 + y)^(-4)\ndy/dt = (p2*x)^4"
 
 
 def _batch(**cols):
@@ -323,8 +326,9 @@ def test_one_sample_walk_matches_the_array_walk():
     # ordinary values, and values at which the domain rules or overflow fault
     special = [0.0, -0.0, 1e-13, -2.0, 1000.0, -1000.0, 1e300, 0.5]
     seen = {True: 0, False: 0}
-    for _ in range(600):
-        text = f"dx/dt = {_any_expr(rng, 4, 3)}\ndy/dt = {_any_expr(rng, 3, 3)}"
+    texts = (f"dx/dt = {_any_expr(rng, 4, 3)}\ndy/dt = {_any_expr(rng, 3, 3)}" for _ in range(600))
+    # and powers whose exponent, negative too, is written into the walk's source
+    for text in chain(texts, [LIVE_POWERS]):
         try:
             sk = parse(text, scope, ["x", "y"], kind="de")
         except Exception:
@@ -661,11 +665,12 @@ def test_compiled_source_holds_no_skeleton_text():
     sk = parse(text, SymbolScope(states=("theta_gen", "omega_s")),
                ["theta_gen", "omega_s"], kind="de")
     source, _ = _sample_source(_tape(sk)[1])
-    for piece in ("theta_gen", "omega_s", "log", "sqrt", "tanh", "abs", "2345678",
-                  "e23", "e-300", "e-324", "0.0", "6.02"):
+    for piece in ("theta_gen", "omega_s", "2345678", "e23", "e-300", "e-324", "0.0", "6.02"):
         assert piece not in source
-    # every token is a fixed name, a slot-numbered name or an integer index
-    fixed = {"walk", "xs", "ps", "float", "isfinite"}
+    # every token is a fixed name, a slot-numbered name or an integer index;
+    # the fixed names include the operations' and rules' templates
+    fixed = {"walk", "xs", "ps", "float", "isfinite", "asarray", "DIV_GUARD", "ZERO", "HALF", "ONE",
+             *FUNCTIONS}
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             assert (keyword.iskeyword(tok.string) or tok.string in fixed
@@ -960,7 +965,9 @@ def test_compiled_weighted_walk_is_the_interpreted_walk(exprs, data):
     # zeroth powers that cut a parameter off the sweep
     "dx/dt = p0\ndy/dt = -p1",
     "dx/dt = 1.5\ndy/dt = p0^0*y + (p1*x)^0 - sin(x)",
-], ids=["operators", "functions", "signed-zeros", "roots", "no-sweep"])
+    # exponents, negative too, written into the source, on live bases
+    LIVE_POWERS,
+], ids=["operators", "functions", "signed-zeros", "roots", "no-sweep", "live-powers"])
 def test_compiled_weighted_walk_on_chosen_skeletons(text):
     scope = SymbolScope(states=("x", "y"))
     sk = parse(text, scope, ["x", "y"], kind="de")
@@ -1263,7 +1270,8 @@ def test_weighted_source_names_nothing_of_the_skeleton():
                ["theta_gen", "omega_s"], kind="de")
     fixed = {"def", "walk", "V", "P", "Y", "O", "E", "G", "T", "B", "None", "if", "return",
              "True", "False", "any", "out", "axis", "add_reduce", "negative", "add", "subtract",
-             "multiply", "divide"}
+             "multiply", "divide", "asarray", "sign", "DIV_GUARD", "ZERO", "HALF", "ONE",
+             *FUNCTIONS}
     for prog in _tape(sk)[1]:
         source, namespace = _weighted_source(prog)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):

@@ -205,6 +205,30 @@ def test_model_json_roundtrip(tmp_path):
     assert [t.name for t in again.terms] == [t.name for t in model.terms]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_json_refuses_non_finite_coefficients(bad):
+    features = {"x": np.linspace(0.5, 2.0, 50)}
+    model = fit_baseline(features, {"dx_dt": -2.0 * features["x"]}, variant="overcomplete")
+    data = json.loads(json.dumps(model.to_json()))
+    data["coefficients"][0][1] = bad
+    with pytest.raises(ValueError, match=r"sparse-regression model: coefficients .* are not "
+                                         r"finite"):
+        SindyModel.from_json(data)
+
+
+@pytest.mark.parametrize("kind, text, targets", [
+    ("de", "dx/dt = p0*x + p1", ("x",)),
+    ("ae", "u = p0*x + p1", ("u",)),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_skeleton_model_refuses_non_finite_params(kind, text, targets, bad):
+    with pytest.raises(ValueError, match=rf"{kind.upper()} model: params \[1\.0, "
+                                         rf"{bad}\] are not finite"):
+        SkeletonModel.from_text(text, [1.0, bad], targets, ("x",), kind=kind)
+    finite = SkeletonModel.from_text(text, [1.0, 2.0], targets, ("x",), kind=kind)
+    assert finite.params.tolist() == [1.0, 2.0]
+
+
 KICK = Disturbance(kind="state_kick", magnitude=1.0,
                    offsets=(("delta", 0.5), ("omega", 0.003)))
 
