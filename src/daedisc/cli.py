@@ -1,7 +1,9 @@
 """Command-line pipeline: data generation, discovery, baseline, evaluation.
 
 Every command writes data to files and logs to stderr; failures exit nonzero
-with one machine-readable JSON error object on stderr.
+with one machine-readable JSON error object on stderr.  ``discover`` and
+``baseline`` each write a ``daedisc-model`` document, which ``evaluate``
+reads through ``sindy.load_model`` and replays.
 
     daedisc gen-data  --model swing2 --scenario scen.json --out data/
     daedisc discover  --config run.json --data data/ --out run1/
@@ -25,7 +27,7 @@ from .config import ConfigError, RunConfig, load_scenarios
 from .dataset import deriv_name, export_dataset, import_dataset, import_record
 from .engine import DiscoveryEngine
 from .metrics import build_report, merge_reports
-from .sindy import SindyModel, SkeletonModel, fit_baseline, save_model, simulate_identified
+from .sindy import fit_baseline, load_model, save_model, simulate_identified
 
 logger = logging.getLogger("daedisc")
 
@@ -150,35 +152,12 @@ def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"
-    save_model(fitted, path)
+    save_model(fitted, model, path)
     active = int(np.count_nonzero(fitted.coefficients))
     logger.info("%s: %d active terms, ridge_fallback=%s", variant, active,
                 fitted.ridge_fallback)
     click.echo(json.dumps({"ok": True, "model_file": str(path),
                            "active_terms": active}, sort_keys=True))
-
-
-def _load_any_model(path: Path, record):
-    """Model file -> (replay model, optional AE model)."""
-    data = json.loads(path.read_text())
-    fmt = data.get("format")
-    if fmt == "daedisc-sindy":
-        return SindyModel.from_json(data), None
-    if fmt == "daedisc-model":
-        states = record.state_names
-        library = [e["name"] for e in data.get("library", [])]
-        de = data["de"]
-        de_model = SkeletonModel.from_text(
-            de["text"], de["params"], de["targets"], states, variables=library)
-        ae_model = None
-        ae = data.get("ae") or {}
-        if "skipped" not in ae and ae:
-            ae_scope_vars = [n for n in library if n not in ae["targets"]]
-            ae_model = SkeletonModel.from_text(
-                ae["text"], ae["params"], ae["targets"], states,
-                variables=ae_scope_vars, kind="ae")
-        return de_model, ae_model
-    raise ValueError(f"unrecognized model format {fmt!r} in {path}")
 
 
 @main.command("evaluate")
@@ -192,7 +171,7 @@ def _load_any_model(path: Path, record):
 def evaluate_cmd(model_path: str, data_dir: str, out_path: str, use_ae: bool):
     """Replay an identified model on the held-out test record and score it."""
     record = import_record(Path(data_dir) / "test")
-    model, ae_model = _load_any_model(Path(model_path), record)
+    model, ae_model = load_model(model_path, record.state_names)
     if use_ae and ae_model is None:
         raise ValueError("--use-ae: the model file has no algebraic part")
     replay = simulate_identified(model, record, ae_model if use_ae else None)

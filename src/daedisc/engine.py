@@ -65,6 +65,7 @@ from .gateway import (
     build_prompt,
     generate,
 )
+from .sindy import model_document
 
 logger = logging.getLogger(__name__)
 
@@ -355,7 +356,8 @@ class DiscoveryEngine:
     # ---------------------------------------------------------------- output
 
     def result_dict(self) -> dict:
-        """Final model document (written by the CLI next to the run log)."""
+        """Final model document (written by the CLI next to the run log), its
+        record the run's configuration."""
         if not hasattr(self, "de_result_"):
             raise RuntimeError("call fit() first")
         de = self.de_result_
@@ -376,14 +378,5 @@ class DiscoveryEngine:
             ae = dump(self.ae_result_)
         else:
             ae = {"skipped": self.ae_skip_reason_}
-        return {
-            "format": "daedisc-model",
-            "version": 1,
-            "benchmark": self.model.model_id,
-            "de": dump(de),
-            "ae": ae,
-            "library": [
-                {"name": e.name, "unit": e.unit, "description": e.description,
-                 "kind": e.kind} for e in self.library_.entries],
-            "config": self.config.to_dict(),
-        }
+        return model_document(self.model.model_id, dump(de), ae, self.library_.entries,
+                              config=self.config.to_dict())

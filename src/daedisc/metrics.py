@@ -43,12 +43,14 @@ def mape_detail(truth: np.ndarray, pred: np.ndarray) -> tuple[float, int, int]:
 
 
 def r_squared(truth: np.ndarray, pred: np.ndarray) -> float:
-    """1 - SS_res/SS_tot about the truth mean; NaN when truth has no variance
-    beyond numerical noise (see ``SPREAD_FLOOR``)."""
+    """1 - SS_res/SS_tot about the truth mean; NaN for no samples and when
+    truth has no variance beyond numerical noise (see ``SPREAD_FLOOR``)."""
     truth = np.asarray(truth, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if truth.shape != pred.shape:
         raise ValueError("truth and prediction must have equal length")
+    if not truth.size:
+        return float("nan")
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
     noise = SPREAD_FLOOR * float(np.max(np.abs(truth), initial=0.0))
     if ss_tot <= truth.size * noise * noise:
@@ -61,13 +63,16 @@ def r_squared(truth: np.ndarray, pred: np.ndarray) -> float:
 def build_report(truth_states: Mapping[str, np.ndarray],
                  pred_states: Mapping[str, np.ndarray],
                  n_valid: int, diverged: bool, metadata: Mapping | None = None) -> dict:
-    """Per-state and aggregate MAPE/R2, computed on the finite prefix."""
+    """Per-state and aggregate MAPE/R2, computed on the finite prefix.  Its
+    first sample is the initial state, no prediction: a prefix of that sample
+    alone scores nothing, and every metric is undefined."""
+    scored = n_valid if n_valid > 1 else 0
     per_state: dict[str, dict] = {}
     stacked_truth: list[np.ndarray] = []
     stacked_pred: list[np.ndarray] = []
     for name in truth_states:
-        truth = np.asarray(truth_states[name])[:n_valid]
-        pred = np.asarray(pred_states[name])[:n_valid]
+        truth = np.asarray(truth_states[name])[:scored]
+        pred = np.asarray(pred_states[name])[:scored]
         value, used, excluded = mape_detail(truth, pred)
         r2 = r_squared(truth, pred)
         per_state[name] = {

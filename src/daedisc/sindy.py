@@ -14,25 +14,30 @@ its arguments alone; each library's variant and exclusions are checked once,
 by ``LibraryConfig``.  A fitted model is the sum of its active terms, built
 by ``dsl.term_sum`` like the search's linear seed.
 
-``simulate_identified`` replays a fitted skeleton, or a sparse-regression
-model as the skeleton of its active terms, through the same RK4 step, on
-lists of floats, that produced the benchmark data.  Exogenous inputs and
-recorded algebraic signals are fed from the test record by linear
-interpolation, computed once for every signal at every RK4 stage time, and
-``rk4_step`` hands each stage its recorded signals; a discovered algebraic
-model can substitute its own predictions instead, and then the record need
-not hold its targets.  The right-hand side is compiled once per replay as
-straight-line code: it unpacks the stage's states and recorded signals into
-numbered locals, checks each finite, and calls each skeleton's compiled
-one-sample walk (``evaluator.sample_walk``) with the variables it reads
-listed in place, the algebraic model's first, whose predictions it unpacks
-for the differential model, and returns the derivatives as a list.  The
-walks give values only, so a non-finite gradient is no fault, and the step
-is ``rk4_step``, itself unrolled for the state count.  A skeleton that
-faults (a non-finite derivative is a fault) is evaluated once more by a
-value-only ``evaluate``, whose checking walk names the fault; the replay logs
-it and returns it.  An unstable identified model yields a
-divergence flag and the finite prefix, never a crash.
+``simulate_identified`` replays a fitted skeleton (a sparse-regression
+model as the skeleton of its active terms, ``as_skeleton``) through the
+same RK4 step, on lists of floats, that produced the benchmark data.
+Exogenous inputs and recorded algebraic signals are fed from the test
+record by linear interpolation, computed once for every signal at every RK4
+stage time, and ``rk4_step`` hands each stage its recorded signals; a
+discovered algebraic model can substitute its own predictions instead, and
+then the record need not hold its targets.  The right-hand side is compiled
+once per replay as straight-line code: it unpacks the stage's states and
+recorded signals into numbered locals, checks each finite, and calls each
+skeleton's compiled one-sample walk (``evaluator.sample_walk``) with the
+variables it reads listed in place, the algebraic model's first, whose
+predictions it unpacks for the differential model, and returns the
+derivatives as a list.  The walks give values only, so a non-finite
+gradient is no fault, and the step is ``rk4_step``, itself unrolled for the
+state count.  A skeleton that faults (a non-finite derivative is a fault)
+is evaluated once more by a value-only ``evaluate``, whose checking walk
+names the fault; the replay logs it and returns it.  An unstable identified
+model yields a divergence flag and the finite prefix, never a crash.
+
+Every model file is one ``daedisc-model`` document, written by
+``model_document`` for ``discover`` and for the baseline (``save_model``,
+whose DE part is the sparse model's skeleton text) and read by
+``load_model`` alone, which gives the skeletons replay takes.
 """
 
 from __future__ import annotations
@@ -48,16 +53,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .benchmarks import FullRecord, rk4_step
+from .benchmarks import BenchmarkModel, CatalogEntry, FullRecord, rk4_step
 from .dataset import deriv_name
 from . import evaluator
-from .dsl import Skeleton, SymbolScope, make_skeleton, monomial, parse, term_sum
+from .dsl import Skeleton, SymbolScope, make_skeleton, monomial, parse, serialize, term_sum
 from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
 
 logger = logging.getLogger(__name__)
 
 COND_LIMIT = 1e12
 RIDGE = 1e-8
+MODEL_FORMAT = "daedisc-model"
 
 
 @dataclass(frozen=True)
@@ -225,45 +231,6 @@ class SindyModel:
         p.setflags(write=False)
         return SkeletonModel(make_skeleton("de", state_names, exprs), p)
 
-    def to_json(self) -> dict:
-        return {
-            "format": "daedisc-sindy",
-            "version": 1,
-            "variant": self.variant,
-            "threshold": self.threshold,
-            "iters": self.iters,
-            "target_names": list(self.target_names),
-            "feature_names": list(self.feature_names),
-            "terms": [t.name for t in self.terms],
-            "term_powers": [[[var, power] for var, power in t.powers] for t in self.terms],
-            "coefficients": [[float(v) for v in row] for row in self.coefficients],
-            "degenerate": list(self.degenerate),
-            "ridge_fallback": self.ridge_fallback,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SindyModel":
-        if data.get("format") != "daedisc-sindy":
-            raise ValueError("not a sparse-regression model document")
-        terms = tuple(
-            Term(name, tuple((var, int(power)) for var, power in powers))
-            for name, powers in zip(data["terms"], data["term_powers"]))
-        coefficients = np.array(data["coefficients"], dtype=np.float64)
-        if not np.isfinite(coefficients).all():
-            raise ValueError(f"sparse-regression model: coefficients "
-                             f"{coefficients.tolist()} are not finite")
-        return cls(
-            coefficients=coefficients,
-            terms=terms,
-            target_names=tuple(data["target_names"]),
-            feature_names=tuple(data["feature_names"]),
-            variant=data["variant"],
-            threshold=float(data["threshold"]),
-            iters=int(data["iters"]),
-            degenerate=tuple(bool(v) for v in data["degenerate"]),
-            ridge_fallback=bool(data["ridge_fallback"]),
-        )
-
 
 def fit_baseline(features: Mapping[str, np.ndarray], targets: Mapping[str, np.ndarray],
                  variant: str = "accurate", threshold: float = 0.05, iters: int = 10,
@@ -385,7 +352,7 @@ def _replay_rhs(model: SkeletonModel, ae_model: SkeletonModel | None,
     return namespace.pop("rhs")  # left in its globals, it would form a cycle
 
 
-def simulate_identified(model, record: FullRecord,
+def simulate_identified(model: SkeletonModel, record: FullRecord,
                         ae_model: SkeletonModel | None = None) -> ReplayResult:
     """RK4 replay of an identified model over a test record's time grid,
     starting from the record's first state row.
@@ -393,13 +360,9 @@ def simulate_identified(model, record: FullRecord,
     Algebraic and input signals are interpolated from the record; given an
     ``ae_model``, its targets are predicted from the current state instead
     (inputs still come from the record), so the record need not hold them.
-    A sparse-regression model is replayed as its skeleton (``as_skeleton``).
+    A caller holding a sparse-regression model passes its ``as_skeleton``.
     """
     state_names = list(record.state_names)
-    if isinstance(model, SindyModel):
-        model = model.as_skeleton(state_names)
-    if not isinstance(model, SkeletonModel):
-        raise TypeError(f"cannot replay {type(model).__name__}")
     if tuple(model.skeleton.target_names) != tuple(state_names):
         raise ValueError("skeleton targets do not match the record's states")
     inputs = set(sample_walk(model.skeleton)[0])
@@ -451,5 +414,68 @@ def simulate_identified(model, record: FullRecord,
                         diverged=diverged, n_valid=n_valid, fault=info)
 
 
-def save_model(model: SindyModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_json(), indent=2, sort_keys=True))
+# ---------------------------------------------------------------------------
+# Model files
+
+
+def model_document(benchmark: str, de: dict, ae: dict, library: Sequence[CatalogEntry],
+                   **record) -> dict:
+    """The ``daedisc-model`` document of ``benchmark``: its ``de`` and ``ae``
+    parts (each ``targets``, ``text`` and ``params``, or an ``ae`` of
+    ``{"skipped": why}``), the catalog entries of the signals they may read,
+    and beside them the producer's ``record``, which no reader uses."""
+    return {"format": MODEL_FORMAT, "version": 1, "benchmark": benchmark, "de": de, "ae": ae,
+            "library": [{"name": e.name, "unit": e.unit, "description": e.description,
+                         "kind": e.kind} for e in library],
+            **record}
+
+
+def save_model(model: SindyModel, benchmark: BenchmarkModel, path: str | Path) -> None:
+    """Write ``model`` of ``benchmark``'s data as a model document: its
+    skeleton over the states is the DE part, the catalog entries of its
+    other features the library, and its STLSQ fit the record."""
+    states = benchmark.state_names
+    fitted = model.as_skeleton(states)
+    doc = model_document(
+        benchmark.model_id,
+        {"targets": list(states), "text": serialize(fitted.skeleton),
+         "params": fitted.params.tolist()},
+        {"skipped": "a sparse-regression baseline identifies the state equations only"},
+        [benchmark.catalog_entry(name) for name in model.feature_names if name not in states],
+        variant=model.variant, threshold=model.threshold, iters=model.iters,
+        target_names=list(model.target_names), feature_names=list(model.feature_names),
+        terms=[t.name for t in model.terms],
+        coefficients=[[float(v) for v in row] for row in model.coefficients],
+        degenerate=list(model.degenerate), ridge_fallback=model.ridge_fallback)
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def load_model(path: str | Path, state_names: Sequence[str]
+               ) -> tuple[SkeletonModel, SkeletonModel | None]:
+    """(DE model, AE model or None) of the model document at ``path``, its
+    parts parsed over ``state_names`` and the library's signals (an AE part
+    reads none of its targets).  A document that lacks a key a reader uses
+    is refused with a ``ValueError`` naming it."""
+    data = json.loads(Path(path).read_text())
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"{path}: unrecognized model format {fmt!r}; model files are the "
+                         f"{MODEL_FORMAT} documents that `daedisc discover` and "
+                         f"`daedisc baseline` write")
+
+    def field(part, key: str, where: str):
+        if not isinstance(part, dict) or key not in part:
+            raise ValueError(f"{path}: {where} has no {key!r}")
+        return part[key]
+
+    def load(kind: str, library: Sequence[str]) -> SkeletonModel:
+        part = field(data, kind, "the model document")
+        targets, text, params = (field(part, key, f"the {kind.upper()} part")
+                                 for key in ("targets", "text", "params"))
+        return SkeletonModel.from_text(text, params, targets, state_names,
+                                       [n for n in library if n not in targets], kind)
+
+    library = [field(entry, "name", f"library entry {i}")
+               for i, entry in enumerate(data.get("library", []))]
+    ae = data.get("ae") or {}
+    return load("de", library), None if "skipped" in ae or not ae else load("ae", library)

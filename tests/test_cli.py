@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -143,10 +144,18 @@ def test_evaluate_discovered_model(workspace):
 def test_baseline_three_variants(workspace):
     for variant in ("accurate", "overcomplete", "missing"):
         doc = json.loads((workspace / f"run_{variant}" / "model.json").read_text())
-        assert doc["format"] == "daedisc-sindy"
+        assert (doc["format"], doc["version"], doc["benchmark"]) == ("daedisc-model", 1,
+                                                                     "swing2")
         assert doc["variant"] == variant
+        # the DE part is the skeleton of the active terms over the states
+        assert doc["de"]["targets"] == ["delta", "omega"]
+        assert doc["de"]["params"] == [v for row in doc["coefficients"] for v in row if v]
+        assert "skipped" in doc["ae"]
+        assert [e["name"] for e in doc["library"]] == [
+            n for n in doc["feature_names"] if n not in ("delta", "omega")]
     missing = json.loads((workspace / "run_missing" / "model.json").read_text())
     assert "P_e" not in missing["feature_names"]
+    assert "P_e" not in [e["name"] for e in missing["library"]]
 
 
 def test_report_merges_four_runs(workspace, tmp_path):
@@ -440,3 +449,63 @@ def test_evaluate_refuses_a_model_whose_param_count_is_not_its_skeletons(
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err["error"] == {"type": "ValueError", "message": message}
     assert not (tmp_path / "report.json").exists()
+
+
+FAULT_MODEL = {
+    "format": "daedisc-model", "version": 1, "benchmark": "swing2",
+    "de": {"targets": ["delta", "omega"],
+           "text": "ddelta/dt = p0*(omega - 1)/(delta - delta)\ndomega/dt = p1*P_e",
+           "params": [1.0, -0.1]},
+    "ae": {"skipped": "test fixture"},
+    "library": [{"name": "P_e", "unit": "pu", "description": "", "kind": "algebraic"}],
+}
+
+
+def _evaluate_doc(workspace, tmp_path, doc):
+    """``daedisc evaluate`` of ``doc`` on the workspace's data: (exit code,
+    last output line parsed, report path)."""
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["evaluate", "--model", str(model_path),
+                                       "--data", str(workspace / "data"),
+                                       "--out", str(report_path)])
+    return result.exit_code, json.loads(result.output.strip().splitlines()[-1]), report_path
+
+
+def test_evaluate_scores_no_metric_for_a_replay_that_faults_in_its_first_step(
+        workspace, tmp_path):
+    # the divisor is 0 at t = 0: the replay keeps the initial state alone,
+    # which is the record's own, so no sample is predicted and none is scored
+    code, out, report_path = _evaluate_doc(workspace, tmp_path, FAULT_MODEL)
+    assert code == 0, out
+    report = json.loads(report_path.read_text())
+    assert report["diverged"] and report["valid_samples"] == 1
+    for part in (report["aggregate"], report["stacked"], *report["per_state"].values()):
+        assert math.isnan(part["mape_pct"]) and math.isnan(part["r2"])
+    for state in report["per_state"].values():
+        assert state["r2_undefined"] and state["samples_used"] == 0
+    assert math.isnan(out["mape_pct"]) and math.isnan(out["r2"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("de"), "the model document has no 'de'"),
+    (lambda d: d["de"].pop("targets"), "the DE part has no 'targets'"),
+    (lambda d: d["de"].pop("text"), "the DE part has no 'text'"),
+    (lambda d: d["de"].pop("params"), "the DE part has no 'params'"),
+    (lambda d: d.update(ae={"targets": ["P_e"], "text": "P_e = p0*sin(delta)"}),
+     "the AE part has no 'params'"),
+    (lambda d: d["library"][0].pop("name"), "library entry 0 has no 'name'"),
+    (lambda d: d.update(format="daedisc-report"),
+     "unrecognized model format 'daedisc-report'; model files are the daedisc-model "
+     "documents that `daedisc discover` and `daedisc baseline` write"),
+])
+def test_evaluate_refuses_a_malformed_model_document_naming_the_key(
+        workspace, tmp_path, edit, message):
+    doc = json.loads(json.dumps(FAULT_MODEL))
+    edit(doc)
+    code, out, report_path = _evaluate_doc(workspace, tmp_path, doc)
+    assert code == 1
+    assert out["error"] == {"type": "ValueError",
+                            "message": f"{tmp_path / 'model.json'}: {message}"}
+    assert not report_path.exists()

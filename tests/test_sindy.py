@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from daedisc.benchmarks import (Disturbance, FullRecord, ScenarioConfig, get_model, rk4_step,
                                simulate)
 from daedisc.dataset import central_difference, deriv_name
-from daedisc.dsl import variables_in
+from daedisc.dsl import serialize, variables_in
 from daedisc.evaluator import FaultInfo, SampleBatch, evaluate
 from daedisc.sindy import (
     LibraryConfig,
@@ -19,6 +19,7 @@ from daedisc.sindy import (
     build_library,
     fit_baseline,
     library_terms,
+    load_model,
     save_model,
     simulate_identified,
     stlsq,
@@ -192,28 +193,60 @@ def test_baseline_refuses_a_bare_string_of_exclusions():
     assert model.feature_names == ("x",)
 
 
+def _baseline_fits(variant, threshold=0.02):
+    """(benchmark, record, STLSQ ``variant`` model of the record) on swing2,
+    over the features ``daedisc baseline`` fits on: the states and the core
+    variables, less the algebraic ones for the missing variant."""
+    bench, record = _record()
+    features = {name: record.columns[name]
+                for name in bench.state_names + bench.core_variable_names}
+    derivs = {deriv_name(s): central_difference(record.columns[s], record.dt)
+              for s in bench.state_names}
+    algebraic = tuple(n for n in bench.core_variable_names if n not in bench.input_names)
+    excluded = algebraic if variant == "missing" else ()
+    return bench, record, fit_baseline(features, derivs, variant, threshold, excluded=excluded)
+
+
 def test_model_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    features = {"x": rng.uniform(0.5, 2.0, 100), "y": rng.uniform(-1, 1, 100)}
-    targets = {"dx_dt": -2.0 * features["x"] + 0.5 * features["y"]}
-    model = fit_baseline(features, targets, variant="overcomplete")
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    again = SindyModel.from_json(json.loads(path.read_text()))
-    np.testing.assert_array_equal(again.coefficients, model.coefficients)
-    assert again.target_names == model.target_names
-    assert [t.name for t in again.terms] == [t.name for t in model.terms]
+    # a saved baseline loads as its own skeleton and replays bit for bit as
+    # it; its STLSQ fit is the document's record
+    for variant in ("accurate", "overcomplete", "missing"):
+        bench, record, model = _baseline_fits(variant)
+        path = tmp_path / f"{variant}.json"
+        save_model(model, bench, path)
+        loaded, ae = load_model(path, record.state_names)
+        assert ae is None
+        direct = model.as_skeleton(record.state_names)
+        assert serialize(loaded.skeleton) == serialize(direct.skeleton)
+        assert np.array_equal(loaded.params, direct.params)
+        again, replay = (simulate_identified(m, record) for m in (loaded, direct))
+        assert (again.diverged, again.n_valid, again.fault) == (
+            replay.diverged, replay.n_valid, replay.fault)
+        for name in record.state_names:
+            assert np.array_equal(again.states[name], replay.states[name], equal_nan=True)
+        doc = json.loads(path.read_text())
+        assert (doc["format"], doc["benchmark"], doc["ae"]) == (
+            "daedisc-model", "swing2",
+            {"skipped": "a sparse-regression baseline identifies the state equations only"})
+        assert [e["name"] for e in doc["library"]] == [
+            n for n in model.feature_names if n not in record.state_names]
+        assert doc["coefficients"] == model.coefficients.tolist()
+        assert (doc["variant"], doc["ridge_fallback"]) == (variant, model.ridge_fallback)
+        assert doc["terms"] == [t.name for t in model.terms]
+        assert "term_powers" not in doc
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_model_json_refuses_non_finite_coefficients(bad):
-    features = {"x": np.linspace(0.5, 2.0, 50)}
-    model = fit_baseline(features, {"dx_dt": -2.0 * features["x"]}, variant="overcomplete")
-    data = json.loads(json.dumps(model.to_json()))
-    data["coefficients"][0][1] = bad
-    with pytest.raises(ValueError, match=r"sparse-regression model: coefficients .* are not "
-                                         r"finite"):
-        SindyModel.from_json(data)
+def test_model_json_refuses_non_finite_coefficients(tmp_path, bad):
+    # a non-finite active coefficient in the DE part is refused on load
+    bench, record, model = _baseline_fits("overcomplete")
+    path = tmp_path / "model.json"
+    save_model(model, bench, path)
+    doc = json.loads(path.read_text())
+    doc["de"]["params"][1] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"DE model: params .* are not finite"):
+        load_model(path, record.state_names)
 
 
 @pytest.mark.parametrize("kind, text, targets", [
@@ -289,7 +322,7 @@ def test_replay_sindy_model_with_recorded_signals():
         "domega_dt": central_difference(record.columns["omega"], record.dt),
     }
     model = fit_baseline(features, derivs, variant="accurate", threshold=0.02)
-    replay = simulate_identified(model, record)
+    replay = simulate_identified(model.as_skeleton(record.state_names), record)
     assert not replay.diverged
     # recorded-signal replay of a well-fit linear model tracks the truth to a
     # few percent (bias limited by the differentiated training targets)
@@ -434,8 +467,8 @@ def _assert_sparse_replays_as_references(model, record):
     """A sparse model replays bit for bit as its skeleton through the
     reference's ``evaluate``, and like the matmul reference within
     ``MATMUL_RTOL``, with the same divergence."""
-    replay = simulate_identified(model, record)
     skeleton = model.as_skeleton(record.state_names)
+    replay = simulate_identified(skeleton, record)
     assert skeleton.skeleton.n_params == np.count_nonzero(model.coefficients)
     out, diverged, n_valid = _reference_replay(skeleton, record)
     assert (replay.diverged, replay.n_valid) == (diverged, n_valid)
