@@ -42,7 +42,6 @@ from .gateway import (
 from .metrics import build_report, r_squared
 from .sindy import (
     LibraryConfig,
-    SindyModel,
     SkeletonModel,
     build_library,
     fit_baseline,

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .benchmarks import get_model, model_ids, simulate
 from .config import ConfigError, RunConfig, load_scenarios
@@ -148,14 +147,15 @@ def baseline(variant: str, data_dir: str, out_dir: str, threshold: float,
     features = {**dataset.states,  # noisy states, as trained on
                 **{name: full[name] for name in model.core_variable_names}}
     targets = {deriv_name(s): dataset.derivs[deriv_name(s)] for s in dataset.state_names}
-    fitted = fit_baseline(features, targets, variant, threshold, iters, excluded)
+    fitted, record = fit_baseline(features, targets, model.state_names, variant, threshold,
+                                  iters, excluded)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"
-    save_model(fitted, model, path)
-    active = int(np.count_nonzero(fitted.coefficients))
+    save_model(fitted, record, model, path)
+    active = fitted.skeleton.n_params
     logger.info("%s: %d active terms, ridge_fallback=%s", variant, active,
-                fitted.ridge_fallback)
+                record["ridge_fallback"])
     click.echo(json.dumps({"ok": True, "model_file": str(path),
                            "active_terms": active}, sort_keys=True))
 

@@ -11,15 +11,17 @@ parameters.  Least squares goes through the normal equations with a
 Cholesky solve; ill-conditioned active sets fall back to a small ridge
 penalty and are flagged.  ``fit_baseline`` fits one model, configured by
 its arguments alone; each library's variant and exclusions are checked once,
-by ``LibraryConfig``.  A fitted model is the sum of its active terms, built
-by ``dsl.term_sum`` like the search's linear seed.
+by ``LibraryConfig``.  A library term is its product, a tuple of factors
+(none for the constant).  A fitted model is a skeleton, each derivative the
+sum of its active products, built by ``dsl.term_sum`` like the search's
+linear seed; its STLSQ fit is a record of plain values, the one the model
+document keeps.
 
-``simulate_identified`` replays a fitted skeleton (a sparse-regression
-model as the skeleton of its active terms, ``as_skeleton``) through the
-same RK4 step, on lists of floats, that produced the benchmark data.
-Exogenous inputs and recorded algebraic signals are fed from the test
-record by linear interpolation, computed once for every signal at every RK4
-stage time, and ``rk4_step`` hands each stage its recorded signals; a
+``simulate_identified`` replays a fitted skeleton through the same RK4
+step, on lists of floats, that produced the benchmark data.  Exogenous
+inputs and recorded algebraic signals are fed from the test record by linear
+interpolation, computed once for every signal at every RK4 stage time, and
+``rk4_step`` hands each stage its recorded signals; a
 discovered algebraic model can substitute its own predictions instead, and
 then the record need not hold its targets.  The right-hand side is compiled
 once per replay as straight-line code: it unpacks the stage's states and
@@ -36,7 +38,8 @@ model yields a divergence flag and the finite prefix, never a crash.
 
 Every model file is one ``daedisc-model`` document, written by
 ``model_document`` for ``discover`` and for the baseline (``save_model``,
-whose DE part is the sparse model's skeleton text) and read by
+whose DE part is the sparse model's skeleton text and whose record is its
+STLSQ fit) and read by
 ``load_model`` alone, which gives the skeletons replay takes.
 """
 
@@ -89,49 +92,38 @@ class LibraryConfig:
         return 2 if self.variant == "overcomplete" else 1
 
 
-@dataclass(frozen=True)
-class Term:
-    """One candidate function: a monomial over named columns."""
-
-    name: str
-    powers: tuple[tuple[str, int], ...]  # empty = constant term
+def _term_name(product: Sequence[str]) -> str:
+    """A library term's name: its factors joined by ``*``, ``1`` for none."""
+    return "*".join(product) or "1"
 
 
-def _factors(term: Term) -> tuple[str, ...]:
-    """The monomial as a product, each variable repeated ``power`` times."""
-    return tuple(var for var, power in term.powers for _ in range(power))
-
-
-def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[Term, ...]:
-    """Deterministic term order: constant, linear terms in declared order,
-    then (degree 2) products x_a*x_b with a <= b.  An excluded name that is
-    not a feature is an error: it would leave the library whole."""
+def library_terms(cfg: LibraryConfig, names: Sequence[str]) -> tuple[tuple[str, ...], ...]:
+    """The library's products, each a tuple of factors, in a deterministic
+    order: the constant (no factor), linear terms in declared order, then
+    (degree 2) products x_a*x_b with a <= b.  An excluded name that is not a
+    feature is an error: it would leave the library whole."""
     unknown = [n for n in cfg.excluded if n not in names]
     if unknown:
         raise ValueError(f"excluded variables {unknown} are not features {list(names)}")
     active = [n for n in names if n not in cfg.excluded]
-    terms = [Term("1", ())]
-    for n in active:
-        terms.append(Term(n, ((n, 1),)))
+    terms = [()] + [(n,) for n in active]
     if cfg.degree >= 2:
-        for a, b in combinations_with_replacement(active, 2):
-            powers = ((a, 2),) if a == b else ((a, 1), (b, 1))
-            terms.append(Term(f"{a}*{b}", powers))
+        terms += combinations_with_replacement(active, 2)
     return tuple(terms)
 
 
 def build_library(cfg: LibraryConfig, names: Sequence[str],
-                  columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, tuple[Term, ...]]:
-    """(library matrix, terms): one row per sample, one column per term,
-    ones for the constant and otherwise the term's product in ``_factors``
+                  columns: Mapping[str, np.ndarray]
+                  ) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+    """(library matrix, products): one row per sample, one column per
+    product, ones for the constant and otherwise the factors multiplied in
     order.  The library skeleton has one target per term, its product; the
     matrix is the transposed view of the outputs of one value-only
     ``evaluate`` of it with no parameters (no copy).  A ``-0.0`` product
     reads ``+0.0``.  A non-finite product is an error at the sample that the
     evaluator's fault record names."""
     terms = library_terms(cfg, names)
-    library = make_skeleton("ae", [term.name for term in terms],
-                            [monomial(_factors(term)) for term in terms])
+    library = make_skeleton("ae", [_term_name(t) for t in terms], [monomial(t) for t in terms])
     batch = SampleBatch.from_columns({name: columns[name] for name in names})
     # through the module: perfbench's tracer counts calls of this module's
     # name ``evaluate`` as replay's fault naming, and this call is not one
@@ -201,57 +193,43 @@ def stlsq(theta: np.ndarray, targets: np.ndarray, threshold: float = 0.05,
     return xi, degenerate, ridge_used
 
 
-@dataclass
-class SindyModel:
-    coefficients: np.ndarray  # (n_targets, n_terms)
-    terms: tuple[Term, ...]
-    target_names: tuple[str, ...]
-    feature_names: tuple[str, ...]
-    variant: str
-    threshold: float
-    iters: int
-    degenerate: tuple[bool, ...]
-    ridge_fallback: bool
-
-    def as_skeleton(self, state_names: Sequence[str]) -> "SkeletonModel":
-        """The model as a skeleton over ``state_names``: each state's
-        derivative is the sum of its active terms (``dsl.term_sum``), their
-        coefficients the parameters; a derivative without one is 0."""
-        targets = [deriv_name(s) for s in state_names]
-        missing = [s for s, t in zip(state_names, targets) if t not in self.target_names]
-        if missing:
-            raise ValueError(f"model does not define derivatives for {missing}")
-        exprs, params = [], []
-        for target in targets:
-            row = self.coefficients[self.target_names.index(target)]
-            active = np.flatnonzero(row)
-            exprs.append(term_sum([_factors(self.terms[i]) for i in active], len(params)))
-            params.extend(row[active].tolist())
-        p = np.array(params, dtype=np.float64)
-        p.setflags(write=False)
-        return SkeletonModel(make_skeleton("de", state_names, exprs), p)
-
-
 def fit_baseline(features: Mapping[str, np.ndarray], targets: Mapping[str, np.ndarray],
-                 variant: str = "accurate", threshold: float = 0.05, iters: int = 10,
-                 excluded: Sequence[str] = ()) -> SindyModel:
-    """The STLSQ model of ``targets`` (state derivatives) over the ``variant``
-    library of ``features``: ``threshold``/``iters`` drive STLSQ, and
-    ``excluded`` names the variables the missing variant removes."""
+                 states: Sequence[str], variant: str = "accurate", threshold: float = 0.05,
+                 iters: int = 10, excluded: Sequence[str] = ()) -> tuple[SkeletonModel, dict]:
+    """(skeleton, record): the STLSQ model of ``targets`` (state derivatives)
+    over the ``variant`` library of ``features``; ``threshold``/``iters``
+    drive STLSQ, and ``excluded`` names the variables the missing variant
+    removes.  The skeleton is over ``states``: each state's derivative is the
+    sum of its active products (``dsl.term_sum``), their coefficients the
+    parameters, and 0 without one.  The record is the fit as a model
+    document keeps it: the settings, the target, feature and term names, the
+    coefficient rows, and the degenerate and ridge flags."""
+    target_names = tuple(targets)
+    missing = [s for s in states if deriv_name(s) not in target_names]
+    if missing:
+        raise ValueError(f"model does not define derivatives for {missing}")
     names = tuple(features)
     cfg = LibraryConfig(variant, excluded)
     theta, terms = build_library(cfg, names, features)
-    target_names = tuple(targets)
     y = np.column_stack([targets[n] for n in target_names])
     xi, degenerate, ridge = stlsq(theta, y, threshold, iters)
     if any(degenerate):
         logger.warning("degenerate library: all terms thresholded out for %s",
                        [n for n, d in zip(target_names, degenerate) if d])
-    return SindyModel(
-        coefficients=xi, terms=terms, target_names=target_names,
-        feature_names=tuple(n for n in names if n not in cfg.excluded),
-        variant=variant, threshold=threshold, iters=iters,
-        degenerate=tuple(degenerate), ridge_fallback=ridge)
+    exprs, params = [], []
+    for state in states:
+        row = xi[target_names.index(deriv_name(state))]
+        active = np.flatnonzero(row)
+        exprs.append(term_sum([terms[i] for i in active], len(params)))
+        params.extend(row[active].tolist())
+    p = np.array(params, dtype=np.float64)
+    p.setflags(write=False)
+    record = {"variant": variant, "threshold": threshold, "iters": iters,
+              "target_names": target_names,
+              "feature_names": [n for n in names if n not in cfg.excluded],
+              "terms": [_term_name(t) for t in terms], "coefficients": xi.tolist(),
+              "degenerate": degenerate, "ridge_fallback": ridge}
+    return SkeletonModel(make_skeleton("de", states, exprs), p), record
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +408,43 @@ def model_document(benchmark: str, de: dict, ae: dict, library: Sequence[Catalog
             **record}
 
 
-def save_model(model: SindyModel, benchmark: BenchmarkModel, path: str | Path) -> None:
-    """Write ``model`` of ``benchmark``'s data as a model document: its
-    skeleton over the states is the DE part, the catalog entries of its
-    other features the library, and its STLSQ fit the record."""
-    states = benchmark.state_names
-    fitted = model.as_skeleton(states)
+def save_model(model: SkeletonModel, record: Mapping, benchmark: BenchmarkModel,
+               path: str | Path) -> None:
+    """Write the baseline ``model`` of ``benchmark``'s data, with its STLSQ
+    ``record`` (as ``fit_baseline`` returns them), as a model document: the
+    skeleton is the DE part, the catalog entries of its other features the
+    library, and the record sits beside them."""
+    states = model.skeleton.target_names
     doc = model_document(
         benchmark.model_id,
-        {"targets": list(states), "text": serialize(fitted.skeleton),
-         "params": fitted.params.tolist()},
+        {"targets": list(states), "text": serialize(model.skeleton),
+         "params": model.params.tolist()},
         {"skipped": "a sparse-regression baseline identifies the state equations only"},
-        [benchmark.catalog_entry(name) for name in model.feature_names if name not in states],
-        variant=model.variant, threshold=model.threshold, iters=model.iters,
-        target_names=list(model.target_names), feature_names=list(model.feature_names),
-        terms=[t.name for t in model.terms],
-        coefficients=[[float(v) for v in row] for row in model.coefficients],
-        degenerate=list(model.degenerate), ridge_fallback=model.ridge_fallback)
+        [benchmark.catalog_entry(name) for name in record["feature_names"]
+         if name not in states],
+        **record)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _is_list_of(value, kind) -> bool:
+    """A JSON list of ``kind`` values; a bool is no number."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
+
+
+# each key of a model part, what it holds, and the test of it
+_PART_KEYS = (("targets", "a list of names", lambda v: _is_list_of(v, str)),
+              ("text", "a string", lambda v: isinstance(v, str)),
+              ("params", "a list of numbers", lambda v: _is_list_of(v, (int, float))))
 
 
 def load_model(path: str | Path, state_names: Sequence[str]
                ) -> tuple[SkeletonModel, SkeletonModel | None]:
     """(DE model, AE model or None) of the model document at ``path``, its
     parts parsed over ``state_names`` and the library's signals (an AE part
-    reads none of its targets).  A document that lacks a key a reader uses
-    is refused with a ``ValueError`` naming it."""
+    reads none of its targets).  A document that lacks a key a reader uses,
+    or holds a part's key of the wrong type, is refused with a
+    ``ValueError`` naming the file and the key."""
     data = json.loads(Path(path).read_text())
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != MODEL_FORMAT:
@@ -468,10 +457,16 @@ def load_model(path: str | Path, state_names: Sequence[str]
             raise ValueError(f"{path}: {where} has no {key!r}")
         return part[key]
 
+    def checked(part, key: str, what: str, valid: Callable, where: str):
+        value = field(part, key, where)
+        if not valid(value):
+            raise ValueError(f"{path}: {where} has a {key!r} that is not {what}")
+        return value
+
     def load(kind: str, library: Sequence[str]) -> SkeletonModel:
         part = field(data, kind, "the model document")
-        targets, text, params = (field(part, key, f"the {kind.upper()} part")
-                                 for key in ("targets", "text", "params"))
+        targets, text, params = (checked(part, *spec, f"the {kind.upper()} part")
+                                 for spec in _PART_KEYS)
         return SkeletonModel.from_text(text, params, targets, state_names,
                                        [n for n in library if n not in targets], kind)
 

@@ -405,9 +405,9 @@ def test_acceptance_6_sindy_oracle_and_ordering():
                            if n not in model.input_names)
     mapes = {}
     for variant, excluded in [("accurate", ()), ("missing", core_algebraic)]:
-        fitted = fit_baseline(features, derivs, variant=variant, threshold=0.05,
-                              iters=10, excluded=excluded)
-        replay = simulate_identified(fitted.as_skeleton(test.state_names), test)
+        fitted, _ = fit_baseline(features, derivs, test.state_names, variant=variant,
+                                 threshold=0.05, iters=10, excluded=excluded)
+        replay = simulate_identified(fitted, test)
         truth = {n: test.columns[n] for n in test.state_names}
         report = build_report(truth, replay.states, replay.n_valid, replay.diverged)
         mapes[variant] = report["aggregate"]["mape_pct"]

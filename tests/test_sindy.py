@@ -1,6 +1,9 @@
+import hashlib
 import json
 import logging
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,6 @@ from daedisc.dsl import serialize, variables_in
 from daedisc.evaluator import FaultInfo, SampleBatch, evaluate
 from daedisc.sindy import (
     LibraryConfig,
-    SindyModel,
     SkeletonModel,
     build_library,
     fit_baseline,
@@ -28,13 +30,13 @@ from daedisc.sindy import (
 
 def test_library_term_order_accurate():
     terms = library_terms(LibraryConfig("accurate"), ["delta", "omega"])
-    assert [t.name for t in terms] == ["1", "delta", "omega"]
+    assert terms == ((), ("delta",), ("omega",))
 
 
 def test_library_term_order_overcomplete():
     terms = library_terms(LibraryConfig("overcomplete"), ["delta", "omega"])
-    assert [t.name for t in terms] == [
-        "1", "delta", "omega", "delta*delta", "delta*omega", "omega*omega"]
+    assert terms == ((), ("delta",), ("omega",), ("delta", "delta"), ("delta", "omega"),
+                     ("omega", "omega"))
 
 
 def test_library_leaves_no_batch_data_behind():
@@ -60,7 +62,7 @@ def test_library_leaves_no_batch_data_behind():
 
 def test_library_missing_variant():
     terms = library_terms(LibraryConfig("missing", ("omega",)), ["delta", "omega"])
-    assert [t.name for t in terms] == ["1", "delta"]
+    assert terms == ((), ("delta",))
     with pytest.raises(ValueError):
         LibraryConfig(variant="missing")
     with pytest.raises(ValueError):
@@ -145,10 +147,14 @@ def test_baseline_estimator_surface():
     rng = np.random.default_rng(5)
     features = {"x": rng.uniform(0.5, 2.0, 100)}
     targets = {"dx_dt": -2.0 * features["x"]}
-    model = fit_baseline(features, targets, variant="accurate", threshold=0.02)
-    assert (model.variant, model.threshold, model.iters) == ("accurate", 0.02, 10)
-    assert [t.name for t in model.terms] == ["1", "x"]
-    np.testing.assert_allclose(model.coefficients, [[0.0, -2.0]], atol=1e-8)
+    model, record = fit_baseline(features, targets, ("x",), variant="accurate", threshold=0.02)
+    assert (record["variant"], record["threshold"], record["iters"]) == ("accurate", 0.02, 10)
+    assert record["terms"] == ["1", "x"]
+    np.testing.assert_allclose(record["coefficients"], [[0.0, -2.0]], atol=1e-8)
+    assert serialize(model.skeleton) == "dx/dt = p0*x"
+    # a state without a derivative column is refused
+    with pytest.raises(ValueError, match=r"does not define derivatives for \['y'\]"):
+        fit_baseline(features, targets, ("x", "y"))
 
 
 def test_stlsq_settings_are_checked_not_clamped():
@@ -158,13 +164,13 @@ def test_stlsq_settings_are_checked_not_clamped():
     for settings in ({"iters": 0}, {"iters": -1}, {"threshold": -0.05},
                      {"threshold": math.nan}, {"threshold": -math.inf}):
         with pytest.raises(ValueError, match="STLSQ"):
-            fit_baseline(features, targets, **settings)
+            fit_baseline(features, targets, ("x",), **settings)
     # the edges that stay valid: one sweep, and a threshold that keeps every term
     theta, _ = build_library(LibraryConfig("accurate"), ["x"], features)
-    one = fit_baseline(features, targets, iters=1, threshold=0.0)
-    assert one.iters == 1 and one.threshold == 0.0
+    _, one = fit_baseline(features, targets, ("x",), iters=1, threshold=0.0)
+    assert one["iters"] == 1 and one["threshold"] == 0.0
     xi, _, _ = stlsq(theta, targets["dx_dt"][:, None], threshold=0.0, iters=1)
-    np.testing.assert_array_equal(one.coefficients, xi)
+    np.testing.assert_array_equal(one["coefficients"], xi)
 
 
 def test_baseline_exclusions_only_with_missing_variant():
@@ -174,10 +180,10 @@ def test_baseline_exclusions_only_with_missing_variant():
     for variant, excluded in (("accurate", ("b",)), ("overcomplete", ("b",)),
                               ("acurate", ("b",)), ("missing", ("b_typo",))):
         with pytest.raises(ValueError):
-            fit_baseline(features, targets, variant=variant, excluded=excluded)
-    model = fit_baseline(features, targets, variant="missing", excluded=("b",))
-    assert model.feature_names == ("a",)
-    assert [t.name for t in model.terms] == ["1", "a"]
+            fit_baseline(features, targets, ("a",), variant=variant, excluded=excluded)
+    _, record = fit_baseline(features, targets, ("a",), variant="missing", excluded=("b",))
+    assert record["feature_names"] == ["a"]
+    assert record["terms"] == ["1", "a"]
 
 
 def test_baseline_refuses_a_bare_string_of_exclusions():
@@ -185,18 +191,20 @@ def test_baseline_refuses_a_bare_string_of_exclusions():
     features = {"P_m": np.linspace(0.5, 1.0, 20), "x": np.linspace(1.0, 2.0, 20)}
     targets = {"dx_dt": -features["x"]}
     for make in (lambda: LibraryConfig("missing", "P_m"),
-                 lambda: fit_baseline(features, targets, variant="missing", excluded="P_m")):
+                 lambda: fit_baseline(features, targets, ("x",), variant="missing",
+                                      excluded="P_m")):
         with pytest.raises(ValueError, match="'P_m'"):
             make()
     assert LibraryConfig("missing", ["P_m"]).excluded == ("P_m",)
-    model = fit_baseline(features, targets, variant="missing", excluded=["P_m"])
-    assert model.feature_names == ("x",)
+    _, record = fit_baseline(features, targets, ("x",), variant="missing", excluded=["P_m"])
+    assert record["feature_names"] == ["x"]
 
 
 def _baseline_fits(variant, threshold=0.02):
-    """(benchmark, record, STLSQ ``variant`` model of the record) on swing2,
-    over the features ``daedisc baseline`` fits on: the states and the core
-    variables, less the algebraic ones for the missing variant."""
+    """(benchmark, record, (skeleton, STLSQ record) of the ``variant`` fit of
+    the record) on swing2, over the features ``daedisc baseline`` fits on: the
+    states and the core variables, less the algebraic ones for the missing
+    variant."""
     bench, record = _record()
     features = {name: record.columns[name]
                 for name in bench.state_names + bench.core_variable_names}
@@ -204,19 +212,19 @@ def _baseline_fits(variant, threshold=0.02):
               for s in bench.state_names}
     algebraic = tuple(n for n in bench.core_variable_names if n not in bench.input_names)
     excluded = algebraic if variant == "missing" else ()
-    return bench, record, fit_baseline(features, derivs, variant, threshold, excluded=excluded)
+    return bench, record, fit_baseline(features, derivs, bench.state_names, variant, threshold,
+                                       excluded=excluded)
 
 
 def test_model_json_roundtrip(tmp_path):
     # a saved baseline loads as its own skeleton and replays bit for bit as
     # it; its STLSQ fit is the document's record
     for variant in ("accurate", "overcomplete", "missing"):
-        bench, record, model = _baseline_fits(variant)
+        bench, record, (direct, fit) = _baseline_fits(variant)
         path = tmp_path / f"{variant}.json"
-        save_model(model, bench, path)
+        save_model(direct, fit, bench, path)
         loaded, ae = load_model(path, record.state_names)
         assert ae is None
-        direct = model.as_skeleton(record.state_names)
         assert serialize(loaded.skeleton) == serialize(direct.skeleton)
         assert np.array_equal(loaded.params, direct.params)
         again, replay = (simulate_identified(m, record) for m in (loaded, direct))
@@ -229,24 +237,60 @@ def test_model_json_roundtrip(tmp_path):
             "daedisc-model", "swing2",
             {"skipped": "a sparse-regression baseline identifies the state equations only"})
         assert [e["name"] for e in doc["library"]] == [
-            n for n in model.feature_names if n not in record.state_names]
-        assert doc["coefficients"] == model.coefficients.tolist()
-        assert (doc["variant"], doc["ridge_fallback"]) == (variant, model.ridge_fallback)
-        assert doc["terms"] == [t.name for t in model.terms]
+            n for n in fit["feature_names"] if n not in record.state_names]
+        assert doc["coefficients"] == fit["coefficients"]
+        assert (doc["variant"], doc["ridge_fallback"]) == (variant, fit["ridge_fallback"])
+        assert doc["terms"] == fit["terms"]
         assert "term_powers" not in doc
+
+
+# sha256 of ``save_model``'s bytes for each fit of ``_baseline_fits``, as the
+# baseline wrote them when its fit was a model object with its own term type
+GOLDEN_DOCUMENTS = {
+    "accurate": "a36e7d40f7e3c8e47d0db3778094414117654e8edbee1f5edf44b41e3813b39d",
+    "overcomplete": "40219e812051119ee15218d95f29db4f3fbfb2320cad3a9da6bffd529a400d69",
+    "missing": "4c86460d776051272e1eebcbdd9a0f33440d39705a8bcc6e6ffcb526dfb4c21b",
+}
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_DOCUMENTS))
+def test_baseline_document_golden(tmp_path, variant):
+    bench, _, (model, fit) = _baseline_fits(variant)
+    path = tmp_path / "model.json"
+    save_model(model, fit, bench, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DOCUMENTS[variant]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_model_json_refuses_non_finite_coefficients(tmp_path, bad):
     # a non-finite active coefficient in the DE part is refused on load
-    bench, record, model = _baseline_fits("overcomplete")
+    bench, record, (model, fit) = _baseline_fits("overcomplete")
     path = tmp_path / "model.json"
-    save_model(model, bench, path)
+    save_model(model, fit, bench, path)
     doc = json.loads(path.read_text())
     doc["de"]["params"][1] = bad
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"DE model: params .* are not finite"):
         load_model(path, record.state_names)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("params", 3), ("text", 5), ("params", ["1", 2.0]), ("params", [True, 2.0]),
+    ("targets", "delta"),
+])
+def test_model_json_refuses_a_part_key_of_the_wrong_type(tmp_path, key, bad):
+    # each would otherwise fail deep in the reader, naming nothing, or load:
+    # "1" and True both as 1.0, and a target string as one target per character
+    part = {"targets": ["delta"], "text": "ddelta/dt = p0*delta + p1", "params": [1.0, 2.0]}
+    doc = {"format": "daedisc-model", "version": 1, "benchmark": "hand", "de": part,
+           "ae": {"skipped": "none"}, "library": []}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(path, ("delta",))[0].params.tolist() == [1.0, 2.0]
+    path.write_text(json.dumps({**doc, "de": {**part, key: bad}}))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: the DE part has a "
+                                         rf"'{key}' that is not "):
+        load_model(path, ("delta",))
 
 
 @pytest.mark.parametrize("kind, text, targets", [
@@ -321,8 +365,9 @@ def test_replay_sindy_model_with_recorded_signals():
         "ddelta_dt": central_difference(record.columns["delta"], record.dt),
         "domega_dt": central_difference(record.columns["omega"], record.dt),
     }
-    model = fit_baseline(features, derivs, variant="accurate", threshold=0.02)
-    replay = simulate_identified(model.as_skeleton(record.state_names), record)
+    model, _ = fit_baseline(features, derivs, record.state_names, variant="accurate",
+                            threshold=0.02)
+    replay = simulate_identified(model, record)
     assert not replay.diverged
     # recorded-signal replay of a well-fit linear model tracks the truth to a
     # few percent (bias limited by the differentiated training targets)
@@ -381,19 +426,19 @@ def _reference_predict(model, values, targets):
     """One sample's outputs of ``model`` in ``targets`` order (for a skeleton,
     its own target order); NaN when an input is non-finite or it faults.
 
-    A sparse model gives its library row, every term's product formed from 1,
-    times the coefficients' transpose by NumPy matmul: the replay's right-hand
-    side before sparse models replayed as skeletons."""
+    An STLSQ record gives its library row, every term's product formed from 1
+    with the factors its name lists, times the coefficients' transpose by
+    NumPy matmul: the replay's right-hand side before sparse models replayed
+    as skeletons."""
     if not all(math.isfinite(v) for v in values.values()):
         return np.full(len(targets), np.nan)
-    if isinstance(model, SindyModel):
-        row = np.ones((1, len(model.terms)))
-        for j, term in enumerate(model.terms):
-            for var, power in term.powers:
-                for _ in range(power):
-                    row[0, j] = row[0, j] * values[var]
-        pred = (row @ model.coefficients.T)[0]
-        return np.array([pred[model.target_names.index(name)] for name in targets])
+    if isinstance(model, dict):
+        row = np.ones((1, len(model["terms"])))
+        for j, name in enumerate(model["terms"]):
+            for var in ([] if name == "1" else name.split("*")):
+                row[0, j] = row[0, j] * values[var]
+        pred = (row @ np.array(model["coefficients"]).T)[0]
+        return np.array([pred[model["target_names"].index(name)] for name in targets])
     columns = {name: np.array([v]) for name, v in values.items()}
     # every value was checked finite above, which is all from_columns would check
     res = evaluate(model.skeleton, model.params, SampleBatch(columns, 1), gradients=False)
@@ -405,9 +450,9 @@ def _reference_predict(model, values, targets):
 def _reference_replay(model, record, ae_model=None):
     """Replay with a right-hand side that builds dicts and batches per stage."""
     state_names = list(record.state_names)
-    if isinstance(model, SindyModel):
+    if isinstance(model, dict):
         targets = [deriv_name(s) for s in state_names]
-        inputs = set(model.feature_names)
+        inputs = set(model["feature_names"])
     else:
         targets = state_names
         inputs = variables_in(model.skeleton)
@@ -463,18 +508,19 @@ def _assert_replays_as_reference(model, record, ae_model=None):
 MATMUL_RTOL = 1e-9
 
 
-def _assert_sparse_replays_as_references(model, record):
-    """A sparse model replays bit for bit as its skeleton through the
-    reference's ``evaluate``, and like the matmul reference within
-    ``MATMUL_RTOL``, with the same divergence."""
-    skeleton = model.as_skeleton(record.state_names)
+def _assert_sparse_replays_as_references(fitted, record):
+    """A sparse model, ``fit_baseline``'s (skeleton, STLSQ record), replays
+    bit for bit as its skeleton through the reference's ``evaluate``, and
+    like the record's matmul reference within ``MATMUL_RTOL``, with the same
+    divergence."""
+    skeleton, fit = fitted
     replay = simulate_identified(skeleton, record)
-    assert skeleton.skeleton.n_params == np.count_nonzero(model.coefficients)
+    assert skeleton.skeleton.n_params == np.count_nonzero(fit["coefficients"])
     out, diverged, n_valid = _reference_replay(skeleton, record)
     assert (replay.diverged, replay.n_valid) == (diverged, n_valid)
     states = np.column_stack([replay.states[s] for s in record.state_names])
     assert np.array_equal(states, out, equal_nan=True)
-    out, diverged, n_valid = _reference_replay(model, record)
+    out, diverged, n_valid = _reference_replay(fit, record)
     assert (replay.diverged, replay.n_valid) == (diverged, n_valid)
     np.testing.assert_allclose(states, out, rtol=MATMUL_RTOL, atol=0.0, equal_nan=True)
     return replay
@@ -513,7 +559,7 @@ def _stlsq_model(variant, model_id, features):
     features = {n: train.columns[n] for n in features}
     derivs = {deriv_name(s): central_difference(train.columns[s], train.dt)
               for s in train.state_names}
-    return fit_baseline(features, derivs, variant=variant, threshold=0.02)
+    return fit_baseline(features, derivs, train.state_names, variant=variant, threshold=0.02)
 
 
 def test_replay_matches_reference_for_sparse_models():
@@ -669,13 +715,13 @@ def test_library_matrix_is_the_column_products(values):
         for j, term in enumerate(terms):
             powered = np.ones(n)
             product = np.ones(n)
-            for var, power in term.powers:
+            for var, power in Counter(term).items():
                 powered = powered * columns[var] ** power
                 for _ in range(power):
                     product = product * columns[var]
             for reference in (powered, product):
                 assert np.array_equal(theta[:, j].view(np.int64),
-                                      (reference + 0.0).view(np.int64)), term.name
+                                      (reference + 0.0).view(np.int64)), term
 
 
 def test_library_with_an_overflowing_product_is_an_error():
@@ -703,6 +749,6 @@ GOLDEN_COEFFICIENTS = {
 
 @pytest.mark.parametrize("variant, features", list(GOLDEN_COEFFICIENTS))
 def test_stlsq_coefficients_golden(variant, features):
-    model = _stlsq_model(variant, "swing2", features)
-    assert [[float(v).hex() for v in row] for row in model.coefficients] == \
+    _, fit = _stlsq_model(variant, "swing2", features)
+    assert [[float(v).hex() for v in row] for row in fit["coefficients"]] == \
         GOLDEN_COEFFICIENTS[variant, features]
