@@ -27,16 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsl import (
-    Skeleton,
-    SymbolScope,
-    code_length,
-    make_skeleton,
-    parse,
-    serialize,
-    term_sum,
-)
-from .fitting import Requirement, ScoredSkeleton
+from .dsl import Skeleton, SymbolScope, code_length, make_skeleton, serialize, term_sum
+from .fitting import Requirement, ScoredSkeleton, part_document, part_value, read_fitted, read_json
 
 SCORE_KEY_DECIMALS = 3
 
@@ -213,8 +205,7 @@ class Archive:
     def to_snapshot(self, kind: str, target_names, scope: SymbolScope) -> dict:
         def dump(cand: ScoredSkeleton) -> dict:
             return {
-                "text": cand.canonical,
-                "params": [float(v) for v in cand.params],
+                **part_document(cand.skeleton, cand.params),
                 "score": float(cand.score),
                 "requirements": [
                     {"name": r.name, "justification": r.justification,
@@ -251,19 +242,14 @@ class Archive:
         targets = snap["target_names"]
 
         def load(island_id: int, item: dict) -> ScoredSkeleton:
-            skeleton = parse(item["text"], scope, targets, kind=kind)
-            params = np.array(item["params"], dtype=np.float64)
-            params.setflags(write=False)
+            text = part_value(item, "text", f"archive snapshot: island {island_id}, a member")
+            where = f"archive snapshot: island {island_id}, {text!r}"
+            skeleton, params = read_fitted(text, part_value(item, "params", where), scope,
+                                           targets, kind, where)
             score = float(item["score"])
-            where = f"archive snapshot: island {island_id}, {item['text']!r}"
-            if len(params) != skeleton.n_params:
-                raise ValueError(f"{where}: {len(params)} params for a skeleton "
-                                 f"with {skeleton.n_params}")
             # poisoned members carry the finite sentinel score and zero params
             if not np.isfinite(score):
                 raise ValueError(f"{where}: score {score} is not finite")
-            if not np.isfinite(params).all():
-                raise ValueError(f"{where}: params {params.tolist()} are not finite")
             requirements = []
             for r in item["requirements"]:
                 try:
@@ -295,7 +281,7 @@ class Archive:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["Archive", SymbolScope]:
-        return cls.from_snapshot(json.loads(Path(path).read_text()))
+        return cls.from_snapshot(read_json(path))
 
 
 def make_linear_seed(scope: SymbolScope, target_names, kind: str) -> Skeleton:

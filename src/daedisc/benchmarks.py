@@ -13,7 +13,8 @@ for discovery runs, replacing a full network simulation at desk scale:
 All models expose an explicit algebraic map (stator currents i_d/i_q,
 electrical power P_e, and for the higher-order machines the terminal voltage
 magnitude/angle), plus a signal catalog describing every algebraic and input
-signal that a discovery run may request.  The machines share their equations
+signal that a discovery run may request; a model's algebraic and input names
+are its catalog's entries of that kind.  The machines share their equations
 where their physics does: all three use one swing equation, and the two
 higher-order machines one stator algebra and one field-winding equation (the
 one-axis machine is the fifth-order stator with no q-axis rotor voltage).
@@ -66,8 +67,7 @@ class CatalogEntry:
     aliases: tuple[str, ...] = ()
 
     def matches(self, requested: str) -> bool:
-        if requested == self.name:
-            return True
+        """Whether ``requested`` is the name or an alias, ignoring case."""
         lowered = requested.casefold()
         if lowered == self.name.casefold():
             return True
@@ -269,8 +269,6 @@ class BenchmarkModel:
 
     model_id: str
     state_names: tuple[str, ...]
-    algebraic_names: tuple[str, ...]
-    input_names: tuple[str, ...]
     # the machine's own variable set (stator currents, electrical power,
     # inputs): what a prior-rich regression baseline is given; terminal
     # voltage magnitude/angle stay catalog-only extension material
@@ -280,6 +278,10 @@ class BenchmarkModel:
     def __init__(self, params: dict[str, float], default_inputs: dict[str, float]):
         self.params = dict(params)
         self.default_inputs = dict(default_inputs)
+        # the catalog's signals of each kind, in catalog order
+        self.algebraic_names, self.input_names = (
+            tuple(e.name for e in self.catalog if e.kind == kind)
+            for kind in ("algebraic", "input"))
 
     def algebra(self, x, u: Mapping[str, float], x_shift: float = 0.0) -> dict:
         raise NotImplementedError
@@ -311,8 +313,6 @@ class Swing2(BenchmarkModel):
 
     model_id = "swing2"
     state_names = ("delta", "omega")
-    algebraic_names = ("i_d", "i_q", "P_e")
-    input_names = ("P_m",)
     core_variable_names = ("i_d", "i_q", "P_e", "P_m")
     catalog = (
         CatalogEntry("i_d", "pu", "d-axis stator current", "algebraic", ("id",)),
@@ -349,8 +349,6 @@ class OneAxis3(BenchmarkModel):
 
     model_id = "oneaxis3"
     state_names = ("delta", "omega", "e_q_t")
-    algebraic_names = ("i_d", "i_q", "P_e", "V_g", "theta_g")
-    input_names = ("P_m", "v_f")
     core_variable_names = ("i_d", "i_q", "P_e", "P_m", "v_f")
     catalog = (
         CatalogEntry("i_d", "pu", "d-axis stator current", "algebraic", ("id",)),
@@ -390,8 +388,6 @@ class Type1Order5(BenchmarkModel):
 
     model_id = "type1order5"
     state_names = ("delta", "omega", "e_q_t", "e_d_t", "e_d_st")
-    algebraic_names = OneAxis3.algebraic_names
-    input_names = OneAxis3.input_names
     core_variable_names = OneAxis3.core_variable_names
     catalog = OneAxis3.catalog
 

@@ -25,6 +25,7 @@ from .benchmarks import get_model, model_ids, simulate
 from .config import ConfigError, RunConfig, load_scenarios
 from .dataset import deriv_name, export_dataset, import_dataset, import_record
 from .engine import DiscoveryEngine
+from .fitting import read_json
 from .metrics import build_report, merge_reports
 from .sindy import fit_baseline, load_model, save_model, simulate_identified
 
@@ -205,7 +206,7 @@ def report_cmd(runs: tuple[str, ...], out_path: str):
                              "runs are keyed by their directory's name")
         if not path.exists():
             raise FileNotFoundError(f"{path} missing (run `daedisc evaluate` first)")
-        named[name] = json.loads(path.read_text())
+        named[name] = read_json(path)
     table, merged = merge_reports(named)
     Path(out_path).write_text(json.dumps(merged, indent=2, sort_keys=True))
     click.echo(table)

@@ -34,27 +34,18 @@ the dataclass rejects raises ConfigError, and an absent key keeps its default.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .archive import SamplerConfig
 from .benchmarks import ScenarioConfig, from_json_object
-from .fitting import FitConfig
+from .fitting import FitConfig, read_json
 from .gateway import GeneratorBackend, HttpBackend, MockBackend
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _read_json(path: str | Path):
-    path = Path(path)
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -144,12 +135,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(_read_json(path))
+        return cls.from_dict(read_json(path, ConfigError))
 
 
 def load_scenarios(path: str | Path) -> dict:
     """Scenario file for gen-data: {"train": {...}, "test": {...}}, nothing else."""
-    data = _read_json(path)
+    data = read_json(path, ConfigError)
     if not isinstance(data, dict) or not {"train", "test"} <= set(data):
         raise ConfigError("scenario file must hold 'train' and 'test' objects")
     unknown = sorted(set(data) - {"train", "test"})

@@ -57,7 +57,7 @@ from .config import RunConfig
 from .dataset import TrajectoryDataset, deriv_name
 from .dsl import ParseError, SymbolScope, parse, serialize, variables_in
 from .evaluator import SampleBatch
-from .fitting import ScoredSkeleton, derived_fit_config, fit_and_score
+from .fitting import ScoredSkeleton, derived_fit_config, fit_and_score, part_document
 from .gateway import (
     BackendUnavailable,
     GenerationRequest,
@@ -366,8 +366,7 @@ class DiscoveryEngine:
             best = state.best
             return {
                 "targets": list(state.target_names),
-                "text": best.canonical,
-                "params": [float(v) for v in best.params],
+                **part_document(best.skeleton, best.params),
                 "score": float(best.score),
                 "terminated": state.terminated,
                 "iterations": len(state.history) - 1,

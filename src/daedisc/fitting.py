@@ -24,18 +24,27 @@ or "non-finite loss" when a restart's loss is not finite.
 Fitting is pure given (inputs, seed): the same call produces bit-identical
 parameters and score, so candidates can be fitted in parallel as long as the
 caller derives a distinct seed per candidate.
+
+A fitted skeleton has one on-disk form, the part ``{"text", "params"}`` that
+model documents and archive snapshots hold: ``part_document`` writes it,
+``part_value`` reads a part's key checked for its type, and ``read_fitted``
+parses the text and checks the params against its slots.  ``read_json``
+reads the JSON files the package takes in (model files, snapshots, mock
+scripts, reports, run and scenario files), naming a file that is not JSON.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dsl import Skeleton, serialize
+from .dsl import Skeleton, SymbolScope, parse, serialize
 from .evaluator import FaultInfo, SampleBatch, evaluate
 
 logger = logging.getLogger(__name__)
@@ -203,3 +212,64 @@ def derived_fit_config(cfg: FitConfig, *entropy: int) -> FitConfig:
     """Same settings, new deterministic seed from an entropy chain."""
     seed = int(np.random.SeedSequence((cfg.seed,) + entropy).generate_state(1)[0])
     return replace(cfg, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# JSON files, and the on-disk form of a fitted skeleton
+
+
+def read_json(path: str | Path, error: type[Exception] = ValueError):
+    """The JSON document at ``path``; one that is not JSON is refused with
+    ``error`` naming the file."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+def part_document(skeleton: Skeleton, params: Sequence[float]) -> dict:
+    """The part a model document or an archive snapshot keeps of a fitted
+    skeleton: its canonical ``text`` and its ``params``."""
+    return {"text": serialize(skeleton), "params": [float(v) for v in params]}
+
+
+def _is_list_of(value, kind) -> bool:
+    """A JSON list of ``kind`` values; a bool is no number."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
+
+
+# what each typed key of a part holds, and the test of it
+_PART_TYPES = {"targets": ("a list of names", lambda v: _is_list_of(v, str)),
+               "text": ("a string", lambda v: isinstance(v, str)),
+               "params": ("a list of numbers", lambda v: _is_list_of(v, (int, float)))}
+
+
+def part_value(part, key: str, where: str):
+    """``part[key]``, refused with a ``ValueError`` naming ``where`` and the
+    key unless ``part`` is an object holding it, of its type for a part's
+    ``targets``, ``text`` or ``params``."""
+    if not isinstance(part, dict) or key not in part:
+        raise ValueError(f"{where} has no {key!r}")
+    value = part[key]
+    if key in _PART_TYPES and not _PART_TYPES[key][1](value):
+        raise ValueError(f"{where} has a {key!r} that is not {_PART_TYPES[key][0]}")
+    return value
+
+
+def read_fitted(text: str, params: Sequence[float], scope: SymbolScope,
+                targets: Sequence[str], kind: str, where: str
+                ) -> tuple[Skeleton, np.ndarray]:
+    """(skeleton, read-only params) of a part: ``text`` parsed over ``scope``
+    as the ``kind`` system of ``targets``, and ``params`` one finite number
+    per slot, refused with a ``ValueError`` naming ``where`` otherwise."""
+    skeleton = parse(text, scope, list(targets), kind=kind)
+    if len(params) != skeleton.n_params:
+        raise ValueError(f"{where}: {len(params)} params for a skeleton "
+                         f"with {skeleton.n_params}")
+    p = np.array(params, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ValueError(f"{where}: params {p.tolist()} are not finite")
+    p.setflags(write=False)
+    return skeleton, p

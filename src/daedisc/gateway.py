@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .dsl import FUNCTIONS, MAX_EXPONENT
-from .fitting import Requirement, ScoredSkeleton
+from .fitting import Requirement, ScoredSkeleton, read_json
 
 if TYPE_CHECKING:
     import requests
@@ -193,7 +193,7 @@ class MockBackend:
 
     @classmethod
     def from_script(cls, path: str | Path) -> "MockBackend":
-        data = json.loads(Path(path).read_text())
+        data = read_json(path)
         if not isinstance(data, list) or not all(
                 isinstance(b, list) and all(isinstance(c, str) for c in b) for b in data):
             raise ValueError("mock script must be a JSON array of batches of strings")

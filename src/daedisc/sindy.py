@@ -40,7 +40,9 @@ Every model file is one ``daedisc-model`` document, written by
 ``model_document`` for ``discover`` and for the baseline (``save_model``,
 whose DE part is the sparse model's skeleton text and whose record is its
 STLSQ fit) and read by
-``load_model`` alone, which gives the skeletons replay takes.
+``load_model`` alone, which gives the skeletons replay takes.  Each part's
+``text`` and ``params`` are written and read by the fitted-skeleton codec in
+``fitting`` that archive snapshots use too.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ import numpy as np
 from .benchmarks import BenchmarkModel, CatalogEntry, FullRecord, rk4_step
 from .dataset import deriv_name
 from . import evaluator
-from .dsl import Skeleton, SymbolScope, make_skeleton, monomial, parse, serialize, term_sum
+from .dsl import Skeleton, SymbolScope, make_skeleton, monomial, term_sum
 from .evaluator import FaultInfo, SampleBatch, evaluate, sample_walk
+from .fitting import part_document, part_value, read_fitted, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -248,15 +251,7 @@ class SkeletonModel:
                   states: Sequence[str], variables: Sequence[str] = (),
                   kind: str = "de") -> "SkeletonModel":
         scope = SymbolScope(states=tuple(states), variables=tuple(variables))
-        skeleton = parse(text, scope, list(targets), kind=kind)
-        if len(params) != skeleton.n_params:
-            raise ValueError(f"{kind.upper()} model: {len(params)} params for a "
-                             f"skeleton with {skeleton.n_params}")
-        p = np.array(params, dtype=np.float64)
-        if not np.isfinite(p).all():
-            raise ValueError(f"{kind.upper()} model: params {p.tolist()} are not finite")
-        p.setflags(write=False)
-        return cls(skeleton=skeleton, params=p)
+        return cls(*read_fitted(text, params, scope, targets, kind, f"{kind.upper()} model"))
 
 
 @dataclass
@@ -338,7 +333,8 @@ def simulate_identified(model: SkeletonModel, record: FullRecord,
     Algebraic and input signals are interpolated from the record; given an
     ``ae_model``, its targets are predicted from the current state instead
     (inputs still come from the record), so the record need not hold them.
-    A caller holding a sparse-regression model passes its ``as_skeleton``.
+    A sparse-regression model is a skeleton already, as ``fit_baseline``
+    returns it.
     """
     state_names = list(record.state_names)
     if tuple(model.skeleton.target_names) != tuple(state_names):
@@ -417,25 +413,12 @@ def save_model(model: SkeletonModel, record: Mapping, benchmark: BenchmarkModel,
     states = model.skeleton.target_names
     doc = model_document(
         benchmark.model_id,
-        {"targets": list(states), "text": serialize(model.skeleton),
-         "params": model.params.tolist()},
+        {"targets": list(states), **part_document(model.skeleton, model.params)},
         {"skipped": "a sparse-regression baseline identifies the state equations only"},
         [benchmark.catalog_entry(name) for name in record["feature_names"]
          if name not in states],
         **record)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _is_list_of(value, kind) -> bool:
-    """A JSON list of ``kind`` values; a bool is no number."""
-    return isinstance(value, list) and all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in value)
-
-
-# each key of a model part, what it holds, and the test of it
-_PART_KEYS = (("targets", "a list of names", lambda v: _is_list_of(v, str)),
-              ("text", "a string", lambda v: isinstance(v, str)),
-              ("params", "a list of numbers", lambda v: _is_list_of(v, (int, float))))
 
 
 def load_model(path: str | Path, state_names: Sequence[str]
@@ -444,33 +427,23 @@ def load_model(path: str | Path, state_names: Sequence[str]
     parts parsed over ``state_names`` and the library's signals (an AE part
     reads none of its targets).  A document that lacks a key a reader uses,
     or holds a part's key of the wrong type, is refused with a
-    ``ValueError`` naming the file and the key."""
-    data = json.loads(Path(path).read_text())
+    ``ValueError`` naming the file and the key (``fitting.part_value``), as
+    is a file that is not JSON."""
+    data = read_json(path)
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != MODEL_FORMAT:
         raise ValueError(f"{path}: unrecognized model format {fmt!r}; model files are the "
                          f"{MODEL_FORMAT} documents that `daedisc discover` and "
                          f"`daedisc baseline` write")
 
-    def field(part, key: str, where: str):
-        if not isinstance(part, dict) or key not in part:
-            raise ValueError(f"{path}: {where} has no {key!r}")
-        return part[key]
-
-    def checked(part, key: str, what: str, valid: Callable, where: str):
-        value = field(part, key, where)
-        if not valid(value):
-            raise ValueError(f"{path}: {where} has a {key!r} that is not {what}")
-        return value
-
     def load(kind: str, library: Sequence[str]) -> SkeletonModel:
-        part = field(data, kind, "the model document")
-        targets, text, params = (checked(part, *spec, f"the {kind.upper()} part")
-                                 for spec in _PART_KEYS)
+        part = part_value(data, kind, f"{path}: the model document")
+        targets, text, params = (part_value(part, key, f"{path}: the {kind.upper()} part")
+                                 for key in ("targets", "text", "params"))
         return SkeletonModel.from_text(text, params, targets, state_names,
                                        [n for n in library if n not in targets], kind)
 
-    library = [field(entry, "name", f"library entry {i}")
+    library = [part_value(entry, "name", f"{path}: library entry {i}")
                for i, entry in enumerate(data.get("library", []))]
     ae = data.get("ae") or {}
     return load("de", library), None if "skipped" in ae or not ae else load("ae", library)

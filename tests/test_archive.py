@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,33 @@ def test_snapshot_refuses_members_that_do_not_fit_their_skeleton(params, score, 
     member.update(params=params, score=score)
     with pytest.raises(ValueError, match=r"island 2, 'ddelta/dt = p0\*omega \+ p1': "
                                          + message):
+        Archive.from_snapshot(snap)
+
+
+NOT_NUMBERS = "'ddelta/dt = p0*omega + p1' has a 'params' that is not a list of numbers"
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    ("params", 3, NOT_NUMBERS),
+    ("params", ["1", 2.0], NOT_NUMBERS),
+    ("params", [True, 2.0], NOT_NUMBERS),
+    ("params", None, "'ddelta/dt = p0*omega + p1' has no 'params'"),
+    ("text", 5, "a member has a 'text' that is not a string"),
+])
+def test_snapshot_refuses_members_whose_text_or_params_is_not_of_its_type(key, bad, message):
+    # each would otherwise load as 1.0 ("1" and True), or fail deep in the
+    # reader naming neither the island nor the key
+    archive = Archive.seeded(2, SEED)
+    archive.register(2, scored("ddelta/dt = p0*omega + p1", -0.5))
+    snap = archive.to_snapshot("de", ["delta"], SCOPE)
+    [member] = [m for c in snap["islands"][1]["clusters"] for m in c["members"]
+                if m["text"] == "ddelta/dt = p0*omega + p1"]
+    if bad is None:
+        del member[key]
+    else:
+        member[key] = bad
+    expected = re.escape(f"archive snapshot: island 2, {message}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
         Archive.from_snapshot(snap)
 
 

@@ -4,7 +4,10 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from daedisc.archive import Archive
 from daedisc.cli import main
+from daedisc.gateway import MockBackend
+from daedisc.sindy import load_model
 
 TRUE_SWING = ("ddelta/dt = p0*(omega - 1)\n"
               "domega/dt = (p1 - p2*sin(delta) - p3*(omega - 1))/p4")
@@ -202,6 +205,39 @@ def test_report_rejects_runs_that_share_a_name(workspace, tmp_path):
     assert err["error"]["type"] == "ValueError"
     assert f"run {second} has the name 'run' of an earlier run" in err["error"]["message"]
     assert not out_path.exists()
+
+
+def _raised(read):
+    """The message of the ValueError that ``read(path)`` raises."""
+    def refusal(path):
+        with pytest.raises(ValueError) as info:
+            read(path)
+        return str(info.value)
+    return refusal
+
+
+def _report_refusal(path):
+    """The message of the JSON ValueError that ``daedisc report`` exits with
+    on the run directory holding ``path``."""
+    result = CliRunner().invoke(main, ["report", "--out", str(path.parent / "comparison.json"),
+                                       str(path.parent)])
+    assert result.exit_code == 1, result.output
+    err = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ValueError"
+    return err["message"]
+
+
+@pytest.mark.parametrize("name, refusal", [
+    ("model.json", _raised(lambda path: load_model(path, ("delta",)))),
+    ("archive_de.json", _raised(Archive.load)),
+    ("script.json", _raised(MockBackend.from_script)),
+    ("report.json", _report_refusal),
+])
+def test_a_json_file_that_is_not_json_is_refused_naming_it(tmp_path, name, refusal):
+    path = tmp_path / "run" / name
+    path.parent.mkdir()
+    path.write_text("")
+    assert refusal(path).startswith(f"{path} is not valid JSON: Expecting value")
 
 
 def test_failure_emits_error_json(tmp_path):

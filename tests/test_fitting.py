@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from daedisc.dsl import SymbolScope, parse
+from daedisc.archive import Archive
+from daedisc.benchmarks import get_model
+from daedisc.dsl import SymbolScope, make_skeleton, parse, serialize, term_sum
 from daedisc.evaluator import SampleBatch, evaluate
 from daedisc.fitting import (
     ADAM_EPS,
@@ -15,11 +18,13 @@ from daedisc.fitting import (
     INIT_LOW,
     SENTINEL_SCORE,
     FitConfig,
+    ScoredSkeleton,
     cosine_lr,
     derived_fit_config,
     fit_and_score,
     score_of,
 )
+from daedisc.sindy import SkeletonModel, load_model, save_model
 
 SCOPE = SymbolScope(states=("x",))
 
@@ -288,3 +293,57 @@ def test_non_finite_loss_logs_without_a_fault(caplog):
     assert scored.poisoned
     assert [r.getMessage() for r in caplog.records] == [
         "fit of 'dx/dt = p0*x' poisoned: non-finite loss"]
+
+
+# -- the on-disk form of a fitted skeleton -------------------------------------
+
+SWING_STATES = ("delta", "omega")
+SWING_SIGNALS = ("i_d", "i_q", "P_e", "P_m")
+# the extremes of the finite floats: the sign of zero, the least subnormal and
+# the largest magnitudes must all survive the text
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308])
+
+
+@st.composite
+def fitted_term_sums(draw):
+    """(skeleton, params): one random ``term_sum`` per swing state over the
+    states and signals, and one random finite number per slot."""
+    factor = st.sampled_from(SWING_STATES + SWING_SIGNALS)
+    products = st.lists(st.lists(factor, max_size=3).map(tuple), max_size=4)
+    exprs, slots = [], 0
+    for _ in SWING_STATES:
+        terms = draw(products)
+        exprs.append(term_sum(terms, slots))
+        slots += len(terms)
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
+    params = np.array(draw(st.lists(number, min_size=slots, max_size=slots)),
+                      dtype=np.float64)
+    params.setflags(write=False)
+    return make_skeleton("de", SWING_STATES, exprs), params
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fitted_term_sums())
+def test_model_files_and_snapshots_keep_a_fitted_skeleton_bit_for_bit(tmp_path_factory,
+                                                                      fitted):
+    skeleton, params = fitted
+    text = serialize(skeleton)
+    work = tmp_path_factory.getbasetemp()
+    model_path, archive_path = work / "roundtrip_model.json", work / "roundtrip_archive.json"
+    save_model(SkeletonModel(skeleton, params), {"feature_names": list(SWING_SIGNALS)},
+               get_model("swing2"), model_path)
+    loaded, ae = load_model(model_path, SWING_STATES)
+    assert ae is None
+    assert serialize(loaded.skeleton) == text
+    assert _same_bits(loaded.params, params)
+    scope = SymbolScope(states=SWING_STATES, variables=SWING_SIGNALS)
+    archive = Archive(1)
+    archive.register(1, ScoredSkeleton(skeleton=skeleton, params=params, score=-1.0))
+    archive.save(archive_path, "de", SWING_STATES, scope)
+    [member] = Archive.load(archive_path)[0].all_members()
+    assert member.canonical == text
+    assert _same_bits(member.params, params)
