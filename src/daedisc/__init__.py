@@ -22,12 +22,7 @@ from .benchmarks import (
 from .config import GeneratorConfig, RunConfig
 from .dataset import TrajectoryDataset, export_dataset, import_dataset, make_dataset
 from .dsl import ParseError, Skeleton, SymbolScope, code_length, parse, serialize
-from .engine import (
-    DiscoveryEngine,
-    VariableLibrary,
-    check_trigger,
-    extend_variables,
-)
+from .engine import DiscoveryEngine, check_trigger, extend_variables
 from .evaluator import SampleBatch, evaluate, gradient_check
 from .fitting import FitConfig, Requirement, ScoredSkeleton, fit_and_score, score_of
 from .gateway import (

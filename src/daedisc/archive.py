@@ -1,13 +1,15 @@
 """Island-based experience store for scored skeletons.
 
 Scored candidates are registered into one of ``m`` islands; within an island
-they group into clusters keyed by their score rounded to three decimals.
+they group into clusters, each a member list under its score key, the score
+rounded to three decimals.
 In-context examples are drawn in two softmax stages: an island is chosen
 uniformly, then a cluster proportional to ``exp(mean_score / tau_cluster)``,
 then skeletons within the cluster without replacement proportional to
 ``exp(-code_length / tau_length)``, spilling into another cluster of the same
-island if the first runs out.  Returned examples are ordered worst-first so a
-prompt reads as an improvement sequence.
+island if the first runs out.  Each stage is a method of its own, drawing from
+the caller's generator in a fixed order.  Returned examples are ordered
+worst-first so a prompt reads as an improvement sequence.
 
 Worst-sentinel (poisoned) candidates are quarantined: they stay inspectable
 but never join a cluster and are never sampled.  Duplicate canonical text
@@ -17,12 +19,17 @@ would drop.
 
 The archive is a single mutation domain; callers serialize registrations and
 sampling, and supply their own random generator so runs stay reproducible.
+
+A snapshot holds the archive's islands, clusters and members with the scope,
+kind and targets its texts parse under.  Loading one refuses, with a
+``ValueError`` naming the key, a frame or member key that is missing or of
+the wrong type, as well as members that do not fit their skeleton.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,24 +58,15 @@ def cluster_key(score: float) -> float:
 
 
 @dataclass
-class Cluster:
-    key: float
-    members: list[ScoredSkeleton] = field(default_factory=list)
-
-    @property
-    def mean_score(self) -> float:
-        return float(np.mean([m.score for m in self.members]))
-
-
-@dataclass
 class Island:
     island_id: int
-    clusters: dict[float, Cluster] = field(default_factory=dict)
+    # score key -> the members with that key, in registration order
+    clusters: dict[float, list[ScoredSkeleton]] = field(default_factory=dict)
     quarantine: list[ScoredSkeleton] = field(default_factory=list)
     _texts: set[str] = field(default_factory=set)
 
     def member_count(self) -> int:
-        return sum(len(c.members) for c in self.clusters.values())
+        return sum(len(members) for members in self.clusters.values())
 
     def holds(self, skeleton: Skeleton) -> bool:
         """Whether this island already holds the skeleton's canonical text,
@@ -83,13 +81,33 @@ class Island:
         if cand.poisoned:
             self.quarantine.append(cand)
             return True
-        key = cluster_key(cand.score)
-        self.clusters.setdefault(key, Cluster(key=key)).members.append(cand)
+        self.clusters.setdefault(cluster_key(cand.score), []).append(cand)
         return True
 
-    def iter_members(self):
-        for cluster in self.clusters.values():
-            yield from cluster.members
+
+# what each key of a snapshot's frame, islands and members holds, beyond a
+# member's text and params, and the test of it; a bool is no number
+_SNAPSHOT_TYPES = {
+    "scope": ("an object", lambda v: isinstance(v, dict)),
+    "kind": ("a string", lambda v: isinstance(v, str)),
+    "score": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    **dict.fromkeys(("m", "id"), (
+        "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))),
+    **dict.fromkeys(("states", "variables", "target_names"), (
+        "a list of names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))),
+    **dict.fromkeys(("islands", "clusters", "quarantine", "members", "requirements"), (
+        "a list", lambda v: isinstance(v, list))),
+}
+
+
+def _snapshot_value(part, key: str, where: str):
+    """``part[key]`` read through ``fitting.part_value``, refused with a
+    ``ValueError`` naming ``where`` and the key unless of its snapshot type."""
+    value = part_value(part, key, where)
+    description, test = _SNAPSHOT_TYPES[key]
+    if not test(value):
+        raise ValueError(f"{where} has a {key!r} that is not {description}")
+    return value
 
 
 def _ordering(cand: ScoredSkeleton) -> tuple:
@@ -129,7 +147,8 @@ class Archive:
 
     def all_members(self):
         for island in self.islands:
-            yield from island.iter_members()
+            for members in island.clusters.values():
+                yield from members
 
     def best(self) -> ScoredSkeleton:
         members = list(self.all_members())
@@ -161,20 +180,21 @@ class Archive:
         return int(rng.integers(1, self.m + 1))
 
     def sample_cluster(self, island: Island, tau: float, rng: np.random.Generator,
-                       exclude: set[float] | None = None) -> Cluster | None:
+                       exclude: set[float] | None = None) -> float | None:
+        """The score key of a cluster drawn by softmax over mean score, or
+        None when every cluster is excluded."""
         keys = sorted(k for k in island.clusters
                       if not exclude or k not in exclude)
         if not keys:
             return None
-        means = np.array([island.clusters[k].mean_score for k in keys])
+        means = np.array([np.mean([m.score for m in island.clusters[k]]) for k in keys])
         probs = _softmax(means, tau)
-        choice = rng.choice(len(keys), p=probs)
-        return island.clusters[keys[int(choice)]]
+        return keys[int(rng.choice(len(keys), p=probs))]
 
-    def sample_members(self, cluster: Cluster, count: int, tau: float,
+    def sample_members(self, members: list[ScoredSkeleton], count: int, tau: float,
                        rng: np.random.Generator) -> list[ScoredSkeleton]:
         """Sequential softmax over code length, without replacement."""
-        remaining = list(cluster.members)
+        remaining = list(members)
         drawn: list[ScoredSkeleton] = []
         while remaining and len(drawn) < count:
             lengths = np.array([float(code_length(c.skeleton)) for c in remaining])
@@ -191,12 +211,13 @@ class Archive:
         drawn: list[ScoredSkeleton] = []
         tried: set[float] = set()
         while len(drawn) < cfg.examples_per_prompt:
-            cluster = self.sample_cluster(island, cfg.tau_cluster, rng, exclude=tried)
-            if cluster is None:
+            key = self.sample_cluster(island, cfg.tau_cluster, rng, exclude=tried)
+            if key is None:
                 break
-            tried.add(cluster.key)
+            tried.add(key)
             drawn.extend(self.sample_members(
-                cluster, cfg.examples_per_prompt - len(drawn), cfg.tau_length, rng))
+                island.clusters[key], cfg.examples_per_prompt - len(drawn),
+                cfg.tau_length, rng))
         drawn.sort(key=lambda c: c.score)
         return island_id, drawn
 
@@ -207,9 +228,7 @@ class Archive:
             return {
                 **part_document(cand.skeleton, cand.params),
                 "score": float(cand.score),
-                "requirements": [
-                    {"name": r.name, "justification": r.justification,
-                     "kind_hint": r.kind_hint} for r in cand.requirements],
+                "requirements": [asdict(r) for r in cand.requirements],
             }
 
         return {
@@ -223,8 +242,8 @@ class Archive:
                 {
                     "id": island.island_id,
                     "clusters": [
-                        {"key": key, "members": [dump(c) for c in cluster.members]}
-                        for key, cluster in sorted(island.clusters.items())
+                        {"key": key, "members": [dump(c) for c in members]}
+                        for key, members in sorted(island.clusters.items())
                     ],
                     "quarantine": [dump(c) for c in island.quarantine],
                 }
@@ -234,24 +253,27 @@ class Archive:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> tuple["Archive", SymbolScope]:
-        if snap.get("format") != "daedisc-archive":
+        if not isinstance(snap, dict) or snap.get("format") != "daedisc-archive":
             raise ValueError("not an archive snapshot")
-        scope = SymbolScope(states=tuple(snap["scope"]["states"]),
-                            variables=tuple(snap["scope"]["variables"]))
-        kind = snap["kind"]
-        targets = snap["target_names"]
+        frame = "archive snapshot"
+        held = _snapshot_value(snap, "scope", frame)
+        states, variables = (tuple(_snapshot_value(held, key, f"{frame}: scope"))
+                             for key in ("states", "variables"))
+        scope = SymbolScope(states=states, variables=variables)
+        kind = _snapshot_value(snap, "kind", frame)
+        targets = _snapshot_value(snap, "target_names", frame)
 
         def load(island_id: int, item: dict) -> ScoredSkeleton:
-            text = part_value(item, "text", f"archive snapshot: island {island_id}, a member")
-            where = f"archive snapshot: island {island_id}, {text!r}"
+            text = part_value(item, "text", f"{frame}: island {island_id}, a member")
+            where = f"{frame}: island {island_id}, {text!r}"
             skeleton, params = read_fitted(text, part_value(item, "params", where), scope,
                                            targets, kind, where)
-            score = float(item["score"])
+            score = float(_snapshot_value(item, "score", where))
             # poisoned members carry the finite sentinel score and zero params
             if not np.isfinite(score):
                 raise ValueError(f"{where}: score {score} is not finite")
             requirements = []
-            for r in item["requirements"]:
+            for r in _snapshot_value(item, "requirements", where):
                 try:
                     requirements.append(Requirement(**r))
                 except TypeError as exc:  # an unknown or missing key
@@ -259,20 +281,20 @@ class Archive:
             return ScoredSkeleton(skeleton=skeleton, params=params, score=score,
                                   requirements=tuple(requirements))
 
-        archive = cls(int(snap["m"]))
+        archive = cls(_snapshot_value(snap, "m", frame))
         seen: set[int] = set()
-        for island_snap in snap["islands"]:
-            island_id = int(island_snap["id"])
+        for island_snap in _snapshot_value(snap, "islands", frame):
+            island_id = _snapshot_value(island_snap, "id", f"{frame}: an island")
             if island_id in seen:
-                raise ValueError(f"archive snapshot: island id {island_id} is repeated")
+                raise ValueError(f"{frame}: island id {island_id} is repeated")
             if not 1 <= island_id <= archive.m:
-                raise ValueError(f"archive snapshot: island id {island_id} "
-                                 f"is not in 1..{archive.m}")
+                raise ValueError(f"{frame}: island id {island_id} is not in 1..{archive.m}")
             seen.add(island_id)
-            island = archive.island(island_id)
-            members = [item for c in island_snap["clusters"] for item in c["members"]]
-            for item in members + island_snap["quarantine"]:
-                island.register(load(island_id, item))
+            where = f"{frame}: island {island_id}"
+            members = [item for c in _snapshot_value(island_snap, "clusters", where)
+                       for item in _snapshot_value(c, "members", f"{where}, a cluster")]
+            for item in members + _snapshot_value(island_snap, "quarantine", where):
+                archive.island(island_id).register(load(island_id, item))
         return archive, scope
 
     def save(self, path: str | Path, kind: str, target_names, scope: SymbolScope) -> None:

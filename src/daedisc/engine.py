@@ -12,17 +12,21 @@ each iteration the trigger is checked: if the last ``window`` gains are all
 at most ``epsilon`` while the best score still sits at or below ``-gamma``,
 requirements mined from the top candidates extend the variable library; once
 the best score stays above ``-gamma`` for ``window`` consecutive iterations
-the loop terminates.  The library is the one record of what a loop has
-admitted: each loop fits on the dataset's visible columns plus the hidden
-record's columns of its library (and, in the algebraic loop, its targets),
-and the dataset itself never changes.
+the loop terminates.  The library, a tuple of catalog entries in admission
+order, is the one record of what a loop has admitted: each loop fits on the
+dataset's visible columns plus the hidden record's columns of its library
+(and, in the algebraic loop, its targets), and the dataset itself never
+changes.
 
-Each loop's state is one ``LoopState``: what the loop fits to (targets,
-label columns, the hidden-record signals it never admits), its library,
-scope and fit batch, its archive, its score history and whether it has
-terminated or generated anything.  The engine seeds the state, then runs
-every iteration through ``_iterate`` on it; the scope and batch are rebuilt
-only when the library grows.  The state the loop ends in is its result.
+Each loop's state is one ``LoopState``, plain data: its kind and targets
+(which decide the label columns and the hidden-record signals it never
+admits), its library and the scope built from it, its archive, its score
+history and whether it has terminated or generated anything.  The engine
+seeds the state, then runs every iteration through ``_iterate`` on it.  The
+fit batch is not part of the state: ``_run_loop`` builds it, hands it to
+each iteration and rebuilds it, with the scope, only when the library
+grows, so it is dropped when the loop returns.  The state the loop ends in
+is its result.
 
 An engine is configured once, by its dataset, generator and run
 configuration.  ``fit()`` is the one way to run the algebraic loop: it runs
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -88,24 +92,6 @@ class Decision(Enum):
     TERMINATE = "terminate"
 
 
-@dataclass
-class VariableLibrary:
-    """The evolving set of admitted algebraic/input variables for one loop."""
-
-    entries: list[CatalogEntry] = field(default_factory=list)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return any(e.name == name for e in self.entries)
-
-    def add(self, entry: CatalogEntry) -> None:
-        if entry.name in self:
-            raise ValueError(f"{entry.name} already admitted")
-        self.entries.append(entry)
-
-
 def check_trigger(history: Sequence[float], window: int, epsilon: float,
                   gamma: float) -> Decision:
     """Stagnation/termination rule over the recorded best-score sequence.
@@ -125,11 +111,12 @@ def check_trigger(history: Sequence[float], window: int, epsilon: float,
     return Decision.CONTINUE
 
 
-def extend_variables(archive: Archive, library: VariableLibrary,
-                     dataset: TrajectoryDataset, model: BenchmarkModel,
-                     top_k: int, excluded: Sequence[str] = ()) -> tuple[list[str], list[str]]:
-    """Admit requested catalog signals into ``library``; returns (added names,
-    ignored names).  The dataset is only read, for its state names.
+def extend_variables(archive: Archive, library: Sequence[CatalogEntry],
+                     dataset: TrajectoryDataset, model: BenchmarkModel, top_k: int,
+                     excluded: Sequence[str] = ()) -> tuple[list[CatalogEntry], list[str]]:
+    """The requested catalog signals to admit next to ``library``, and the
+    ignored requirement names.  Nothing is mutated; the dataset is only read,
+    for its state names.
 
     Requirements come from the best ``top_k`` cluster members.  Names match
     the catalog exactly first, then case-insensitively against names and
@@ -148,21 +135,20 @@ def extend_variables(archive: Archive, library: VariableLibrary,
             logger.info("requirement %r not in the signal catalog; ignored", name)
         else:
             matched.append(entry)
-    taken = set(library.names()) | set(excluded) | set(dataset.state_names)
+    taken = {e.name for e in library} | set(excluded) | set(dataset.state_names)
     admitted = ([e for e in dict.fromkeys(matched) if e.name not in taken]
                 or [e for e in model.catalog if e.name not in taken][:1])
     if not admitted:
         raise CatalogExhausted("no catalog variables left to admit")
-    for entry in admitted:
-        library.add(entry)
-    return [entry.name for entry in admitted], ignored
+    return admitted, ignored
 
 
-def derive_ae_targets(de_best: ScoredSkeleton, library: VariableLibrary) -> tuple[str, ...]:
+def derive_ae_targets(de_best: ScoredSkeleton,
+                      library: Sequence[CatalogEntry]) -> tuple[str, ...]:
     """Algebraic variables the best differential system references, in library
     order; declared exogenous inputs are excluded from discovery."""
     referenced = variables_in(de_best.skeleton)
-    return tuple(e.name for e in library.entries
+    return tuple(e.name for e in library
                  if e.kind == "algebraic" and e.name in referenced)
 
 
@@ -174,15 +160,24 @@ class LoopState:
 
     kind: str
     target_names: tuple[str, ...]
-    labels: tuple[str, ...]  # the columns the targets are fitted to
-    signals: tuple[str, ...]  # hidden-record columns fitted to, never admitted
-    library: VariableLibrary
-    scope: SymbolScope
-    batch: SampleBatch
+    library: tuple[CatalogEntry, ...]  # admitted signals, in admission order
+    scope: SymbolScope  # the states and the library's names
     archive: Archive
     history: list[float]
     terminated: bool = False
     generated_any: bool = False
+
+    @property
+    def signals(self) -> tuple[str, ...]:
+        """Hidden-record columns fitted to but never admitted: the algebraic
+        loop's targets."""
+        return self.target_names if self.kind == "ae" else ()
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The columns the targets are fitted to: each algebraic target's own
+        column, or each state's derivative."""
+        return self.signals or tuple(deriv_name(s) for s in self.target_names)
 
     @property
     def best(self) -> ScoredSkeleton:
@@ -193,9 +188,9 @@ class DiscoveryEngine:
     """Runs the differential loop then the algebraic loop over one dataset.
 
     Configured once, by the constructor's arguments: call ``fit()``, then read
-    the fitted attributes (``de_result_``, ``ae_result_``, ``library_``,
-    ``run_log_``).  Every ``fit()`` starts from the seed, so calling it again
-    with the same generator script gives the same attributes.
+    the fitted attributes (``de_result_``, ``ae_result_``, ``run_log_``).
+    Every ``fit()`` starts from the seed, so calling it again with the same
+    generator script gives the same attributes.
     """
 
     def __init__(self, dataset: TrajectoryDataset, backend: GeneratorBackend,
@@ -216,16 +211,14 @@ class DiscoveryEngine:
         de = self.run_de_loop()
         ae, skip_reason = self._run_ae_loop(de)
         # set together, so that a fit raising in either loop leaves no results
-        self.de_result_, self.library_ = de, de.library
-        self.ae_result_, self.ae_skip_reason_ = ae, skip_reason
+        self.de_result_, self.ae_result_, self.ae_skip_reason_ = de, ae, skip_reason
         return self
 
     def run_de_loop(self) -> LoopState:
         """The differential loop alone, with its own ``max_seconds`` budget."""
         self._start_time = time.monotonic()
-        states = tuple(self.dataset.state_names)
-        return self._run_loop("de", states, tuple(deriv_name(s) for s in states), (),
-                              VariableLibrary(), self.config.de_max_iterations)
+        return self._run_loop("de", tuple(self.dataset.state_names), (),
+                              self.config.de_max_iterations)
 
     def _run_ae_loop(self, de: LoopState) -> tuple[LoopState | None, str | None]:
         """The algebraic loop's state, or None and why the loop was skipped."""
@@ -236,28 +229,28 @@ class DiscoveryEngine:
             self.run_log_.append({"loop": "ae", "event": "skipped", "reason": reason})
             logger.info("algebraic loop skipped: %s", reason)
             return None, reason
-        library = VariableLibrary(
-            entries=[e for e in de.library.entries if e.name not in targets])
-        return self._run_loop("ae", targets, targets, targets, library,
-                              self.config.ae_max_iterations), None
+        library = tuple(e for e in de.library if e.name not in targets)
+        return self._run_loop("ae", targets, library, self.config.ae_max_iterations), None
 
     # ---------------------------------------------------------------- shared
 
     def _reset(self) -> None:
-        for name in ("de_result_", "ae_result_", "library_", "ae_skip_reason_"):
+        for name in ("de_result_", "ae_result_", "ae_skip_reason_"):
             self.__dict__.pop(name, None)
         self.run_log_: list[dict] = []
         self._rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed & 0x7FFFFFFF, 101]))
 
-    def _scope_and_batch(self, library: VariableLibrary,
-                         signals: tuple[str, ...]) -> tuple[SymbolScope, SampleBatch]:
-        """The symbols a loop's candidates may use, and the columns it fits on:
-        the visible ones plus the library's and ``signals``' from the hidden
-        record."""
-        return (SymbolScope(states=tuple(self.dataset.state_names),
-                            variables=library.names()),
-                self.dataset.to_batch(library.names() + signals))
+    def _scope(self, library: tuple[CatalogEntry, ...]) -> SymbolScope:
+        """The symbols a loop's candidates may use: the states and the
+        library's names."""
+        return SymbolScope(states=tuple(self.dataset.state_names),
+                           variables=tuple(e.name for e in library))
+
+    def _batch(self, state: LoopState) -> SampleBatch:
+        """The columns a loop fits on: the visible ones plus its library's and
+        signals' from the hidden record."""
+        return self.dataset.to_batch(state.scope.variables + state.signals)
 
     def _check_wallclock(self) -> None:
         limit = self.config.max_seconds
@@ -268,32 +261,35 @@ class DiscoveryEngine:
         self.run_log_.append(record)
         logger.debug("run log: %s", record)
 
-    def _run_loop(self, kind: str, targets: tuple[str, ...], labels: tuple[str, ...],
-                  signals: tuple[str, ...], library: VariableLibrary,
-                  max_iterations: int) -> LoopState:
+    def _run_loop(self, kind: str, targets: tuple[str, ...],
+                  library: tuple[CatalogEntry, ...], max_iterations: int) -> LoopState:
         """Seed a loop's state, then iterate on it until the trigger terminates
-        the loop or ``max_iterations`` iterations have run."""
-        scope, batch = self._scope_and_batch(library, signals)
+        the loop or ``max_iterations`` iterations have run.  The fit batch
+        lives here, not in the state."""
+        state = LoopState(kind, targets, library, self._scope(library),
+                          Archive(self.config.islands), [])
+        batch = self._batch(state)
         seed_scored = fit_and_score(
-            make_linear_seed(scope, targets, kind), batch, labels,
+            make_linear_seed(state.scope, targets, kind), batch, state.labels,
             derived_fit_config(self.config.fit, int(kind == "ae"), 0, 0))
-        archive = Archive.seeded(self.config.islands, seed_scored)
-        state = LoopState(kind, targets, labels, signals, library, scope, batch,
-                          archive, [archive.best_score()])
+        for island in state.archive.islands:
+            island.register(seed_scored)
+        state.history.append(state.archive.best_score())
         self._log(loop=kind, iteration=0, event="seed",
                   best_score=state.history[0], best_skeleton=seed_scored.canonical,
-                  added_variables=[], library=list(library.names()))
+                  added_variables=[], library=list(state.scope.variables))
         while len(state.history) <= max_iterations and not state.terminated:
             self._check_wallclock()
-            self._iterate(state)
+            batch = self._iterate(state, batch)
         if max_iterations > 0 and not state.generated_any and not state.terminated:
             raise GenerationExhausted(
                 f"{kind} loop: generator produced nothing in {max_iterations} iterations")
         return state
 
-    def _iterate(self, state: LoopState) -> None:
+    def _iterate(self, state: LoopState, batch: SampleBatch) -> SampleBatch:
         """Iteration ``len(state.history)``: check the trigger, admit variables
-        if it says extend, then fit one prompt's completions into one island."""
+        if it says extend, then fit one prompt's completions on ``batch`` into
+        one island.  Returns the batch to fit on next, rebuilt on admission."""
         cfg, kind, archive = self.config, state.kind, state.archive
         t = len(state.history)
         decision = check_trigger(state.history, cfg.window, cfg.epsilon, cfg.gamma)
@@ -301,22 +297,24 @@ class DiscoveryEngine:
             state.terminated = True
             self._log(loop=kind, iteration=t - 1, event="terminate",
                       best_score=state.history[-1], best_skeleton=state.best.canonical)
-            return
-        added: list[str] = []
+            return batch
+        added: list[CatalogEntry] = []
         ignored: list[str] = []
         if decision is Decision.EXTEND:
             try:
                 added, ignored = extend_variables(
                     archive, state.library, self.dataset, self.model,
                     cfg.top_k, excluded=state.signals)
-                state.scope, state.batch = self._scope_and_batch(state.library, state.signals)
+                state.library += tuple(added)
+                state.scope = self._scope(state.library)
+                batch = self._batch(state)
             except CatalogExhausted as exc:
                 self._log(loop=kind, iteration=t, event="catalog_exhausted",
                           reason=str(exc))
                 logger.info("%s loop: %s", kind, exc)
         island_id, examples = archive.sample_examples(cfg.sampler, self._rng)
         prompt = build_prompt(kind, tuple(self.dataset.state_names),
-                              tuple(state.library.entries), examples, state.target_names)
+                              state.library, examples, state.target_names)
         request = GenerationRequest(prompt=prompt, n_b=cfg.n_b,
                                     temperature=cfg.temperature)
         try:
@@ -341,7 +339,7 @@ class DiscoveryEngine:
                              serialize(skeleton))
                 continue
             scored = fit_and_score(
-                skeleton, state.batch, state.labels,
+                skeleton, batch, state.labels,
                 derived_fit_config(cfg.fit, int(kind == "ae"), t, j),
                 requirements=completion.requirements)
             archive.register(island_id, scored)
@@ -349,9 +347,10 @@ class DiscoveryEngine:
         self._log(loop=kind, iteration=t, event="iteration",
                   best_score=state.history[-1], island=island_id,
                   candidates=len(completions), rejected=rejected,
-                  added_variables=added, ignored_requirements=ignored,
+                  added_variables=[e.name for e in added], ignored_requirements=ignored,
                   best_skeleton=state.best.canonical,
-                  library=list(state.library.names()))
+                  library=list(state.scope.variables))
+        return batch
 
     # ---------------------------------------------------------------- output
 
@@ -377,5 +376,5 @@ class DiscoveryEngine:
             ae = dump(self.ae_result_)
         else:
             ae = {"skipped": self.ae_skip_reason_}
-        return model_document(self.model.model_id, dump(de), ae, self.library_.entries,
+        return model_document(self.model.model_id, dump(de), ae, de.library,
                               config=self.config.to_dict())

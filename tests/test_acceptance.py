@@ -196,8 +196,9 @@ def test_acceptance_2_variable_extension_path():
     # the requested signal entered the library, and its column is the hidden
     # record's
     assert extension_records[0]["added_variables"] == ["P_e"]
-    assert "P_e" in de.library.names()
-    assert np.array_equal(dataset.to_batch(de.library.names()).column("P_e"),
+    admitted = tuple(e.name for e in de.library)
+    assert "P_e" in admitted
+    assert np.array_equal(dataset.to_batch(admitted).column("P_e"),
                           dataset.full.columns["P_e"])
     # the post-extension candidate referencing P_e compiled and was fitted
     assert extension_records[0]["rejected"] == 0
@@ -244,7 +245,7 @@ def test_acceptance_3_sampler_fidelity():
                                         scope, ["delta"]))
         island = archive.island(1)
         keys = sorted(island.clusters)
-        means = np.array([island.clusters[k].mean_score for k in keys])
+        means = np.array([np.mean([m.score for m in island.clusters[k]]) for k in keys])
         logits = means / tau
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
@@ -252,7 +253,7 @@ def test_acceptance_3_sampler_fidelity():
         rng = np.random.default_rng(500 + config_index)
         counts = {k: 0 for k in keys}
         for _ in range(n_draws):
-            counts[archive.sample_cluster(island, tau, rng).key] += 1
+            counts[archive.sample_cluster(island, tau, rng)] += 1
         observed = np.array([counts[k] for k in keys], dtype=float)
         expected = probs * n_draws
         # merge tiny-expectation bins so the chi-square statistic is valid

@@ -56,7 +56,7 @@ def test_register_rounding_rule():
     archive.register(1, scored("ddelta/dt = p0*delta", -1.2339))
     island = archive.island(1)
     assert cluster_key(-1.2341) == cluster_key(-1.2339) == -1.234
-    assert len(island.clusters[-1.234].members) == 2
+    assert len(island.clusters[-1.234]) == 2
 
 
 def test_sentinel_goes_to_quarantine():
@@ -112,7 +112,7 @@ def test_cluster_softmax_analytic_two_clusters():
     island = archive.island(1)
     rng = np.random.default_rng(7)
     n = 100_000
-    hits = sum(archive.sample_cluster(island, 0.2, rng).key == -1.0 for _ in range(n))
+    hits = sum(archive.sample_cluster(island, 0.2, rng) == -1.0 for _ in range(n))
     p_expected = 1.0 / (1.0 + np.exp(-5.0))
     se = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(hits / n - p_expected) < 4 * se
@@ -125,10 +125,10 @@ def test_member_softmax_prefers_shorter():
     archive = Archive.seeded(1, a)
     archive.register(1, b)
     island = archive.island(1)
-    cluster = island.clusters[cluster_key(-1.0)]
-    assert len(cluster.members) == 2
+    members = island.clusters[cluster_key(-1.0)]
+    assert len(members) == 2
     rng = np.random.default_rng(3)
-    first = [archive.sample_members(cluster, 1, 0.2, rng)[0].canonical
+    first = [archive.sample_members(members, 1, 0.2, rng)[0].canonical
              for _ in range(2000)]
     assert all(text == a.canonical for text in first)
 
@@ -246,8 +246,8 @@ def test_snapshot_refuses_island_ids_outside_the_archive_or_repeated():
 @pytest.mark.parametrize("params, score, message", [
     ([0.0, 0.0, 0.0, 0.0], -0.5, "4 params for a skeleton with 2"),
     ([0.0], -0.5, "1 params for a skeleton with 2"),
-    ([0.0, 0.0], "nan", "score nan is not finite"),
-    ([0.0, 0.0], "inf", "score inf is not finite"),
+    ([0.0, 0.0], float("nan"), "score nan is not finite"),
+    ([0.0, 0.0], float("inf"), "score inf is not finite"),
     ([0.0, 0.0], float("-inf"), "score -inf is not finite"),
     ([float("nan"), 0.0], -0.5, r"params \[nan, 0.0\] are not finite"),
     ([0.0, float("-inf")], -0.5, r"params \[0.0, -inf\] are not finite"),
@@ -304,4 +304,58 @@ def test_snapshot_refuses_requirements_with_unknown_or_missing_keys(requirement,
     member["requirements"] = [requirement]
     with pytest.raises(ValueError, match=r"island 2, 'ddelta/dt = p0\*omega \+ p1': "
                                          r"requirement .*" + message):
+        Archive.from_snapshot(snap)
+
+
+MEMBER = "archive snapshot: island 2, 'ddelta/dt = p0*omega + p1'"
+# the part of a snapshot each case edits
+PARTS = {
+    "frame": lambda snap: snap,
+    "scope": lambda snap: snap["scope"],
+    "island": lambda snap: snap["islands"][1],
+    "cluster": lambda snap: snap["islands"][1]["clusters"][0],
+    "member": lambda snap: next(m for c in snap["islands"][1]["clusters"]
+                                for m in c["members"] if m["text"] == "ddelta/dt = p0*omega + p1"),
+}
+MISSING = object()
+
+
+@pytest.mark.parametrize("part, key, bad, message", [
+    ("frame", "scope", MISSING, "archive snapshot has no 'scope'"),
+    ("frame", "scope", ["delta"], "archive snapshot has a 'scope' that is not an object"),
+    ("scope", "states", "delta",
+     "archive snapshot: scope has a 'states' that is not a list of names"),
+    ("scope", "variables", MISSING, "archive snapshot: scope has no 'variables'"),
+    ("frame", "kind", 5, "archive snapshot has a 'kind' that is not a string"),
+    ("frame", "target_names", "delta",
+     "archive snapshot has a 'target_names' that is not a list of names"),
+    ("frame", "m", "2", "archive snapshot has a 'm' that is not an integer"),
+    ("frame", "m", True, "archive snapshot has a 'm' that is not an integer"),
+    ("frame", "islands", {}, "archive snapshot has a 'islands' that is not a list"),
+    ("island", "id", "2", "archive snapshot: an island has a 'id' that is not an integer"),
+    ("island", "clusters", {}, "archive snapshot: island 2 has a 'clusters' that is not a list"),
+    ("island", "quarantine", MISSING, "archive snapshot: island 2 has no 'quarantine'"),
+    ("cluster", "members", "x",
+     "archive snapshot: island 2, a cluster has a 'members' that is not a list"),
+    ("member", "score", "-0.5", f"{MEMBER} has a 'score' that is not a number"),
+    ("member", "score", True, f"{MEMBER} has a 'score' that is not a number"),
+    ("member", "score", MISSING, f"{MEMBER} has no 'score'"),
+    ("member", "requirements", MISSING, f"{MEMBER} has no 'requirements'"),
+    ("member", "requirements", {"name": "P_e"},
+     f"{MEMBER} has a 'requirements' that is not a list"),
+])
+def test_snapshot_refuses_a_frame_island_or_member_key_missing_or_of_the_wrong_type(
+        part, key, bad, message):
+    # each would otherwise load ("-0.5" and true as numbers, "2" as an id or
+    # island count, {} as no islands or clusters), or fail with a bare
+    # KeyError or a message naming neither the key nor where it is
+    archive = Archive.seeded(2, SEED)
+    archive.register(2, scored("ddelta/dt = p0*omega + p1", -0.5))
+    snap = archive.to_snapshot("de", ["delta"], SCOPE)
+    edited = PARTS[part](snap)
+    if bad is MISSING:
+        del edited[key]
+    else:
+        edited[key] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Archive.from_snapshot(snap)

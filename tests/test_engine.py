@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ from daedisc import engine as engine_module
 from daedisc.archive import Archive, Island
 from daedisc.benchmarks import CatalogEntry, Disturbance, ScenarioConfig, get_model, simulate
 from daedisc.config import RunConfig
-from daedisc.dataset import deriv_name, make_dataset
+from daedisc.dataset import TrajectoryDataset, deriv_name, make_dataset
 from daedisc.dsl import SymbolScope, parse, serialize, variables_in
 from daedisc.engine import (
     BudgetExceeded,
@@ -19,7 +21,6 @@ from daedisc.engine import (
     DiscoveryEngine,
     GenerationExhausted,
     LoopState,
-    VariableLibrary,
     check_trigger,
     derive_ae_targets,
     extend_variables,
@@ -132,25 +133,23 @@ def test_extend_variables_admits_catalog_matches():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["i_d", "i_q", "P_e", "stator_flux"],
         scope, ["delta", "omega"]))
-    added, ignored = extend_variables(archive, library, ds, model, top_k=3)
-    assert added == ["i_d", "i_q", "P_e"]
+    added, ignored = extend_variables(archive, (), ds, model, top_k=3)
+    assert added == [model.catalog_entry(name) for name in ("i_d", "i_q", "P_e")]
     assert ignored == ["stator_flux"]
-    assert library.names() == ("i_d", "i_q", "P_e")
 
 
 def test_extend_variables_fallback_in_catalog_order():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, [], scope, ["delta", "omega"]))
-    added, ignored = extend_variables(archive, library, ds, model, top_k=3)
-    assert added == ["i_d"]  # first catalog entry
+    added, ignored = extend_variables(archive, (), ds, model, top_k=3)
+    assert added == [model.catalog[0]]  # first catalog entry
+    assert added[0].name == "i_d"
     assert ignored == []
 
 
@@ -158,57 +157,53 @@ def test_extend_variables_catalog_exhausted():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary()
-    for entry in model.catalog:
-        library.add(entry)
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, [], scope, ["delta", "omega"]))
     with pytest.raises(CatalogExhausted):
-        extend_variables(archive, library, ds, model, top_k=3)
+        extend_variables(archive, tuple(model.catalog), ds, model, top_k=3)
 
 
 def test_extend_variables_respects_aliases_and_exclusions():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["pe", "Pm"], scope, ["delta", "omega"]))
-    added, _ = extend_variables(archive, library, ds, model, top_k=3,
+    added, _ = extend_variables(archive, (), ds, model, top_k=3,
                                 excluded=("P_m",))
-    assert added == ["P_e"]  # alias resolved; excluded input skipped
+    assert added == [model.catalog_entry("P_e")]  # alias resolved; excluded input skipped
 
 
 def test_extend_variables_admits_an_aliased_duplicate_once():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary()
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["pe", "P_e"], scope, ["delta", "omega"]))
-    added, ignored = extend_variables(archive, library, ds, model, top_k=3)
-    assert added == ["P_e"]
+    added, ignored = extend_variables(archive, (), ds, model, top_k=3)
+    assert added == [model.catalog_entry("P_e")]
     assert ignored == []
-    assert library.names() == ("P_e",)
 
 
 def test_extend_variables_falls_back_when_every_request_is_admitted():
     ds = swing_dataset(total_time=2.0)
     model = get_model("swing2")
     scope = SymbolScope(states=("delta", "omega"))
-    library = VariableLibrary()
-    for name in ("i_d", "P_e"):
-        entry = model.catalog_entry(name)
-        library.add(entry)
+    library = [model.catalog_entry(name) for name in ("i_d", "P_e")]
     archive = Archive.seeded(1, scored_with_reqs(
         "ddelta/dt = p0\ndomega/dt = p1", -2.0, ["P_e", "i_d"], scope, ["delta", "omega"]))
     added, ignored = extend_variables(archive, library, ds, model, top_k=3)
-    assert added == ["i_q"]  # first catalog entry not yet admitted
+    assert added == [model.catalog_entry("i_q")]  # first catalog entry not yet admitted
     assert ignored == []
-    assert library.names() == ("i_d", "P_e", "i_q")
+    # the library is read, not extended: the caller admits what is returned
+    assert library == [model.catalog_entry(name) for name in ("i_d", "P_e")]
 
 
 # ------------------------------------------------------------------ full loops
+
+def names(library):
+    return tuple(e.name for e in library)
+
 
 def engine_with_script(batches, dataset=None, **config_overrides):
     dataset = dataset or swing_dataset()
@@ -244,7 +239,7 @@ def test_constant_only_mock_triggers_extension_at_earliest_window():
     # earliest possible: the check that sees window increments (history 0..window)
     assert first["iteration"] == engine.config.window + 1
     assert first["added_variables"] == ["i_d"]  # fallback, catalog order
-    assert "i_d" in de.library
+    assert "i_d" in names(de.library)
 
 
 def test_requirements_drive_extension_then_ae_loop():
@@ -260,7 +255,7 @@ def test_requirements_drive_extension_then_ae_loop():
     de = engine.de_result_
     assert de.terminated
     assert de.best.canonical == TRUE_SWING_PE.replace("(omega-1)", "(omega - 1)")
-    assert de.library.names() == ("P_e",)
+    assert names(de.library) == ("P_e",)
     ae = engine.ae_result_
     assert ae is not None and engine.ae_skip_reason_ is None
     assert ae.target_names == ("P_e",)
@@ -269,7 +264,7 @@ def test_requirements_drive_extension_then_ae_loop():
     assert abs(ae.best.params[0] - 1.1 * 1.0 / 0.65) < 2e-3
     # consistency: AE references stay inside states + AE library
     refs = variables_in(ae.best.skeleton)
-    allowed = set(engine.dataset.state_names) | set(ae.library.names())
+    allowed = set(engine.dataset.state_names) | set(names(ae.library))
     assert refs <= allowed
     # every AE target was referenced by the best DE skeleton
     assert set(ae.target_names) <= variables_in(de.best.skeleton)
@@ -290,7 +285,7 @@ def test_zero_budget_returns_seed():
     engine = engine_with_script([[fenced(TRUE_SWING)]], de_max_iterations=0)
     de = engine.run_de_loop()
     assert not de.terminated
-    assert de.library.names() == ()
+    assert names(de.library) == ()
     assert "p0*delta + p1*omega + p2" in de.best.canonical
 
 
@@ -364,13 +359,13 @@ def test_ae_targets_exclude_exogenous_inputs():
     params = np.zeros(sk.n_params)
     params.setflags(write=False)
     best = ScoredSkeleton(skeleton=sk, params=params, score=-0.001)
-    library = VariableLibrary(entries=[
+    library = (
         CatalogEntry("i_d", "pu", "", "algebraic"),
         CatalogEntry("i_q", "pu", "", "algebraic"),
         CatalogEntry("P_e", "pu", "", "algebraic"),
         CatalogEntry("P_m", "pu", "", "input"),
         CatalogEntry("v_f", "pu", "", "input"),
-    ])
+    )
     assert derive_ae_targets(best, library) == ("i_d", "i_q", "P_e")
     # states-only system: nothing to target
     sk2 = parse("ddelta/dt = p0*omega\ndomega/dt = p1*delta",
@@ -408,7 +403,7 @@ def test_a_refit_that_fails_leaves_no_results_behind():
     engine.backend = MockBackend([[fenced(TRUE_SWING)]])
     with pytest.raises(BudgetExceeded):
         engine.fit()
-    for name in ("de_result_", "ae_result_", "library_", "ae_skip_reason_"):
+    for name in ("de_result_", "ae_result_", "ae_skip_reason_"):
         assert not hasattr(engine, name)
     with pytest.raises(RuntimeError, match=r"call fit\(\) first"):
         engine.result_dict()
@@ -428,7 +423,7 @@ def test_a_refit_that_fails_in_the_algebraic_loop_leaves_no_results_behind():
     engine._run_ae_loop = over_budget
     with pytest.raises(BudgetExceeded):
         engine.fit()
-    for name in ("de_result_", "ae_result_", "library_", "ae_skip_reason_"):
+    for name in ("de_result_", "ae_result_", "ae_skip_reason_"):
         assert not hasattr(engine, name)
     with pytest.raises(RuntimeError, match=r"call fit\(\) first"):
         engine.result_dict()
@@ -453,7 +448,7 @@ def test_a_run_that_admits_signals_leaves_the_dataset_as_it_was():
     for _ in range(2):
         engine.backend = MockBackend(PE_SCRIPT)
         engine.fit()
-        assert engine.library_.names() == ("P_e",)
+        assert names(engine.de_result_.library) == ("P_e",)
         assert engine.ae_result_.target_names == ("P_e",)
         for kind, cols in columns.items():
             assert list(cols) == list(before[kind]), kind
@@ -466,33 +461,82 @@ def test_a_run_that_admits_signals_leaves_the_dataset_as_it_was():
         ds.states = {}  # frozen: nothing assigns to a built dataset
 
 
-def test_each_loop_state_holds_the_columns_its_loop_fits_on():
-    engine = engine_with_script(PE_SCRIPT, window=2)
+def _fit_columns(monkeypatch, engine):
+    """Run ``engine.fit()``; the columns of the batch each fit received, as
+    (loop kind, column names) in fit order."""
+    received = []
+    real_fit = engine_module.fit_and_score
+
+    def recording_fit(skeleton, batch, *args, **kwargs):
+        received.append((skeleton.kind, list(batch.columns)))
+        return real_fit(skeleton, batch, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "fit_and_score", recording_fit)
     engine.fit()
+    return received
+
+
+def test_each_loop_state_holds_the_columns_its_loop_fits_on(monkeypatch):
+    engine = engine_with_script(PE_SCRIPT, window=2)
+    fits = _fit_columns(monkeypatch, engine)
     ds = engine.dataset
     visible = [*ds.states, *ds.derivs]
     de, ae = engine.de_result_, engine.ae_result_
     for state in (de, ae):
         assert isinstance(state, LoopState)
         assert state.scope.states == ds.state_names
-        assert state.scope.variables == state.library.names()
+        assert state.scope.variables == names(state.library)
         assert state.best.canonical == state.archive.best().canonical
     # the differential loop admitted P_e: its batch was rebuilt with it
-    assert de.library.names() == ("P_e",) and de.signals == ()
+    de_fits = [columns for kind, columns in fits if kind == "de"]
+    assert names(de.library) == ("P_e",) and de.signals == ()
     assert de.labels == tuple(deriv_name(s) for s in ds.state_names)
-    assert list(de.batch.columns) == visible + ["P_e"]
+    assert de_fits[0] == visible
+    assert de_fits[-1] == visible + ["P_e"]
     # the algebraic loop fits P_e to its own column and never admits it
+    ae_fits = [columns for kind, columns in fits if kind == "ae"]
     assert ae.target_names == ae.labels == ae.signals == ("P_e",)
-    assert "P_e" not in ae.library
-    assert list(ae.batch.columns) == visible + list(ae.library.names()) + ["P_e"]
+    assert "P_e" not in names(ae.library)
+    assert ae_fits[-1] == visible + list(names(ae.library)) + ["P_e"]
 
 
-def test_a_states_only_run_logs_the_skipped_algebraic_loop_last():
-    engine = engine_with_script([[fenced(TRUE_SWING)]])
+def test_no_fit_batch_of_the_differential_loop_outlives_the_fit(monkeypatch):
+    # a finished loop's state keeps no batch: once fit() returns, every batch
+    # the differential loop fitted on is garbage.  (The algebraic loop's last
+    # batch may stay in the evaluator's one-entry memo of the last fit.)
+    engine = engine_with_script(PE_SCRIPT, window=2)
+    loop = ["de"]
+    batches = []
+    real_to_batch = TrajectoryDataset.to_batch
+    real_ae_loop = engine._run_ae_loop
+
+    def recording_to_batch(self, columns=()):
+        batch = real_to_batch(self, columns)
+        batches.append((loop[0], tuple(columns), weakref.ref(batch)))
+        return batch
+
+    def ae_loop(de):
+        loop[0] = "ae"
+        return real_ae_loop(de)
+
+    monkeypatch.setattr(TrajectoryDataset, "to_batch", recording_to_batch)
+    engine._run_ae_loop = ae_loop
     engine.fit()
+    assert engine.ae_result_ is not None
+    assert [(kind, columns) for kind, columns, _ in batches] == [
+        ("de", ()), ("de", ("P_e",)), ("ae", ("P_e",))]
+    gc.collect()
+    alive = [columns for kind, columns, ref in batches if kind == "de" and ref() is not None]
+    assert alive == []
+
+
+def test_a_states_only_run_logs_the_skipped_algebraic_loop_last(monkeypatch):
+    engine = engine_with_script([[fenced(TRUE_SWING)]])
+    fits = _fit_columns(monkeypatch, engine)
     de = engine.de_result_
-    assert de.library.names() == () and de.scope.variables == ()
-    assert list(de.batch.columns) == [*engine.dataset.states, *engine.dataset.derivs]
+    assert names(de.library) == () and de.scope.variables == ()
+    visible = [*engine.dataset.states, *engine.dataset.derivs]
+    assert fits and all(columns == visible for _, columns in fits)
     assert engine.run_log_[-1] == {"loop": "ae", "event": "skipped",
                                    "reason": engine.ae_skip_reason_}
 
