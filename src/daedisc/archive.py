@@ -275,9 +275,14 @@ class Archive:
             requirements = []
             for r in _snapshot_value(item, "requirements", where):
                 try:
-                    requirements.append(Requirement(**r))
+                    requirement = Requirement(**r)
                 except TypeError as exc:  # an unknown or missing key
                     raise ValueError(f"{where}: requirement {r!r}: {exc}") from None
+                for key, value in asdict(requirement).items():
+                    if not isinstance(value, str):
+                        raise ValueError(f"{where}: requirement {r!r} has a {key!r} "
+                                         f"that is not a string")
+                requirements.append(requirement)
             return ScoredSkeleton(skeleton=skeleton, params=params, score=score,
                                   requirements=tuple(requirements))
 

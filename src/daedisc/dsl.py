@@ -47,7 +47,6 @@ MAX_EXPONENT = 4
 MAX_DEPTH = 100
 
 _PARAM_RE = re.compile(r"^p(\d+)$")
-_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -182,37 +181,28 @@ class Skeleton:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM IDENT OP END
-    text: str
-    column: int
+# one alternation, tried in this order at each position: a number, a name, an
+# operator, or any other visible character, which is refused; ``finditer``
+# skips what none of them matches, whitespace alone (``\s`` is ``str.isspace``)
+_TOKEN_RE = re.compile(r"(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+                       r"|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()=,])|(\S)")
 
 
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(line, i)
-        if m and (ch.isdigit() or ch == "."):
-            tokens.append(_Token("NUM", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(line, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()=,":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", lineno, i)
-    tokens.append(_Token("END", "", n))
+def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` per token: kind ``NUM`` or ``IDENT``, an
+    operator's own character, or ``END`` for the closing ``("END", "", len)``."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(line):
+        number, name, op, bad = m.groups()
+        if bad is not None:
+            raise DslSyntaxError(f"unexpected character {bad!r}", lineno, m.start())
+        if op is not None:
+            tokens.append((op, op, m.start()))
+        elif name is not None:
+            tokens.append(("IDENT", name, m.start()))
+        else:
+            tokens.append(("NUM", number, m.start()))
+    tokens.append(("END", "", len(line)))
     return tokens
 
 
@@ -220,165 +210,169 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
 # Parser (recursive descent, precedence layered per the grammar)
 
 class _LineParser:
-    def __init__(self, tokens: list[_Token], scope: SymbolScope, lineno: int):
+    """One line's parser.  Each rule returns ``(node, levels)``: the node
+    with its negated constants folded, as ``make_skeleton`` folds them, and
+    the levels of the tree as written, before folding, which ``MAX_DEPTH``
+    bounds.  The parameter indices read are added to ``slots``."""
+
+    def __init__(self, tokens: list, scope: SymbolScope, lineno: int, slots: set[int]):
         self.tokens = tokens
         self.scope = scope
         self.lineno = lineno
+        self.slots = slots
         self.pos = 0
-        self.depth = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.nesting = 0
 
     def expect_op(self, text: str) -> None:
-        tok = self.cur
-        if tok.kind != "OP" or tok.text != text:
-            raise DslSyntaxError(
-                f"expected {text!r}, found {tok.text or 'end of line'!r}",
-                self.lineno, tok.column)
-        self.advance()
+        kind, found, column = self.tokens[self.pos]
+        if kind != text:
+            raise DslSyntaxError(f"expected {text!r}, found {found or 'end of line'!r}",
+                                 self.lineno, column)
+        self.pos += 1
 
-    def parse_expr(self) -> Expr:
-        self.depth += 1  # the only recursion: a parenthesis or call argument
-        if self.depth > MAX_DEPTH:
+    def parse_expr(self) -> tuple[Expr, int]:
+        self.nesting += 1  # the only recursion: a parenthesis or call argument
+        if self.nesting > MAX_DEPTH:
             raise DslSyntaxError(f"expression deeper than {MAX_DEPTH} levels",
-                                 self.lineno, self.cur.column)
-        node = self.parse_term()
-        while self.cur.kind == "OP" and self.cur.text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.parse_term())
-        self.depth -= 1
-        return node
+                                 self.lineno, self.tokens[self.pos][2])
+        node, levels = self.parse_term()
+        tokens = self.tokens
+        while tokens[self.pos][0] in ("+", "-"):
+            op = tokens[self.pos][0]
+            self.pos += 1
+            right, right_levels = self.parse_term()
+            node = Bin(op, node, right)
+            levels = (levels if levels > right_levels else right_levels) + 1
+        self.nesting -= 1
+        return node, levels
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.cur.kind == "OP" and self.cur.text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.parse_unary())
-        return node
+    def parse_term(self) -> tuple[Expr, int]:
+        node, levels = self.parse_unary()
+        tokens = self.tokens
+        while tokens[self.pos][0] in ("*", "/"):
+            op = tokens[self.pos][0]
+            self.pos += 1
+            right, right_levels = self.parse_unary()
+            node = Bin(op, node, right)
+            levels = (levels if levels > right_levels else right_levels) + 1
+        return node, levels
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple[Expr, int]:
+        tokens = self.tokens
         signs = 0
-        while self.cur.kind == "OP" and self.cur.text == "-":
-            self.advance()
+        while tokens[self.pos][0] == "-":
+            self.pos += 1
             signs += 1
-        node = self.parse_power()
-        for _ in range(signs):
-            node = Neg(node)
-        return node
+        node, levels = self.parse_power()
+        for _ in range(signs):  # fold so "-2" has one canonical tree
+            node = Const(-node.value) if isinstance(node, Const) else Neg(node)
+        return node, levels + signs
 
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        while self.cur.kind == "OP" and self.cur.text == "^":
-            self.advance()
+    def parse_power(self) -> tuple[Expr, int]:
+        node, levels = self.parse_atom()
+        while self.tokens[self.pos][0] == "^":
+            self.pos += 1
             node = Pow(node, self.parse_exponent())
-        return node
+            levels += 1
+        return node, levels
 
     def parse_exponent(self) -> int:
+        tokens = self.tokens
         sign = 1
-        parens = False
-        if self.cur.kind == "OP" and self.cur.text == "(":
-            parens = True
-            self.advance()
-        if self.cur.kind == "OP" and self.cur.text == "-":
+        parens = tokens[self.pos][0] == "("
+        if parens:
+            self.pos += 1
+        if tokens[self.pos][0] == "-":
             sign = -1
-            self.advance()
-        tok = self.cur
-        if tok.kind != "NUM":
+            self.pos += 1
+        kind, text, column = tokens[self.pos]
+        if kind != "NUM":
             raise DslSyntaxError(
-                f"exponent must be an integer literal, found {tok.text or 'end of line'!r}",
-                self.lineno, tok.column)
-        value = float(tok.text)
+                f"exponent must be an integer literal, found {text or 'end of line'!r}",
+                self.lineno, column)
+        value = float(text)
         if value != int(value):
-            raise DslSyntaxError(f"exponent must be an integer, found {tok.text!r}",
-                                 self.lineno, tok.column)
-        self.advance()
+            raise DslSyntaxError(f"exponent must be an integer, found {text!r}",
+                                 self.lineno, column)
+        self.pos += 1
         if parens:
             self.expect_op(")")
         exponent = sign * int(value)
         if abs(exponent) > MAX_EXPONENT:
             raise DslSyntaxError(
                 f"exponent {exponent} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]",
-                self.lineno, tok.column)
+                self.lineno, column)
         return exponent
 
-    def parse_atom(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "NUM":
-            self.advance()
-            value = float(tok.text)
+    def parse_atom(self) -> tuple[Expr, int]:
+        kind, text, column = self.tokens[self.pos]
+        if kind == "NUM":
+            self.pos += 1
+            value = float(text)
             if not math.isfinite(value):
-                raise DslSyntaxError(f"constant {tok.text!r} is not finite",
-                                     self.lineno, tok.column)
-            return Const(value)
-        if tok.kind == "IDENT":
-            self.advance()
-            name = tok.text
-            if self.cur.kind == "OP" and self.cur.text == "(":
-                return self.parse_call(name, tok.column)
-            m = _PARAM_RE.match(name)
+                raise DslSyntaxError(f"constant {text!r} is not finite", self.lineno, column)
+            return Const(value), 1
+        if kind == "IDENT":
+            self.pos += 1
+            if self.tokens[self.pos][0] == "(":
+                return self.parse_call(text, column)
+            m = _PARAM_RE.match(text)
             if m:
-                return Param(int(m.group(1)))
-            if not self.scope.resolves(name):
-                raise UnknownIdentifier(name, self.lineno, tok.column)
-            return Var(name)
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+                index = int(m.group(1))
+                self.slots.add(index)
+                return Param(index), 1
+            if not self.scope.resolves(text):
+                raise UnknownIdentifier(text, self.lineno, column)
+            return Var(text), 1
+        if kind == "(":
+            self.pos += 1
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        raise DslSyntaxError(f"unexpected token {tok.text or 'end of line'!r}",
-                             self.lineno, tok.column)
+        raise DslSyntaxError(f"unexpected token {text or 'end of line'!r}", self.lineno, column)
 
-    def parse_call(self, name: str, column: int) -> Expr:
+    def parse_call(self, name: str, column: int) -> tuple[Expr, int]:
         if name not in FUNCTIONS:
             raise UnknownIdentifier(name, self.lineno, column)
         self.expect_op("(")
-        if self.cur.kind == "OP" and self.cur.text == ")":
+        if self.tokens[self.pos][0] == ")":
             raise ArityError(f"{name} expects exactly one argument, got none",
-                             self.lineno, self.cur.column)
-        arg = self.parse_expr()
-        if self.cur.kind == "OP" and self.cur.text == ",":
+                             self.lineno, self.tokens[self.pos][2])
+        arg, levels = self.parse_expr()
+        if self.tokens[self.pos][0] == ",":
             raise ArityError(f"{name} expects exactly one argument",
-                             self.lineno, self.cur.column)
+                             self.lineno, self.tokens[self.pos][2])
         self.expect_op(")")
-        return Call(name, arg)
+        return Call(name, arg), levels + 1
 
 
-def _parse_line(line: str, lineno: int, scope: SymbolScope, kind: str) -> tuple[str, Expr]:
+def _parse_line(line: str, lineno: int, scope: SymbolScope, kind: str,
+                slots: set[int]) -> tuple[str, Expr]:
     tokens = _tokenize(line, lineno)
-    parser = _LineParser(tokens, scope, lineno)
-    tok = parser.cur
-    if tok.kind != "IDENT":
-        raise DslSyntaxError(f"line must start with a target, found {tok.text!r}",
-                             lineno, tok.column)
-    parser.advance()
+    parser = _LineParser(tokens, scope, lineno, slots)
+    first, text, column = tokens[0]
+    if first != "IDENT":
+        raise DslSyntaxError(f"line must start with a target, found {text!r}", lineno, column)
+    parser.pos = 1
     if kind == "de":
-        if not (tok.text.startswith("d") and len(tok.text) > 1):
+        if not (text.startswith("d") and len(text) > 1):
             raise DslSyntaxError(
-                f"differential target must look like d<name>/dt, found {tok.text!r}",
-                lineno, tok.column)
-        target = tok.text[1:]
+                f"differential target must look like d<name>/dt, found {text!r}",
+                lineno, column)
+        target = text[1:]
         parser.expect_op("/")
-        dt = parser.cur
-        if dt.kind != "IDENT" or dt.text != "dt":
-            raise DslSyntaxError(f"expected 'dt' after '/', found {dt.text!r}",
-                                 lineno, dt.column)
-        parser.advance()
+        dt_kind, dt, dt_column = tokens[parser.pos]
+        if dt_kind != "IDENT" or dt != "dt":
+            raise DslSyntaxError(f"expected 'dt' after '/', found {dt!r}", lineno, dt_column)
+        parser.pos += 1
     else:
-        target = tok.text
+        target = text
     parser.expect_op("=")
-    expr = parser.parse_expr()
-    end = parser.cur
-    if end.kind != "END":
-        raise DslSyntaxError(f"trailing input {end.text!r}", lineno, end.column)
-    if _depth(expr) > MAX_DEPTH:  # chains of + * ^ and unary minus are built by loops
+    expr, levels = parser.parse_expr()
+    end_kind, end, end_column = tokens[parser.pos]
+    if end_kind != "END":
+        raise DslSyntaxError(f"trailing input {end!r}", lineno, end_column)
+    if levels > MAX_DEPTH:  # chains of + * ^ and unary minus are built by loops
         raise DslSyntaxError(f"expression deeper than {MAX_DEPTH} levels", lineno)
     return target, expr
 
@@ -408,22 +402,14 @@ def walk(expr: Expr) -> Iterator[Expr]:
 
 
 def _depth(expr: Expr) -> int:
-    """Levels of an expression tree, a leaf being one, counted without recursion."""
+    """Levels of an expression tree, a leaf being one, counted without
+    recursion; the parser counts them as it builds a tree."""
     deepest, stack = 0, [(expr, 1)]
     while stack:
         node, level = stack.pop()
         deepest = max(deepest, level)
         stack.extend((child, level + 1) for child in _children(node))
     return deepest
-
-
-def param_indices(exprs: Sequence[Expr]) -> list[int]:
-    seen: set[int] = set()
-    for expr in exprs:
-        for node in walk(expr):
-            if isinstance(node, Param):
-                seen.add(node.index)
-    return sorted(seen)
 
 
 def variables_in(skeleton: Skeleton) -> set[str]:
@@ -471,6 +457,19 @@ def term_sum(products: Sequence[Sequence[str]], first_slot: int = 0) -> Expr:
     return reduce(partial(Bin, "+"), terms) if terms else Const(0.0)
 
 
+def _canonical(kind: str, target_names: Sequence[str], expressions: Sequence[Expr],
+               slots: set[int], fold: bool) -> Skeleton:
+    """The skeleton of trees that read the parameter indices ``slots``; they
+    are rewritten only if those are not 0..n_p-1 already or, with ``fold``,
+    a negated constant needs folding."""
+    n_params = len(slots)
+    if fold or (slots and max(slots) != n_params - 1):
+        param_map = {old: new for new, old in enumerate(sorted(slots))}
+        expressions = [_rewrite(e, param_map) for e in expressions]
+    return Skeleton(kind=kind, target_names=tuple(target_names),
+                    expressions=tuple(expressions), n_params=n_params)
+
+
 def make_skeleton(kind: str, target_names: Sequence[str],
                   expressions: Sequence[Expr]) -> Skeleton:
     """Build a canonical skeleton from expression trees.
@@ -485,11 +484,15 @@ def make_skeleton(kind: str, target_names: Sequence[str],
         raise ValueError(f"kind must be 'de' or 'ae', got {kind!r}")
     if len(target_names) != len(expressions):
         raise ValueError("one expression per target required")
-    indices = param_indices(expressions)
-    param_map = {old: new for new, old in enumerate(indices)}
-    canon = tuple(_rewrite(e, param_map) for e in expressions)
-    return Skeleton(kind=kind, target_names=tuple(target_names),
-                    expressions=canon, n_params=len(indices))
+    slots: set[int] = set()
+    fold = False
+    for expr in expressions:
+        for node in walk(expr):
+            if isinstance(node, Param):
+                slots.add(node.index)
+            elif isinstance(node, Neg) and isinstance(node.child, Const):
+                fold = True
+    return _canonical(kind, target_names, expressions, slots, fold)
 
 
 def parse(text: str, scope: SymbolScope, target_names: Sequence[str],
@@ -498,16 +501,19 @@ def parse(text: str, scope: SymbolScope, target_names: Sequence[str],
 
     Every target must appear exactly once and every identifier must resolve
     against ``scope``; otherwise a ParseError subclass names the offender.
+    The parser folds negated constants and collects the parameter indices as
+    it goes, so the trees are rewritten only to renumber slots.
     """
     if kind not in ("de", "ae"):
         raise ValueError(f"kind must be 'de' or 'ae', got {kind!r}")
     wanted = list(target_names)
     parsed: dict[str, Expr] = {}
+    slots: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        target, expr = _parse_line(line, lineno, scope, kind)
+        target, expr = _parse_line(line, lineno, scope, kind, slots)
         if target not in wanted:
             raise UnknownIdentifier(target, lineno, 0)
         if target in parsed:
@@ -516,8 +522,7 @@ def parse(text: str, scope: SymbolScope, target_names: Sequence[str],
     for name in wanted:
         if name not in parsed:
             raise MissingTarget(name)
-    exprs = [parsed[name] for name in wanted]
-    return make_skeleton(kind, wanted, exprs)
+    return _canonical(kind, wanted, [parsed[name] for name in wanted], slots, False)
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,14 @@ values of the parameter-free subtrees, such as ``omega - 1`` or
 ``sin(delta)``, and their domain rules depend on the batch alone; the
 checking walk's forward loop, run without parameters, computes them once
 per skeleton and batch, and they are held, with the compiled walks and the
-batch, in a one-entry memo of the last pair fitted, never on the skeleton.
-Each call checks the domain rules of the live nodes, and the finiteness of
-the sums of squares and of the weighted sums, once; a finite sum of squares
-means finite outputs, and only if a sum is not finite are the outputs
-checked as such.  These checks decide faulted-or-not as a check at every
-node would.  Only the sums are checked: a per-sample partial that overflows
-where the residual is small enough to bring the weighted adjoint back into
-the floats is not seen.
+batch, in a one-entry memo of the last pair fitted, never on the skeleton;
+a fitter empties it as its fit returns (``release_fit_memo``).  Each call
+checks the domain rules of the live nodes, and the finiteness of the sums of
+squares and of the weighted sums, once; a finite sum of squares means finite
+outputs, and only if a sum is not finite are the outputs checked as such.
+These checks decide faulted-or-not as a check at every node would.  Only the
+sums are checked: a per-sample partial that overflows where the residual is
+small enough to bring the weighted adjoint back into the floats is not seen.
 
 The checking walk (``_walk_checked``) is the only interpreted one; its
 value, adjoint and test functions are built from the same templates, once,
@@ -63,15 +63,19 @@ overflowed) is a "non-finite gradient" at the first sample at which a
 weighted leaf adjoint is not finite; that result keeps its outputs.
 
 The float walk (``sample_walk``) computes the values of one sample, as
-trajectory replay needs them at every RK4 stage: a straight-line Python
-function of the variable and parameter values, compiled once from the tape
-and cached on the skeleton.  Its statements are the same templates'
-operations and domain rule tests on Python floats, which give the array
-walks' bits; the source holds only slot numbers, exponents and the fixed
-templates, with the constants bound in its namespace, so no text of the
-skeleton is ever compiled.  It tells a fault only by returning None; a
-caller that needs the record evaluates the sample with ``evaluate``.  All
-inputs are immutable and evaluation is pure.
+trajectory replay needs them at every RK4 stage: a Python function of the
+variable and parameter values, compiled once from the tape and cached on the
+skeleton.  A tape is a tree, so each value is read once, and the function
+has one nested expression per target, each value inlined into its parent's;
+a value is bound to a local only where a domain rule tests it (the test
+precedes the statement that uses it), at a target's root, which is checked
+finite, and every ``INLINE_DEPTH`` levels.  Its operations are the same
+templates' on Python floats, which give the array walks' bits; the source
+holds only slot numbers, exponents and the fixed templates, with the
+constants bound in its namespace, so no text of the skeleton is ever
+compiled.  It tells a fault only by returning None; a caller that needs the
+record evaluates the sample with ``evaluate``.  All inputs are immutable and
+evaluation is pure.
 """
 
 from __future__ import annotations
@@ -540,10 +544,11 @@ def _weighted_walks(programs: list) -> tuple:
 
 # (skeleton, its compiled weighted walks, a batch, the parameter-free
 # values): the last pair a fit walked.  One entry serves every step of a fit;
-# only residual-weighted calls read or write it.  None of it is kept on the
-# skeleton: an archive holds its skeletons for the whole run, and walks on
-# each would add to the peak memory.  Each call reads the entry once and
-# replaces it whole, so threads sharing it at worst recompute.
+# only residual-weighted calls read or write it, and ``release_fit_memo``
+# empties it.  None of it is kept on the skeleton: an archive holds its
+# skeletons for the whole run, and walks on each would add to the peak memory.
+# Each call reads the entry once and replaces it whole, so threads sharing it
+# at worst recompute.
 _last_walked: tuple = (None, None, None, None)
 
 
@@ -558,6 +563,14 @@ def _fit_state(skeleton: Skeleton, batch: SampleBatch) -> tuple[tuple, tuple | N
         values = _parameter_free_values(skeleton, batch)
     _last_walked = (skeleton, walks, batch, values)
     return walks, values
+
+
+def release_fit_memo() -> None:
+    """Empty the one-entry memo, so that it keeps no skeleton, walks or batch
+    past the fit that filled it.  A fitter calls it as its fit returns: each
+    fit walks its own skeleton, so the entry would not be read again."""
+    global _last_walked
+    _last_walked = (None, None, None, None)
 
 
 def _sum_squares(residual: np.ndarray) -> np.ndarray:
@@ -646,15 +659,29 @@ def _walk_checked(skeleton: Skeleton, params: np.ndarray, batch: SampleBatch,
         return outputs, None, _weighted_fault(weighted_adjoints, shape)
 
 
+# the most operations inlined into one expression of the float walk: a value
+# nested deeper is bound to a local.  CPython's parser refuses an expression
+# nested in more than 200 parentheses (3.10 and 3.11), and each inlined
+# operation opens one or two (an operand's, or a function's call and its
+# ``float``).  A parsed target nests 198 at most, but ``make_skeleton`` takes
+# trees of any depth, such as a sparse model's sum of a few hundred terms;
+# with the cut no expression nests more than 100
+INLINE_DEPTH = 50
+
+
 def _sample_source(programs: list) -> tuple[str, dict]:
-    """Source and namespace of ``walk(xs, ps)``, the straight-line one-sample
-    walk of a tape's programs.
+    """Source and namespace of ``walk(xs, ps)``, the one-sample walk of a
+    tape's programs, one nested expression per target.
 
     Slot ``n`` of the tape, counted over all targets, is read where it is
     used: a parameter or variable in place from ``ps`` or ``xs`` by index, a
-    constant as the bound ``c<n>``, and every other value as the local
-    ``v<n>``, formed after the tests of its domain rules; a target's output
-    is checked finite.  Values and tests are written from ``_OPS`` and
+    constant as the bound ``c<n>``, and every other value inlined into its
+    parent's expression, as a tape is a tree whose every value is read once.
+    A value is bound to the local ``v<n>`` instead if it is a target's root,
+    which is then checked finite, if a domain rule tests it, or if it is
+    ``INLINE_DEPTH`` operations deep; a rule's test precedes the statement
+    holding the operation it guards, and is written once for a leaf that
+    several operations share.  Values and tests are written from ``_OPS`` and
     ``_TESTS``, on Python floats: NumPy's functions and powers give NumPy
     scalars, which ``float`` turns back.  Only the constants are bound in the
     namespace, beside the templates' fixed names, so the source holds nothing
@@ -664,30 +691,45 @@ def _sample_source(programs: list) -> tuple[str, dict]:
     namespace = {**_NAMES, "__builtins__": {}, "abs": abs, "float": float,
                  "isfinite": math.isfinite}
     lines = ["def walk(xs, ps):"]
+    tests = set()
     roots = []
     base = 0
     for prog in programs:
-        slots = []
+        root = len(prog) - 1
+        tested = {b if operand else a for _, a, b, _, _, rules in prog
+                  for operand, _, _ in rules}
+        # per slot: (its text, the operations inlined in it, whether it is an
+        # operator's expression, which another operator takes in parentheses)
+        values = []
         for i, (op, a, b, arg, _, rules) in enumerate(prog):
             n = base + i
             if op == "const":
                 namespace[f"c{n}"] = arg
-                slots.append(f"c{n}")
+                values.append((f"c{n}", 0, False))
                 continue
             if op in ("param", "var"):
-                slots.append(f"{'ps' if op == 'param' else 'xs'}[{int(arg)}]")
+                values.append((f"{'ps' if op == 'param' else 'xs'}[{int(arg)}]", 0, False))
                 continue
-            slots.append(f"v{n}")
-            x, y = slots[a], slots[b]
+            (x, x_depth, x_wrap), (y, y_depth, y_wrap) = values[a], values[b]
             for operand, _, reason in rules:
-                lines.append(f"    if {_TESTS[reason].format(x=y if operand else x)}: return None")
+                test = f"    if {_TESTS[reason].format(x=y if operand else x)}: return None"
+                if test not in tests:  # a repeat tests a leaf that passed it already
+                    tests.add(test)
+                    lines.append(test)
+            call = op in FUNCTIONS or op == "^"
+            if not call:
+                x, y = f"({x})" if x_wrap else x, f"({y})" if y_wrap else y
             value = _OPS[op][0].format(x=x, y=y, e=arg)
-            if op in FUNCTIONS or op == "^":
+            depth = 1 + max(x_depth, y_depth)
+            if call:
                 value = f"float({value})"
-            lines.append(f"    v{n} = {value}")
-        root = slots[-1]
-        lines.append(f"    if not isfinite({root}): return None")
-        roots.append(root)
+            if i == root or i in tested or depth >= INLINE_DEPTH:
+                lines.append(f"    v{n} = {value}")
+                values.append((f"v{n}", 0, False))
+            else:
+                values.append((value, depth, not call))
+        lines.append(f"    if not isfinite({values[root][0]}): return None")
+        roots.append(values[root][0])
         base += len(prog)
     lines.append(f"    return [{', '.join(roots)}]")
     return "\n".join(lines) + "\n", namespace

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import Skeleton, SymbolScope, parse, serialize
-from .evaluator import FaultInfo, SampleBatch, evaluate
+from .evaluator import FaultInfo, SampleBatch, evaluate, release_fit_memo
 
 logger = logging.getLogger(__name__)
 
@@ -199,6 +199,8 @@ def fit_and_score(skeleton: Skeleton, batch: SampleBatch, target_columns: Sequen
                      "non-finite loss" if fault is None
                      else f"domain fault at sample {fault.sample_index}: {fault.reason}")
         return _poisoned(skeleton, requirements)
+    finally:
+        release_fit_memo()  # the fit's batch and walks go with it
     best = restart_losses.index(min(restart_losses))
     best_params = p[best].copy()
     best_params.setflags(write=False)

@@ -31,9 +31,10 @@ variables it reads listed in place, the algebraic model's first, whose
 predictions it unpacks for the differential model, and returns the
 derivatives as a list.  The walks give values only, so a non-finite
 gradient is no fault, and the step is ``rk4_step``, itself unrolled for the
-state count.  A skeleton that faults (a non-finite derivative is a fault)
-is evaluated once more by a value-only ``evaluate``, whose checking walk
-names the fault; the replay logs it and returns it.  An unstable identified
+state count.  The loop keeps the accepted states as lists and writes the
+trajectory array once, at the end.  A skeleton that faults (a non-finite
+derivative is a fault) is evaluated once more by a value-only ``evaluate``,
+whose checking walk names the fault; the replay logs it and returns it.  An unstable identified
 model yields a divergence flag and the finite prefix, never a crash.
 
 Every model file is one ``daedisc-model`` document, written by
@@ -363,20 +364,19 @@ def simulate_identified(model: SkeletonModel, record: FullRecord,
     faulted: list = []  # (which model, its fault): at most one, as it ends the replay
     rhs = _replay_rhs(model, ae_model, state_names, signals, faulted)
     x = [float(record.columns[s][0]) for s in state_names]
-    n = len(time_grid)
-    out = np.full((n, len(state_names)), np.nan)
-    out[0] = x
+    rows = [x]  # the accepted states, written into the trajectory at the end
     diverged = False
-    n_valid = 1
     with np.errstate(all="ignore"):
         # each step's signals become lists once, not the whole record's at once
-        for i, (step, stage_signals) in enumerate(zip(dt.tolist(), recorded)):
+        for step, stage_signals in zip(dt.tolist(), recorded):
             x = rk4_step(rhs, x, step, *stage_signals.tolist())
             if not all(map(math.isfinite, x)):
                 diverged = True
                 break
-            out[i + 1] = x
-            n_valid += 1
+            rows.append(x)
+    n_valid = len(rows)
+    out = np.full((len(time_grid), len(state_names)), np.nan)
+    out[:n_valid] = rows
     info = None
     if faulted:
         [(which, info)] = faulted

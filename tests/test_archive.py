@@ -359,3 +359,21 @@ def test_snapshot_refuses_a_frame_island_or_member_key_missing_or_of_the_wrong_t
         edited[key] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Archive.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("requirement, key", [
+    ({"name": 5, "justification": ["a"], "kind_hint": None}, "name"),
+    ({"name": "P_e", "justification": ["a"]}, "justification"),
+    ({"name": "P_e", "kind_hint": None}, "kind_hint"),
+])
+def test_snapshot_refuses_requirement_fields_that_are_not_strings(requirement, key):
+    # loaded as they were, a resumed run would match the name 5 against the
+    # catalog, which takes names as strings
+    archive = Archive.seeded(2, SEED)
+    archive.register(2, scored("ddelta/dt = p0*omega + p1", -0.5))
+    snap = archive.to_snapshot("de", ["delta"], SCOPE)
+    next(m for c in snap["islands"][1]["clusters"] for m in c["members"]
+         if m["text"] == "ddelta/dt = p0*omega + p1")["requirements"] = [requirement]
+    message = f"{MEMBER}: requirement {requirement!r} has a {key!r} that is not a string"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Archive.from_snapshot(snap)

@@ -530,6 +530,27 @@ def test_no_fit_batch_of_the_differential_loop_outlives_the_fit(monkeypatch):
     assert alive == []
 
 
+def test_no_fit_batch_of_either_loop_outlives_the_fit(monkeypatch):
+    # once fit() returns, every batch either loop fitted on is garbage: no
+    # loop state keeps one, and the evaluator's one-entry fit memo is emptied
+    # as each fit returns, so it keeps not even the algebraic loop's last one
+    engine = engine_with_script(PE_SCRIPT, window=2)
+    batches = []
+    real_to_batch = TrajectoryDataset.to_batch
+
+    def recording_to_batch(self, columns=()):
+        batch = real_to_batch(self, columns)
+        batches.append((tuple(columns), weakref.ref(batch)))
+        return batch
+
+    monkeypatch.setattr(TrajectoryDataset, "to_batch", recording_to_batch)
+    engine.fit()
+    assert engine.ae_result_ is not None
+    assert [columns for columns, _ in batches] == [(), ("P_e",), ("P_e",)]
+    gc.collect()
+    assert [columns for columns, ref in batches if ref() is not None] == []
+
+
 def test_a_states_only_run_logs_the_skipped_algebraic_loop_last(monkeypatch):
     engine = engine_with_script([[fenced(TRUE_SWING)]])
     fits = _fit_columns(monkeypatch, engine)
